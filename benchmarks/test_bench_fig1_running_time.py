@@ -9,7 +9,7 @@ than FSPEC's for every workload, by at least 1.5x on the case studies
 (the absolute factor depends on how far the authors' testbed overloaded
 its retransmission path, which the paper does not specify).
 The ``REPRO_ENGINE_MODE`` environment variable selects the engine
-(``stepper`` by default, ``interpreter`` for the oracle) so the CI
+(``vectorized`` by default, ``interpreter`` for the oracle) so the CI
 ``engine-bench`` job can time the same figure under both modes.
 """
 
@@ -21,7 +21,7 @@ from repro.experiments.figures import fig1_2_running_time
 _COLUMNS = ("figure", "workload", "scheduler", "messages",
             "running_time_ms", "delivered", "produced")
 
-ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "stepper")
+ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "vectorized")
 
 
 def test_fig1_running_time_ber7(benchmark):

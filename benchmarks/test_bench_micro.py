@@ -5,7 +5,7 @@ in the engine's per-cycle cost are visible (the figure benchmarks run
 thousands of cycles; their wall-clock tracks these numbers).
 
 ``REPRO_ENGINE_MODE`` selects the cluster engine for the cycle
-benchmarks (``stepper`` default / ``interpreter`` oracle), letting the
+benchmarks (``vectorized`` default / ``interpreter`` oracle), letting the
 CI ``engine-bench`` job compare the two on identical workloads.
 """
 
@@ -29,7 +29,7 @@ from repro.sim.rng import RngStream
 
 _DISPATCH_EVENTS = 20_000
 
-ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "stepper")
+ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "vectorized")
 
 
 def _dispatch_events(obs):

@@ -52,6 +52,7 @@ from repro.obs import (
 )
 from repro.protocol.backend import available_backends, get_backend
 from repro.protocol.signal import SignalSet
+from repro.sim.engine import EngineMode
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals
@@ -757,6 +758,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol backend the cluster geometry "
                             "comes from (default: flexray)")
 
+    def engine_option(p, what):
+        default = EngineMode.parse(None).value
+        p.add_argument("--engine-mode",
+                       choices=[mode.value for mode in EngineMode],
+                       default=default,
+                       help=f"{what}: the {default} cycle-batch engine "
+                            f"(default) or the event-list interpreter "
+                            f"oracle; both produce identical traces")
+
     run_parser = sub.add_parser("run", help="run one experiment")
     common(run_parser)
     observability(run_parser)
@@ -767,12 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--aperiodic", type=int, default=30,
                             help="SAE aperiodic message count (0 = none)")
     run_parser.add_argument("--duration-ms", type=float, default=500.0)
-    run_parser.add_argument("--engine-mode",
-                            choices=("stepper", "interpreter", "vectorized"),
-                            default="stepper",
-                            help="timeline stepper fast path (default), "
-                                 "the pure event-list interpreter oracle, "
-                                 "or the cycle-batch vectorized engine")
+    engine_option(run_parser, "simulation engine")
     store_option(run_parser, "the run results")
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -808,12 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="statically verify the "
                                       "configuration before running "
                                       "any seed")
-    campaign_parser.add_argument("--engine-mode",
-                                 choices=("stepper", "interpreter",
-                                          "vectorized"),
-                                 default="stepper",
-                                 help="engine every seed runs under "
-                                      "(all modes are trace-equivalent)")
+    engine_option(campaign_parser, "engine every seed runs under")
     campaign_parser.add_argument(
         "--coordinate", default=None, metavar="DIR",
         help="coordinate this campaign with other worker processes "
@@ -952,13 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--audit-every", type=int, default=0,
                               help="trial-run audit every Nth admission "
                                    "(default: 0 = off)")
-    serve_parser.add_argument("--engine-mode",
-                              choices=("stepper", "interpreter",
-                                       "vectorized"),
-                              default="stepper",
-                              help="engine offline replays of the served "
-                                   "configuration use; advertised in the "
-                                   "status payload (default: stepper)")
+    engine_option(serve_parser, "engine offline replays of the served "
+                                "configuration use, advertised in the "
+                                "status payload")
     serve_parser.add_argument("--shards", type=int, default=1,
                               help="shard the service across N worker "
                                    "processes behind a routing "

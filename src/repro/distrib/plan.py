@@ -12,7 +12,7 @@ a configuration error, not a race to resolve.
 Claim identity is **engine-independent**: ranges are named from the
 per-seed :func:`repro.experiments.cache.run_key` (which strips
 ``engine_mode``), so a joiner running a trace-equivalent engine can
-never double-claim a seed range the stepper worker already owns.
+never double-claim a seed range another worker already owns.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.cache import run_key
+from repro.sim.engine import EngineMode
 
 __all__ = ["CampaignPlan", "PLAN_FILENAME", "build_experiment_kwargs"]
 
@@ -111,7 +112,7 @@ class CampaignPlan:
     ber: float
     reliability_goal: float
     duration_ms: float
-    engine_mode: str = "stepper"
+    engine_mode: str = EngineMode.VECTORIZED.value
     chunk: int = 2
     backend: str = "flexray"
 
@@ -187,8 +188,9 @@ class CampaignPlan:
 
     def matches(self, other: "CampaignPlan") -> bool:
         """Spec equality *ignoring* engine mode (trace-equivalent)."""
-        return (dataclasses.replace(self, engine_mode="stepper")
-                == dataclasses.replace(other, engine_mode="stepper"))
+        default = EngineMode.parse(None).value
+        return (dataclasses.replace(self, engine_mode=default)
+                == dataclasses.replace(other, engine_mode=default))
 
     # -- directory protocol --------------------------------------------
 

@@ -43,8 +43,9 @@ __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
            "cache_key", "config_key", "fingerprint", "run_key"]
 
 #: Bump on any change to the cached payload shape or to simulation
-#: semantics that should invalidate old entries wholesale.
-CACHE_VERSION = 1
+#: semantics that should invalidate old entries wholesale.  Version 2:
+#: trace records became named tuples.
+CACHE_VERSION = 2
 
 
 def fingerprint(value: object) -> object:
@@ -199,8 +200,10 @@ class CampaignCache:
         the seed is simply re-simulated and the entry overwritten --
         but the event is surfaced (``cache.corrupt_entries`` counter,
         ``RuntimeWarning``): torn writes are prevented by the atomic
-        store, so an unloadable entry means disk rot or an external
-        writer, which operators should know about.  Entries from other
+        store, so an unloadable entry means disk rot, an external
+        writer, or a class whose shape changed since the entry was
+        written (its pickled state no longer fits: ``TypeError``),
+        which operators should know about.  Entries from other
         :data:`CACHE_VERSION` s or other code versions load fine and
         are *valid* misses, not corruption.
         """
@@ -211,7 +214,7 @@ class CampaignCache:
         except FileNotFoundError:
             return None  # an ordinary cold miss
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError) as error:
+                ImportError, IndexError, TypeError) as error:
             self._note_corrupt(path, repr(error))
             return None
         if not isinstance(payload, dict) or "result" not in payload:

@@ -183,7 +183,7 @@ def fig1_2_running_time(
     static_slot_options: Sequence[int] = (80, 120),
     seed: int = 42,
     obs=NULL_OBS,
-    engine_mode: str = "stepper",
+    engine_mode: str = "vectorized",
 ) -> List[Dict[str, float]]:
     """Figure 1 (BER = 1e-7) / Figure 2 (BER = 1e-9): running time.
 
@@ -200,10 +200,9 @@ def fig1_2_running_time(
         static_slot_options: gNumberOfStaticSlots settings (80 / 120,
             which also shift the aperiodic frame IDs as in the paper).
         seed: Experiment seed.
-        engine_mode: Simulation engine mode (``"stepper"``,
-            ``"interpreter"`` or ``"vectorized"``); the figures are
-            identical in every mode, only wall-clock time differs
-            (``BENCH_engine.json``).
+        engine_mode: Simulation engine mode (``"vectorized"`` or
+            ``"interpreter"``); the figures are identical in both
+            modes, only wall-clock time differs (``BENCH_engine.json``).
     """
     rho = _goal_for(ber)
     rows: List[Dict[str, float]] = []

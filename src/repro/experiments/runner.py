@@ -52,9 +52,9 @@ class ExperimentResult:
         cycles_run: Communication cycles executed.
         params: The cluster configuration used.
         cluster: The cluster itself (for deep inspection in tests).
-        engine_mode: Which engine produced the run (``"stepper"``,
-            ``"interpreter"`` or ``"vectorized"``); the result store
-            keys trace digests by it.
+        engine_mode: Which engine produced the run (``"vectorized"`` or
+            ``"interpreter"``); the result store keys trace digests by
+            it.
     """
 
     scheduler: str
@@ -63,7 +63,7 @@ class ExperimentResult:
     cycles_run: int
     params: SegmentGeometry
     cluster: Cluster
-    engine_mode: str = "stepper"
+    engine_mode: str = "vectorized"
 
     @property
     def completion_ms(self) -> float:
@@ -133,7 +133,7 @@ def run_experiment(
     node_count: int = 10,
     max_cycles: int = 200_000,
     obs=NULL_OBS,
-    engine_mode: Union[str, EngineMode] = EngineMode.STEPPER,
+    engine_mode: Union[str, EngineMode] = EngineMode.VECTORIZED,
     **policy_kwargs,
 ) -> ExperimentResult:
     """Run one workload under one scheduler and return its metrics.
@@ -163,10 +163,10 @@ def run_experiment(
             cluster and the metric reduction; policy counters and
             slack-planner statistics are merged into its registry when
             the run ends.
-        engine_mode: ``"stepper"`` (default, compiled-timeline fast
-            path), ``"interpreter"`` (the pure event-list oracle) or
-            ``"vectorized"`` (cycle-batch engine); all three are
-            trace-equivalent by construction and by differential test.
+        engine_mode: ``"vectorized"`` (default, the cycle-batch engine
+            over the compiled round) or ``"interpreter"`` (the pure
+            event-list oracle); the two are trace-equivalent by
+            construction and by differential test.
         **policy_kwargs: Forwarded to the policy constructor.
 
     Returns:

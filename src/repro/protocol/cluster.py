@@ -34,7 +34,6 @@ from repro.obs import NULL_OBS, ObsLike
 from repro.sim.engine import EngineMode
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.trace import TraceRecorder
-from repro.timeline.stepper import TimelineStepper
 from repro.timeline.vectorized import VectorizedStepper
 
 __all__ = ["Cluster"]
@@ -61,14 +60,16 @@ class Cluster:
         obs: Observability context; when enabled, the cluster records
             ``engine.*`` counters and per-segment profiler sections.
         mode: :class:`~repro.sim.engine.EngineMode` (or its string
-            value).  ``STEPPER`` (the default) advances over the
-            policy's compiled round when it offers one, falling back to
-            per-slot events for aperiodic work; ``VECTORIZED`` further
-            evaluates whole segments as phase-split batches (batched
-            fault draws, batched trace appends) whenever the policy's
-            decisions are provably outcome-free; ``INTERPRETER`` is the
-            pure event-list oracle.  All modes produce byte-identical
-            traces (``tests/sim/test_trace_equivalence.py``,
+            value).  ``VECTORIZED`` (the default) settles each segment
+            of the policy's compiled round as one phase-split batch
+            (all queries, then batched fault draws, one trace append
+            and the outcome replay) whenever the policy's decisions are
+            provably outcome-free, and otherwise delegates the segment
+            to the per-slot :class:`~repro.timeline.stepper.TimelineStepper`;
+            a policy without a compiled round runs on the interpreter.
+            ``INTERPRETER`` is the pure event-list oracle.  Both modes
+            produce byte-identical traces
+            (``tests/sim/test_trace_equivalence.py``,
             ``tests/sim/test_engine_fuzz.py``).
     """
 
@@ -81,7 +82,7 @@ class Cluster:
         topology: Optional[Topology] = None,
         node_count: Optional[int] = None,
         obs: ObsLike = NULL_OBS,
-        mode: Union[str, EngineMode] = EngineMode.STEPPER,
+        mode: Union[str, EngineMode] = EngineMode.VECTORIZED,
     ) -> None:
         self.params = params
         self.policy = policy
@@ -109,7 +110,7 @@ class Cluster:
             self._corrupts, self.trace,
         )
         self._mode = EngineMode.parse(mode)
-        self._stepper: Optional[TimelineStepper] = None
+        self._stepper: Optional[VectorizedStepper] = None
         self._cycle = 0
         self._bound = False
 
@@ -137,49 +138,31 @@ class Cluster:
         return self._mode
 
     @property
-    def stepper_active(self) -> bool:
-        """Whether the compiled-timeline fast path is engaged."""
-        return self._stepper is not None
-
-    @property
     def vectorized_active(self) -> bool:
         """Whether the phase-split batch engine is engaged."""
-        return isinstance(self._stepper, VectorizedStepper)
+        return self._stepper is not None
 
     def _ensure_bound(self) -> None:
         if not self._bound:
             self.policy.bind(self)
             for node in self.nodes:
                 node.start()
-            if self._mode in (EngineMode.STEPPER, EngineMode.VECTORIZED):
+            if self._mode is EngineMode.VECTORIZED:
                 compiled = self.policy.compiled_round()
                 if compiled is not None:
-                    if self._mode is EngineMode.VECTORIZED:
-                        self._stepper = VectorizedStepper(
-                            compiled=compiled,
-                            params=self.params,
-                            layout=self.layout,
-                            channels=self.channels,
-                            policy=self.policy,
-                            static_engine=self._static_engine,
-                            dynamic_engine=self._dynamic_engine,
-                            next_release_mt=self._multiplexer.next_release_mt,
-                            corrupts=self._corrupts,
-                            trace=self.trace,
-                            obs=self._obs,
-                        )
-                    else:
-                        self._stepper = TimelineStepper(
-                            compiled=compiled,
-                            params=self.params,
-                            layout=self.layout,
-                            channels=self.channels,
-                            policy=self.policy,
-                            static_engine=self._static_engine,
-                            dynamic_engine=self._dynamic_engine,
-                            next_release_mt=self._multiplexer.next_release_mt,
-                            obs=self._obs,
-                        )
+                    self._stepper = VectorizedStepper(
+                        compiled=compiled,
+                        params=self.params,
+                        layout=self.layout,
+                        channels=self.channels,
+                        policy=self.policy,
+                        static_engine=self._static_engine,
+                        dynamic_engine=self._dynamic_engine,
+                        next_release_mt=self._multiplexer.next_release_mt,
+                        corrupts=self._corrupts,
+                        trace=self.trace,
+                        obs=self._obs,
+                    )
             self._bound = True
 
     # ------------------------------------------------------------------

@@ -305,7 +305,7 @@ class ResultStore:
         from repro.experiments.cache import config_key as _config_key
 
         engine_mode = EngineMode.parse(
-            experiment_kwargs.get("engine_mode", EngineMode.STEPPER)).value
+            experiment_kwargs.get("engine_mode")).value
         config_key = _config_key(campaign.scheduler, experiment_kwargs)
         payload: Dict[str, object] = {
             "scheduler": campaign.scheduler,
@@ -366,8 +366,7 @@ class ResultStore:
 
         engine_mode = EngineMode.parse(
             experiment_kwargs.get("engine_mode",
-                                  getattr(result, "engine_mode",
-                                          EngineMode.STEPPER))).value
+                                  getattr(result, "engine_mode", None))).value
         with self.transaction():
             run_id = self._ingest_run(result, result.scheduler, seed,
                                       experiment_kwargs, engine_mode)

@@ -66,8 +66,8 @@ class ServiceSetup:
         channel_tasks: Per-channel hard periodic task sets (ticks).
         verified: Whether the configuration passed the static gate
             (``False`` only when loading with ``verify=False``).
-        engine_mode: Simulation engine (``"stepper"``, ``"interpreter"``
-            or ``"vectorized"``) any offline replay or spot-check of
+        engine_mode: Simulation engine (``"vectorized"`` or
+            ``"interpreter"``) any offline replay or spot-check of
             this configuration runs under; advertised in the service's
             status payload so audits reproduce the served setup exactly.
     """
@@ -77,7 +77,7 @@ class ServiceSetup:
     tick_us: int
     channel_tasks: Dict[str, TaskSet]
     verified: bool
-    engine_mode: str = "stepper"
+    engine_mode: str = "vectorized"
 
     @property
     def channels(self) -> Tuple[str, ...]:
@@ -215,7 +215,7 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
                        tick_us: int = 100,
                        verify: bool = True,
                        mapping: str = "signals",
-                       engine_mode: str = "stepper",
+                       engine_mode: str = "vectorized",
                        backend: str = "flexray") -> ServiceSetup:
     """Build and statically verify one service configuration.
 
@@ -238,9 +238,9 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
             (:func:`round_task_sets`), so the service accounts against
             the *placed* schedule rather than an idealized partition.
         engine_mode: Engine any offline replay of this configuration
-            runs under (``"stepper"``, ``"interpreter"`` or
-            ``"vectorized"``); validated here so a typo fails at
-            startup, and advertised via the status payload.
+            runs under (``"vectorized"`` or ``"interpreter"``);
+            validated here so a typo fails at startup, and advertised
+            via the status payload.
         backend: Protocol backend name (``repro.protocol.get_backend``);
             selects the geometry the workload is packed against.
 

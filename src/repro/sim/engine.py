@@ -33,26 +33,28 @@ class EngineMode(enum.Enum):
     """How the simulation advances time.
 
     INTERPRETER is the pure event-list oracle: every slot of every cycle
-    is a separate query.  STEPPER advances over compiled
-    :class:`~repro.timeline.compiler.CompiledRound` arrays and falls
-    back to the interpreter only for aperiodic work.  VECTORIZED
-    evaluates whole-cycle batches of the compiled round as numpy array
-    operations (batched fault draws, batched trace appends), falling
-    back to the stepper -- and through it the interpreter -- whenever a
-    batch precondition fails.  All three produce byte-identical traces;
-    the differential tests in ``tests/sim/test_trace_equivalence.py``
-    and the fuzz suite in ``tests/sim/test_engine_fuzz.py`` prove it.
+    is a separate query.  VECTORIZED (the default) walks the compiled
+    :class:`~repro.timeline.compiler.CompiledRound` and settles each
+    segment of each cycle as one phase-split batch: all policy queries
+    first, then the fault draws, one batched trace append and the
+    outcome replay.  Fault draws of 16 or more entries per channel use
+    numpy; everything else is plain Python.  Segments whose policy
+    cannot promise outcome-free decisions (feedback ARQ) are delegated
+    to the per-slot :class:`~repro.timeline.stepper.TimelineStepper`
+    and, through it, the interpreter.  Both modes produce
+    byte-identical traces; the differential tests in
+    ``tests/sim/test_trace_equivalence.py`` and the fuzz suite in
+    ``tests/sim/test_engine_fuzz.py`` prove it.
     """
 
     INTERPRETER = "interpreter"
-    STEPPER = "stepper"
     VECTORIZED = "vectorized"
 
     @classmethod
     def parse(cls, value: Union[str, "EngineMode", None]) -> "EngineMode":
         """Coerce a CLI/env string (or an existing mode) to a mode."""
         if value is None:
-            return cls.STEPPER
+            return cls.VECTORIZED
         if isinstance(value, cls):
             return value
         try:

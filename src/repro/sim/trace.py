@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["TransmissionOutcome", "FrameRecord", "TraceRecorder",
            "canonical_trace_bytes", "trace_digest"]
@@ -36,9 +36,13 @@ class TransmissionOutcome(enum.Enum):
     """The frame was never transmitted (queue overflow / horizon end)."""
 
 
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """One transmission attempt of one frame on one channel.
+
+    An immutable, hashable named tuple: a dense run builds tens of
+    thousands of these, and a tuple constructs several times faster
+    than a frozen dataclass, whose generated ``__init__`` sets every
+    field through ``object.__setattr__``.
 
     Attributes:
         message_id: Stable identifier of the logical message.
@@ -273,19 +277,18 @@ def canonical_trace_bytes(trace: TraceRecorder) -> bytes:
     in recording order -- so two traces serialize identically **iff**
     they recorded the same attempts with the same fields in the same
     order.  This is the equivalence relation the differential engine
-    tests (stepper vs interpreter) are proved under; it is deliberately
+    tests (vectorized vs interpreter) are proved under; it is deliberately
     stricter than metric equality.
 
     The first line names the trace's protocol backend, so two backends
     producing coincidentally identical frame sequences still serialize
     (and digest) differently -- trace identity includes the protocol.
     """
-    names = [f.name for f in fields(FrameRecord)]
+    names = FrameRecord._fields
     lines = [f"protocol={getattr(trace, 'protocol', 'generic')}"]
     for record in trace:
         values = []
-        for name in names:
-            value = getattr(record, name)
+        for name, value in zip(names, record):
             if isinstance(value, TransmissionOutcome):
                 value = value.value
             values.append(f"{name}={value!r}")

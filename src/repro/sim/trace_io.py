@@ -24,9 +24,7 @@ from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
 __all__ = ["export_csv", "import_csv", "export_jsonl",
            "per_message_statistics", "MessageStatistics"]
 
-_FIELDS = ["message_id", "instance", "channel", "slot_id", "cycle",
-           "start", "end", "bits", "payload_bits", "segment", "outcome",
-           "is_retransmission", "generation_time", "deadline", "chunk"]
+_FIELDS = list(FrameRecord._fields)
 
 #: Exported alongside the per-record fields so the backend identity of
 #: a trace survives the round-trip (it is part of the canonical bytes).

@@ -78,7 +78,7 @@ corner cases.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.protocol.channel import Channel, ChannelSet
 from repro.protocol.cycle import CycleLayout
@@ -96,8 +96,18 @@ __all__ = ["VectorizedStepper"]
 
 Deliver = Callable[[int], None]
 
-#: One planned transmission: (channel, slot_id, start_mt, end_mt, pending).
-_Planned = Tuple[Channel, int, int, int, PendingFrame]
+#: One planned transmission: (lane, slot_id, start_mt, end_mt, pending),
+#: where ``lane`` indexes the cluster's channels in pair order.
+_Planned = Tuple[int, int, int, int, PendingFrame]
+
+
+class _OwnedStep(NamedTuple):
+    """A compiled :class:`~repro.timeline.compiler.StaticStep` whose
+    entries carry each owning channel's lane instead of its frame."""
+
+    slot_id: int
+    action_offset_mt: int
+    entries: Tuple[Tuple[Channel, int], ...]
 
 
 class VectorizedStepper(TimelineStepper):
@@ -140,6 +150,20 @@ class VectorizedStepper(TimelineStepper):
         self._batch_faults = getattr(corrupts, "batch", None)
         self._duration_memo: Dict[int, int] = {}
         self._pairs = list(channels.pairs())
+        # Per-lane channel and name, looked up by list index instead of
+        # hashing the Channel enum per frame.
+        self._lane_channels = [channel for channel, __ in self._pairs]
+        self._lane_names = [channel.value for channel in self._lane_channels]
+        lane_of = {channel: lane
+                   for lane, channel in enumerate(self._lane_channels)}
+        #: The compiled round's owned static steps, per matrix cycle.
+        self._owned_steps = [
+            tuple(_OwnedStep(step.slot_id, step.action_offset_mt,
+                             tuple((channel, lane_of[channel])
+                                   for channel, __ in step.entries))
+                  for step in compiled.static_steps(cycle))
+            for cycle in range(compiled.cycle_count)
+        ]
         #: Segment batches settled through the phase-split path.
         self.vectorized_batches = 0
         #: Cycles with at least one segment delegated to the stepper or
@@ -200,23 +224,21 @@ class VectorizedStepper(TimelineStepper):
         only drain it.
         """
         policy = self._policy
-        steps = self._round.static_steps(cycle)
+        steps = self._owned_steps[cycle % len(self._owned_steps)]
         plan: List[_Planned] = []
         last_action = (cycle_start + (self._n_slots - 1) * self._slot_mt
                        + self._action_offset)
         final_clock = last_action
-        for step in steps:
-            action_point = cycle_start + step.action_offset_mt
-            for channel, __ in step.entries:
+        for slot_id, action_offset, entries in steps:
+            action_point = cycle_start + action_offset
+            for channel, lane in entries:
                 pending = policy.static_frame_for(
-                    channel, cycle, step.slot_id, action_point)
+                    channel, cycle, slot_id, action_point)
                 if pending is None:
                     final_clock = action_point
                     continue
-                end = self._validate_static(pending, step.slot_id,
-                                            action_point)
-                plan.append((channel, step.slot_id, action_point, end,
-                             pending))
+                end = self._validate_static(pending, slot_id, action_point)
+                plan.append((lane, slot_id, action_point, end, pending))
                 final_clock = end
         if (not steps or steps[-1].slot_id != self._n_slots
                 or len(steps[-1].entries) < len(self._pairs)):
@@ -239,7 +261,7 @@ class VectorizedStepper(TimelineStepper):
         starts.  Returns the interpreter's end-of-segment policy clock.
         """
         policy = self._policy
-        pairs = self._pairs
+        channels = self._lane_channels
         plan: List[_Planned] = []
         final_clock = cycle_start + self._action_offset
         action_point = final_clock
@@ -252,14 +274,14 @@ class VectorizedStepper(TimelineStepper):
                 plan = []
                 deliver(action_point)
                 release = self._next_release_mt()
-            for channel, __ in pairs:
+            for lane, channel in enumerate(channels):
                 pending = policy.static_frame_for(
                     channel, cycle, slot_id, action_point)
                 if pending is None:
                     final_clock = action_point
                     continue
                 end = self._validate_static(pending, slot_id, action_point)
-                plan.append((channel, slot_id, action_point, end, pending))
+                plan.append((lane, slot_id, action_point, end, pending))
                 final_clock = end
             action_point += self._slot_mt
         self._flush(cycle, plan, "static")
@@ -268,7 +290,7 @@ class VectorizedStepper(TimelineStepper):
     def _validate_static(self, pending: PendingFrame, slot_id: int,
                          action_point: int) -> int:
         """The interpreter's physical checks, raising its exact errors."""
-        duration = self._duration(pending.payload_bits)
+        duration = self._duration(pending.frame.payload_bits)
         slot_end = action_point - self._action_offset + self._slot_mt
         if action_point + duration > slot_end:
             raise ValueError(
@@ -351,7 +373,7 @@ class VectorizedStepper(TimelineStepper):
         plan: List[_Planned] = []
         results: List[DynamicSlotResult] = []
         final_clock: Optional[int] = None
-        for channel, slot_counter in self._pairs:
+        for lane, (channel, slot_counter) in enumerate(self._pairs):
             slot_counter.jump_to(first_slot)
             elapsed = 0
             slot_id = first_slot
@@ -370,7 +392,8 @@ class VectorizedStepper(TimelineStepper):
                     ))
                     slot_id += 1
                     continue
-                needed = params.minislots_for_bits(pending.payload_bits)
+                payload_bits = pending.frame.payload_bits
+                needed = params.minislots_for_bits(payload_bits)
                 if needed > total - elapsed:
                     policy.on_dynamic_hold(pending, channel)
                     elapsed += 1
@@ -381,8 +404,8 @@ class VectorizedStepper(TimelineStepper):
                     slot_id += 1
                     continue
                 action_start = start_mt + action_offset
-                end = action_start + self._duration(pending.payload_bits)
-                plan.append((channel, slot_id, action_start, end, pending))
+                end = action_start + self._duration(payload_bits)
+                plan.append((lane, slot_id, action_start, end, pending))
                 final_clock = end
                 elapsed += min(needed, total - elapsed)
                 results.append(DynamicSlotResult(
@@ -401,62 +424,57 @@ class VectorizedStepper(TimelineStepper):
         """Settle a segment plan: fault draws, trace batch, outcomes."""
         if not plan:
             return
-        verdicts = self._fault_verdicts(plan)
+        bits = [entry[4].frame.total_bits for entry in plan]
+        verdicts = self._fault_verdicts(plan, bits)
+        names = self._lane_names
+        corrupted = TransmissionOutcome.CORRUPTED
+        delivered = TransmissionOutcome.DELIVERED
         records = []
-        outcomes = []
-        for (channel, slot_id, start, end, pending), corrupted \
-                in zip(plan, verdicts):
-            outcome = (TransmissionOutcome.CORRUPTED if corrupted
-                       else TransmissionOutcome.DELIVERED)
-            outcomes.append(outcome)
+        for (lane, slot_id, start, end, pending), total_bits, corrupt \
+                in zip(plan, bits, verdicts):
+            frame = pending.frame
+            # Positional, in field order: keyword arguments double the
+            # construction cost of a named tuple.
             records.append(FrameRecord(
-                message_id=pending.message_id,
-                instance=pending.instance,
-                channel=channel.value,
-                slot_id=slot_id,
-                cycle=cycle,
-                start=start,
-                end=end,
-                bits=pending.total_bits,
-                payload_bits=pending.payload_bits,
-                segment=segment,
-                outcome=outcome,
-                is_retransmission=pending.is_retransmission,
-                generation_time=pending.generation_time_mt,
-                deadline=pending.deadline_mt,
-                chunk=pending.frame.chunk,
-            ))
+                frame.message_id, pending.instance, names[lane], slot_id,
+                cycle, start, end, total_bits, frame.payload_bits, segment,
+                corrupted if corrupt else delivered,
+                pending.is_retransmission, pending.generation_time_mt,
+                pending.deadline_mt, frame.chunk))
         self._trace.record_batch(records)
-        policy = self._policy
-        for (channel, __, ___, end, pending), outcome in zip(plan, outcomes):
-            policy.on_outcome(pending, channel, segment, outcome, end)
+        channels = self._lane_channels
+        on_outcome = self._policy.on_outcome
+        for (lane, __, ___, end, pending), record in zip(plan, records):
+            on_outcome(pending, channels[lane], segment, record.outcome, end)
 
-    def _fault_verdicts(self, plan: List[_Planned]) -> List[bool]:
+    def _fault_verdicts(self, plan: List[_Planned],
+                        bits: List[int]) -> List[bool]:
         """Corruption verdicts for a plan, draw-order exact.
 
-        With a batching injector, the plan is split into per-channel
-        subsequences (each channel owns an independent RNG stream, so
-        the split consumes every stream exactly as the interpreter's
-        interleaved consults would).  Without one, the oracle is called
-        scalar-wise in the interpreter's exact order, which is correct
-        for arbitrary stateful oracles.
+        ``bits`` holds each entry's total frame bits.  With a batching
+        injector, the plan is split into per-channel subsequences (each
+        channel owns an independent RNG stream, so the split consumes
+        every stream exactly as the interpreter's interleaved consults
+        would).  Without one, the oracle is called scalar-wise in the
+        interpreter's exact order, which is correct for arbitrary
+        stateful oracles.
         """
+        channels = self._lane_channels
         batch = self._batch_faults
         if batch is None:
             corrupts = self._corrupts
-            return [corrupts(channel, pending.total_bits, start)
-                    for channel, __, start, ___, pending in plan]
-        by_channel: Dict[str, Tuple[Channel, List[int]]] = {}
-        for channel, __, ___, ____, pending in plan:
-            bucket = by_channel.get(channel.value)
-            if bucket is None:
-                bucket = by_channel[channel.value] = (channel, [])
-            bucket[1].append(pending.total_bits)
-        cursors = {
-            name: iter(batch(channel, bits_list))
-            for name, (channel, bits_list) in by_channel.items()
-        }
-        return [next(cursors[entry[0].value]) for entry in plan]
+            return [corrupts(channels[entry[0]], total_bits, entry[2])
+                    for entry, total_bits in zip(plan, bits)]
+        by_lane: List[List[int]] = [[] for __ in channels]
+        for index, entry in enumerate(plan):
+            by_lane[entry[0]].append(index)
+        verdicts = [False] * len(plan)
+        for channel, indices in zip(channels, by_lane):
+            if indices:
+                drawn = batch(channel, [bits[index] for index in indices])
+                for index, verdict in zip(indices, drawn):
+                    verdicts[index] = verdict
+        return verdicts
 
     # ------------------------------------------------------------------
     # Helpers

@@ -1,11 +1,11 @@
 """Seeded random scenario generation for differential engine testing.
 
-The three timeline engines (interpreter, stepper, vectorized) promise
-byte-identical canonical traces.  Hand-written equivalence tests cover
-the known corners; this module generates *arbitrary* valid scenarios --
-cluster geometry, workload, scheduler, fault rate, completion mode --
-from a single integer seed so the fuzz suite
-(``tests/sim/test_engine_fuzz.py``) can sweep hundreds of
+The two engine modes (the interpreter oracle and the vectorized
+engine) promise byte-identical canonical traces.  Hand-written
+equivalence tests cover the known corners; this module generates
+*arbitrary* valid scenarios -- cluster geometry, workload, scheduler,
+fault rate, completion mode -- from a single integer seed so the fuzz
+suite (``tests/sim/test_engine_fuzz.py``) can sweep hundreds of
 configurations and the oracle gate can catch divergences no one thought
 to write a test for.
 

@@ -29,7 +29,7 @@ def small_plan(**overrides):
         scheduler="coefficient", workload="synthetic", count=6,
         seed=42, seeds=(42, 43, 44), aperiodic=0, minislots=100,
         ber=1e-7, reliability_goal=1 - 1e-4, duration_ms=30.0,
-        engine_mode="stepper", chunk=1)
+        chunk=1)
     base.update(overrides)
     return CampaignPlan(**base)
 
@@ -115,11 +115,11 @@ class TestEngineDivergentJoiner:
                                                           tmp_path):
         directory = str(tmp_path)
         plan = small_plan()
-        coordinate_campaign(directory, plan=plan, worker_id="stepper")
+        coordinate_campaign(directory, plan=plan, worker_id="vectorized")
         # A trace-equivalent joiner arrives late with a different
         # engine: identical claim names mean every range shows done
         # and it contributes nothing (the double-claim regression).
-        joiner_plan = small_plan(engine_mode="vectorized")
+        joiner_plan = small_plan(engine_mode="interpreter")
         report = run_worker(joiner_plan.publish(directory), directory,
                             "late-joiner")
         assert report.ranges_completed == 0

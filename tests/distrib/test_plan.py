@@ -12,7 +12,7 @@ def plan(**overrides):
         scheduler="coefficient", workload="synthetic", count=6,
         seed=42, seeds=(42, 43, 44, 45), aperiodic=0, minislots=100,
         ber=1e-7, reliability_goal=1 - 1e-4, duration_ms=50.0,
-        engine_mode="stepper", chunk=2)
+        engine_mode="interpreter", chunk=2)
     base.update(overrides)
     return CampaignPlan(**base)
 
@@ -55,11 +55,11 @@ class TestRanges:
 
     def test_claims_are_engine_independent(self):
         # The double-claim regression: a vectorized joiner must
-        # compute the exact claim names the stepper worker computed,
-        # or the two race each other through every range.
-        stepper = plan(engine_mode="stepper").range_claims()
+        # compute the exact claim names the interpreter worker
+        # computed, or the two race each other through every range.
+        interpreter = plan(engine_mode="interpreter").range_claims()
         vectorized = plan(engine_mode="vectorized").range_claims()
-        assert stepper == vectorized
+        assert interpreter == vectorized
 
     def test_claims_depend_on_the_spec(self):
         baseline = plan().range_claims()
@@ -71,6 +71,14 @@ class TestRanges:
 class TestMatching:
     def test_matches_ignores_engine_mode(self):
         assert plan().matches(plan(engine_mode="vectorized"))
+        assert plan(engine_mode="vectorized").matches(plan())
+
+    def test_default_engine_is_vectorized(self):
+        defaults = dict(scheduler="coefficient", workload="synthetic",
+                        count=6, seed=42, seeds=(42,), aperiodic=0,
+                        minislots=100, ber=1e-7, reliability_goal=0.9,
+                        duration_ms=50.0)
+        assert CampaignPlan(**defaults).engine_mode == "vectorized"
 
     def test_matches_rejects_spec_changes(self):
         assert not plan().matches(plan(ber=1e-6))
@@ -91,7 +99,7 @@ class TestPublish:
         assert joined.engine_mode == "vectorized"
         assert joined.matches(plan())
         # The file on disk still holds the first writer's plan.
-        assert CampaignPlan.load(directory).engine_mode == "stepper"
+        assert CampaignPlan.load(directory).engine_mode == "interpreter"
 
     def test_mismatched_joiner_refused(self, tmp_path):
         directory = str(tmp_path)
@@ -108,7 +116,7 @@ class TestKwargs:
         kwargs = plan().experiment_kwargs()
         assert kwargs["ber"] == 1e-7
         assert kwargs["duration_ms"] == 50.0
-        assert kwargs["engine_mode"] == "stepper"
+        assert kwargs["engine_mode"] == "interpreter"
         assert kwargs["aperiodic"] is None
         assert len(kwargs["periodic"]) == 6
 

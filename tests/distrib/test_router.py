@@ -246,13 +246,13 @@ class TestStats:
 
         payloads = [
             {"status": "ok", "workload": "bbw", "tick_us": 100,
-             "engine_mode": "stepper",
+             "engine_mode": "vectorized",
              "channels": {"B": channel_entry()},
              "counters": {"service.admits": 3}, "batches": 2,
              "mean_batch_size": 2.0, "queue_depth": 1,
              "queue_limit": 10, "draining": False},
             {"status": "ok", "workload": "bbw", "tick_us": 100,
-             "engine_mode": "stepper",
+             "engine_mode": "vectorized",
              "channels": {"A": channel_entry()},
              "counters": {"service.admits": 5}, "batches": 6,
              "mean_batch_size": 4.0, "queue_depth": 2,

@@ -11,6 +11,9 @@ The parallel tests spawn real worker processes, so they use the tiny
 fixture workload and short horizons to keep wall-clock sane.
 """
 
+import dataclasses
+import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -23,6 +26,17 @@ from repro.obs import (
 )
 
 _SEEDS = [1, 2, 3, 4]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Reshaped:
+    """A cached class before a release turns it into a named tuple."""
+
+    value: int
+
+
+class _ReshapedTuple(NamedTuple):
+    value: int
 
 
 def _campaign(small_params, workload, obs=None, **overrides):
@@ -209,6 +223,28 @@ class TestSeedCache:
                                 cache_dir=str(tmp_path), **kwargs)
         assert campaign.cache_hits == 0
         assert campaign.simulations_run == 1
+
+    def test_reshaped_class_entry_is_a_miss(self, small_params,
+                                            tiny_workload, tmp_path,
+                                            monkeypatch):
+        # An entry pickled while a cached class was a slots dataclass
+        # cannot be rebuilt once the class is a named tuple: unpickling
+        # raises TypeError, which must read as a corrupt miss.
+        kwargs = self._kwargs(small_params, tiny_workload)
+        key = cache_key("coefficient", 1, kwargs)
+        CampaignCache(str(tmp_path)).store(key, _Reshaped(1), None)
+        monkeypatch.setattr(sys.modules[__name__], "_Reshaped",
+                            _ReshapedTuple)
+        obs = Observability()
+        with pytest.warns(RuntimeWarning, match="TypeError"):
+            campaign = run_campaign("coefficient", seeds=[1],
+                                    cache_dir=str(tmp_path), obs=obs,
+                                    **kwargs)
+        assert campaign.cache_hits == 0
+        assert campaign.simulations_run == 1
+        assert campaign.completed_seeds == [1]
+        assert obs.deterministic_snapshot()["counters"][
+            "cache.corrupt_entries"] == 1
 
     def test_key_is_stable_and_sensitive(self, small_params,
                                          tiny_workload):

@@ -48,10 +48,10 @@ def tiny_campaign(experiment_kwargs):
 
 
 @pytest.fixture(scope="session")
-def vectorized_kwargs(experiment_kwargs) -> dict:
-    return dict(experiment_kwargs, engine_mode="vectorized")
+def interpreter_kwargs(experiment_kwargs) -> dict:
+    return dict(experiment_kwargs, engine_mode="interpreter")
 
 
 @pytest.fixture(scope="session")
-def tiny_campaign_vectorized(vectorized_kwargs):
-    return run_campaign("coefficient", seeds=[1, 2], **vectorized_kwargs)
+def tiny_campaign_interpreter(interpreter_kwargs):
+    return run_campaign("coefficient", seeds=[1, 2], **interpreter_kwargs)

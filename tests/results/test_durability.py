@@ -41,7 +41,7 @@ class TestStoreCrashSafety:
             store._conn.execute(
                 "INSERT INTO campaigns (id, scheduler, workload,"
                 " engine_mode, seeds, failures, config_key, payload)"
-                " VALUES ('torn', 'coefficient', 'w', 'stepper', 1, 0,"
+                " VALUES ('torn', 'coefficient', 'w', 'vectorized', 1, 0,"
                 " 'cfg', '{{}}')")
             store._conn.execute(
                 "INSERT INTO runs (id, scheduler, seed, cycles,"
@@ -78,7 +78,7 @@ class TestStoreCrashSafety:
             store._conn.execute(
                 "INSERT INTO campaigns (id, scheduler, workload,"
                 " engine_mode, seeds, failures, config_key, payload)"
-                " VALUES ('doomed', 'fspec', 'w', 'stepper', 1, 0,"
+                " VALUES ('doomed', 'fspec', 'w', 'vectorized', 1, 0,"
                 " 'cfg', '{{}}')")
             os.kill(os.getpid(), signal.SIGKILL)
         """)

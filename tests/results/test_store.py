@@ -53,9 +53,9 @@ class TestIdempotentIngest:
 
     def test_run_identity_excludes_engine_mode(
             self, store, tiny_campaign, experiment_kwargs,
-            tiny_campaign_vectorized, vectorized_kwargs):
+            tiny_campaign_interpreter, interpreter_kwargs):
         store.record_campaign(tiny_campaign, experiment_kwargs)
-        store.record_campaign(tiny_campaign_vectorized, vectorized_kwargs)
+        store.record_campaign(tiny_campaign_interpreter, interpreter_kwargs)
         counts = store.counts()
         # Same configuration, two engines: two campaigns, but the runs
         # converge while each mode contributes its own digest row.
@@ -94,7 +94,7 @@ class TestCampaignRoundTrip:
         assert detail["cycles"] == result.cycles_run
         assert detail["metrics"] == dict(
             sorted(result.metrics.summary_row().items()))
-        assert detail["digests"]["stepper"]["digest"] \
+        assert detail["digests"]["vectorized"]["digest"] \
             == trace_digest(result.cluster.trace)
         assert detail["campaigns"] == [campaign_id]
 
@@ -152,33 +152,48 @@ class TestDigests:
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
-        original = store.run(run_id)["digests"]["stepper"]["digest"]
+        original = store.run(run_id)["digests"]["vectorized"]["digest"]
         with pytest.warns(RuntimeWarning, match="digest conflict"):
-            store.record_trace_digest(run_id, "stepper", "0" * 64,
+            store.record_trace_digest(run_id, "vectorized", "0" * 64,
                                       records=1, cycles=1)
-        assert store.run(run_id)["digests"]["stepper"]["digest"] \
+        assert store.run(run_id)["digests"]["vectorized"]["digest"] \
             == original
 
     def test_same_digest_reingest_is_silent(self, populated):
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
-        entry = store.run(run_id)["digests"]["stepper"]
+        entry = store.run(run_id)["digests"]["vectorized"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            store.record_trace_digest(run_id, "stepper", entry["digest"],
+            store.record_trace_digest(run_id, "vectorized", entry["digest"],
                                       entry["records"], entry["cycles"])
 
     def test_diff_flags_disagreement(self, populated):
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
-        store.record_trace_digest(run_id, "vectorized", "f" * 64,
+        store.record_trace_digest(run_id, "interpreter", "f" * 64,
                                   records=1, cycles=1)
         diff, _ = store.digest_diff()
         by_run = {row["run_id"]: row for row in diff}
         assert by_run[run_id]["equal"] is False
         assert by_run[run_id]["modes"] == 2
+
+    def test_retired_engine_rows_stay_readable(self, populated):
+        # Stores written before the stepper engine mode was retired
+        # hold rows that name it; they read back as plain strings.
+        store, campaign_id = populated
+        rows, _ = store.campaign_runs(campaign_id)
+        run_id = rows[0]["id"]
+        entry = store.run(run_id)["digests"]["vectorized"]
+        store.record_trace_digest(run_id, "stepper", entry["digest"],
+                                  entry["records"], entry["cycles"])
+        assert store.run(run_id)["digests"]["stepper"] == entry
+        diff, _ = store.digest_diff()
+        by_run = {row["run_id"]: row for row in diff}
+        assert by_run[run_id]["modes"] == 2
+        assert by_run[run_id]["equal"] is True
 
 
 class TestVerifyReports:
@@ -214,9 +229,9 @@ class TestSnapshotsAndAudits:
                                        "engine.cycles": 12}
 
     def test_audit_round_trips(self, store):
-        store.record_service_audit("bbw", "stepper", "audit", 1,
+        store.record_service_audit("bbw", "vectorized", "audit", 1,
                                    {"channel": "A", "agreed": True})
-        store.record_service_audit("bbw", "stepper", "drain", 9,
+        store.record_service_audit("bbw", "vectorized", "drain", 9,
                                    {"batches": 9})
         rows, total = store.service_audits_rows(kind="audit")
         assert total == 1

@@ -50,14 +50,14 @@ def obs():
 
 
 @pytest.fixture(scope="module")
-def web(tmp_path_factory, tiny_campaign, tiny_campaign_vectorized,
-        experiment_kwargs, vectorized_kwargs, obs):
+def web(tmp_path_factory, tiny_campaign, tiny_campaign_interpreter,
+        experiment_kwargs, interpreter_kwargs, obs):
     """A live web service over a store holding both engine campaigns."""
     db = tmp_path_factory.mktemp("web") / "results.db"
     store = ResultStore(str(db))
     campaign_id = store.record_campaign(tiny_campaign, experiment_kwargs,
                                         workload="tiny")
-    store.record_campaign(tiny_campaign_vectorized, vectorized_kwargs,
+    store.record_campaign(tiny_campaign_interpreter, interpreter_kwargs,
                           workload="tiny")
     report_id = store.record_verify_report(_tiny_report(), target="tiny")
 
@@ -107,9 +107,9 @@ class TestRoutes:
         body = get("/campaigns").json
         assert body["total"] == 2 and body["count"] == 2
         assert body["next_offset"] is None
-        stepper = get("/campaigns?engine_mode=stepper").json
-        assert stepper["total"] == 1
-        assert stepper["rows"][0]["engine_mode"] == "stepper"
+        vectorized = get("/campaigns?engine_mode=vectorized").json
+        assert vectorized["total"] == 1
+        assert vectorized["rows"][0]["engine_mode"] == "vectorized"
         assert get("/campaigns?scheduler=fspec").json["total"] == 0
 
     def test_campaign_detail_and_runs(self, get, web):
@@ -124,7 +124,7 @@ class TestRoutes:
         campaign_id = web["campaign_id"]
         run_id = get(f"/campaigns/{campaign_id}/runs").json["rows"][0]["id"]
         detail = get(f"/runs/{run_id}").json
-        assert set(detail["digests"]) == {"stepper", "vectorized"}
+        assert set(detail["digests"]) == {"interpreter", "vectorized"}
 
     def test_digest_diff_shows_cross_engine_agreement(self, get):
         body = get("/digests/diff").json

@@ -69,8 +69,7 @@ class TestPayloadMatchesContract:
         # preserve the documented types.
         assert isinstance(stats["workload"], str)
         assert isinstance(stats["tick_us"], int)
-        assert stats["engine_mode"] in ("stepper", "interpreter",
-                                        "vectorized")
+        assert stats["engine_mode"] in ("interpreter", "vectorized")
         assert isinstance(stats["counters"], dict)
         assert isinstance(stats["batches"], int)
         assert isinstance(stats["mean_batch_size"], (int, float))

@@ -1,10 +1,11 @@
-"""Differential fuzzing: three engines, one canonical trace.
+"""Differential fuzzing: three engine paths, one canonical trace.
 
-The vectorized cycle-batch engine sits behind the same oracle gate as
-the compiled-timeline stepper: for *any* valid configuration,
-interpreter, stepper and vectorized mode must produce byte-identical
-canonical traces, identical policy counters and identical cycle counts.
-This suite enforces that claim on generated scenarios
+For *any* valid configuration, the vectorized engine -- on its batch
+path and on its delegated TimelineStepper path
+(``tests/sim/engine_paths.py``) -- must produce the interpreter
+oracle's byte-identical canonical trace, identical policy counters and
+identical cycle counts.  This suite enforces that claim on generated
+scenarios
 (:mod:`repro.workloads.generator`) instead of hand-picked ones:
 
 - a deterministic seed sweep (``REPRO_FUZZ_SCENARIOS``, default 200)
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import make_policy, run_experiment
+from repro.experiments.runner import make_policy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import BurstFaultInjector
 from repro.flexray.cluster import FlexRayCluster
@@ -41,8 +42,8 @@ from repro.workloads.generator import (
 )
 from repro.workloads.sae import sae_aperiodic_signals
 from repro.workloads.synthetic import synthetic_signals
-
-ENGINES = ("interpreter", "stepper", "vectorized")
+from tests.sim.engine_paths import (PATHS, engine_mode_of, path_context,
+                                    run_path)
 
 BACKENDS = ("flexray", "ttethernet")
 
@@ -69,15 +70,15 @@ def fingerprint(result):
 
 
 def assert_scenario_equivalent(scenario):
-    """Run ``scenario`` under all three engines and compare fingerprints."""
+    """Run ``scenario`` on every engine path and compare fingerprints."""
     results = {
-        mode: run_experiment(engine_mode=mode, **scenario.experiment_kwargs())
-        for mode in ENGINES
+        path: run_path(path, **scenario.experiment_kwargs())
+        for path in PATHS
     }
     oracle = fingerprint(results["interpreter"])
-    for mode in ("stepper", "vectorized"):
-        assert fingerprint(results[mode]) == oracle, (
-            f"{mode} diverged from the interpreter on seed "
+    for path in PATHS[1:]:
+        assert fingerprint(results[path]) == oracle, (
+            f"{path} diverged from the interpreter on seed "
             f"{scenario.seed} ({scenario.name})"
         )  # the name embeds the backend: rerun generate_scenario(seed, backend)
     return results
@@ -176,12 +177,11 @@ class TestDynamicFillBoundaries:
             duration_ms=16.0,
             drop_expired_dynamic=False,
         )
-        results = {mode: run_experiment(engine_mode=mode, **kwargs)
-                   for mode in ENGINES}
+        results = {path: run_path(path, **kwargs) for path in PATHS}
         oracle = fingerprint(results["interpreter"])
-        for mode in ("stepper", "vectorized"):
-            assert fingerprint(results[mode]) == oracle, \
-                f"{mode} diverged at payload size {size_bits}"
+        for path in PATHS[1:]:
+            assert fingerprint(results[path]) == oracle, \
+                f"{path} diverged at payload size {size_bits}"
 
 
 class TestFaultBursts:
@@ -193,7 +193,7 @@ class TestFaultBursts:
     exact path a user-supplied fault model would take.
     """
 
-    def _run(self, mode, small_params, tiny_periodic_signals):
+    def _run(self, path, small_params, tiny_periodic_signals):
         packing = pack_signals(tiny_periodic_signals, small_params)
         ber_model = BitErrorRateModel(ber_channel_a=1e-5)
         rng = RngStream(31, scope="experiment")
@@ -205,22 +205,23 @@ class TestFaultBursts:
             corrupts=BurstFaultInjector(
                 ber_model, rng, burst_ber=0.02,
                 burst_rate_per_ms=2.0, burst_length_mt=300),
-            mode=mode,
+            mode=engine_mode_of(path),
         )
-        cycles = cluster.run_for_ms(40.0)
+        with path_context(path):
+            cycles = cluster.run_for_ms(40.0)
         return cluster, cycles
 
     def test_bursts_are_equivalent_three_ways(self, small_params,
                                               tiny_periodic_signals):
-        runs = {mode: self._run(mode, small_params, tiny_periodic_signals)
-                for mode in ENGINES}
+        runs = {path: self._run(path, small_params, tiny_periodic_signals)
+                for path in PATHS}
         oracle_cluster, oracle_cycles = runs["interpreter"]
         oracle_bytes = canonical_trace_bytes(oracle_cluster.trace)
         outcomes = {r.outcome.value for r in oracle_cluster.trace}
         assert "corrupted" in outcomes, "burst faults never fired"
-        for mode in ("stepper", "vectorized"):
-            cluster, cycles = runs[mode]
+        for path in PATHS[1:]:
+            cluster, cycles = runs[path]
             assert cycles == oracle_cycles
             assert canonical_trace_bytes(cluster.trace) == oracle_bytes, \
-                f"{mode} diverged under burst faults"
+                f"{path} diverged under burst faults"
         assert runs["vectorized"][0].vectorized_active

@@ -1,8 +1,9 @@
-"""Engine-mode coverage: trace export round-trips and dynamic-segment
-minislot boundary cases, each exercised under every engine mode.
+"""Engine-path coverage: trace export round-trips and dynamic-segment
+minislot boundary cases, each exercised on every engine path.
 
-The differential tests (`test_trace_equivalence.py`) prove stepper ==
-interpreter == vectorized on broad workloads; this module pins the
+The differential tests (`test_trace_equivalence.py`) prove vectorized
+== interpreter on broad workloads, on both of the vectorized engine's
+settle paths (`engine_paths.py`); this module pins the
 awkward corners of the dynamic segment -- a frame that consumes the
 *entire* minislot budget (its transmission ends exactly when the
 segment does), a frame one minislot too large (held forever), and a
@@ -14,12 +15,10 @@ import io
 
 import pytest
 
-from repro.experiments.runner import run_experiment
 from repro.flexray.signal import Signal, SignalSet
 from repro.sim.trace import canonical_trace_bytes
 from repro.sim.trace_io import export_csv, import_csv
-
-MODES = ("interpreter", "stepper", "vectorized")
+from tests.sim.engine_paths import PATHS, run_path
 
 
 FILL_BITS = 1600
@@ -36,8 +35,9 @@ def aperiodic(name, bits, period_ms=4.0):
                   aperiodic=True)
 
 
-def run_mode(mode, params, periodic, aperiodics, duration_ms=20.0):
-    return run_experiment(
+def run_mode(path, params, periodic, aperiodics, duration_ms=20.0):
+    return run_path(
+        path,
         params=params,
         scheduler="dynamic-priority",
         periodic=periodic,
@@ -45,18 +45,17 @@ def run_mode(mode, params, periodic, aperiodics, duration_ms=20.0):
         ber=0.0,
         seed=9,
         duration_ms=duration_ms,
-        engine_mode=mode,
     )
 
 
 class TestMinislotBoundaries:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_frame_exactly_fills_segment(self, mode, small_params,
+    @pytest.mark.parametrize("path", PATHS)
+    def test_frame_exactly_fills_segment(self, path, small_params,
                                          tiny_periodic_signals):
         """A dynamic frame sized to the whole minislot budget ends exactly
         with the segment: transmission consumes every minislot."""
         params = exact_fill_params(small_params)
-        result = run_mode(mode, params, tiny_periodic_signals,
+        result = run_mode(path, params, tiny_periodic_signals,
                           [aperiodic("fill", FILL_BITS)])
         dynamic = result.cluster.trace.records_for_segment("dynamic")
         assert dynamic, "the exact-fill frame was never transmitted"
@@ -68,32 +67,32 @@ class TestMinislotBoundaries:
                                          tiny_periodic_signals):
         params = exact_fill_params(small_params)
         traces = [
-            run_mode(mode, params, tiny_periodic_signals,
+            run_mode(path, params, tiny_periodic_signals,
                      [aperiodic("fill", FILL_BITS)]).cluster.trace
-            for mode in MODES
+            for path in PATHS
         ]
         assert len({canonical_trace_bytes(t) for t in traces}) == 1
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_oversized_frame_is_held_forever(self, mode, small_params,
+    @pytest.mark.parametrize("path", PATHS)
+    def test_oversized_frame_is_held_forever(self, path, small_params,
                                              tiny_periodic_signals):
         """One minislot short of fitting: the frame never fits and is held
         cycle after cycle, consuming one minislot per attempt."""
         params = small_params.with_minislots(
             exact_fill_params(small_params).g_number_of_minislots - 1)
-        result = run_mode(mode, params, tiny_periodic_signals,
+        result = run_mode(path, params, tiny_periodic_signals,
                           [aperiodic("toobig", FILL_BITS)],
                           duration_ms=10.0)
         assert not any(
             r.message_id.startswith("toobig")
             for r in result.cluster.trace.records_for_segment("dynamic"))
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("path", PATHS)
     def test_zero_minislots_never_transmits_dynamic(
-            self, mode, small_params, tiny_periodic_signals):
+            self, path, small_params, tiny_periodic_signals):
         """No dynamic segment: aperiodic traffic can never be sent."""
         params = small_params.with_minislots(0)
-        result = run_mode(mode, params, tiny_periodic_signals,
+        result = run_mode(path, params, tiny_periodic_signals,
                           [aperiodic("stuck", 64)], duration_ms=10.0)
         assert result.cluster.trace.records_for_segment("dynamic") == []
         assert result.cluster.trace.records_for_segment("static")
@@ -102,20 +101,21 @@ class TestMinislotBoundaries:
                                              tiny_periodic_signals):
         params = small_params.with_minislots(0)
         traces = [
-            run_mode(mode, params, tiny_periodic_signals,
+            run_mode(path, params, tiny_periodic_signals,
                      [aperiodic("stuck", 64)], duration_ms=10.0).cluster.trace
-            for mode in MODES
+            for path in PATHS
         ]
         assert len({canonical_trace_bytes(t) for t in traces}) == 1
 
 
 class TestTraceIoRoundTripPerMode:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("path", PATHS)
     def test_csv_round_trip_preserves_canonical_bytes(
-            self, mode, small_params, tiny_periodic_signals,
+            self, path, small_params, tiny_periodic_signals,
             tiny_aperiodic_signals):
         """An engine-produced trace survives export -> import exactly."""
-        result = run_experiment(
+        result = run_path(
+            path,
             params=small_params,
             scheduler="coefficient",
             periodic=tiny_periodic_signals,
@@ -123,7 +123,6 @@ class TestTraceIoRoundTripPerMode:
             ber=1e-4,
             seed=3,
             duration_ms=15.0,
-            engine_mode=mode,
         )
         trace = result.cluster.trace
         assert len(trace) > 0

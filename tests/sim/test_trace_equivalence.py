@@ -1,11 +1,13 @@
-"""Differential engine tests: stepper versus interpreter, byte for byte.
+"""Differential engine tests: vectorized versus interpreter, byte for byte.
 
-The compiled-timeline fast path (:class:`repro.timeline.TimelineStepper`)
-claims *trace equivalence* with the pure event-list interpreter: same
+The default engine (:class:`repro.timeline.VectorizedStepper`) claims
+*trace equivalence* with the pure event-list interpreter: same
 configuration, same seed, same policy -> the exact same sequence of
 :class:`~repro.sim.trace.FrameRecord` entries, every field identical, in
-the same order.  These tests prove that claim on seeded workloads that
-together cover every behavioural regime the engine has:
+the same order.  Every scenario also runs on the engine's delegated
+:class:`~repro.timeline.TimelineStepper` path (see
+``tests/sim/engine_paths.py``).  These tests prove the claim on seeded
+workloads that together cover every behavioural regime the engine has:
 
 - fault injection (the RNG-consuming corruption path),
 - retransmission planning under faults (CoEfficient and FSPEC),
@@ -38,6 +40,7 @@ from repro.workloads.bbw import bbw_signals
 from repro.workloads.generator import generate_scenario
 from repro.workloads.sae import sae_aperiodic_signals
 from repro.workloads.synthetic import synthetic_signals
+from tests.sim.engine_paths import PATHS, run_path
 
 BACKENDS = ("flexray", "ttethernet")
 
@@ -55,25 +58,24 @@ def small_geometry(backend, minislots=40):
 
 
 def run_both(**kwargs):
-    """Run one configuration under all three engines.
+    """Run one configuration under both engines.
 
-    Returns the (interpreter, stepper) pair the pre-vectorized tests
-    were written against; the vectorized run is checked against the
-    oracle inline, so every scenario in this module is a three-way
-    differential test.
+    Returns the (interpreter, vectorized) pair.  The delegated
+    ``stepper`` path is checked against the oracle inline, so every
+    scenario in this module also covers the engine's per-slot delegate.
     """
-    oracle = run_experiment(engine_mode="interpreter", **kwargs)
-    fast = run_experiment(engine_mode=EngineMode.STEPPER, **kwargs)
-    batch = run_experiment(engine_mode=EngineMode.VECTORIZED, **kwargs)
+    oracle = run_path("interpreter", **kwargs)
+    delegated = run_path("stepper", **kwargs)
+    batch = run_path("vectorized", **kwargs)
     assert oracle.cluster.mode is EngineMode.INTERPRETER
-    assert fast.cluster.mode is EngineMode.STEPPER
     assert batch.cluster.mode is EngineMode.VECTORIZED
     assert batch.cluster.vectorized_active
-    assert (canonical_trace_bytes(batch.cluster.trace)
+    assert delegated.cluster._stepper.vectorized_batches == 0
+    assert (canonical_trace_bytes(delegated.cluster.trace)
             == canonical_trace_bytes(oracle.cluster.trace))
-    assert batch.cycles_run == oracle.cycles_run
-    assert batch.counters == oracle.counters
-    return oracle, fast
+    assert delegated.cycles_run == oracle.cycles_run
+    assert delegated.counters == oracle.counters
+    return oracle, batch
 
 
 def assert_equivalent(oracle, fast):
@@ -183,9 +185,9 @@ class TestTraceEquivalence:
 
 
 class TestFastPathEngagement:
-    def test_stepper_actually_engages(self, backend,
-                                      tiny_periodic_signals):
-        """Guard against vacuity: STEPPER mode must use the fast path."""
+    def test_default_engine_batches(self, backend, tiny_periodic_signals):
+        """Guard against vacuity: the default engine is the batch engine
+        and an open-loop policy never leaves the batch path."""
         fast = run_experiment(
             params=small_geometry(backend),
             scheduler="static-only",
@@ -193,9 +195,31 @@ class TestFastPathEngagement:
             ber=0.0,
             seed=1,
             duration_ms=10.0,
-            engine_mode="stepper",
         )
-        assert fast.cluster.stepper_active
+        assert fast.cluster.mode is EngineMode.VECTORIZED
+        assert fast.cluster.vectorized_active
+        assert fast.cluster._stepper.vectorized_batches > 0
+        assert fast.cluster._stepper.scalar_fallback_cycles == 0
+
+    def test_stepper_actually_engages(self, backend,
+                                      tiny_periodic_signals):
+        """A feedback policy under the default engine takes the delegated
+        TimelineStepper path and still matches the oracle."""
+        kwargs = dict(
+            params=small_geometry(backend),
+            scheduler="coefficient",
+            periodic=tiny_periodic_signals,
+            ber=1e-3,
+            seed=3,
+            duration_ms=20.0,
+            feedback=True,
+        )
+        oracle = run_experiment(engine_mode="interpreter", **kwargs)
+        fast = run_experiment(**kwargs)
+        assert fast.cluster.mode is EngineMode.VECTORIZED
+        assert fast.cluster._stepper.scalar_fallback_cycles > 0
+        assert_equivalent(oracle, fast)
+        assert "corrupted" in {r.outcome.value for r in fast.cluster.trace}
 
     def test_interpreter_never_engages(self, backend,
                                        tiny_periodic_signals):
@@ -208,7 +232,7 @@ class TestFastPathEngagement:
             duration_ms=10.0,
             engine_mode="interpreter",
         )
-        assert not oracle.cluster.stepper_active
+        assert not oracle.cluster.vectorized_active
 
 
 #: Golden SHA-256 trace digests for three seeded generated scenarios
@@ -237,10 +261,9 @@ class TestGoldenDigests:
     def test_all_engines_match_the_golden_digest(self, seed, backend):
         scenario = generate_scenario(seed, backend)
         digests = {
-            mode: trace_digest(run_experiment(
-                engine_mode=mode,
-                **scenario.experiment_kwargs()).cluster.trace)
-            for mode in ("interpreter", "stepper", "vectorized")
+            path: trace_digest(run_path(
+                path, **scenario.experiment_kwargs()).cluster.trace)
+            for path in PATHS
         }
         assert len(set(digests.values())) == 1, digests
         assert digests["interpreter"] == GOLDEN_DIGESTS[backend][seed], \

@@ -22,6 +22,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheduler", "bogus"])
 
+    @pytest.mark.parametrize("command", ("run", "campaign", "serve"))
+    def test_engine_mode_defaults_to_vectorized(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command]).engine_mode == "vectorized"
+        assert parser.parse_args(
+            [command, "--engine-mode", "interpreter"]).engine_mode \
+            == "interpreter"
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--engine-mode", "stepper"])
+
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "9"])
