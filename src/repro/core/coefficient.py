@@ -111,6 +111,9 @@ class CoEfficientPolicy(QueueingPolicyBase):
         self._selective = selective
         self.plan: Optional[RetransmissionPlan] = None
         self._planner: Optional[SelectiveSlackPlanner] = None
+        # Static slot payload capacity, read once at bind (the geometry
+        # is frozen; slack stealing asks for it on every idle slot).
+        self._slot_capacity_bits = 0
         # Unified soft-aperiodic pool: (priority, generation, seq, frame).
         self._soft_heap: List[tuple] = []
 
@@ -126,6 +129,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
 
     def on_bound(self) -> None:
         assert self.params is not None
+        self._slot_capacity_bits = self.params.static_slot_capacity_bits
         failure: Dict[str, float] = {}
         instances: Dict[str, float] = {}
         cost: Dict[str, float] = {}
@@ -378,8 +382,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
 
     def slack_frame_for(self, channel: Channel, cycle: int, slot_id: int,
                         action_point_mt: int) -> Optional[PendingFrame]:
-        assert self.params is not None
-        capacity = self.params.static_slot_capacity_bits
+        capacity = self._slot_capacity_bits
 
         # Hard aperiodics (retransmissions) first.  The promise is
         # consumed in on_outcome, once the transmission actually happened

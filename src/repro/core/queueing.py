@@ -94,8 +94,13 @@ class QueueingPolicyBase(SchedulerPolicy):
         self._placements: Dict[Tuple[str, int], List[Tuple[Channel, int]]] = {}
         # (message_id, chunk, channel) -> StaticBuffer
         self._buffers: Dict[Tuple[str, int, Channel], StaticBuffer] = {}
+        # (message_id, chunk) -> the distinct buffers an arrival writes
+        self._arrival_buffers: Dict[Tuple[str, int],
+                                    Tuple[StaticBuffer, ...]] = {}
         # dynamic slot id -> queue
         self._dynamic_queues: Dict[int, PriorityOutputQueue] = {}
+        # message_id -> dynamic slot id serving it (arrival routing)
+        self._dynamic_slot_of: Dict[str, int] = {}
         self._retx_heap: List[tuple] = []  # (deadline, sequence, pending)
         self._retx_slot_id: Optional[int] = None
         self._dynamic_backlog = 0  # incremental count across all queues
@@ -207,6 +212,13 @@ class QueueingPolicyBase(SchedulerPolicy):
                 buffer_key = (frame.message_id, frame.chunk, channel)
                 if buffer_key not in self._buffers:
                     self._buffers[buffer_key] = StaticBuffer(assignment.slot_id)
+        # An arrival writes each distinct buffer of its (message, chunk)
+        # once: resolve them here rather than per arrival.
+        for (message_id, chunk), placements in self._placements.items():
+            channels = dict.fromkeys(channel for channel, __ in placements)
+            self._arrival_buffers[(message_id, chunk)] = tuple(
+                self._buffers[(message_id, chunk, channel)]
+                for channel in channels)
 
     def _build_dynamic_queues(self) -> None:
         params = self.params
@@ -218,8 +230,6 @@ class QueueingPolicyBase(SchedulerPolicy):
         for message_id, packed_id in self._packing.dynamic_frame_ids().items():
             slot_id = packed_id + offset
             self._dynamic_queues[slot_id] = PriorityOutputQueue(slot_id)
-            # Remember which slot serves this message for arrival routing.
-            self._dynamic_slot_of = getattr(self, "_dynamic_slot_of", {})
             self._dynamic_slot_of[message_id] = slot_id
 
     def _configure_nodes(self) -> None:
@@ -230,9 +240,7 @@ class QueueingPolicyBase(SchedulerPolicy):
         for node in self.cluster.nodes:
             node.controller.configure_from_round(self._round)
         for message in self._packing.aperiodic_messages():
-            slot_id = getattr(self, "_dynamic_slot_of", {}).get(
-                message.message_id
-            )
+            slot_id = self._dynamic_slot_of.get(message.message_id)
             if slot_id is None:
                 continue
             producer = message.chunks[0].producer_ecu
@@ -253,39 +261,45 @@ class QueueingPolicyBase(SchedulerPolicy):
         ID order (and short dynamic segments starve high IDs, the
         behaviour the paper criticizes).
         """
-        slot_id = getattr(self, "_dynamic_slot_of", {}).get(
-            pending.message_id
-        )
+        slot_id = self._dynamic_slot_of.get(pending.message_id)
         if slot_id is not None:
             self._dynamic_queues[slot_id].push(pending)
             self._dynamic_backlog += 1
 
     def on_arrival(self, pending: PendingFrame) -> None:
-        self._note_chunk(pending)
-        if pending.frame.kind is FrameKind.DYNAMIC:
+        frame = pending.frame
+        message_id = frame.message_id
+        chunk_key = (message_id, pending.instance, frame.chunk)
+        if chunk_key not in self._chunk_status:
+            self._chunk_status[chunk_key] = (_PENDING, pending.deadline_mt)
+        if frame.kind is FrameKind.DYNAMIC:
             self.route_dynamic_arrival(pending)
         else:
-            key = (pending.message_id, pending.frame.chunk)
-            for channel, __ in self._placements.get(key, ()):
-                buffer = self._buffers[(pending.message_id,
-                                        pending.frame.chunk, channel)]
+            for buffer in self._arrival_buffers.get((message_id, frame.chunk),
+                                                    ()):
                 buffer.write(pending)
-        if not self.feedback:
-            copies = self.redundancy_for_arrival(pending)
-            previous = pending
-            for __ in range(copies):
-                copy = previous.retry(pending.generation_time_mt)
-                previous = copy
-                admitted = self.enqueue_copy(copy, pending.generation_time_mt)
-                if admitted:
-                    self.counters["retx_enqueued"] += 1
-                else:
-                    self.counters["retx_abandoned"] += 1
-                if self.obs.enabled:
-                    self.obs.emit("policy.retx_admission",
-                                  message_id=pending.message_id,
-                                  instance=pending.instance,
-                                  admitted=admitted, open_loop=True)
+        if self.feedback:
+            return
+        copies = self.redundancy_for_arrival(pending)
+        if not copies:
+            return
+        now_mt = pending.generation_time_mt
+        counters = self.counters
+        observed = self.obs.enabled
+        previous = pending
+        for __ in range(copies):
+            copy = previous.retry(now_mt)
+            previous = copy
+            admitted = self.enqueue_copy(copy, now_mt)
+            if admitted:
+                counters["retx_enqueued"] += 1
+            else:
+                counters["retx_abandoned"] += 1
+            if observed:
+                self.obs.emit("policy.retx_admission",
+                              message_id=message_id,
+                              instance=pending.instance,
+                              admitted=admitted, open_loop=True)
 
     def on_cycle_start(self, cycle: int, start_mt: int) -> None:
         self._now_mt = start_mt
@@ -366,7 +380,7 @@ class QueueingPolicyBase(SchedulerPolicy):
             self.push_retransmission(pending)
             self.counters["retx_tx"] -= 1
             return
-        slot_id = getattr(self, "_dynamic_slot_of", {}).get(pending.message_id)
+        slot_id = self._dynamic_slot_of.get(pending.message_id)
         if slot_id is not None:
             self._dynamic_queues[slot_id].push(pending)
             self._dynamic_backlog += 1
@@ -440,11 +454,6 @@ class QueueingPolicyBase(SchedulerPolicy):
         key = (pending.message_id, pending.instance, pending.frame.chunk)
         status = self._chunk_status.get(key)
         return status is not None and status[0] == _DELIVERED
-
-    def _note_chunk(self, pending: PendingFrame) -> None:
-        key = (pending.message_id, pending.instance, pending.frame.chunk)
-        if key not in self._chunk_status:
-            self._chunk_status[key] = (_PENDING, pending.deadline_mt)
 
     # ------------------------------------------------------------------
     # Stepper fast-path proofs (see SchedulerPolicy for the contracts)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.slack_table import IdleSlotTable
 from repro.core.slack_stealing import SlackStealer
@@ -31,6 +31,12 @@ from repro.protocol.geometry import SegmentGeometry
 from repro.obs import NULL_OBS, ObsLike
 
 __all__ = ["max_level_slack", "SelectiveSlackPlanner"]
+
+#: Distinct supply windows kept before the memo is cleared.  Periodic
+#: releases need a few dozen (one per release phase and deadline); the
+#: bound matters only when query times take many distinct phases
+#: (feedback-mode retries, jittered sporadic releases).
+_SUPPLY_MEMO_LIMIT = 4096
 
 
 def max_level_slack(stealer: SlackStealer, level: int,
@@ -93,7 +99,15 @@ class SelectiveSlackPlanner:
         # per-promise window scan is hot enough that re-materializing it
         # through the property on every call shows up in profiles.
         self._channels = list(idle_table.channels)
-        self._params = params
+        # SegmentGeometry is frozen: read the derived capacity once
+        # instead of re-deriving it on every selective-filter check.
+        self._slot_capacity_bits = params.static_slot_capacity_bits
+        self._cycle_mt = params.gd_cycle_mt
+        # The idle pattern repeats every ``pattern_length`` cycles, so
+        # the supply of a window depends on its start only modulo that
+        # period (see :meth:`supply_between`).
+        self._pattern_mt = idle_table.pattern_length * params.gd_cycle_mt
+        self._supply_memo: Dict[Tuple[int, int, bool], Tuple[int, int]] = {}
         self._dynamic_share = dynamic_retransmission_share
         self._obs = obs
         # Outstanding promises as a sorted list of absolute deadlines:
@@ -122,7 +136,7 @@ class SelectiveSlackPlanner:
         considered (the paper's selection rule); with uniform static
         slots this reduces to a capacity check.
         """
-        return pending.payload_bits <= self._params.static_slot_capacity_bits
+        return pending.payload_bits <= self._slot_capacity_bits
 
     def supply_between(self, now_mt: int, deadline_mt: int,
                        include_structural: bool = True) -> int:
@@ -132,6 +146,13 @@ class SelectiveSlackPlanner:
         reserved dynamic-segment share.  Partial leading/trailing cycles
         are excluded (conservative: a promise must never overcount).
 
+        The answer is memoized modulo the idle pattern: with ``P`` the
+        pattern length in macroticks and ``base = now - now % P``, the
+        computation reads ``now`` only through the cycle index modulo
+        the pattern, in-cycle offsets and the window width in cycles,
+        so ``(now - base, deadline - base, include_structural)`` is an
+        exact key.  Every query still counts once in ``slack.table_*``.
+
         Args:
             include_structural: Count static idle slots; ``False``
                 restricts the supply to the dynamic share (used for
@@ -139,7 +160,31 @@ class SelectiveSlackPlanner:
         """
         if deadline_mt <= now_mt:
             return 0
-        cycle_mt = self._params.gd_cycle_mt
+        base = now_mt - now_mt % self._pattern_mt
+        key = (now_mt - base, deadline_mt - base, include_structural)
+        cached = self._supply_memo.get(key)
+        if cached is None:
+            if len(self._supply_memo) >= _SUPPLY_MEMO_LIMIT:
+                self._supply_memo.clear()
+            cached = self._supply_memo[key] = self._compute_supply(
+                key[0], key[1], include_structural)
+        structural, total = cached
+        if self._obs.enabled:
+            # Table "hit": the idle-slot table found structural slack in
+            # the window; a miss falls back to the dynamic share only.
+            self._obs.inc("slack.table_queries")
+            self._obs.inc("slack.table_hits" if structural > 0
+                          else "slack.table_misses")
+        return total
+
+    def _compute_supply(self, now_mt: int, deadline_mt: int,
+                        include_structural: bool) -> Tuple[int, int]:
+        """Uncached ``(structural, structural + dynamic)`` supply.
+
+        The body of :meth:`supply_between` for ``now < deadline``,
+        without the memo or the observability counters.
+        """
+        cycle_mt = self._cycle_mt
         first_full = -(-now_mt // cycle_mt)   # ceil div
         last_full = max(first_full, deadline_mt // cycle_mt)
         structural = 0
@@ -168,20 +213,14 @@ class SelectiveSlackPlanner:
                 )
         window_cycles = max(last_full - first_full, 0)
         dynamic = int(self._dynamic_share * window_cycles)
-        if self._obs.enabled:
-            # Table "hit": the idle-slot table found structural slack in
-            # the window; a miss falls back to the dynamic share only.
-            self._obs.inc("slack.table_queries")
-            self._obs.inc("slack.table_hits" if structural > 0
-                          else "slack.table_misses")
-        return structural + dynamic
+        return structural, structural + dynamic
 
     def _idle_slots_in_window(self, cycle: int, from_mt: int,
                               to_mt: int) -> int:
         """Idle slots of ``cycle`` whose slot window fits [from, to]."""
         if to_mt <= from_mt:
             return 0
-        cycle_start = cycle * self._params.gd_cycle_mt
+        cycle_start = cycle * self._cycle_mt
         count = 0
         for channel in self._channels:
             for start, end in self._idle_table.idle_slot_windows(channel,

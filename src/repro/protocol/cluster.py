@@ -294,20 +294,34 @@ class Cluster:
                  pending_work=self.policy.pending_work())
 
     def _deliver_arrivals_until(self, time_mt: int) -> None:
-        """Flush host releases with generation time <= ``time_mt``."""
-        for release in self._multiplexer.pop_until(time_mt):
-            if self._observed:
-                self._obs.inc("engine.arrivals_delivered")
-            self.trace.note_instance(
+        """Flush host releases with generation time <= ``time_mt``.
+
+        The segment engines call this before every slot, and most calls
+        find nothing due: those return after one peek at the release
+        heap.
+        """
+        multiplexer = self._multiplexer
+        next_mt = multiplexer.next_release_mt()
+        if next_mt is None or next_mt > time_mt:
+            return
+        releases = multiplexer.pop_until(time_mt)
+        if self._observed:
+            self._obs.inc("engine.arrivals_delivered", len(releases))
+        note_instance = self.trace.note_instance
+        on_arrival = self.policy.on_arrival
+        nodes = self.nodes
+        node_count = len(nodes)
+        for release in releases:
+            note_instance(
                 release.message_id, release.instance,
                 release.generation_time_mt, release.deadline_mt,
                 chunks=release.chunks,
             )
             for pending in release.pendings:
                 producer = pending.frame.producer_ecu
-                if 0 <= producer < len(self.nodes):
-                    self.nodes[producer].controller.note_sent()
-                self.policy.on_arrival(pending)
+                if 0 <= producer < node_count:
+                    nodes[producer].controller.note_sent()
+                on_arrival(pending)
 
     # ------------------------------------------------------------------
     # Results

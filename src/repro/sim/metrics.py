@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs import NULL_OBS
 from repro.sim.trace import TraceRecorder, TransmissionOutcome
@@ -187,41 +187,62 @@ class MetricsCollector:
             raise ValueError(f"horizon must be positive, got {horizon_mt}")
 
         total_medium_mt = horizon_mt * self._channel_count
-        useful_mt = 0
+        useful_mt = 0.0
         occupied_mt = 0
         corrupted = 0
         retransmissions = 0
-        attempts = 0
         # Per-instance: count payload macroticks only for the first
         # successful delivery, so duplicated channel-B copies (FSPEC) do
         # not inflate useful bandwidth.
         first_delivery_counted: set = set()
-
-        for record in trace:
-            attempts += 1
-            duration = record.end - record.start
+        delivered_outcome = TransmissionOutcome.DELIVERED
+        corrupted_outcome = TransmissionOutcome.CORRUPTED
+        # Unpacked in FrameRecord field order: unpacking a tuple is much
+        # cheaper than seven named-field lookups per record.
+        for (message_id, instance, _channel, _slot_id, _cycle, start, end,
+             bits, payload_bits, _segment, outcome, is_retransmission,
+             _generation_time, _deadline, chunk) in trace:
+            duration = end - start
             occupied_mt += duration
-            if record.is_retransmission:
+            if is_retransmission:
                 retransmissions += 1
-            if record.outcome is TransmissionOutcome.CORRUPTED:
+            if outcome is corrupted_outcome:
                 corrupted += 1
-            elif record.outcome is TransmissionOutcome.DELIVERED:
-                key = (record.message_id, record.instance, record.chunk)
+            elif outcome is delivered_outcome:
+                key = (message_id, instance, chunk)
                 if key not in first_delivery_counted:
                     first_delivery_counted.add(key)
-                    if record.bits > 0:
-                        useful_mt += duration * record.payload_bits / record.bits
+                    if bits > 0:
+                        useful_mt += duration * payload_bits / bits
 
-        static_samples, dynamic_samples = self._latency_samples(trace)
+        # One walk over the instances, in any order (LatencyStats sorts
+        # its samples).  An instance counts toward the segment of its
+        # *first* attempt, even if a dynamic retransmission delivered it.
+        static_samples: List[int] = []
+        dynamic_samples: List[int] = []
+        missed = 0
+        last_delivery: Optional[int] = None
+        summaries = trace.instance_summaries()
+        for (_message_id, _instance, generation, deadline, delivered_at,
+             segment) in summaries:
+            if delivered_at is None or delivered_at > deadline:
+                missed += 1
+            if delivered_at is None:
+                continue
+            if last_delivery is None or delivered_at > last_delivery:
+                last_delivery = delivered_at
+            if segment == "dynamic":
+                dynamic_samples.append(delivered_at - generation)
+            else:
+                static_samples.append(delivered_at - generation)
 
-        produced = trace.instance_count()
-        missed = len(trace.missed_instances())
-        last_delivery = trace.last_delivery_time()
+        produced = len(summaries)
+        delivered = trace.delivered_count()
         last_delivery_ms = (0.0 if last_delivery is None
                             else last_delivery * self._macrotick_us / 1000.0)
         if produced == 0:
             running_time_ms = 0.0
-        elif trace.delivered_count() < produced or last_delivery is None:
+        elif delivered < produced or last_delivery is None:
             running_time_ms = float("inf")
         else:
             running_time_ms = last_delivery_ms
@@ -239,31 +260,8 @@ class MetricsCollector:
                 dynamic_samples, self._macrotick_us),
             deadline_miss_ratio=(missed / produced) if produced else 0.0,
             produced_instances=produced,
-            delivered_instances=trace.delivered_count(),
-            total_attempts=attempts,
+            delivered_instances=delivered,
+            total_attempts=len(trace),
             corrupted_attempts=corrupted,
             retransmission_attempts=retransmissions,
         )
-
-    def _latency_samples(self, trace: TraceRecorder) -> Tuple[List[int], List[int]]:
-        """Split per-instance delivery latencies by originating segment.
-
-        An instance is attributed to the segment of its *first* attempt:
-        a static message whose retransmission happened to ride in the
-        dynamic segment still counts as static traffic.
-        """
-        segment_of_instance: Dict[Tuple[str, int], str] = {}
-        for record in trace:
-            key = (record.message_id, record.instance)
-            if key not in segment_of_instance:
-                segment_of_instance[key] = record.segment
-
-        static_samples: List[int] = []
-        dynamic_samples: List[int] = []
-        for message_id, instance, latency in trace.latencies():
-            segment = segment_of_instance.get((message_id, instance), "static")
-            if segment == "dynamic":
-                dynamic_samples.append(latency)
-            else:
-                static_samples.append(latency)
-        return static_samples, dynamic_samples

@@ -19,8 +19,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["TransmissionOutcome", "FrameRecord", "TraceRecorder",
-           "canonical_trace_bytes", "trace_digest"]
+__all__ = ["TransmissionOutcome", "FrameRecord", "InstanceSummary",
+           "TraceRecorder", "canonical_trace_bytes", "trace_digest"]
 
 
 class TransmissionOutcome(enum.Enum):
@@ -80,6 +80,21 @@ class FrameRecord(NamedTuple):
     chunk: int = 0
 
 
+class InstanceSummary(NamedTuple):
+    """Delivery outcome of one message instance.
+
+    ``delivered_at`` is ``None`` until every chunk landed; ``segment`` is
+    that of the first attempt (``None`` if it was never transmitted).
+    """
+
+    message_id: str
+    instance: int
+    generation_time: int
+    deadline: int
+    delivered_at: Optional[int]
+    segment: Optional[str]
+
+
 @dataclass(slots=True)
 class _InstanceState:
     """Mutable delivery state of one message instance.
@@ -92,7 +107,7 @@ class _InstanceState:
     deadline: int
     chunks: int = 1
     chunk_delivered_at: Dict[int, int] = field(default_factory=dict)
-    attempts: int = 0
+    segment: Optional[str] = None
 
     @property
     def delivered_at(self) -> Optional[int]:
@@ -181,7 +196,8 @@ class TraceRecorder:
                 generation_time=record.generation_time, deadline=record.deadline
             )
             self._instances[key] = state
-        state.attempts += 1
+        if state.segment is None:
+            state.segment = record.segment
         if record.outcome is TransmissionOutcome.DELIVERED:
             existing = state.chunk_delivered_at.get(record.chunk)
             if existing is None or record.end < existing:
@@ -203,31 +219,35 @@ class TraceRecorder:
         state = self._instances.get((message_id, instance))
         return None if state is None else state.delivered_at
 
+    def instance_summaries(self) -> List[InstanceSummary]:
+        """One :class:`InstanceSummary` per instance, in production order.
+
+        The sorted query methods below are views over this list.
+        """
+        return [
+            InstanceSummary(message_id, instance, state.generation_time,
+                            state.deadline, state.delivered_at, state.segment)
+            for (message_id, instance), state in self._instances.items()
+        ]
+
     def latencies(self) -> List[Tuple[str, int, int]]:
-        """``(message_id, instance, latency_macroticks)`` for delivered instances."""
-        out = []
-        for (message_id, instance), state in sorted(self._instances.items()):
-            delivered = state.delivered_at
-            if delivered is not None:
-                out.append(
-                    (message_id, instance, delivered - state.generation_time)
-                )
-        return out
+        """Sorted ``(message_id, instance, latency_mt)`` of delivered instances."""
+        return sorted(
+            (s.message_id, s.instance, s.delivered_at - s.generation_time)
+            for s in self.instance_summaries() if s.delivered_at is not None
+        )
 
     def missed_instances(self) -> List[Tuple[str, int]]:
-        """Instances never delivered, or delivered after their deadline."""
-        out = []
-        for (message_id, instance), state in sorted(self._instances.items()):
-            delivered = state.delivered_at
-            if delivered is None or delivered > state.deadline:
-                out.append((message_id, instance))
-        return out
+        """Sorted instances never delivered, or delivered after their deadline."""
+        return sorted(
+            (s.message_id, s.instance) for s in self.instance_summaries()
+            if s.delivered_at is None or s.delivered_at > s.deadline
+        )
 
     def last_delivery_time(self) -> Optional[int]:
         """Time the final instance delivery completed, or ``None`` if none."""
-        times = [t for t in (s.delivered_at for s in self._instances.values())
-                 if t is not None]
-        return max(times) if times else None
+        return max((s.delivered_at for s in self.instance_summaries()
+                    if s.delivered_at is not None), default=None)
 
     def attempts_for(self, message_id: str) -> int:
         """Total transmission attempts across all instances of a message."""

@@ -1,6 +1,8 @@
 """Unit tests for selective slack computation and planning."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.slack_table import IdleSlotTable
 from repro.core.selective_slack import SelectiveSlackPlanner, max_level_slack
@@ -8,6 +10,7 @@ from repro.core.slack_stealing import SlackStealer
 from repro.core.tasks import PeriodicTask, TaskSet
 from repro.flexray.channel import Channel
 from repro.flexray.schedule import ScheduleTable, SlotAssignment
+from repro.obs import Observability
 
 from tests.flexray.test_frame import make_frame, make_pending
 
@@ -138,3 +141,88 @@ class TestSelectiveSlackPlanner:
         with pytest.raises(ValueError):
             SelectiveSlackPlanner(idle, small_params,
                                   dynamic_retransmission_share=-1.0)
+
+
+# ----------------------------------------------------------------------
+# The supply memo: exact modulo the idle pattern
+# ----------------------------------------------------------------------
+
+def _multiplexed_planner(params, obs=None):
+    """Planner whose idle pattern repeats only every 4 cycles."""
+    table = ScheduleTable(params)
+    for channel, slot_id, message_id, base, repetition in (
+            (Channel.A, 1, "a4", 1, 4), (Channel.A, 3, "a2", 0, 2),
+            (Channel.B, 2, "b4", 3, 4), (Channel.B, 7, "b1", 0, 1)):
+        table.assign(channel, SlotAssignment(slot_id=slot_id, frame=make_frame(
+            message_id=message_id, frame_id=slot_id, base_cycle=base,
+            cycle_repetition=repetition)))
+    idle = IdleSlotTable(table, [Channel.A, Channel.B])
+    assert idle.pattern_length == 4
+    kwargs = {} if obs is None else {"obs": obs}
+    return SelectiveSlackPlanner(idle, params,
+                                 dynamic_retransmission_share=1.5, **kwargs)
+
+
+#: The idle pattern of ``_multiplexed_planner`` on ``small_params``.
+_PATTERN_MT = 4 * 800
+
+_queries = st.lists(
+    st.tuples(st.integers(0, 12 * _PATTERN_MT),       # now
+              st.integers(-800, 6 * _PATTERN_MT),     # deadline - now
+              st.integers(0, 5),                      # pattern shift k
+              st.booleans()),                         # include_structural
+    min_size=1, max_size=40)
+
+
+def _uncached(planner, now, deadline, include_structural):
+    """``(structural, total)`` straight from the uncached computation."""
+    if deadline <= now:
+        return 0, 0
+    return planner._compute_supply(now, deadline, include_structural)
+
+
+class TestSupplyMemo:
+    # small_params is an immutable geometry, so sharing it across
+    # examples is safe; every example builds a fresh planner.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(queries=_queries)
+    def test_memoized_supply_equals_uncached(self, small_params, queries):
+        assert small_params.gd_cycle_mt * 4 == _PATTERN_MT
+        planner = _multiplexed_planner(small_params)
+        for now, width, shift, structural in queries:
+            for offset in (0, shift * _PATTERN_MT):
+                start, end = now + offset, now + width + offset
+                assert planner.supply_between(start, end, structural) \
+                    == _uncached(planner, start, end, structural)[1]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(queries=_queries)
+    def test_counters_match_the_uncached_path(self, small_params, queries):
+        obs = Observability()
+        planner = _multiplexed_planner(small_params, obs)
+        expected = {"slack.table_queries": 0, "slack.table_hits": 0,
+                    "slack.table_misses": 0}
+        for now, width, shift, structural in queries:
+            for offset in (0, shift * _PATTERN_MT):
+                start, end = now + offset, now + width + offset
+                planner.supply_between(start, end, structural)
+                if end <= start:
+                    continue  # an empty window is not a table query
+                found = _uncached(planner, start, end, structural)[0]
+                expected["slack.table_queries"] += 1
+                expected["slack.table_hits" if found > 0
+                         else "slack.table_misses"] += 1
+        counters = obs.deterministic_snapshot()["counters"]
+        assert {name: counters.get(name, 0) for name in expected} == expected
+
+    def test_shifted_window_is_served_from_the_memo(self, small_params):
+        planner = _multiplexed_planner(small_params)
+        cycle = small_params.gd_cycle_mt
+        first = planner.supply_between(130, 130 + 5 * cycle)
+        assert len(planner._supply_memo) == 1
+        assert planner.supply_between(130 + 3 * _PATTERN_MT,
+                                      130 + 3 * _PATTERN_MT + 5 * cycle) \
+            == first
+        assert len(planner._supply_memo) == 1

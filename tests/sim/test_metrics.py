@@ -4,8 +4,16 @@ import math
 
 import pytest
 
-from repro.sim.metrics import LatencyStats, MetricsCollector
+from repro.core.mode_change import ModeChangeController
+from repro.experiments.runner import run_experiment
+from repro.protocol.backend import get_backend
+from repro.protocol.signal import Signal
+from repro.sim.metrics import LatencyStats, MetricsCollector, SimulationMetrics
 from repro.sim.trace import TraceRecorder, TransmissionOutcome
+from repro.workloads.acc import acc_signals
+from repro.workloads.bbw import bbw_signals
+from repro.workloads.sae import sae_aperiodic_signals
+from repro.workloads.synthetic import synthetic_signals
 
 from tests.sim.test_trace import make_record
 
@@ -159,3 +167,214 @@ class TestMetricsCollector:
             "static_latency_ms", "dynamic_latency_ms",
             "deadline_miss_ratio",
         }
+
+
+# ----------------------------------------------------------------------
+# The one-walk reduction against the three-pass reference
+# ----------------------------------------------------------------------
+
+def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
+    """The three-pass reduction the one-walk collector replaced.
+
+    One walk over the records for bandwidth and attempt counts, a second
+    for the segment of each instance's first attempt, then sorted
+    instance walks for latencies, misses and the last delivery -- read
+    from the recorder's per-instance state, not from its query methods.
+    """
+    total_medium_mt = horizon_mt * channel_count
+    useful_mt = 0
+    occupied_mt = 0
+    corrupted = 0
+    retransmissions = 0
+    attempts = 0
+    first_delivery_counted = set()
+    for record in trace:
+        attempts += 1
+        duration = record.end - record.start
+        occupied_mt += duration
+        if record.is_retransmission:
+            retransmissions += 1
+        if record.outcome is TransmissionOutcome.CORRUPTED:
+            corrupted += 1
+        elif record.outcome is TransmissionOutcome.DELIVERED:
+            key = (record.message_id, record.instance, record.chunk)
+            if key not in first_delivery_counted:
+                first_delivery_counted.add(key)
+                if record.bits > 0:
+                    useful_mt += duration * record.payload_bits / record.bits
+
+    def delivered_at(state):
+        if len(state.chunk_delivered_at) < state.chunks:
+            return None
+        return max(state.chunk_delivered_at.values())
+
+    instances = sorted(trace._instances.items())
+    latencies = [(key, delivered_at(state) - state.generation_time)
+                 for key, state in instances
+                 if delivered_at(state) is not None]
+    missed = sum(1 for __, state in instances
+                 if delivered_at(state) is None
+                 or delivered_at(state) > state.deadline)
+    times = [delivered_at(state) for __, state in instances
+             if delivered_at(state) is not None]
+    last_delivery = max(times) if times else None
+
+    segment_of_instance = {}
+    for record in trace:
+        segment_of_instance.setdefault((record.message_id, record.instance),
+                                       record.segment)
+    static_samples, dynamic_samples = [], []
+    for key, latency in latencies:
+        if segment_of_instance.get(key, "static") == "dynamic":
+            dynamic_samples.append(latency)
+        else:
+            static_samples.append(latency)
+
+    produced = len(instances)
+    last_delivery_ms = (0.0 if last_delivery is None
+                        else last_delivery * macrotick_us / 1000.0)
+    if produced == 0:
+        running_time_ms = 0.0
+    elif trace.delivered_count() < produced or last_delivery is None:
+        running_time_ms = float("inf")
+    else:
+        running_time_ms = last_delivery_ms
+    return SimulationMetrics(
+        horizon_mt=horizon_mt,
+        macrotick_us=macrotick_us,
+        running_time_ms=running_time_ms,
+        last_delivery_ms=last_delivery_ms,
+        bandwidth_utilization=min(1.0, useful_mt / total_medium_mt),
+        gross_utilization=min(1.0, occupied_mt / total_medium_mt),
+        static_latency=LatencyStats.from_macroticks(static_samples,
+                                                    macrotick_us),
+        dynamic_latency=LatencyStats.from_macroticks(dynamic_samples,
+                                                     macrotick_us),
+        deadline_miss_ratio=(missed / produced) if produced else 0.0,
+        produced_instances=produced,
+        delivered_instances=trace.delivered_count(),
+        total_attempts=attempts,
+        corrupted_attempts=corrupted,
+        retransmission_attempts=retransmissions,
+    )
+
+
+def _multi_chunk_out_of_order(trace):
+    trace.note_instance("big", 0, 0, 900, chunks=3)
+    trace.record(make_record(message_id="big", chunk=2, start=300,
+                             generation=0, deadline=900))
+    trace.record(make_record(message_id="big", chunk=0, start=500,
+                             channel="B", generation=0, deadline=900))
+    # A later duplicate of chunk 0 with an earlier end improves it.
+    trace.record(make_record(message_id="big", chunk=0, start=120,
+                             generation=0, deadline=900, slot=3))
+    trace.record(make_record(message_id="big", chunk=1, start=700,
+                             generation=0, deadline=900))
+
+
+def _never_transmitted(trace):
+    trace.note_instance("m", 0, 50, 500)
+    trace.record(make_record(start=100))
+    trace.note_instance("quiet", 0, 10, 400)
+    trace.note_instance("quiet", 1, 410, 800, chunks=2)
+
+
+def _static_first_dynamic_retry(trace):
+    trace.note_instance("s", 0, 50, 5000)
+    trace.record(make_record(message_id="s", start=100, slot=2,
+                             outcome=TransmissionOutcome.CORRUPTED,
+                             deadline=5000))
+    trace.record(make_record(message_id="s", start=900, segment="dynamic",
+                             retransmission=True, slot=12, deadline=5000))
+    trace.note_instance("d", 0, 50, 5000)
+    trace.record(make_record(message_id="d", start=950, segment="dynamic",
+                             slot=13, deadline=5000))
+
+
+def _zero_bit_records(trace):
+    # Delivered exactly at its deadline (60): on time.
+    trace.note_instance("z", 0, 0, 60)
+    trace.record(make_record(message_id="z", start=20, bits=0, payload=0,
+                             generation=0, deadline=60))
+    trace.note_instance("z", 1, 100, 200)
+    trace.record(make_record(message_id="z", instance=1, start=180, bits=0,
+                             payload=8, generation=100, deadline=200))
+    trace.record(make_record(message_id="z", instance=1, start=300,
+                             channel="B", generation=100, deadline=200))
+
+
+def _everything(trace):
+    for build in (_multi_chunk_out_of_order, _never_transmitted,
+                  _static_first_dynamic_retry, _zero_bit_records):
+        build(trace)
+
+
+class TestOneWalkReduction:
+    @pytest.mark.parametrize("build", [
+        lambda trace: None, _multi_chunk_out_of_order, _never_transmitted,
+        _static_first_dynamic_retry, _zero_bit_records, _everything,
+    ], ids=["empty", "multi-chunk-out-of-order", "never-transmitted",
+            "static-first-dynamic-retry", "zero-bit-records", "all"])
+    @pytest.mark.parametrize("channel_count", (1, 2))
+    def test_matches_reference(self, build, channel_count):
+        trace = TraceRecorder()
+        build(trace)
+        collector = MetricsCollector(1.25, channel_count=channel_count)
+        assert collector.compute(trace, 4000) == reference_metrics(
+            trace, 4000, macrotick_us=1.25, channel_count=channel_count)
+
+
+def _engine_scenarios(backend, tiny_signals):
+    """The engine-equivalence scenarios, at the same inputs."""
+    backend_ = get_backend(backend)
+
+    def small(minislots=40):
+        return backend_.scenario_geometry(static_slots=10,
+                                          minislots=minislots,
+                                          channel_count=2)
+
+    controller = ModeChangeController(small(), tiny_signals)
+    assert controller.try_admit(Signal(
+        name="mc-new", ecu=3, period_ms=1.6, offset_ms=0.4,
+        deadline_ms=1.6, size_bits=160)).admitted
+    return {
+        "bbw-faulty-completion": dict(
+            params=backend_.case_study_params("bbw"), scheduler="coefficient",
+            periodic=bbw_signals(), ber=1e-4, seed=7, duration_ms=None,
+            instance_limit=4),
+        "acc-fspec-faulty": dict(
+            params=backend_.case_study_params("acc"), scheduler="fspec",
+            periodic=acc_signals(), ber=1e-5, seed=11, duration_ms=60.0),
+        "synthetic-with-aperiodics": dict(
+            params=backend_.dynamic_preset(100),
+            scheduler="dynamic-priority",
+            periodic=synthetic_signals(12, seed=3, max_size_bits=216),
+            aperiodic=sae_aperiodic_signals(count=16), ber=0.0, seed=23,
+            duration_ms=50.0, drop_expired_dynamic=False),
+        "static-only-zero-minislots": dict(
+            params=small(minislots=0), scheduler="static-only",
+            periodic=tiny_signals, ber=0.0, seed=5, duration_ms=20.0),
+        "post-mode-change": dict(
+            params=small(), scheduler="coefficient",
+            periodic=controller.signals, ber=2e-6, seed=17,
+            duration_ms=40.0),
+    }
+
+
+@pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+@pytest.mark.parametrize("scenario", ("bbw-faulty-completion",
+                                      "acc-fspec-faulty",
+                                      "synthetic-with-aperiodics",
+                                      "static-only-zero-minislots",
+                                      "post-mode-change"))
+def test_engine_scenarios_match_reference(backend, scenario,
+                                          tiny_periodic_signals):
+    result = run_experiment(
+        **_engine_scenarios(backend, tiny_periodic_signals)[scenario])
+    trace = result.cluster.trace
+    assert len(trace) > 0
+    params = result.cluster.params
+    assert result.metrics == reference_metrics(
+        trace, result.metrics.horizon_mt,
+        macrotick_us=params.gd_macrotick_us,
+        channel_count=params.channel_count)
