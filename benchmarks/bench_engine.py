@@ -40,7 +40,7 @@ from typing import Dict, List
 from repro.experiments.figures import case_study_params
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import FlexRayParams, paper_dynamic_preset
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.sim.trace import trace_digest
 from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals

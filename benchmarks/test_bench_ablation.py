@@ -24,7 +24,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import paper_dynamic_preset
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 def _run(scheduler="coefficient", minislots=50, ber=1e-7,

@@ -117,7 +117,7 @@ def test_micro_fault_injection(benchmark):
     """Per-transmission fault-oracle cost."""
     from repro.faults.ber import BitErrorRateModel
     from repro.faults.injector import TransientFaultInjector
-    from repro.flexray.channel import Channel
+    from repro.protocol.channel import Channel
 
     injector = TransientFaultInjector(
         BitErrorRateModel(ber_channel_a=1e-7), RngStream(1, "micro-faults"))

@@ -14,7 +14,7 @@ from repro.experiments.figures import case_study_params
 from repro.experiments.runner import make_policy, run_experiment
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import BurstFaultInjector
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.workloads import acc_signals, sae_aperiodic_signals
@@ -57,9 +57,9 @@ def run_burst_scenario(params, signals) -> None:
     policy = make_policy("coefficient", packing,
                          BitErrorRateModel(ber_channel_a=1e-7),
                          reliability_goal=0.999, time_unit_ms=100.0)
-    cluster = FlexRayCluster(params=params, policy=policy,
-                             sources=packing.build_sources(rng),
-                             corrupts=injector, node_count=10)
+    cluster = Cluster(params=params, policy=policy,
+                      sources=packing.build_sources(rng),
+                      corrupts=injector)
     cluster.run_for_ms(2000.0)
     metrics = cluster.metrics()
     fraction = metrics.delivered_instances / metrics.produced_instances

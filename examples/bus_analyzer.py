@@ -19,7 +19,7 @@ import pathlib
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.flexray.bus_guardian import BabblingIdiotScenario
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.cluster import Cluster
 from repro.flexray.params import paper_dynamic_preset
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
@@ -32,10 +32,10 @@ def build_cluster(params, packing, corrupts=None):
         packing, BitErrorRateModel(ber_channel_a=1e-7),
         reliability_goal=1 - 1e-4)
     kwargs = {"corrupts": corrupts} if corrupts else {}
-    return FlexRayCluster(
+    return Cluster(
         params=params, policy=policy,
         sources=packing.build_sources(RngStream(11, "analyzer")),
-        node_count=10, **kwargs)
+        **kwargs)
 
 
 def print_stats(title, trace, limit=8):
@@ -71,7 +71,7 @@ def main() -> None:
             packing, BitErrorRateModel(ber_channel_a=1e-7),
             reliability_goal=1 - 1e-4)
         # Build a table just for slot-ownership knowledge.
-        from repro.flexray.schedule import (
+        from repro.protocol.schedule import (
             ChannelStrategy, build_dual_schedule)
         table = build_dual_schedule(packing.static_frames(), params,
                                     ChannelStrategy.DISTRIBUTE)

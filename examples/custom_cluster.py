@@ -3,9 +3,9 @@
 
 The other examples drive everything through ``run_experiment``; this one
 assembles the pieces explicitly -- signals, packing, schedule table,
-policy, fault injector, topology, cluster -- the way a downstream user
-embedding the library would, and pokes at the intermediate artifacts
-(schedule table occupancy, idle-slot structure, per-node counters).
+policy, fault injector, cluster -- the way a downstream user embedding
+the library would, and pokes at the intermediate artifacts (packed
+messages, retransmission plan, idle-slot structure, policy counters).
 
 Run:
     python examples/custom_cluster.py
@@ -15,11 +15,10 @@ from repro.analysis.slack_table import IdleSlotTable
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import TransientFaultInjector
-from repro.flexray.channel import Channel
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.channel import Channel
+from repro.protocol.cluster import Cluster
 from repro.flexray.params import FlexRayParams
-from repro.flexray.signal import Signal, SignalSet
-from repro.flexray.topology import HybridTopology
+from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 
@@ -62,25 +61,21 @@ def main() -> None:
               f"period {message.period_ms:5.1f} ms  "
               f"{message.payload_bits:5d} bits x{message.chunk_count}")
 
-    # --- 4. A hybrid topology: star with two bus stubs. ----------------
-    topology = HybridTopology(branches=[[0, 1], [2, 3]])
-
-    # --- 5. Policy, faults, cluster. ------------------------------------
+    # --- 4. Policy, faults, cluster. ------------------------------------
     rng = RngStream(seed=99, scope="custom-cluster")
     ber_model = BitErrorRateModel(ber_channel_a=1e-6)
     policy = CoEfficientPolicy(packing, ber_model,
                                reliability_goal=1 - 1e-6,
                                time_unit_ms=1000.0)
-    cluster = FlexRayCluster(
+    cluster = Cluster(
         params=params,
         policy=policy,
         sources=packing.build_sources(rng),
         corrupts=TransientFaultInjector(ber_model, rng),
-        topology=topology,
     )
     cluster.run_for_ms(200.0)
 
-    # --- 6. Inspect what the offline planner decided. -------------------
+    # --- 5. Inspect what the offline planner decided. -------------------
     print("\nretransmission plan (k_z > 0):",
           policy.plan.selected_messages() or "none needed")
     idle = IdleSlotTable(policy.table, [Channel.A, Channel.B])
@@ -89,15 +84,12 @@ def main() -> None:
           f"(the rest is the slack pool)")
     print(f"slack planner stats: {policy.slack_planner.stats}")
 
-    # --- 7. Results. -----------------------------------------------------
+    # --- 6. Results. -----------------------------------------------------
     metrics = cluster.metrics()
     print(f"\nafter 200 ms: delivered "
           f"{metrics.delivered_instances}/{metrics.produced_instances}, "
           f"miss ratio {metrics.deadline_miss_ratio:.4f}")
     print(f"policy counters: {policy.counters}")
-    print("\nper-node view:")
-    for node in cluster.nodes:
-        print(f"  {node.summary()}")
 
 
 if __name__ == "__main__":

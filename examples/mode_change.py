@@ -19,7 +19,7 @@ Run:
 from repro.core.mode_change import ModeChangeController
 from repro.experiments.figures import case_study_params
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.signal import Signal
+from repro.protocol.signal import Signal
 from repro.workloads import acc_signals
 
 

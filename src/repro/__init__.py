@@ -51,7 +51,6 @@ __all__ = [
     "Cluster",
     "CoEfficientPolicy",
     "ExperimentResult",
-    "FlexRayCluster",
     "FlexRayParams",
     "SafetyIntegrityLevel",
     "SegmentGeometry",
@@ -75,7 +74,6 @@ __all__ = [
 #: importable, but resolved lazily (PEP 562) so that ``import repro``
 #: does not statically import the backend package.
 _FLEXRAY_EXPORTS = {
-    "FlexRayCluster": ("repro.flexray.cluster", "FlexRayCluster"),
     "FlexRayParams": ("repro.flexray.params", "FlexRayParams"),
     "paper_dynamic_preset": ("repro.flexray.params", "paper_dynamic_preset"),
     "paper_static_preset": ("repro.flexray.params", "paper_static_preset"),

@@ -182,7 +182,6 @@ class QueueingPolicyBase(SchedulerPolicy):
         )
         self._build_placements()
         self._build_dynamic_queues()
-        self._configure_nodes()
         self.on_bound()
 
     @property
@@ -231,23 +230,6 @@ class QueueingPolicyBase(SchedulerPolicy):
             slot_id = packed_id + offset
             self._dynamic_queues[slot_id] = PriorityOutputQueue(slot_id)
             self._dynamic_slot_of[message_id] = slot_id
-
-    def _configure_nodes(self) -> None:
-        """Mirror slot/ID ownership into the node controllers."""
-        assert self.cluster is not None
-        assert self._round is not None
-        node_count = len(self.cluster.nodes)
-        for node in self.cluster.nodes:
-            node.controller.configure_from_round(self._round)
-        for message in self._packing.aperiodic_messages():
-            slot_id = self._dynamic_slot_of.get(message.message_id)
-            if slot_id is None:
-                continue
-            producer = message.chunks[0].producer_ecu
-            if 0 <= producer < node_count:
-                controller = self.cluster.nodes[producer].controller
-                if not controller.owns_dynamic_id(slot_id):
-                    controller.configure_dynamic_id(slot_id)
 
     # ------------------------------------------------------------------
     # SchedulerPolicy: arrivals and cycles

@@ -130,7 +130,6 @@ def run_experiment(
     instance_limit: Optional[int] = None,
     reliability_goal: float = DEFAULT_RHO,
     time_unit_ms: float = DEFAULT_TIME_UNIT_MS,
-    node_count: int = 10,
     max_cycles: int = 200_000,
     obs=NULL_OBS,
     engine_mode: Union[str, EngineMode] = EngineMode.VECTORIZED,
@@ -157,7 +156,6 @@ def run_experiment(
         instance_limit: Per-message instance cap (completion mode).
         reliability_goal: rho for CoEfficient.
         time_unit_ms: Theorem-1 time unit.
-        node_count: Cluster size (paper: 10 nodes).
         max_cycles: Safety cap in completion mode.
         obs: Observability context threaded through the policy, the
             cluster and the metric reduction; policy counters and
@@ -193,7 +191,6 @@ def run_experiment(
             policy=policy,
             sources=sources,
             corrupts=injector,
-            node_count=node_count,
             obs=obs,
             mode=engine_mode,
         )

@@ -1,123 +1,33 @@
 """FlexRay backend: the first protocol behind the neutral core.
 
 The cycle-accurate engine itself (time hierarchy, frame model, TDMA
-static segment, FTDMA dynamic segment, channels, CHI buffering, nodes,
-topologies) lives in :mod:`repro.protocol`; this package pins FlexRay's
-parameter defaults and frame-overhead model (:mod:`repro.flexray.params`),
-the FlexRay-specific physical-layer services (encoding, wakeup, startup,
-clock sync, bus guardian), and the backend registration
-(:mod:`repro.flexray.backend`).  Every name the pre-refactor package
-exported is still importable from here.
+static segment, FTDMA dynamic segment, channels, CHI buffering and the
+cluster driver) lives in :mod:`repro.protocol`; this package pins
+FlexRay's parameter defaults and frame-overhead model
+(:mod:`repro.flexray.params`), the bus-guardian fault scenario
+(:mod:`repro.flexray.bus_guardian`) and the backend registration
+(:mod:`repro.flexray.backend`).
 
 The model follows the FlexRay 2.1 protocol description summarized in
 Section II of the paper.  All timing arithmetic is in integer macroticks.
 """
 
-from repro.protocol.arrivals import (
-    ArrivalMultiplexer,
-    MessageSource,
-    PeriodicSource,
-    Release,
-    SporadicSource,
-)
-from repro.protocol.channel import Channel, ChannelSet
-from repro.protocol.chi import ControllerHostInterface, PriorityOutputQueue, StaticBuffer
-from repro.flexray.cluster import FlexRayCluster
-from repro.protocol.clock import MacrotickClock
-from repro.protocol.controller import CommunicationController, ProtocolPhase
-from repro.protocol.cycle import CycleLayout
-from repro.flexray.encoding import (
-    EncodedFrame,
-    encoded_frame_bits,
-    frame_crc,
-    header_crc,
-)
-from repro.protocol.dynamic_segment import DynamicSegmentEngine, DynamicSlotResult
-from repro.protocol.frame import Frame, FrameKind, PendingFrame, frame_duration_mt
-from repro.protocol.node import EcuNode
 from repro.flexray.params import (
+    FRAME_HEADER_BITS,
     FRAME_OVERHEAD_BITS,
+    FRAME_TRAILER_BITS,
     MAX_PAYLOAD_BITS,
     FlexRayParams,
     paper_dynamic_preset,
     paper_static_preset,
 )
-from repro.protocol.policy import SchedulerPolicy
-from repro.protocol.schedule import (
-    ChannelStrategy,
-    ScheduleInfeasibleError,
-    ScheduleTable,
-    SlotAssignment,
-    build_dual_schedule,
-    build_schedule,
-    patterns_conflict,
-    repetition_for_period,
-)
-from repro.protocol.signal import Signal, SignalSet
-from repro.protocol.slots import MinislotCounter, SlotCounter
-from repro.flexray.startup import StartupNode, StartupPhase, StartupSimulation
-from repro.protocol.static_segment import StaticSegmentEngine
-from repro.flexray.sync import ClockSyncService, fault_tolerant_midpoint
-from repro.protocol.topology import BusTopology, HybridTopology, StarTopology, Topology
-from repro.flexray.wakeup import WakeupNode, WakeupResult, WakeupSimulation, WakeupState
 
 __all__ = [
-    "ArrivalMultiplexer",
-    "BusTopology",
-    "Channel",
-    "ChannelSet",
-    "ChannelStrategy",
-    "CommunicationController",
-    "ControllerHostInterface",
-    "CycleLayout",
-    "ClockSyncService",
-    "DynamicSegmentEngine",
-    "DynamicSlotResult",
-    "EncodedFrame",
-    "EcuNode",
+    "FRAME_HEADER_BITS",
     "FRAME_OVERHEAD_BITS",
-    "FlexRayCluster",
-    "patterns_conflict",
-    "FlexRayParams",
-    "Frame",
-    "FrameKind",
-    "HybridTopology",
+    "FRAME_TRAILER_BITS",
     "MAX_PAYLOAD_BITS",
-    "MacrotickClock",
-    "MessageSource",
-    "MinislotCounter",
-    "PendingFrame",
-    "PeriodicSource",
-    "PriorityOutputQueue",
-    "ProtocolPhase",
-    "Release",
-    "ScheduleInfeasibleError",
-    "ScheduleTable",
-    "SchedulerPolicy",
-    "Signal",
-    "SignalSet",
-    "SlotAssignment",
-    "SlotCounter",
-    "SporadicSource",
-    "StarTopology",
-    "StartupNode",
-    "StartupPhase",
-    "StartupSimulation",
-    "StaticBuffer",
-    "StaticSegmentEngine",
-    "Topology",
-    "WakeupNode",
-    "WakeupResult",
-    "WakeupSimulation",
-    "WakeupState",
-    "build_dual_schedule",
-    "build_schedule",
-    "encoded_frame_bits",
-    "fault_tolerant_midpoint",
-    "frame_crc",
-    "header_crc",
-    "frame_duration_mt",
+    "FlexRayParams",
     "paper_dynamic_preset",
     "paper_static_preset",
-    "repetition_for_period",
 ]

@@ -1,8 +1,10 @@
-"""Back-compat shim: this module moved to ``repro.protocol.signal``.
+"""Alias of :mod:`repro.protocol.signal` for the benchmark harness.
 
-The engine is protocol-neutral; ``repro.flexray`` re-exports it so
-existing imports keep working.  New code should import from
-``repro.protocol.signal``.
+The engine's signal model lives in :mod:`repro.protocol.signal`, and
+every module and test imports it from there.  This one re-export is
+kept only because ``perfbench/wl_engine.py`` imports ``Signal`` and
+``SignalSet`` from ``repro.flexray.signal``; delete it together with
+that import the next time the benchmark harness changes.
 """
 
 from repro.protocol.signal import *  # noqa: F401,F403

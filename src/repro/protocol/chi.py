@@ -17,11 +17,11 @@ host and CC."  Two buffer types exist:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.protocol.frame import PendingFrame
 
-__all__ = ["StaticBuffer", "PriorityOutputQueue", "ControllerHostInterface"]
+__all__ = ["StaticBuffer", "PriorityOutputQueue"]
 
 
 class StaticBuffer:
@@ -128,34 +128,3 @@ class PriorityOutputQueue:
             self._heap = keep
         return expired
 
-
-class ControllerHostInterface:
-    """The full CHI of one node: static buffers plus dynamic queues."""
-
-    def __init__(self) -> None:
-        self._static_buffers: Dict[int, StaticBuffer] = {}
-        self._dynamic_queues: Dict[int, PriorityOutputQueue] = {}
-
-    def static_buffer(self, slot_id: int) -> StaticBuffer:
-        """Get (or lazily create) the static buffer for a slot."""
-        if slot_id not in self._static_buffers:
-            self._static_buffers[slot_id] = StaticBuffer(slot_id)
-        return self._static_buffers[slot_id]
-
-    def dynamic_queue(self, frame_id: int) -> PriorityOutputQueue:
-        """Get (or lazily create) the dynamic queue for a frame ID."""
-        if frame_id not in self._dynamic_queues:
-            self._dynamic_queues[frame_id] = PriorityOutputQueue(frame_id)
-        return self._dynamic_queues[frame_id]
-
-    def static_slots(self) -> List[int]:
-        """Slot IDs with configured static buffers."""
-        return sorted(self._static_buffers)
-
-    def dynamic_frame_ids(self) -> List[int]:
-        """Frame IDs with configured dynamic queues."""
-        return sorted(self._dynamic_queues)
-
-    def pending_dynamic_count(self) -> int:
-        """Total messages waiting across all dynamic queues."""
-        return sum(len(q) for q in self._dynamic_queues.values())

@@ -1,10 +1,8 @@
-"""The simulated cluster: nodes + channels + segment engines + policy.
+"""The simulated cluster: channels + segment engines + policy.
 
 This is the top of the protocol substrate.  A cluster is assembled from:
 
 - a validated :class:`~repro.protocol.geometry.SegmentGeometry`;
-- a :class:`~repro.protocol.topology.Topology` with one
-  :class:`~repro.protocol.node.EcuNode` per attached ECU;
 - an :class:`~repro.protocol.arrivals.ArrivalMultiplexer` of message
   sources (the hosts);
 - a :class:`~repro.protocol.policy.SchedulerPolicy` (the system under
@@ -14,22 +12,23 @@ This is the top of the protocol substrate.  A cluster is assembled from:
 
 Running the cluster advances communication cycles; each cycle executes
 the static segment (TDMA) then the dynamic segment (FTDMA), delivering
-host arrivals to the policy in exact time order between slots.
+host arrivals to the policy in exact time order between slots.  All
+nodes share one global macrotick timebase: the paper's figures
+depend only on slot/minislot timing and the fault process, so per-node
+clocks, controller state and the interconnect shape are not modelled.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.protocol.arrivals import ArrivalMultiplexer, MessageSource
 from repro.protocol.channel import Channel, ChannelSet
 from repro.protocol.cycle import CycleLayout
 from repro.protocol.dynamic_segment import DynamicSegmentEngine
-from repro.protocol.node import EcuNode
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
-from repro.protocol.topology import BusTopology, Topology
 from repro.obs import NULL_OBS, ObsLike
 from repro.sim.engine import EngineMode
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
@@ -54,9 +53,6 @@ class Cluster:
         policy: Scheduling policy under test.
         sources: Host message sources.
         corrupts: Fault oracle; defaults to a fault-free medium.
-        topology: Interconnect; defaults to a bus sized to the sources'
-            producing ECUs (minimum 2 nodes).
-        node_count: Explicit node count override (>= max producer index).
         obs: Observability context; when enabled, the cluster records
             ``engine.*`` counters and per-segment profiler sections.
         mode: :class:`~repro.sim.engine.EngineMode` (or its string
@@ -79,8 +75,6 @@ class Cluster:
         policy: SchedulerPolicy,
         sources: Sequence[MessageSource],
         corrupts: Optional[FaultOracle] = None,
-        topology: Optional[Topology] = None,
-        node_count: Optional[int] = None,
         obs: ObsLike = NULL_OBS,
         mode: Union[str, EngineMode] = EngineMode.VECTORIZED,
     ) -> None:
@@ -93,13 +87,6 @@ class Cluster:
         self.trace = TraceRecorder(protocol=type(params).protocol)
         self._corrupts: FaultOracle = corrupts or _never_corrupts
         self._multiplexer = ArrivalMultiplexer(sources)
-        self._sources = list(sources)
-
-        required_nodes = max(node_count or 0, 2)
-        self.topology = topology or BusTopology(required_nodes)
-        self.nodes: List[EcuNode] = [
-            EcuNode(node_id) for node_id in self.topology.nodes()
-        ]
 
         self._static_engine = StaticSegmentEngine(
             params, self.layout, self.channels, policy,
@@ -128,10 +115,6 @@ class Cluster:
         """Start time of the next cycle (the cluster's logical clock)."""
         return self.layout.cycle_start(self._cycle)
 
-    def node(self, node_id: int) -> EcuNode:
-        """Look up a node by index."""
-        return self.nodes[node_id]
-
     @property
     def mode(self) -> EngineMode:
         """The configured engine mode."""
@@ -145,8 +128,6 @@ class Cluster:
     def _ensure_bound(self) -> None:
         if not self._bound:
             self.policy.bind(self)
-            for node in self.nodes:
-                node.start()
             if self._mode is EngineMode.VECTORIZED:
                 compiled = self.policy.compiled_round()
                 if compiled is not None:
@@ -309,8 +290,6 @@ class Cluster:
             self._obs.inc("engine.arrivals_delivered", len(releases))
         note_instance = self.trace.note_instance
         on_arrival = self.policy.on_arrival
-        nodes = self.nodes
-        node_count = len(nodes)
         for release in releases:
             note_instance(
                 release.message_id, release.instance,
@@ -318,9 +297,6 @@ class Cluster:
                 chunks=release.chunks,
             )
             for pending in release.pendings:
-                producer = pending.frame.producer_ecu
-                if 0 <= producer < node_count:
-                    nodes[producer].controller.note_sent()
                 on_arrival(pending)
 
     # ------------------------------------------------------------------

@@ -173,8 +173,9 @@ class SimulationEngine:
         Raises:
             TypeError: If ``time`` is not an integer -- the kernel is
                 integer-macrotick by contract, and silently truncating a
-                float here would hide unit bugs upstream (see
-                ``MacrotickClock.local_time`` for the quantization rule).
+                float here would hide unit bugs upstream; times are
+                quantized once, where milliseconds become macroticks
+                (:meth:`repro.protocol.geometry.SegmentGeometry.ms_to_mt`).
             ValueError: If ``time`` lies in the past.
         """
         if not isinstance(time, int) or isinstance(time, bool):

@@ -100,7 +100,7 @@ class TestCrossValidation:
     def test_bound_dominates_simulation(self, small_params):
         """Fault-free per-ID FTDMA simulation never exceeds the bound."""
         from repro.experiments.runner import run_experiment
-        from repro.flexray.signal import Signal, SignalSet
+        from repro.protocol.signal import Signal, SignalSet
         from repro.sim.trace_io import per_message_statistics
 
         aperiodic = SignalSet([

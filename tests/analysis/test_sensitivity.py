@@ -7,7 +7,7 @@ from repro.analysis.sensitivity import (
     bisect_breakdown,
     scale_aperiodic_load,
 )
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 class TestScaleAperiodicLoad:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.slack_table import IdleSlotTable
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import ScheduleTable, SlotAssignment
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import ScheduleTable, SlotAssignment
 
 from tests.flexray.test_frame import make_frame
 

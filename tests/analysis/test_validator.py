@@ -5,8 +5,8 @@ import pytest
 from repro.analysis.validator import validate_schedule
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.schedule import ChannelStrategy, build_dual_schedule
+from repro.protocol.cluster import Cluster
+from repro.protocol.schedule import ChannelStrategy, build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace_io import per_message_statistics
@@ -41,7 +41,7 @@ class TestValidator:
     def test_unscheduled_message_flagged(self, small_params,
                                          validated_setup):
         packing, __ = validated_setup
-        from repro.flexray.schedule import ScheduleTable
+        from repro.protocol.schedule import ScheduleTable
         empty = ScheduleTable(small_params)
         results = validate_schedule(empty, packing, small_params)
         assert all(not v.scheduled for v in results)
@@ -64,10 +64,9 @@ class TestCrossValidation:
             packing, BitErrorRateModel(ber_channel_a=0.0),
             reliability_goal=0.9,  # no copies: pure primary schedule
         )
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy,
-            sources=packing.build_sources(RngStream(2, "xval")),
-            node_count=4)
+            sources=packing.build_sources(RngStream(2, "xval")))
         cluster.run_for_ms(40.0)
 
         bounds = {

@@ -5,9 +5,9 @@ import pytest
 from repro.baselines.dynamic_priority import DynamicPriorityPolicy
 from repro.baselines.fspec import FspecPolicy
 from repro.baselines.static_only import StaticOnlyPolicy
-from repro.flexray.channel import Channel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.schedule import ChannelStrategy
+from repro.protocol.channel import Channel
+from repro.protocol.cluster import Cluster
+from repro.protocol.schedule import ChannelStrategy
 from repro.sim.rng import RngStream
 from repro.sim.trace import TransmissionOutcome
 
@@ -15,8 +15,7 @@ from repro.sim.trace import TransmissionOutcome
 def bound(policy_class, params, packing, **kwargs):
     policy = policy_class(packing, **kwargs)
     sources = packing.build_sources(RngStream(3, "baseline-test"))
-    cluster = FlexRayCluster(params=params, policy=policy, sources=sources,
-                             node_count=4)
+    cluster = Cluster(params=params, policy=policy, sources=sources)
     cluster._ensure_bound()
     return policy, cluster
 
@@ -72,9 +71,9 @@ class TestFspec:
     def test_feedback_mode_retries(self, small_params, tiny_packing):
         policy = FspecPolicy(tiny_packing, feedback=True)
         sources = tiny_packing.build_sources(RngStream(3, "fspec-fb"))
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy, sources=sources,
-            corrupts=lambda c, b, t: True, node_count=4,
+            corrupts=lambda c, b, t: True,
         )
         cluster.run_cycles(5)
         assert policy.counters["retx_enqueued"] > 0
@@ -84,9 +83,9 @@ class TestStaticOnly:
     def test_no_retransmissions_ever(self, small_params, tiny_packing):
         policy = StaticOnlyPolicy(tiny_packing)
         sources = tiny_packing.build_sources(RngStream(3, "so"))
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy, sources=sources,
-            corrupts=lambda c, b, t: True, node_count=4,
+            corrupts=lambda c, b, t: True,
         )
         cluster.run_cycles(10)
         assert policy.counters["retx_enqueued"] == 0
@@ -121,9 +120,9 @@ class TestDynamicPriority:
     def test_fault_oblivious(self, small_params, tiny_packing):
         policy = DynamicPriorityPolicy(tiny_packing)
         sources = tiny_packing.build_sources(RngStream(3, "dp"))
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy, sources=sources,
-            corrupts=lambda c, b, t: True, node_count=4,
+            corrupts=lambda c, b, t: True,
         )
         cluster.run_cycles(10)
         assert policy.counters["retx_enqueued"] == 0

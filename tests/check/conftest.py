@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flexray.channel import Channel
+from repro.protocol.channel import Channel
 from repro.flexray.params import FlexRayParams
 from repro.timeline.compiler import (
     SEGMENT_NIT,

@@ -7,8 +7,8 @@ from repro.check.model_checker import (
     check_hyperperiod_model,
     dynamic_retransmission_capacity,
 )
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import compile_round
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults.ber import BitErrorRateModel
 from repro.flexray.params import FlexRayParams, paper_dynamic_preset
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 

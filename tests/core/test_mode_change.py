@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mode_change import ModeChangeController
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 def small_signal(name, size=100, period=1.6, ecu=0, offset=0.0):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.schedule import ChannelStrategy
+from repro.protocol.cluster import Cluster
+from repro.protocol.schedule import ChannelStrategy
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace import TransmissionOutcome
@@ -19,8 +19,7 @@ def bound_policy(params, packing, **kwargs):
         **kwargs,
     )
     sources = packing.build_sources(RngStream(3, "policy-test"))
-    cluster = FlexRayCluster(params=params, policy=policy, sources=sources,
-                             node_count=4)
+    cluster = Cluster(params=params, policy=policy, sources=sources)
     cluster._ensure_bound()
     return policy, cluster
 
@@ -52,13 +51,6 @@ class TestBinding:
         policy, __ = bound_policy(small_params, tiny_packing)
         assert policy.retransmission_slot_id == \
             small_params.first_dynamic_slot_id
-
-    def test_node_controllers_configured(self, small_params, tiny_packing):
-        __, cluster = bound_policy(small_params, tiny_packing)
-        owned = []
-        for node in cluster.nodes:
-            owned.extend(node.controller.owned_static_slots())
-        assert owned  # static slots were claimed by their producers
 
     def test_validation(self, tiny_packing):
         with pytest.raises(ValueError):
@@ -164,10 +156,9 @@ class TestSchedulingBehaviour:
             reliability_goal=1 - 1e-9, feedback=True,
         )
         sources = tiny_packing.build_sources(RngStream(3, "fb"))
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy, sources=sources,
             corrupts=lambda c, b, t: True,  # everything fails
-            node_count=4,
         )
         cluster.run_cycles(5)
         assert policy.counters["retx_enqueued"] > 0
@@ -180,7 +171,7 @@ class TestSchedulingBehaviour:
         )
         sources = packing.build_sources(RngStream(3, "drain"),
                                         instance_limit=2)
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=sources, node_count=4)
+        cluster = Cluster(params=small_params, policy=policy,
+                          sources=sources)
         cluster.run_until_complete(max_cycles=500)
         assert policy.pending_work() == 0

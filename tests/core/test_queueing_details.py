@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.queueing import QueueingPolicyBase
-from repro.flexray.channel import Channel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.schedule import ChannelStrategy
+from repro.protocol.channel import Channel
+from repro.protocol.cluster import Cluster
+from repro.protocol.schedule import ChannelStrategy
 from repro.sim.rng import RngStream
 
 from tests.flexray.test_frame import make_frame, make_pending
@@ -23,8 +23,8 @@ class MinimalPolicy(QueueingPolicyBase):
 def bound_minimal(params, packing, **kwargs):
     policy = MinimalPolicy(packing, **kwargs)
     sources = packing.build_sources(RngStream(8, "minimal"))
-    cluster = FlexRayCluster(params=params, policy=policy,
-                             sources=sources, node_count=4)
+    cluster = Cluster(params=params, policy=policy,
+                      sources=sources)
     cluster._ensure_bound()
     return policy, cluster
 
@@ -145,8 +145,8 @@ class TestServesDynamicFiltering:
 
         policy = AOnly(tiny_packing)
         sources = tiny_packing.build_sources(RngStream(8, "aonly"))
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=sources, node_count=4)
+        cluster = Cluster(params=small_params, policy=policy,
+                          sources=sources)
         cluster._ensure_bound()
         cluster._deliver_arrivals_until(5 * small_params.gd_cycle_mt)
         slot_id = next(iter(policy._dynamic_queues))

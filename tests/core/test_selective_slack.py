@@ -8,8 +8,8 @@ from repro.analysis.slack_table import IdleSlotTable
 from repro.core.selective_slack import SelectiveSlackPlanner, max_level_slack
 from repro.core.slack_stealing import SlackStealer
 from repro.core.tasks import PeriodicTask, TaskSet
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import ScheduleTable, SlotAssignment
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import ScheduleTable, SlotAssignment
 from repro.obs import Observability
 
 from tests.flexray.test_frame import make_frame, make_pending

@@ -38,7 +38,7 @@ class TestWorkloadBuilders:
 
     @pytest.mark.parametrize("workload", ["bbw", "acc"])
     def test_case_study_params_feasible(self, workload):
-        from repro.flexray.schedule import (
+        from repro.protocol.schedule import (
             ChannelStrategy, build_dual_schedule)
         from repro.packing.frame_packing import pack_signals
         params = figures.case_study_params(workload, minislots=50)

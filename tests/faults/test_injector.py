@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import BurstFaultInjector, TransientFaultInjector
-from repro.flexray.channel import Channel
+from repro.protocol.channel import Channel
 from repro.sim.rng import RngStream
 
 

@@ -5,8 +5,8 @@ import pytest
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.permanent import PermanentFaultScenario
-from repro.flexray.channel import Channel
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.channel import Channel
+from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace import TransmissionOutcome
@@ -72,10 +72,10 @@ class TestChannelLossSurvival:
             packing, BitErrorRateModel(ber_channel_a=0.0),
             reliability_goal=1 - 1e-6, time_unit_ms=100.0,
         )
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy,
             sources=packing.build_sources(RngStream(5, "perm")),
-            corrupts=scenario, node_count=4,
+            corrupts=scenario,
         )
         cluster.run_for_ms(30.0)
         return cluster

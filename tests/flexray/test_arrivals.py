@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.flexray.arrivals import (
+from repro.protocol.arrivals import (
     ArrivalMultiplexer,
     PeriodicSource,
     SporadicSource,
 )
-from repro.flexray.frame import FrameKind
+from repro.protocol.frame import FrameKind
 from repro.sim.rng import RngStream
 
 from tests.flexray.test_frame import make_frame

@@ -5,9 +5,9 @@ import pytest
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.flexray.bus_guardian import BabblingIdiotScenario
-from repro.flexray.channel import Channel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.schedule import ChannelStrategy, build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.protocol.cluster import Cluster
+from repro.protocol.schedule import ChannelStrategy, build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 
@@ -79,10 +79,10 @@ class TestClusterImpact:
         policy = CoEfficientPolicy(
             packing, BitErrorRateModel(ber_channel_a=0.0),
             reliability_goal=1 - 1e-6, time_unit_ms=100.0)
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy,
             sources=packing.build_sources(RngStream(4, "babble")),
-            corrupts=scenario, node_count=4)
+            corrupts=scenario)
         cluster.run_for_ms(30.0)
         return cluster, scenario
 

@@ -1,13 +1,9 @@
-"""Unit tests for channels and the controller-host interface."""
+"""Unit tests for channels and the controller-host interface buffers."""
 
 import pytest
 
-from repro.flexray.channel import Channel, ChannelSet
-from repro.flexray.chi import (
-    ControllerHostInterface,
-    PriorityOutputQueue,
-    StaticBuffer,
-)
+from repro.protocol.channel import Channel, ChannelSet
+from repro.protocol.chi import PriorityOutputQueue, StaticBuffer
 
 from tests.flexray.test_frame import make_pending
 
@@ -122,23 +118,3 @@ class TestPriorityOutputQueue:
         queue = PriorityOutputQueue(81)
         queue.push(make_pending(deadline_mt=2000))
         assert queue.drop_expired(now_mt=100) == []
-
-
-class TestControllerHostInterface:
-    def test_lazy_buffers(self):
-        chi = ControllerHostInterface()
-        buffer = chi.static_buffer(5)
-        assert chi.static_buffer(5) is buffer
-        assert chi.static_slots() == [5]
-
-    def test_lazy_queues(self):
-        chi = ControllerHostInterface()
-        queue = chi.dynamic_queue(81)
-        assert chi.dynamic_queue(81) is queue
-        assert chi.dynamic_frame_ids() == [81]
-
-    def test_pending_dynamic_count(self):
-        chi = ControllerHostInterface()
-        chi.dynamic_queue(81).push(make_pending())
-        chi.dynamic_queue(82).push(make_pending())
-        assert chi.pending_dynamic_count() == 2

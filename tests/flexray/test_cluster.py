@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.cluster import FlexRayCluster
-from repro.flexray.topology import StarTopology
+from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 
@@ -17,24 +16,10 @@ def make_cluster(params, packing, **kwargs):
     )
     sources = packing.build_sources(RngStream(5, "cluster-test"),
                                     instance_limit=kwargs.pop("limit", None))
-    return FlexRayCluster(params=params, policy=policy, sources=sources,
-                          node_count=4, **kwargs)
+    return Cluster(params=params, policy=policy, sources=sources, **kwargs)
 
 
 class TestConstruction:
-    def test_nodes_built_from_default_bus(self, small_params, tiny_packing):
-        cluster = make_cluster(small_params, tiny_packing)
-        assert len(cluster.nodes) == 4
-        assert cluster.node(2).node_id == 2
-
-    def test_custom_topology(self, small_params, tiny_packing):
-        topology = StarTopology(branches=[[0, 1], [2, 3]])
-        policy = CoEfficientPolicy(
-            tiny_packing, BitErrorRateModel(ber_channel_a=0.0))
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=[], topology=topology)
-        assert cluster.topology.fault_domain_of(0) == frozenset({0, 1})
-
     def test_initial_clock(self, small_params, tiny_packing):
         cluster = make_cluster(small_params, tiny_packing)
         assert cluster.cycle == 0
@@ -62,13 +47,6 @@ class TestExecution:
         cluster.run_for_ms(8.0)
         assert cluster.trace.instance_count() > 0
         assert cluster.trace.delivered_count() > 0
-
-    def test_nodes_started_on_first_run(self, small_params, tiny_packing):
-        cluster = make_cluster(small_params, tiny_packing)
-        cluster.run_cycles(1)
-        from repro.flexray.controller import ProtocolPhase
-        assert all(n.controller.phase is ProtocolPhase.NORMAL_ACTIVE
-                   for n in cluster.nodes)
 
     def test_trace_physically_consistent(self, small_params, tiny_packing):
         cluster = make_cluster(small_params, tiny_packing)
@@ -103,14 +81,7 @@ class TestExecution:
         policy = CoEfficientPolicy(
             tiny_packing, BitErrorRateModel(ber_channel_a=0.0))
         sources = tiny_packing.build_sources(RngStream(5, "oracle-test"))
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=sources, corrupts=oracle,
-                                 node_count=4)
+        cluster = Cluster(params=small_params, policy=policy,
+                          sources=sources, corrupts=oracle)
         cluster.run_for_ms(5.0)
         assert len(calls) == len(cluster.trace)
-
-    def test_producer_counters_incremented(self, small_params, tiny_packing):
-        cluster = make_cluster(small_params, tiny_packing)
-        cluster.run_for_ms(5.0)
-        total_sent = sum(n.controller.frames_sent for n in cluster.nodes)
-        assert total_sent > 0

@@ -3,7 +3,7 @@
 
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 
@@ -16,8 +16,7 @@ def make_cluster(params, packing, limit=None, corrupts=None):
     sources = packing.build_sources(RngStream(6, "edge"),
                                     instance_limit=limit)
     kwargs = {"corrupts": corrupts} if corrupts else {}
-    return FlexRayCluster(params=params, policy=policy, sources=sources,
-                          node_count=4, **kwargs)
+    return Cluster(params=params, policy=policy, sources=sources, **kwargs)
 
 
 class TestCompletionLoop:
@@ -52,8 +51,8 @@ class TestCompletionLoop:
                                             tiny_packing):
         policy = CoEfficientPolicy(
             tiny_packing, BitErrorRateModel(ber_channel_a=0.0))
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=[], node_count=4)
+        cluster = Cluster(params=small_params, policy=policy,
+                          sources=[])
         cycles = cluster.run_until_complete(max_cycles=100)
         assert cycles <= 12  # settle window only
 
@@ -62,7 +61,7 @@ class TestArrivalTiming:
     def test_mid_cycle_arrival_same_cycle_delivery(self, small_params):
         """An instance released mid-cycle rides a later slot of the SAME
         cycle when its slot is phase-aligned after the release."""
-        from repro.flexray.signal import Signal, SignalSet
+        from repro.protocol.signal import Signal, SignalSet
         signals = SignalSet([Signal(name="mid", ecu=0, period_ms=0.8,
                                     offset_ms=0.12, deadline_ms=0.8,
                                     size_bits=64)])
@@ -74,7 +73,7 @@ class TestArrivalTiming:
         assert delivery < small_params.gd_cycle_mt  # same cycle
 
     def test_arrival_in_nit_waits_for_next_cycle(self, small_params):
-        from repro.flexray.signal import Signal, SignalSet
+        from repro.protocol.signal import Signal, SignalSet
         # Release at 0.75 ms: inside the NIT (static 0.4 + dynamic 0.32
         # = 0.72 ms; NIT is the final 0.08 ms).
         signals = SignalSet([Signal(name="late", ecu=0, period_ms=0.8,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flexray.cycle import CycleLayout
+from repro.protocol.cycle import CycleLayout
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flexray.frame import Frame, FrameKind, PendingFrame, frame_duration_mt
+from repro.protocol.frame import Frame, FrameKind, PendingFrame, frame_duration_mt
 from repro.flexray.params import FRAME_OVERHEAD_BITS, MAX_PAYLOAD_BITS
 from repro.protocol.frame import HARD_MAX_PAYLOAD_BITS
 

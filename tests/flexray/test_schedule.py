@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import (
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import (
     ChannelStrategy,
     ScheduleInfeasibleError,
     ScheduleTable,

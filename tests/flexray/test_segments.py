@@ -4,12 +4,12 @@ from typing import Dict, List
 
 import pytest
 
-from repro.flexray.channel import Channel, ChannelSet
-from repro.flexray.cycle import CycleLayout
-from repro.flexray.dynamic_segment import DynamicSegmentEngine
-from repro.flexray.frame import FrameKind, PendingFrame
-from repro.flexray.policy import SchedulerPolicy
-from repro.flexray.static_segment import StaticSegmentEngine
+from repro.protocol.channel import Channel, ChannelSet
+from repro.protocol.cycle import CycleLayout
+from repro.protocol.dynamic_segment import DynamicSegmentEngine
+from repro.protocol.frame import FrameKind, PendingFrame
+from repro.protocol.policy import SchedulerPolicy
+from repro.protocol.static_segment import StaticSegmentEngine
 from repro.sim.trace import TraceRecorder, TransmissionOutcome
 
 from tests.flexray.test_frame import make_frame, make_pending

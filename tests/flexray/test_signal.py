@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 def make_signal(**overrides):

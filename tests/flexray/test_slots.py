@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flexray.slots import MinislotCounter, SlotCounter
+from repro.protocol.slots import MinislotCounter, SlotCounter
 
 
 class TestSlotCounter:

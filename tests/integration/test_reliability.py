@@ -12,9 +12,9 @@ from repro.experiments.runner import run_experiment
 from repro.faults.analysis import set_success_probability
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import BurstFaultInjector
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.cluster import Cluster
 from repro.flexray.params import paper_dynamic_preset
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import pack_signals
 from repro.experiments.runner import make_policy
 from repro.sim.rng import RngStream
@@ -113,9 +113,8 @@ class TestBurstRobustness:
                              BitErrorRateModel(ber_channel_a=1e-7),
                              reliability_goal=0.999, time_unit_ms=100.0)
         sources = packing.build_sources(rng)
-        cluster = FlexRayCluster(params=params, policy=policy,
-                                 sources=sources, corrupts=injector,
-                                 node_count=4)
+        cluster = Cluster(params=params, policy=policy,
+                          sources=sources, corrupts=injector)
         cluster.run_for_ms(1000.0)
         metrics = cluster.metrics()
         assert injector.injected > 0  # the bursts really happened

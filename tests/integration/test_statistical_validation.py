@@ -15,7 +15,7 @@ import pytest
 from repro.experiments.campaign import run_campaign
 from repro.faults.ber import frame_failure_probability
 from repro.flexray.params import paper_dynamic_preset
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.flexray.frame import FrameKind
+from repro.protocol.frame import FrameKind
 from repro.flexray.params import MAX_PAYLOAD_BITS
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import derive_params_for, pack_signals
 from repro.sim.rng import RngStream
 
@@ -196,7 +196,7 @@ class TestDeriveParams:
         params = derive_params_for(bbw_signals(), cycle_ms=4.0,
                                    minislots=50, slot_headroom=1.1)
         packing = pack_signals(bbw_signals(), params)
-        from repro.flexray.schedule import ChannelStrategy, build_dual_schedule
+        from repro.protocol.schedule import ChannelStrategy, build_dual_schedule
         table = build_dual_schedule(packing.static_frames(), params,
                                     ChannelStrategy.DISTRIBUTE)
         assert table is not None

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import ChannelStrategy, build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import ChannelStrategy, build_dual_schedule
 from repro.packing.optimizer import (
     ScheduleObjective,
     ScheduleOptimizer,
@@ -107,7 +107,7 @@ class TestOptimizer:
             optimizer.optimize_table(greedy_table(small_params), -1)
 
     def test_empty_table_passthrough(self, small_params):
-        from repro.flexray.schedule import ScheduleTable
+        from repro.protocol.schedule import ScheduleTable
         empty = ScheduleTable(small_params)
         optimizer = ScheduleOptimizer(small_params)
         assert optimizer.optimize_table(empty, 10) is empty
@@ -117,15 +117,15 @@ class TestPolicyIntegration:
     def test_policy_uses_optimizer(self, small_params, tiny_packing):
         from repro.core.coefficient import CoEfficientPolicy
         from repro.faults.ber import BitErrorRateModel
-        from repro.flexray.cluster import FlexRayCluster
+        from repro.protocol.cluster import Cluster
 
         policy = CoEfficientPolicy(
             tiny_packing, BitErrorRateModel(ber_channel_a=0.0),
             optimize_iterations=200,
         )
         sources = tiny_packing.build_sources(RngStream(3, "opt-int"))
-        cluster = FlexRayCluster(params=small_params, policy=policy,
-                                 sources=sources, node_count=4)
+        cluster = Cluster(params=small_params, policy=policy,
+                          sources=sources)
         cluster.run_for_ms(10.0)
         metrics = cluster.metrics()
         # Still a working schedule: everything produced gets delivered.
@@ -136,7 +136,7 @@ class TestPolicyIntegration:
                                          tiny_packing):
         from repro.core.coefficient import CoEfficientPolicy
         from repro.faults.ber import BitErrorRateModel
-        from repro.flexray.cluster import FlexRayCluster
+        from repro.protocol.cluster import Cluster
 
         def run(iterations):
             policy = CoEfficientPolicy(
@@ -145,8 +145,8 @@ class TestPolicyIntegration:
             )
             sources = tiny_packing.build_sources(
                 RngStream(3, "opt-compare"))
-            cluster = FlexRayCluster(params=small_params, policy=policy,
-                                     sources=sources, node_count=4)
+            cluster = Cluster(params=small_params, policy=policy,
+                              sources=sources)
             cluster.run_for_ms(20.0)
             return cluster.metrics().static_latency.mean_ms
 

@@ -4,17 +4,17 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.flexray.channel import Channel
-from repro.flexray.cycle import CycleLayout
-from repro.flexray.frame import Frame
+from repro.protocol.channel import Channel
+from repro.protocol.cycle import CycleLayout
+from repro.protocol.frame import Frame
 from repro.flexray.params import FRAME_OVERHEAD_BITS, FlexRayParams
-from repro.flexray.schedule import (
+from repro.protocol.schedule import (
     ChannelStrategy,
     ScheduleInfeasibleError,
     build_dual_schedule,
     patterns_conflict,
 )
-from repro.flexray.slots import MinislotCounter
+from repro.protocol.slots import MinislotCounter
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.flexray.params import FlexRayParams
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import pack_signals
 
 PARAMS = FlexRayParams(
@@ -132,7 +132,7 @@ def test_dynamic_ids_unique_and_after_static(signals):
 @settings(max_examples=40, deadline=None)
 @given(signals=signal_sets())
 def test_sources_release_in_time_order(signals):
-    from repro.flexray.arrivals import ArrivalMultiplexer
+    from repro.protocol.arrivals import ArrivalMultiplexer
     from repro.sim.rng import RngStream
 
     try:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import FlexRayParams
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 @st.composite

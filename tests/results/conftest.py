@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.campaign import run_campaign
 from repro.flexray.params import FlexRayParams
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 
 
 @pytest.fixture(scope="session")

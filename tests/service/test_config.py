@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import is_schedulable
-from repro.flexray.signal import Signal
+from repro.protocol.signal import Signal
 from repro.service.config import (
     SERVICE_WORKLOADS,
     build_channel_task_sets,

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.flexray.channel import Channel
-from repro.flexray.frame import FRAME_OVERHEAD_BITS
-from repro.flexray.schedule import build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.flexray.params import FRAME_OVERHEAD_BITS
+from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.service.config import (
     BIT_RATE_BPS,

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.experiments.runner import make_policy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import BurstFaultInjector
-from repro.flexray.cluster import FlexRayCluster
+from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace import canonical_trace_bytes, trace_digest
@@ -198,7 +198,7 @@ class TestFaultBursts:
         ber_model = BitErrorRateModel(ber_channel_a=1e-5)
         rng = RngStream(31, scope="experiment")
         policy = make_policy("coefficient", packing, ber_model)
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params,
             policy=policy,
             sources=packing.build_sources(rng),

@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.sim.trace import canonical_trace_bytes
 from repro.sim.trace_io import export_csv, import_csv
 from tests.sim.engine_paths import PATHS, run_path

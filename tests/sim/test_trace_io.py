@@ -119,15 +119,14 @@ class TestPerMessageStatistics:
     def test_from_simulation(self, small_params, tiny_packing):
         from repro.core.coefficient import CoEfficientPolicy
         from repro.faults.ber import BitErrorRateModel
-        from repro.flexray.cluster import FlexRayCluster
+        from repro.protocol.cluster import Cluster
         from repro.sim.rng import RngStream
 
         policy = CoEfficientPolicy(
             tiny_packing, BitErrorRateModel(ber_channel_a=0.0))
-        cluster = FlexRayCluster(
+        cluster = Cluster(
             params=small_params, policy=policy,
-            sources=tiny_packing.build_sources(RngStream(1, "io")),
-            node_count=4)
+            sources=tiny_packing.build_sources(RngStream(1, "io")))
         cluster.run_for_ms(10.0)
         stats = per_message_statistics(cluster.trace)
         assert stats

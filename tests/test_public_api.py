@@ -22,6 +22,15 @@ _PACKAGES = [
     "repro.baselines",
     "repro.workloads",
     "repro.experiments",
+    "repro.protocol",
+    "repro.ttethernet",
+    "repro.timeline",
+    "repro.results",
+    "repro.service",
+    "repro.distrib",
+    "repro.obs",
+    "repro.verify",
+    "repro.check",
 ]
 
 
@@ -63,7 +72,7 @@ def test_top_level_quickstart_names():
 
     for name in ("run_experiment", "paper_dynamic_preset",
                  "paper_static_preset", "CoEfficientPolicy",
-                 "FlexRayCluster", "Signal", "SignalSet",
+                 "Cluster", "Signal", "SignalSet",
                  "plan_retransmissions", "reliability_goal_for"):
         assert hasattr(repro, name), name
 
@@ -73,7 +82,7 @@ def test_scheduler_registry_matches_policies():
     from repro.faults.ber import BitErrorRateModel
     from repro.packing.frame_packing import pack_signals
     from repro.flexray.params import FlexRayParams
-    from repro.flexray.signal import Signal, SignalSet
+    from repro.protocol.signal import Signal, SignalSet
 
     params = FlexRayParams(
         gd_cycle_mt=800, gd_static_slot_mt=40,

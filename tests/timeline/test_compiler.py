@@ -10,8 +10,8 @@ import math
 
 import pytest
 
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import build_dual_schedule
 from repro.obs import Observability
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import (

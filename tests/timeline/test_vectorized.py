@@ -11,7 +11,7 @@ advertise it correctly.
 import pytest
 
 from repro.experiments.runner import run_experiment
-from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.signal import Signal, SignalSet
 from repro.obs import Observability
 from repro.sim.trace import canonical_trace_bytes
 from repro.workloads.sae import sae_aperiodic_signals

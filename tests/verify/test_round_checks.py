@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.flexray.channel import Channel
-from repro.flexray.schedule import build_dual_schedule
+from repro.protocol.channel import Channel
+from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import (
     SEGMENT_STATIC,

@@ -2,10 +2,10 @@
 
 from types import SimpleNamespace
 
-from repro.flexray.channel import Channel
-from repro.flexray.frame import Frame
+from repro.protocol.channel import Channel
+from repro.protocol.frame import Frame
 from repro.flexray.params import FlexRayParams, paper_dynamic_preset
-from repro.flexray.schedule import (
+from repro.protocol.schedule import (
     ChannelStrategy,
     SlotAssignment,
     build_dual_schedule,
