@@ -13,9 +13,11 @@ scheduler jitter, not the code under test) -- plus the derived
 ``trace_records_per_sec`` throughput for each mode.
 
 The report carries the geometric mean ``overall_vectorized_speedup``
-(vectorized vs interpreter), gated by ``--min-vectorized-speedup``.
-The CI ``engine-bench`` job fails when the gate trips or when any
-scenario's traces diverge.
+(vectorized vs interpreter), gated by ``--min-vectorized-speedup``, and
+the worst scenario's ``worst_vectorized_speedup``, gated by
+``--min-scenario-speedup`` so that a slow scenario cannot hide in the
+geomean.  The CI ``engine-bench`` job fails when either gate trips or
+when any scenario's traces diverge.
 
 A note on the gate level: scenarios whose cost is engine overhead
 (event-list walking, per-minislot arbitration of idle dynamic segments)
@@ -25,7 +27,7 @@ admission arithmetic, arrival delivery, per-record delivery
 bookkeeping -- are bounded by that shared floor (``perfbench/NOTES.md``
 measures the per-layer split).  bbw-completion and dense-trace are kept
 as their own rows precisely so that ceiling stays visible instead of
-hiding in the geomean.
+hiding in the geomean, and the per-scenario floor gates the worst row.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def run_benchmark(repeat: int) -> Dict:
               f"vectorized {seconds['vectorized']:7.3f}s "
               f"({row['vectorized_speedup']:5.2f}x)  "
               f"identical={row['traces_identical']}")
+    worst = min(rows, key=lambda r: r["vectorized_speedup"])
     return {
         "benchmark": "engine interpreter vs vectorized",
         "repeat": repeat,
@@ -160,6 +163,8 @@ def run_benchmark(repeat: int) -> Dict:
         "scenarios": rows,
         "overall_vectorized_speedup": round(
             _geomean([r["vectorized_speedup"] for r in rows]), 3),
+        "worst_scenario": worst["scenario"],
+        "worst_vectorized_speedup": worst["vectorized_speedup"],
         "all_traces_identical": all(r["traces_identical"] for r in rows),
     }
 
@@ -172,6 +177,9 @@ def main(argv=None) -> int:
                         help="timing repetitions per mode; min is kept")
     parser.add_argument("--min-vectorized-speedup", type=float, default=2.5,
                         help="fail when the vectorized geomean is lower")
+    parser.add_argument("--min-scenario-speedup", type=float, default=1.0,
+                        help="fail when any scenario's vectorized speedup "
+                             "is lower")
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.repeat)
@@ -188,6 +196,12 @@ def main(argv=None) -> int:
         print(f"FAIL: vectorized speedup "
               f"{report['overall_vectorized_speedup']:.2f}x below the "
               f"{args.min_vectorized_speedup:.1f}x floor", file=sys.stderr)
+        return 1
+    if report["worst_vectorized_speedup"] < args.min_scenario_speedup:
+        print(f"FAIL: {report['worst_scenario']} vectorized speedup "
+              f"{report['worst_vectorized_speedup']:.2f}x below the "
+              f"{args.min_scenario_speedup:.2f}x per-scenario floor",
+              file=sys.stderr)
         return 1
     return 0
 

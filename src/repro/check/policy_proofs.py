@@ -16,7 +16,9 @@ into a theorem over the call graph:
 
 2. **Close the effect sets.**  For each claiming class, BFS from the
    decision entry points (``static_frame_for``, ``dynamic_frame_for``,
-   ``on_dynamic_hold``) collects every attribute location read, and
+   ``on_dynamic_hold``, and ``on_arrival``, which the engine calls
+   mid-segment before the segment's outcomes are settled) collects
+   every attribute location read, and
    from ``on_outcome`` every location written, resolving ``self.m()``
    through the concrete class's MRO, ``super().m()`` past the defining
    class, and module-level helper calls across modules.  When the
@@ -56,9 +58,10 @@ __all__ = ["POLICY_ROOT", "DECISION_ENTRIES", "check_policy_promises"]
 #: The abstract policy root every scheduler derives from.
 POLICY_ROOT = "repro.protocol.policy.SchedulerPolicy"
 
-#: The phase-A decision hooks of the engine contract.
+#: The phase-A hooks of the engine contract: the per-slot decisions and
+#: the arrival admission the engine interleaves with them.
 DECISION_ENTRIES = ("static_frame_for", "dynamic_frame_for",
-                    "on_dynamic_hold")
+                    "on_dynamic_hold", "on_arrival")
 
 #: The phase-B feedback hook.
 OUTCOME_ENTRY = "on_outcome"

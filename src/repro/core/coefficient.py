@@ -21,7 +21,14 @@ CoEfficient's four moves, each mapped to a mechanism here:
    reserved top-priority dynamic slot), but only after the
    :class:`~repro.core.selective_slack.SelectiveSlackPlanner` confirms
    enough fitting slack exists before the frame's deadline; unpromisable
-   retries are dropped instead of wasting bandwidth.
+   retries are dropped instead of wasting bandwidth.  A copy is minted
+   only once its promise is granted, and the promise is consumed when
+   the copy is committed to the bus (handed out for a stolen static
+   slot, or for the reserved dynamic slot unless the segment remainder
+   holds it), never on the outcome.  ``on_outcome`` is therefore the
+   base class's, whose outcome-free proof covers this policy, and the
+   vectorized engine settles each segment once even when arrivals run
+   promise admission mid-segment.
 
 4. **Unified soft-aperiodic scheduling** -- dynamic messages are not
    bound to fixed FTDMA frame IDs ("schedules both static and dynamic
@@ -52,7 +59,6 @@ from repro.protocol.channel import Channel
 from repro.protocol.frame import FrameKind, PendingFrame
 from repro.protocol.schedule import ChannelStrategy
 from repro.packing.frame_packing import PackingResult
-from repro.sim.trace import TransmissionOutcome
 
 __all__ = ["CoEfficientPolicy"]
 
@@ -199,12 +205,10 @@ class CoEfficientPolicy(QueueingPolicyBase):
         assert self.plan is not None
         return self.plan.budget_for(pending.message_id)
 
-    def enqueue_copy(self, copy: PendingFrame, now_mt: int) -> bool:
+    def admit_copy(self, pending: PendingFrame, now_mt: int) -> bool:
         """Admit a planned copy only if selective slack covers it."""
         if self._selective and self._planner is not None:
-            if not self._planner.try_promise(copy, now_mt):
-                return False
-        self.push_retransmission(copy)
+            return self._planner.try_promise(pending, now_mt)
         return True
 
     def handle_failure(self, pending: PendingFrame, segment: str,
@@ -242,16 +246,17 @@ class CoEfficientPolicy(QueueingPolicyBase):
         if self._selective and self._planner is not None:
             self._planner.release()
 
-    def on_outcome(self, pending: PendingFrame, channel: Channel,
-                   segment: str, outcome: TransmissionOutcome,
-                   end_mt: int) -> None:
-        # A transmitted retransmission used its promised slack slot,
-        # whichever path (stolen static slot or the reserved dynamic
-        # slot) carried it.
-        if (pending.kind is FrameKind.RETRANSMISSION
-                and self._selective and self._planner is not None):
+    def _consume_promise(self) -> None:
+        """A retransmission was committed to the bus: it uses its slot.
+
+        Consuming at hand-out keeps the promise ledger off the outcome
+        path, so the base class's outcome-free proof covers this policy.
+        The interpreter reports an outcome right after its hand-out,
+        with no arrival in between, so no ``try_promise`` can tell the
+        two points apart.
+        """
+        if self._selective and self._planner is not None:
             self._planner.consume()
-        super().on_outcome(pending, channel, segment, outcome, end_mt)
 
     # ------------------------------------------------------------------
     # Unified soft-aperiodic pool (dynamic messages)
@@ -307,11 +312,18 @@ class CoEfficientPolicy(QueueingPolicyBase):
             retry = self.pop_retransmission(fit_bits=None, now_mt=start_mt)
             if retry is not None:
                 self.counters["retx_tx"] += 1
+                # The engine's hold test: a held retry goes back to the
+                # heap (on_dynamic_hold) with its promise untouched.
+                if (self.params.minislots_for_bits(retry.payload_bits)
+                        <= minislots_remaining):
+                    self._consume_promise()
                 return retry
         # Every other dynamic slot serves the unified pool with the most
         # urgent message that still fits the segment remainder.
+        if self._dynamic_backlog == 0:
+            return None
         capacity_bits = self._payload_fitting_minislots(minislots_remaining)
-        if capacity_bits <= 0 or self._dynamic_backlog == 0:
+        if capacity_bits <= 0:
             return None
         pending = self._pop_soft(capacity_bits, start_mt)
         if pending is not None:
@@ -345,27 +357,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
     # Slack stealing in idle static slots
     # ------------------------------------------------------------------
 
-    def decisions_are_outcome_free(self) -> bool:
-        """CoEfficient's open-loop decisions ignore same-segment outcomes.
-
-        Beyond the base mutations, CoEfficient's ``on_outcome`` consumes
-        a slack promise (``planner.consume``) for transmitted
-        retransmissions.  Planner state is read back only by
-        ``try_promise``, and ``try_promise`` is reached solely from
-        ``enqueue_copy`` (the ``on_arrival`` path) and the feedback-only
-        ``handle_failure`` -- never from ``static_frame_for`` /
-        ``slack_frame_for`` / ``dynamic_frame_for`` / ``on_dynamic_hold``.
-        The vectorized engine separately guarantees that no arrival is
-        delivered between a deferred outcome and a later decision: a
-        mid-segment arrival ends the current sub-batch, whose outcomes
-        (including the ``consume`` ledger updates) are settled *before*
-        the arrival's ``try_promise`` runs.  So deferring ``consume``
-        within a sub-batch cannot change any phase-A answer.  With
-        feedback on, a corrupted frame re-enters the retransmission
-        heap mid-segment and the proof fails.
-        """
-        return not self.feedback
-
     def slack_idle_is_noop(self) -> bool:
         """Idle static queries are no-ops when nothing can be stolen.
 
@@ -384,12 +375,13 @@ class CoEfficientPolicy(QueueingPolicyBase):
                         action_point_mt: int) -> Optional[PendingFrame]:
         capacity = self._slot_capacity_bits
 
-        # Hard aperiodics (retransmissions) first.  The promise is
-        # consumed in on_outcome, once the transmission actually happened
-        # (covers the dynamic-slot path too and is immune to holds).
+        # Hard aperiodics (retransmissions) first.  A stolen static
+        # slot always carries what it is handed (the pop fits its
+        # capacity), so the promise is consumed here.
         retry = self.pop_retransmission(fit_bits=capacity,
                                         now_mt=action_point_mt)
         if retry is not None:
+            self._consume_promise()
             return retry
 
         # Then soft aperiodics (dynamic messages), if cooperation is on.

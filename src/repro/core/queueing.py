@@ -10,7 +10,8 @@ not plumbing:
   contract: pop in ``dynamic_frame_for``, restore in ``on_dynamic_hold``);
 - a hard-aperiodic retransmission heap (EDF order);
 - per-chunk delivery status used to cancel retransmissions that a
-  redundant copy already satisfied.
+  redundant copy already satisfied (feedback mode only: an open-loop
+  sender sends every copy, so it never reads the status).
 
 Subclasses decide: the channel strategy, what happens in an idle static
 slot (slack!), which channels serve dynamic traffic, and the
@@ -136,16 +137,15 @@ class QueueingPolicyBase(SchedulerPolicy):
         """Open-loop copies to enqueue when an instance arrives (hook)."""
         return 0
 
-    def enqueue_copy(self, copy: PendingFrame, now_mt: int) -> bool:
-        """Queue one open-loop redundancy copy (hook: admission policy).
+    def admit_copy(self, pending: PendingFrame, now_mt: int) -> bool:
+        """Whether one more open-loop copy of ``pending`` may be queued.
 
-        The base implementation queues unconditionally (best-effort);
-        CoEfficient overrides with the selective-slack promise check.
-
-        Returns:
-            Whether the copy was queued.
+        Admission runs on the arriving instance itself: a copy carries
+        the same message, deadline and payload, so it would get the same
+        answer, and the copy is minted only once admitted.  Called once
+        per planned copy.  The base answer is always yes (best-effort);
+        CoEfficient overrides it with the selective-slack promise check.
         """
-        self.push_retransmission(copy)
         return True
 
     def slack_frame_for(self, channel: Channel, cycle: int, slot_id: int,
@@ -251,9 +251,6 @@ class QueueingPolicyBase(SchedulerPolicy):
     def on_arrival(self, pending: PendingFrame) -> None:
         frame = pending.frame
         message_id = frame.message_id
-        chunk_key = (message_id, pending.instance, frame.chunk)
-        if chunk_key not in self._chunk_status:
-            self._chunk_status[chunk_key] = (_PENDING, pending.deadline_mt)
         if frame.kind is FrameKind.DYNAMIC:
             self.route_dynamic_arrival(pending)
         else:
@@ -261,6 +258,10 @@ class QueueingPolicyBase(SchedulerPolicy):
                                                     ()):
                 buffer.write(pending)
         if self.feedback:
+            chunk_key = (message_id, pending.instance, frame.chunk)
+            if chunk_key not in self._chunk_status:
+                self._chunk_status[chunk_key] = (_PENDING,
+                                                 pending.deadline_mt)
             return
         copies = self.redundancy_for_arrival(pending)
         if not copies:
@@ -268,12 +269,15 @@ class QueueingPolicyBase(SchedulerPolicy):
         now_mt = pending.generation_time_mt
         counters = self.counters
         observed = self.obs.enabled
+        # Admitted copies form a prefix (a refusal leaves the ledger as
+        # it was, so every later copy is refused too): chaining from the
+        # last admitted copy gives the i-th copy attempt i.
         previous = pending
         for __ in range(copies):
-            copy = previous.retry(now_mt)
-            previous = copy
-            admitted = self.enqueue_copy(copy, now_mt)
+            admitted = self.admit_copy(pending, now_mt)
             if admitted:
+                previous = previous.retry(now_mt)
+                self.push_retransmission(previous)
                 counters["retx_enqueued"] += 1
             else:
                 counters["retx_abandoned"] += 1
@@ -376,12 +380,15 @@ class QueueingPolicyBase(SchedulerPolicy):
                    segment: str, outcome: TransmissionOutcome,
                    end_mt: int) -> None:
         self._now_mt = end_mt
-        key = (pending.message_id, pending.instance, pending.frame.chunk)
-        if outcome is TransmissionOutcome.DELIVERED:
-            deadline = self._chunk_status.get(key, (0, pending.deadline_mt))[1]
-            self._chunk_status[key] = (_DELIVERED, deadline)
-        elif self.feedback:
-            self.handle_failure(pending, segment, end_mt)
+        if self.feedback:
+            if outcome is TransmissionOutcome.DELIVERED:
+                key = (pending.message_id, pending.instance,
+                       pending.frame.chunk)
+                deadline = self._chunk_status.get(
+                    key, (0, pending.deadline_mt))[1]
+                self._chunk_status[key] = (_DELIVERED, deadline)
+            else:
+                self.handle_failure(pending, segment, end_mt)
 
     # ------------------------------------------------------------------
     # Retransmission heap helpers (shared by subclasses)
@@ -465,12 +472,11 @@ class QueueingPolicyBase(SchedulerPolicy):
         """Open-loop runs decide independently of same-segment outcomes.
 
         With ``feedback=False`` the base ``on_outcome`` mutates exactly
-        two things: the policy clock ``_now_mt`` (which every decision
-        hook overwrites on entry before reading) and the chunk-status
-        map (read back exclusively on feedback-gated paths --
-        ``pop_retransmission``'s moot-copy filter and ``pending_work``'s
-        liveness count).  ``handle_failure`` is unreachable without
-        feedback, so subclasses overriding only it (the baselines)
+        one thing: the policy clock ``_now_mt``, which every decision
+        hook overwrites on entry before reading and ``on_arrival`` never
+        reads.  The chunk-status map and ``handle_failure`` are written
+        and reached only inside its ``if self.feedback:`` block, so
+        subclasses overriding only ``handle_failure`` (the baselines)
         inherit the proof; a subclass that overrides ``on_outcome``
         itself must restate the proof or stay on the default ``False``.
         """
@@ -478,15 +484,23 @@ class QueueingPolicyBase(SchedulerPolicy):
             return False
         return type(self).on_outcome is QueueingPolicyBase.on_outcome
 
-    def dynamic_idle_is_noop(self) -> bool:
-        """Dynamic arbitration is provably idle when nothing is queued.
+    def live_dynamic_slots(self) -> Optional[Tuple[int, ...]]:
+        """Only the reserved slot is live while no dynamic message waits.
 
         With every dynamic queue empty (``_dynamic_backlog`` counts them
-        incrementally) and the retransmission heap empty, each
-        ``dynamic_frame_for`` query -- reserved retransmission slot
-        included -- returns ``None`` without touching any queue.
+        incrementally), a query on any slot but the reserved
+        retransmission slot finds nothing to pop and returns ``None``
+        (CoEfficient's unified pool tests the same count first).  The
+        reserved slot pops the retransmission heap, so it is live until
+        the heap is empty too -- then no slot is.  Queries only drain
+        the backlog and no arrival lands inside the dynamic segment, so
+        the answer given at the segment start holds to its end.
         """
-        return self._dynamic_backlog == 0 and not self._retx_heap
+        if self._dynamic_backlog:
+            return None
+        if self._retx_heap and self._retx_slot_id is not None:
+            return (self._retx_slot_id,)
+        return ()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,6 +13,9 @@ questions:
 3. After every attempt: *here is the outcome* (so the policy can plan
    retransmissions).
 
+Host arrivals reach the policy through ``on_arrival``, interleaved with
+the queries at the action points where the hosts release them.
+
 This narrow interface is what lets CoEfficient steal static slack: the
 engine does not care whether the frame it is handed was the slot's
 schedule-table owner or a slack-stolen retransmission -- the policy is
@@ -23,7 +26,7 @@ the tools to be.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.protocol.channel import Channel
 from repro.protocol.frame import PendingFrame
@@ -148,28 +151,42 @@ class SchedulerPolicy(abc.ABC):
         """
         return False
 
-    def dynamic_idle_is_noop(self) -> bool:
-        """Whether this cycle's dynamic arbitration is provably idle.
+    def live_dynamic_slots(self) -> Optional[Tuple[int, ...]]:
+        """The dynamic slots whose query can matter this segment.
 
-        ``True`` promises that every ``dynamic_frame_for`` query of the
-        upcoming dynamic segment would return ``None`` without side
-        effects (empty dynamic backlog, no dynamic retransmissions), so
-        the stepper may skip the minislot-counting loop entirely.  Asked
-        after the segment-start arrival delivery.  The default
-        (``False``) always runs the interpreter loop.
+        Returns the ascending slot IDs whose ``dynamic_frame_for`` query
+        may answer a frame or mutate policy state during the upcoming
+        dynamic segment; every other slot's query is promised to return
+        ``None`` with no side effect beyond the policy clock (which
+        ``note_time`` replays).  Asked once, after the segment-start
+        arrival delivery -- no arrival lands inside a dynamic segment --
+        and binding for the whole segment on every channel: it must name
+        every slot that any query of the segment could make live.
+
+        FTDMA's minislot counting makes the proof pay: a slot whose
+        query answers ``None`` collapses to exactly one minislot, so the
+        engine advances over every unnamed slot arithmetically --
+        keeping the pLatestTx gate and the final clock stamp -- and
+        queries only the named ones.  An empty tuple means the whole
+        segment is idle.
+
+        The default (``None``) names no proof: every slot is live and
+        the engine runs the full arbitration loop.
         """
-        return False
+        return None
 
     def decisions_are_outcome_free(self) -> bool:
         """Whether transmission decisions ignore same-segment outcomes.
 
         ``True`` promises that, in the policy's current configuration,
         no ``static_frame_for`` / ``dynamic_frame_for`` /
-        ``on_dynamic_hold`` decision made inside one segment reads any
-        state that ``on_outcome`` mutates -- so the vectorized engine
-        may ask every question of a segment first (phase A) and feed all
-        outcomes back afterwards (phase B) without changing a single
-        answer.  This is a *configuration-level* promise, not a
+        ``on_dynamic_hold`` decision and no ``on_arrival`` admission
+        made inside one segment reads any state that ``on_outcome``
+        mutates -- so the vectorized engine may ask every question of a
+        segment first, delivering mid-segment arrivals at their
+        interpreter action points (phase A), and feed all outcomes back
+        once at the end of the segment (phase B) without changing a
+        single answer.  This is a *configuration-level* promise, not a
         per-cycle one: it must hold for the whole run (open-loop
         policies qualify; feedback ARQ does not, because a corrupted
         frame re-enters the queues mid-segment).

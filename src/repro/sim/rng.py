@@ -122,7 +122,7 @@ class RngStream:
         """
         if len(probabilities) < 16:
             # numpy's array setup dwarfs the draws for tiny batches
-            # (sub-batches between arrival boundaries are often 1-3
+            # (a sparse segment's per-channel plan is often 1-3
             # entries); the scalar loop is draw-order identical by
             # construction (see the chunking-invariance test).
             return [self.bernoulli(p) for p in probabilities]

@@ -6,7 +6,7 @@ cycle even when the answer is a foregone conclusion.  The stepper walks
 the *compiled* round instead: it executes exactly the owned static steps
 and skips the idle (channel, slot) queries whenever the policy proves,
 via :meth:`~repro.protocol.policy.SchedulerPolicy.static_idle_is_noop`
-and :meth:`~repro.protocol.policy.SchedulerPolicy.dynamic_idle_is_noop`,
+and an empty :meth:`~repro.protocol.policy.SchedulerPolicy.live_dynamic_slots`,
 that those queries would be side-effect-free ``None``\\ s.
 
 The moment a proof obligation fails -- a retransmission is planned, a
@@ -227,7 +227,7 @@ class TimelineStepper:
             return True
         segment_start, __ = self._layout.dynamic_segment_window(cycle)
         deliver(segment_start)
-        if self._policy.dynamic_idle_is_noop():
+        if self._policy.live_dynamic_slots() == ():
             dynamic.last_cycle_results = []
             # An idle interpreter walk still queries one dynamic slot per
             # minislot up to the pLatestTx gate; its last query stamps

@@ -24,31 +24,39 @@ is evaluated in two phases:
 
 Splitting the phases is sound only when the policy promises, via
 :meth:`~repro.protocol.policy.SchedulerPolicy.decisions_are_outcome_free`,
-that no phase-A answer reads state phase B mutates.  Open-loop policies
-(the paper's Theorem-1 regime) qualify; feedback ARQ does not and runs
-on the inherited stepper/interpreter path unchanged.
+that no phase-A answer -- a slot decision or an arrival admission --
+reads state phase B mutates.  Open-loop policies (the paper's Theorem-1
+regime) qualify; feedback ARQ does not and runs on the inherited
+stepper/interpreter path unchanged.
 
 Batch boundaries
 ----------------
 
-A batch is one segment of one cycle, and it is cut short -- the engine
-delegates to the inherited stepper, and through it the interpreter --
-whenever a phase-split precondition fails:
+A batch is one segment of one cycle, settled once at its end.  The
+engine delegates to the inherited stepper, and through it the
+interpreter, only when a phase-split precondition fails:
 
 - the policy does not promise outcome-free decisions (feedback mode);
 - the dynamic segment with ``gNumberOfMinislots == 0`` (interpreter
   no-op, delegated verbatim).
 
-Host arrivals landing *inside* the static segment window do **not**
-force a fallback: they *split* the segment into sub-batches instead.
-Each sub-batch covers the slots between two delivery points; its
-outcomes are settled (phase B) **before** the next arrival batch is
-delivered, so the arrival path observes every prior outcome exactly as
-it would under the interpreter -- CoEfficient's promise admission
-(``try_promise``) reads the slack ledger that ``on_outcome`` consumes,
-and that read now sees the same ledger state on every engine.  Within a
-sub-batch no arrival interleaves, so deferring outcomes across it is
-covered by the outcome-free promise alone.
+Host arrivals landing *inside* the static segment window are delivered
+at the action point of the first slot covering their release -- the
+interpreter's exact interleaving of arrivals and queries -- and the
+segment's outcomes are still settled once, after its last slot.  This
+is the settle-once rule, and its proof is the outcome-free promise
+itself: ``repro check`` proves it over ``on_arrival`` as well as the
+slot decisions (``DECISION_ENTRIES``), so no arrival reads state an
+outcome writes.  CoEfficient keeps it that way by consuming a slack
+promise when the retransmission is committed to the bus, a decision,
+not on its outcome: the ``try_promise`` of a mid-segment arrival reads
+the same ledger on every engine.
+
+The dynamic segment queries only the slots the policy names live
+(:meth:`~repro.protocol.policy.SchedulerPolicy.live_dynamic_slots`).
+Every other slot answers ``None`` and costs exactly one minislot, so
+the walk advances over it arithmetically, keeping the pLatestTx gate
+and the final policy clock stamp.
 
 The batch geometry itself -- which (channel, slot) pairs are owned, the
 action-point offsets, the slot ordering -- comes from the
@@ -78,11 +86,12 @@ corner cases.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.protocol.channel import Channel, ChannelSet
 from repro.protocol.cycle import CycleLayout
-from repro.protocol.dynamic_segment import DynamicSegmentEngine, DynamicSlotResult
+from repro.protocol.dynamic_segment import DynamicSegmentEngine
 from repro.protocol.frame import PendingFrame, frame_duration_mt
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
@@ -249,16 +258,16 @@ class VectorizedStepper(TimelineStepper):
 
     def _run_static_chunked(self, cycle: int, cycle_start: int,
                             deliver: Deliver) -> int:
-        """Dense phase A over every (slot, channel) pair, in sub-batches.
+        """Dense phase A over every (slot, channel) pair, settled once.
 
         This is the batch the stepper cannot offer: when retransmission
         or slack-stealing work exists, *every* static query is
-        meaningful, so all of them run.  Host arrivals split the segment
-        into sub-batches: each pending sub-batch is settled (phase B)
-        before the arrivals are delivered at the action point of the
-        first slot covering their release -- the interpreter's exact
-        interleaving of outcomes and arrivals -- and a new sub-batch
-        starts.  Returns the interpreter's end-of-segment policy clock.
+        meaningful, so all of them run.  Host arrivals are delivered at
+        the action point of the first slot covering their release, the
+        interpreter's exact interleaving of arrivals and queries; the
+        outcome-free promise covers ``on_arrival``, so the plan is
+        settled once, after the last slot.  Returns the interpreter's
+        end-of-segment policy clock.
         """
         policy = self._policy
         channels = self._lane_channels
@@ -268,10 +277,6 @@ class VectorizedStepper(TimelineStepper):
         release = self._next_release_mt()
         for slot_id in range(1, self._n_slots + 1):
             if release is not None and release <= action_point:
-                # Settle the sub-batch so the arrival path (promise
-                # admission, redundancy copies) observes its outcomes.
-                self._flush(cycle, plan, "static")
-                plan = []
                 deliver(action_point)
                 release = self._next_release_mt()
             for lane, channel in enumerate(channels):
@@ -326,8 +331,9 @@ class VectorizedStepper(TimelineStepper):
             return True
         segment_start, __ = self._layout.dynamic_segment_window(cycle)
         deliver(segment_start)
-        if policy.dynamic_idle_is_noop():
-            dynamic.last_cycle_results = []
+        live = policy.live_dynamic_slots()
+        dynamic.last_cycle_results = []
+        if live == ():
             queried = min(params.g_number_of_minislots,
                           params.effective_latest_tx)
             policy.note_time(
@@ -340,8 +346,9 @@ class VectorizedStepper(TimelineStepper):
                 self._obs.inc("engine.heap_events",
                               len(dynamic.last_cycle_results))
             return False
-        plan, results, final_clock = self._plan_dynamic(cycle, segment_start)
-        dynamic.last_cycle_results = results
+        slots: Sequence[int] = live if live is not None else range(
+            params.first_dynamic_slot_id, params.last_dynamic_slot_id + 1)
+        plan, final_clock = self._plan_dynamic(segment_start, slots)
         self._flush(cycle, plan, "dynamic")
         if final_clock is not None:
             policy.note_time(final_clock)
@@ -351,15 +358,19 @@ class VectorizedStepper(TimelineStepper):
         return True
 
     def _plan_dynamic(
-        self, cycle: int, segment_start: int,
-    ) -> Tuple[List[_Planned], List[DynamicSlotResult], Optional[int]]:
+        self, segment_start: int, live: Sequence[int],
+    ) -> Tuple[List[_Planned], Optional[int]]:
         """Phase A of the minislot-counting arbitration, per channel.
 
         Mirrors ``DynamicSegmentEngine._arbitrate_channel`` step for
         step -- query gating on pLatestTx, the one-minislot idle charge,
-        the hold path -- but collects transmissions instead of settling
-        them.  Channel A's queries still precede channel B's (they share
-        the policy's pools); only the *outcomes* are deferred, which the
+        the hold path -- but queries only the ``live`` slots (ascending)
+        and collects transmissions instead of settling them.  Every slot
+        between two live ones answers ``None`` and consumes one
+        minislot, so a run of them advances the walk arithmetically and
+        stamps the clock its last queried slot would have carried.
+        Channel A's queries still precede channel B's (they share the
+        policy's pools); only the *outcomes* are deferred, which the
         outcome-free promise makes invisible.
         """
         params = self._params
@@ -371,49 +382,48 @@ class VectorizedStepper(TimelineStepper):
         minislot_mt = params.gd_minislot_mt
         action_offset = params.gd_minislot_action_point_offset_mt
         plan: List[_Planned] = []
-        results: List[DynamicSlotResult] = []
         final_clock: Optional[int] = None
         for lane, (channel, slot_counter) in enumerate(self._pairs):
             slot_counter.jump_to(first_slot)
             elapsed = 0
             slot_id = first_slot
-            while elapsed < total and slot_id <= last_slot:
+            # The sentinel after the last slot walks the trailing idle run.
+            for live_slot in chain(live, (last_slot + 1,)):
+                if elapsed >= total:
+                    break
+                if live_slot != slot_id:
+                    idle = min(live_slot - slot_id, total - elapsed)
+                    if elapsed < latest_tx:
+                        final_clock = segment_start + (
+                            min(elapsed + idle, latest_tx) - 1) * minislot_mt
+                    elapsed += idle
+                    slot_id += idle
+                    if elapsed >= total:
+                        break
+                if slot_id > last_slot:
+                    break
                 start_mt = segment_start + elapsed * minislot_mt
                 pending: Optional[PendingFrame] = None
                 if elapsed < latest_tx:
                     pending = policy.dynamic_frame_for(
                         channel, slot_id, start_mt, total - elapsed)
                     final_clock = start_mt
+                slot_id += 1
                 if pending is None:
                     elapsed += 1
-                    results.append(DynamicSlotResult(
-                        channel=channel, slot_id=slot_id, transmitted=False,
-                        minislots_consumed=1,
-                    ))
-                    slot_id += 1
                     continue
                 payload_bits = pending.frame.payload_bits
                 needed = params.minislots_for_bits(payload_bits)
                 if needed > total - elapsed:
                     policy.on_dynamic_hold(pending, channel)
                     elapsed += 1
-                    results.append(DynamicSlotResult(
-                        channel=channel, slot_id=slot_id, transmitted=False,
-                        minislots_consumed=1,
-                    ))
-                    slot_id += 1
                     continue
                 action_start = start_mt + action_offset
                 end = action_start + self._duration(payload_bits)
-                plan.append((lane, slot_id, action_start, end, pending))
+                plan.append((lane, slot_id - 1, action_start, end, pending))
                 final_clock = end
-                elapsed += min(needed, total - elapsed)
-                results.append(DynamicSlotResult(
-                    channel=channel, slot_id=slot_id, transmitted=True,
-                    minislots_consumed=needed, message_id=pending.message_id,
-                ))
-                slot_id += 1
-        return plan, results, final_clock
+                elapsed += needed
+        return plan, final_clock
 
     # ------------------------------------------------------------------
     # Phase B

@@ -25,6 +25,23 @@ class SneakyPolicy(QueueingPolicyBase):
                                         action_point_mt)
 '''
 
+ARRIVAL_READER_POLICY = '''\
+from repro.core.queueing import QueueingPolicyBase
+
+
+class EagerPolicy(QueueingPolicyBase):
+    def decisions_are_outcome_free(self):
+        return not self.feedback
+
+    def on_outcome(self, pending, channel, segment, outcome, end_mt):
+        self._last_outcome = outcome
+        super().on_outcome(pending, channel, segment, outcome, end_mt)
+
+    def on_arrival(self, pending):
+        if self._last_outcome is None:
+            super().on_arrival(pending)
+'''
+
 CLOCKED_POLICY = '''\
 import time
 
@@ -73,6 +90,22 @@ class TestImpurePoliciesAreRefuted:
         assert "_chunk_status" in message
         assert "SneakyPolicy.static_frame_for" in message
         assert "on_outcome" in message
+
+    def test_outcome_read_on_arrival_path_is_eff301(self):
+        """Arrivals land mid-segment before its outcomes are settled,
+        so the arrival path is a decision entry like the slot queries."""
+        report = check_sources(extra_sources={
+            "repro.test_eager": ("tests/fake/eager.py",
+                                 ARRIVAL_READER_POLICY),
+        })
+        refutations = [d for d in report.diagnostics
+                       if d.rule_id == "EFF301"]
+        assert len(refutations) == 1
+        message = refutations[0].message
+        assert "EagerPolicy" in message
+        assert "_last_outcome" in message
+        assert "EagerPolicy.on_arrival" in message
+        assert "EagerPolicy.on_outcome" in message
 
     def test_wall_clock_on_decision_path_is_eff302(self):
         report = check_sources(extra_sources={
