@@ -95,6 +95,11 @@ class QueueingPolicyBase(SchedulerPolicy):
         self._placements: Dict[Tuple[str, int], List[Tuple[Channel, int]]] = {}
         # (message_id, chunk, channel) -> StaticBuffer
         self._buffers: Dict[Tuple[str, int, Channel], StaticBuffer] = {}
+        # channel -> per matrix cycle {slot_id: StaticBuffer} of the
+        # compiled round's owned static steps
+        self._slot_buffers: Dict[Channel,
+                                 Tuple[Dict[int, StaticBuffer], ...]] = {}
+        self._matrix_cycles = 1
         # (message_id, chunk) -> the distinct buffers an arrival writes
         self._arrival_buffers: Dict[Tuple[str, int],
                                     Tuple[StaticBuffer, ...]] = {}
@@ -218,6 +223,22 @@ class QueueingPolicyBase(SchedulerPolicy):
             self._arrival_buffers[(message_id, chunk)] = tuple(
                 self._buffers[(message_id, chunk, channel)]
                 for channel in channels)
+        # A static query finds its slot's buffer with one lookup instead
+        # of resolving the owner frame first.
+        compiled = self._round
+        assert compiled is not None
+        self._matrix_cycles = compiled.cycle_count
+        self._slot_buffers = {
+            channel: tuple({} for __ in range(compiled.cycle_count))
+            for channel in (Channel.A, Channel.B)
+        }
+        for cycle in range(compiled.cycle_count):
+            for slot_id, __, entries in compiled.static_steps(cycle):
+                for channel, frame in entries:
+                    if frame is not None:
+                        self._slot_buffers[channel][cycle][slot_id] = \
+                            self._buffers[(frame.message_id, frame.chunk,
+                                           channel)]
 
     def _build_dynamic_queues(self) -> None:
         params = self.params
@@ -304,18 +325,14 @@ class QueueingPolicyBase(SchedulerPolicy):
     def static_frame_for(self, channel: Channel, cycle: int, slot_id: int,
                          action_point_mt: int) -> Optional[PendingFrame]:
         self._now_mt = action_point_mt
-        assert self._round is not None
-        frame = self._round.owner(channel, cycle, slot_id)
-        if frame is not None:
-            buffer = self._buffers.get(
-                (frame.message_id, frame.chunk, channel)
-            )
-            if buffer is not None:
-                head = buffer.peek()
-                if head is not None and head.generation_time_mt <= action_point_mt:
-                    taken = buffer.take()
-                    self.counters["primary_tx"] += 1
-                    return taken
+        buffer = self._slot_buffers[channel][
+            cycle % self._matrix_cycles].get(slot_id)
+        if buffer is not None:
+            head = buffer.peek()
+            if head is not None and head.generation_time_mt <= action_point_mt:
+                taken = buffer.take()
+                self.counters["primary_tx"] += 1
+                return taken
         stolen = self.slack_frame_for(channel, cycle, slot_id, action_point_mt)
         if stolen is not None:
             self.counters["slack_steals"] += 1

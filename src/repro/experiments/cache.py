@@ -44,8 +44,9 @@ __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
 
 #: Bump on any change to the cached payload shape or to simulation
 #: semantics that should invalidate old entries wholesale.  Version 2:
-#: trace records became named tuples.
-CACHE_VERSION = 2
+#: trace records became named tuples.  Version 3: a trace pickles as
+#: primitive per-field columns.
+CACHE_VERSION = 3
 
 
 def fingerprint(value: object) -> object:

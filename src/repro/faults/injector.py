@@ -19,7 +19,7 @@ channel A's fault pattern is unchanged when channel B's traffic changes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.faults.ber import BitErrorRateModel, frame_failure_probability
 from repro.protocol.channel import Channel
@@ -28,8 +28,22 @@ from repro.sim.rng import RngStream
 __all__ = ["TransientFaultInjector", "BurstFaultInjector"]
 
 
+#: Uniforms each channel's fault column draws ahead at a time.  Cached
+#: campaign results carry their injector, column included, so the block
+#: stays small.
+_COLUMN_BLOCK = 256
+
+
 class TransientFaultInjector:
     """Independent per-frame Bernoulli corruption.
+
+    Each channel's verdicts come from a column of uniforms drawn ahead,
+    :data:`_COLUMN_BLOCK` at a time, from that channel's private stream.
+    A consult with failure probability ``p`` strictly between 0 and 1
+    takes the next uniform ``u`` and reports corruption iff ``u < p``;
+    ``p`` of 0 or 1 takes none.  That is exactly the sequence
+    :meth:`~repro.sim.rng.RngStream.bernoulli` calls on the stream would
+    give, since one ``uniforms(k)`` draw equals ``k`` scalar draws.
 
     Args:
         model: The BER environment.
@@ -42,11 +56,15 @@ class TransientFaultInjector:
             "A": rng.split("faults/A"),
             "B": rng.split("faults/B"),
         }
-        # (channel name, bits) -> failure probability.  The BER model is
+        # channel name -> {bits: failure probability}.  The BER model is
         # immutable for the injector's lifetime, so the memo never goes
-        # stale; it turns the batch path's per-frame probability lookup
-        # into one dict hit.
-        self._probability_memo: Dict[Tuple[str, int], float] = {}
+        # stale; each probability is validated once, on entry.
+        self._probability_memo: Dict[str, Dict[int, float]] = {
+            "A": {}, "B": {},
+        }
+        # channel name -> (drawn uniforms, index of the next unused one)
+        self._columns: Dict[str, List[float]] = {"A": [], "B": []}
+        self._cursors: Dict[str, int] = {"A": 0, "B": 0}
         self.injected = 0
         self.consulted = 0
 
@@ -57,25 +75,18 @@ class TransientFaultInjector:
 
     def __call__(self, channel: Channel, bits: int, time_mt: int) -> bool:
         """Fault oracle: does this transmission get corrupted?"""
-        self.consulted += 1
-        probability = self._model.failure_probability(channel.value, bits)
-        corrupted = self._streams[channel.value].bernoulli(probability)
-        if corrupted:
-            self.injected += 1
-        return corrupted
+        return self._verdicts(channel.value, (bits,))[0]
 
     def batch(self, channel: Channel, bits_list: Sequence[int]) -> List[bool]:
         """Batched fault oracle for one channel, draw-order compatible.
 
         Equivalent to consulting ``__call__`` once per entry of
-        ``bits_list`` in order on ``channel`` -- the per-channel RNG
-        stream consumes exactly the same draws in the same order (see
-        :meth:`~repro.sim.rng.RngStream.bernoulli_batch`).  Because each
-        channel owns an independent stream, interleaving consults of the
-        *other* channel between scalar calls does not perturb this
-        channel's sequence, which is what lets the vectorized engine
-        split a cycle's slot-major consult order into two per-channel
-        batches.
+        ``bits_list`` in order on ``channel``: both read the same
+        per-channel column.  Because each channel owns an independent
+        stream and column, interleaving consults of the *other* channel
+        does not perturb this channel's sequence, which is what lets the
+        vectorized engine split a cycle's slot-major consult order into
+        two per-channel batches.
 
         Args:
             channel: The channel all transmissions share.
@@ -83,19 +94,38 @@ class TransientFaultInjector:
 
         Returns:
             One corruption verdict per transmission, in order.
+
+        Raises:
+            ValueError: The BER model gave a failure probability outside
+                ``[0, 1]`` (checked once per bit count).
         """
-        if not bits_list:
-            return []
-        memo = self._probability_memo
-        name = channel.value
-        probabilities = []
+        return self._verdicts(channel.value, bits_list)
+
+    def _verdicts(self, name: str, bits_list: Sequence[int]) -> List[bool]:
+        """Consult channel ``name``'s column once per entry, in order."""
+        memo = self._probability_memo[name]
+        column = self._columns[name]
+        cursor = self._cursors[name]
+        verdicts = []
+        append = verdicts.append
         for bits in bits_list:
-            probability = memo.get((name, bits))
+            probability = memo.get(bits)
             if probability is None:
                 probability = self._model.failure_probability(name, bits)
-                memo[(name, bits)] = probability
-            probabilities.append(probability)
-        verdicts = self._streams[name].bernoulli_batch(probabilities)
+                if not 0.0 <= probability <= 1.0:
+                    raise ValueError(
+                        f"probability must be in [0, 1], got {probability}")
+                memo[bits] = probability
+            if 0.0 < probability < 1.0:
+                if cursor == len(column):
+                    column = self._streams[name].uniforms(_COLUMN_BLOCK)
+                    cursor = 0
+                append(column[cursor] < probability)
+                cursor += 1
+            else:
+                append(probability == 1.0)
+        self._columns[name] = column
+        self._cursors[name] = cursor
         self.consulted += len(verdicts)
         self.injected += sum(verdicts)
         return verdicts

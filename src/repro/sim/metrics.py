@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.obs import NULL_OBS
-from repro.sim.trace import TraceRecorder, TransmissionOutcome
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["LatencyStats", "SimulationMetrics", "MetricsCollector"]
 
@@ -187,33 +187,11 @@ class MetricsCollector:
             raise ValueError(f"horizon must be positive, got {horizon_mt}")
 
         total_medium_mt = horizon_mt * self._channel_count
-        useful_mt = 0.0
-        occupied_mt = 0
-        corrupted = 0
-        retransmissions = 0
-        # Per-instance: count payload macroticks only for the first
-        # successful delivery, so duplicated channel-B copies (FSPEC) do
-        # not inflate useful bandwidth.
-        first_delivery_counted: set = set()
-        delivered_outcome = TransmissionOutcome.DELIVERED
-        corrupted_outcome = TransmissionOutcome.CORRUPTED
-        # Unpacked in FrameRecord field order: unpacking a tuple is much
-        # cheaper than seven named-field lookups per record.
-        for (message_id, instance, _channel, _slot_id, _cycle, start, end,
-             bits, payload_bits, _segment, outcome, is_retransmission,
-             _generation_time, _deadline, chunk) in trace:
-            duration = end - start
-            occupied_mt += duration
-            if is_retransmission:
-                retransmissions += 1
-            if outcome is corrupted_outcome:
-                corrupted += 1
-            elif outcome is delivered_outcome:
-                key = (message_id, instance, chunk)
-                if key not in first_delivery_counted:
-                    first_delivery_counted.add(key)
-                    if bits > 0:
-                        useful_mt += duration * payload_bits / bits
+        # The record-level sums run inside the trace as it records
+        # (useful bandwidth counts only each chunk's first delivered
+        # copy, so duplicated channel-B copies (FSPEC) do not inflate it).
+        occupied_mt, useful_mt, corrupted, retransmissions = \
+            trace.reduction()
 
         # One walk over the instances, in any order (LatencyStats sorts
         # its samples).  An instance counts toward the segment of its

@@ -101,43 +101,19 @@ class RngStream:
             return True
         return bool(self._generator.random() < probability)
 
-    def bernoulli_batch(self, probabilities: Sequence[float]) -> List[bool]:
-        """Draw many Bernoulli trials with scalar-compatible draw order.
+    def uniforms(self, count: int) -> List[float]:
+        """Draw ``count`` floats uniformly from ``[0, 1)``.
 
-        Equivalent to ``[self.bernoulli(p) for p in probabilities]``,
-        bit for bit: degenerate probabilities (0.0 and 1.0) consume no
-        underlying uniform draw -- exactly as the scalar path
-        short-circuits them -- and the remaining entries consume one
-        uniform each, in order, from a single vectorized
-        ``Generator.random(k)`` call (numpy produces the same sequence
-        for one ``random(k)`` as for ``k`` scalar ``random()`` calls).
-        The draw-order regression tests in ``tests/sim/test_rng.py``
-        pin this equivalence.
-
-        Args:
-            probabilities: Success probabilities, each in ``[0, 1]``.
-
-        Returns:
-            One boolean per probability, in input order.
+        One vectorized ``Generator.random(count)`` call: numpy yields
+        the same sequence for it as for ``count`` scalar ``random()``
+        calls, so ``u < p`` over these uniforms reproduces the
+        :meth:`bernoulli` sequence of the non-degenerate probabilities
+        (the injector's fault column relies on this; its draw-order
+        tests pin it).
         """
-        if len(probabilities) < 16:
-            # numpy's array setup dwarfs the draws for tiny batches
-            # (a sparse segment's per-channel plan is often 1-3
-            # entries); the scalar loop is draw-order identical by
-            # construction (see the chunking-invariance test).
-            return [self.bernoulli(p) for p in probabilities]
-        p = np.asarray(probabilities, dtype=np.float64)
-        if p.size == 0:
-            return []
-        if np.any((p < 0.0) | (p > 1.0)):
-            bad = p[(p < 0.0) | (p > 1.0)][0]
-            raise ValueError(f"probability must be in [0, 1], got {bad}")
-        out = p == 1.0  # True where certain, False elsewhere for now
-        drawn = (p > 0.0) & (p < 1.0)
-        count = int(np.count_nonzero(drawn))
-        if count:
-            out[drawn] = self._generator.random(count) < p[drawn]
-        return [bool(v) for v in out]
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        return self._generator.random(count).tolist()
 
     def uniform(self, low: float, high: float) -> float:
         """Draw a float uniformly from ``[low, high)``."""

@@ -10,17 +10,34 @@ functions of this trace.
 Keeping metrics out of the protocol engine keeps the engine honest -- it
 cannot "know" it is being measured -- and lets tests assert detailed
 invariants (e.g. no two transmissions overlap on one channel).
+
+The recorder pays once per segment, not once per frame, on the batch
+engine's path:
+
+- the vectorized engine hands each settled segment plan over as one
+  block (:meth:`TraceRecorder.record_batch`); a :class:`FrameRecord` is
+  built only when a reader iterates the trace;
+- the record-level metric sums run as attempts are recorded
+  (:meth:`TraceRecorder.reduction`), so the metric reduction walks the
+  instances, never the records;
+- :func:`trace_digest` streams the canonical lines into the hash;
+- a pickled trace holds one primitive column per field, with no engine
+  objects, and iterates those columns after unpickling.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from array import array
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 __all__ = ["TransmissionOutcome", "FrameRecord", "InstanceSummary",
-           "TraceRecorder", "canonical_trace_bytes", "trace_digest"]
+           "TraceReduction", "TraceRecorder", "canonical_trace_bytes",
+           "trace_digest"]
 
 
 class TransmissionOutcome(enum.Enum):
@@ -116,12 +133,98 @@ class _InstanceState:
         return max(self.chunk_delivered_at.values())
 
 
+class TraceReduction(NamedTuple):
+    """The record-level metric sums, kept running as the trace records.
+
+    Attributes:
+        occupied_mt: Medium macroticks of every attempt.
+        useful_mt: Payload share of the macroticks of the first delivered
+            copy of each ``(message, instance, chunk)``, summed in
+            recording order.
+        corrupted: Attempts lost to transient faults.
+        retransmissions: Attempts flagged as retransmissions.
+    """
+
+    occupied_mt: int
+    useful_mt: float
+    corrupted: int
+    retransmissions: int
+
+
+#: Pickled outcome codes (index into this tuple).
+_OUTCOMES = tuple(TransmissionOutcome)
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+
+#: Array typecode per FrameRecord field in the pickled form: integers
+#: pack into machine words, the outcome code and the retransmission flag
+#: into bytes, and strings ("") stay lists (pickle stores each repeated
+#: string object once).
+_COLUMN_TYPECODES = ("", "q", "", "q", "q", "q", "q", "q", "q", "", "B",
+                     "B", "q", "q", "q")
+_OUTCOME_FIELD = FrameRecord._fields.index("outcome")
+
+
+class _Columns(list):
+    """Recorded attempts as one column per :class:`FrameRecord` field.
+
+    The pickled form of a trace, and its first part after unpickling:
+    it holds only primitive values (``bool`` flags and outcomes as byte
+    codes), so a stored trace references no engine object.
+    """
+
+    @classmethod
+    def of(cls, records: Iterable[FrameRecord]) -> "_Columns":
+        columns = cls(array(code) if code else []
+                      for code in _COLUMN_TYPECODES)
+        records = iter(records)
+        # Transposed a slice at a time: zip(*rows) runs in C, and the
+        # slice bounds the transient records a large trace builds.
+        while rows := list(islice(records, 4096)):
+            fields = list(zip(*rows))
+            fields[_OUTCOME_FIELD] = map(_OUTCOME_CODE.__getitem__,
+                                         fields[_OUTCOME_FIELD])
+            for column, values in zip(columns, fields):
+                column.extend(values)
+        return columns
+
+    def records(self) -> Iterator[FrameRecord]:
+        outcomes = map(_OUTCOMES.__getitem__, self[_OUTCOME_FIELD])
+        flags = map(bool, self[_OUTCOME_FIELD + 1])
+        return map(FrameRecord._make, zip(
+            *self[:_OUTCOME_FIELD], outcomes, flags,
+            *self[_OUTCOME_FIELD + 2:]))
+
+
+def _block_records(plan, cycle, segment, lane_names, bits,
+                   verdicts) -> Iterator[FrameRecord]:
+    """The :class:`FrameRecord` of each entry of a recorded block."""
+    corrupted = TransmissionOutcome.CORRUPTED
+    delivered = TransmissionOutcome.DELIVERED
+    for (lane, slot_id, start, end, pending), total_bits, corrupt in zip(
+            plan, bits, verdicts):
+        frame = pending.frame
+        # Positional, in field order: keyword arguments double the
+        # construction cost of a named tuple.
+        yield FrameRecord(
+            frame.message_id, pending.instance, lane_names[lane], slot_id,
+            cycle, start, end, total_bits, frame.payload_bits, segment,
+            corrupted if corrupt else delivered, pending.is_retransmission,
+            pending.generation_time_mt, pending.deadline_mt, frame.chunk)
+
+
 class TraceRecorder:
-    """Accumulates :class:`FrameRecord` entries and instance outcomes.
+    """Records transmission attempts and instance outcomes.
+
+    Attempts arrive one :class:`FrameRecord` at a time (:meth:`record`)
+    or one settled segment plan at a time (:meth:`record_batch`); both
+    append to one ordered part list, and iteration builds the
+    :class:`FrameRecord` of a block entry only when a reader asks.
 
     The recorder also tracks first-successful-delivery time per message
     instance, which is what latency and deadline-miss metrics are defined
-    over (a later redundant copy does not improve latency).
+    over (a later redundant copy does not improve latency), and keeps the
+    record-level metric sums running (:meth:`reduction`), so the metric
+    reduction never walks the records again.
     """
 
     def __init__(self, protocol: str = "generic") -> None:
@@ -129,7 +232,10 @@ class TraceRecorder:
         #: under; stamped into the canonical byte form so traces of
         #: different protocols can never compare equal.
         self.protocol = protocol
-        self._records: List[FrameRecord] = []
+        # FrameRecord, block tuple (see record_batch) or _Columns parts,
+        # in recording order.
+        self._parts: List[object] = []
+        self._count = 0
         self._instances: Dict[Tuple[str, int], _InstanceState] = {}
         # Incremental count of fully delivered instances.  Delivery is
         # monotone -- a record can only add or improve a chunk's
@@ -137,17 +243,42 @@ class TraceRecorder:
         # record time keeps completion-mode polling O(1) instead of
         # O(instances) per cycle.
         self._delivered = 0
+        self._occupied_mt = 0
+        self._useful_mt = 0.0
+        self._corrupted = 0
+        self._retransmissions = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def __iter__(self) -> Iterator[FrameRecord]:
-        return iter(self._records)
+        for part in self._parts:
+            kind = type(part)
+            if kind is FrameRecord:
+                yield part
+            elif kind is tuple:
+                yield from _block_records(*part)
+            else:
+                yield from part.records()
 
     @property
     def records(self) -> List[FrameRecord]:
         """All transmission attempts, in recording order."""
-        return list(self._records)
+        return list(self)
+
+    def reduction(self) -> TraceReduction:
+        """The record-level metric sums over every attempt so far."""
+        return TraceReduction(self._occupied_mt, self._useful_mt,
+                              self._corrupted, self._retransmissions)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Blocks reference the engine's PendingFrame objects; the stored
+        # form is columns of primitives, converted once here.
+        state = self.__dict__.copy()
+        parts = self._parts
+        if parts and not (len(parts) == 1 and type(parts[0]) is _Columns):
+            state["_parts"] = [_Columns.of(self)]
+        return state
 
     def note_instance(self, message_id: str, instance: int,
                       generation_time: int, deadline: int,
@@ -173,22 +304,12 @@ class TraceRecorder:
 
     def record(self, record: FrameRecord) -> None:
         """Append a transmission attempt and update instance state."""
-        self._records.append(record)
-        self._note_record(record)
-
-    def record_batch(self, records: List[FrameRecord]) -> None:
-        """Append many attempts at once, preserving order.
-
-        Equivalent to calling :meth:`record` once per entry; the
-        vectorized engine uses it to flush a whole cycle batch with one
-        list extend instead of per-record method dispatch.
-        """
-        self._records.extend(records)
-        note = self._note_record
-        for record in records:
-            note(record)
-
-    def _note_record(self, record: FrameRecord) -> None:
+        self._parts.append(record)
+        self._count += 1
+        duration = record.end - record.start
+        self._occupied_mt += duration
+        if record.is_retransmission:
+            self._retransmissions += 1
         key = (record.message_id, record.instance)
         state = self._instances.get(key)
         if state is None:
@@ -198,13 +319,79 @@ class TraceRecorder:
             self._instances[key] = state
         if state.segment is None:
             state.segment = record.segment
-        if record.outcome is TransmissionOutcome.DELIVERED:
-            existing = state.chunk_delivered_at.get(record.chunk)
-            if existing is None or record.end < existing:
-                if (existing is None
-                        and len(state.chunk_delivered_at) + 1 == state.chunks):
+        if record.outcome is TransmissionOutcome.CORRUPTED:
+            self._corrupted += 1
+        elif record.outcome is TransmissionOutcome.DELIVERED:
+            delivered_at = state.chunk_delivered_at
+            existing = delivered_at.get(record.chunk)
+            if existing is None:
+                if len(delivered_at) + 1 == state.chunks:
                     self._delivered += 1
-                state.chunk_delivered_at[record.chunk] = record.end
+                delivered_at[record.chunk] = record.end
+                if record.bits > 0:
+                    self._useful_mt += (duration * record.payload_bits
+                                        / record.bits)
+            elif record.end < existing:
+                delivered_at[record.chunk] = record.end
+
+    def record_batch(self, plan: Sequence[tuple], cycle: int, segment: str,
+                     lane_names: Sequence[str], bits: Sequence[int],
+                     verdicts: Sequence[bool]) -> None:
+        """Append one settled segment plan as a single block.
+
+        Equivalent to calling :meth:`record` once per entry, in order.
+        ``plan`` holds ``(lane, slot_id, start, end, pending)`` entries,
+        where ``pending`` is the transmitted (immutable) pending frame
+        and ``lane_names[lane]`` its channel name; ``bits`` and
+        ``verdicts`` give each entry's total frame bits and corruption
+        verdict.  The recorder keeps the block as handed over -- no
+        caller may mutate it afterwards -- and builds its
+        :class:`FrameRecord` entries only when read.
+        """
+        self._parts.append((plan, cycle, segment, lane_names, bits,
+                            verdicts))
+        self._count += len(plan)
+        instances = self._instances
+        occupied_mt = self._occupied_mt
+        useful_mt = self._useful_mt
+        corrupted = self._corrupted
+        retransmissions = self._retransmissions
+        delivered = self._delivered
+        for (__, ___, start, end, pending), total_bits, corrupt in zip(
+                plan, bits, verdicts):
+            frame = pending.frame
+            duration = end - start
+            occupied_mt += duration
+            if pending.is_retransmission:
+                retransmissions += 1
+            key = (frame.message_id, pending.instance)
+            state = instances.get(key)
+            if state is None:
+                state = _InstanceState(
+                    generation_time=pending.generation_time_mt,
+                    deadline=pending.deadline_mt)
+                instances[key] = state
+            if state.segment is None:
+                state.segment = segment
+            if corrupt:
+                corrupted += 1
+                continue
+            delivered_at = state.chunk_delivered_at
+            chunk = frame.chunk
+            existing = delivered_at.get(chunk)
+            if existing is None:
+                if len(delivered_at) + 1 == state.chunks:
+                    delivered += 1
+                delivered_at[chunk] = end
+                if total_bits > 0:
+                    useful_mt += duration * frame.payload_bits / total_bits
+            elif end < existing:
+                delivered_at[chunk] = end
+        self._occupied_mt = occupied_mt
+        self._useful_mt = useful_mt
+        self._corrupted = corrupted
+        self._retransmissions = retransmissions
+        self._delivered = delivered
 
     def instance_count(self) -> int:
         """Number of message instances produced."""
@@ -251,11 +438,11 @@ class TraceRecorder:
 
     def attempts_for(self, message_id: str) -> int:
         """Total transmission attempts across all instances of a message."""
-        return sum(1 for r in self._records if r.message_id == message_id)
+        return sum(1 for r in self if r.message_id == message_id)
 
     def records_for_segment(self, segment: str) -> List[FrameRecord]:
         """All attempts in one segment (``"static"`` or ``"dynamic"``)."""
-        return [r for r in self._records if r.segment == segment]
+        return [r for r in self if r.segment == segment]
 
     def canonical_bytes(self) -> bytes:
         """Canonical serialization (:func:`canonical_trace_bytes`)."""
@@ -275,7 +462,7 @@ class TraceRecorder:
         """
         violations: List[str] = []
         by_channel: Dict[str, List[FrameRecord]] = {}
-        for record in self._records:
+        for record in self:
             by_channel.setdefault(record.channel, []).append(record)
         for channel, records in by_channel.items():
             ordered = sorted(records, key=lambda r: (r.start, r.end))
@@ -290,32 +477,47 @@ class TraceRecorder:
         return violations
 
 
+#: One canonical line: every field as ``name=repr(value)``, in field order.
+_CANONICAL_LINE = "|".join(f"{name}=%r" for name in FrameRecord._fields)
+
+
+def _canonical_lines(trace: TraceRecorder) -> Iterator[str]:
+    """The lines of :func:`canonical_trace_bytes`, one at a time."""
+    yield f"protocol={getattr(trace, 'protocol', 'generic')}"
+    line = _CANONICAL_LINE
+    for record in trace:
+        values = list(record)
+        outcome = values[_OUTCOME_FIELD]
+        if isinstance(outcome, TransmissionOutcome):
+            values[_OUTCOME_FIELD] = outcome.value
+        yield line % tuple(values)
+
+
 def canonical_trace_bytes(trace: TraceRecorder) -> bytes:
     """Byte-exact canonical serialization of a trace.
 
-    One line per :class:`FrameRecord`, every field in declaration order,
-    in recording order -- so two traces serialize identically **iff**
-    they recorded the same attempts with the same fields in the same
-    order.  This is the equivalence relation the differential engine
-    tests (vectorized vs interpreter) are proved under; it is deliberately
-    stricter than metric equality.
+    One line per :class:`FrameRecord`, every field in declaration order
+    (the outcome by its value), in recording order -- so two traces
+    serialize identically **iff** they recorded the same attempts with
+    the same fields in the same order.  This is the equivalence relation
+    the differential engine tests (vectorized vs interpreter) are proved
+    under; it is deliberately stricter than metric equality.
 
     The first line names the trace's protocol backend, so two backends
     producing coincidentally identical frame sequences still serialize
     (and digest) differently -- trace identity includes the protocol.
     """
-    names = FrameRecord._fields
-    lines = [f"protocol={getattr(trace, 'protocol', 'generic')}"]
-    for record in trace:
-        values = []
-        for name, value in zip(names, record):
-            if isinstance(value, TransmissionOutcome):
-                value = value.value
-            values.append(f"{name}={value!r}")
-        lines.append("|".join(values))
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(_canonical_lines(trace)).encode("utf-8")
 
 
 def trace_digest(trace: TraceRecorder) -> str:
-    """SHA-256 over :func:`canonical_trace_bytes` (hex)."""
-    return hashlib.sha256(canonical_trace_bytes(trace)).hexdigest()
+    """SHA-256 over :func:`canonical_trace_bytes` (hex).
+
+    Streams the lines into the hash instead of joining them first.
+    """
+    digest = hashlib.sha256()
+    separator = ""
+    for line in _canonical_lines(trace):
+        digest.update((separator + line).encode("utf-8"))
+        separator = "\n"
+    return digest.hexdigest()

@@ -17,10 +17,11 @@ is evaluated in two phases:
   ``[start, end)`` windows.  Physical validation (slot fit, generation
   time) happens here, raising the interpreter's exact errors.
 - **Phase B (settle):** fault verdicts are drawn for the whole plan at
-  once (one vectorized Bernoulli batch per channel when the oracle
-  supports it), the trace records are built and appended with a single
-  :meth:`~repro.sim.trace.TraceRecorder.record_batch`, and the outcomes
-  are replayed to the policy in interpreter order.
+  once (one batch per channel from the injector's fault column when
+  the oracle supports it), the plan goes to the trace as one block
+  (:meth:`~repro.sim.trace.TraceRecorder.record_batch`; no
+  :class:`~repro.sim.trace.FrameRecord` is built on this path), and
+  the outcomes are replayed to the policy in interpreter order.
 
 Splitting the phases is sound only when the policy promises, via
 :meth:`~repro.protocol.policy.SchedulerPolicy.decisions_are_outcome_free`,
@@ -70,9 +71,10 @@ Fault-draw order
 The interpreter consults the fault oracle in slot-major order,
 interleaving channels.  The per-channel batches here are draw-order
 compatible because every provided injector keeps an independent RNG
-stream (and burst state) per channel, so splitting the interleaved
-sequence into per-channel subsequences consumes each stream identically
-(see :meth:`~repro.faults.injector.TransientFaultInjector.batch`).  An
+stream (and fault column or burst state) per channel, so splitting the
+interleaved sequence into per-channel subsequences consumes each stream
+identically (see
+:meth:`~repro.faults.injector.TransientFaultInjector.batch`).  An
 oracle without a ``batch`` method is consulted scalar-wise in the
 interpreter's exact interleaved order, which is correct for *any*
 stateful oracle.
@@ -97,7 +99,7 @@ from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
 from repro.obs import NULL_OBS, ObsLike
-from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
+from repro.sim.trace import TraceRecorder, TransmissionOutcome
 from repro.timeline.compiler import CompiledRound
 from repro.timeline.stepper import TimelineStepper
 
@@ -162,7 +164,8 @@ class VectorizedStepper(TimelineStepper):
         # Per-lane channel and name, looked up by list index instead of
         # hashing the Channel enum per frame.
         self._lane_channels = [channel for channel, __ in self._pairs]
-        self._lane_names = [channel.value for channel in self._lane_channels]
+        self._lane_names = tuple(channel.value
+                                 for channel in self._lane_channels)
         lane_of = {channel: lane
                    for lane, channel in enumerate(self._lane_channels)}
         #: The compiled round's owned static steps, per matrix cycle.
@@ -431,31 +434,20 @@ class VectorizedStepper(TimelineStepper):
 
     def _flush(self, cycle: int, plan: List[_Planned],
                segment: str) -> None:
-        """Settle a segment plan: fault draws, trace batch, outcomes."""
+        """Settle a segment plan: fault draws, one trace block, outcomes."""
         if not plan:
             return
         bits = [entry[4].frame.total_bits for entry in plan]
         verdicts = self._fault_verdicts(plan, bits)
-        names = self._lane_names
-        corrupted = TransmissionOutcome.CORRUPTED
-        delivered = TransmissionOutcome.DELIVERED
-        records = []
-        for (lane, slot_id, start, end, pending), total_bits, corrupt \
-                in zip(plan, bits, verdicts):
-            frame = pending.frame
-            # Positional, in field order: keyword arguments double the
-            # construction cost of a named tuple.
-            records.append(FrameRecord(
-                frame.message_id, pending.instance, names[lane], slot_id,
-                cycle, start, end, total_bits, frame.payload_bits, segment,
-                corrupted if corrupt else delivered,
-                pending.is_retransmission, pending.generation_time_mt,
-                pending.deadline_mt, frame.chunk))
-        self._trace.record_batch(records)
+        self._trace.record_batch(plan, cycle, segment, self._lane_names,
+                                 bits, verdicts)
         channels = self._lane_channels
         on_outcome = self._policy.on_outcome
-        for (lane, __, ___, end, pending), record in zip(plan, records):
-            on_outcome(pending, channels[lane], segment, record.outcome, end)
+        corrupted = TransmissionOutcome.CORRUPTED
+        delivered = TransmissionOutcome.DELIVERED
+        for (lane, __, ___, end, pending), corrupt in zip(plan, verdicts):
+            on_outcome(pending, channels[lane], segment,
+                       corrupted if corrupt else delivered, end)
 
     def _fault_verdicts(self, plan: List[_Planned],
                         bits: List[int]) -> List[bool]:

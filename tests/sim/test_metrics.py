@@ -1,5 +1,6 @@
 """Unit tests for metric computation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,13 +10,15 @@ from repro.experiments.runner import run_experiment
 from repro.protocol.backend import get_backend
 from repro.protocol.signal import Signal
 from repro.sim.metrics import LatencyStats, MetricsCollector, SimulationMetrics
-from repro.sim.trace import TraceRecorder, TransmissionOutcome
+from repro.sim.trace import TraceRecorder, TransmissionOutcome, trace_digest
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals
+from repro.workloads.generator import generate_scenario
 from repro.workloads.sae import sae_aperiodic_signals
 from repro.workloads.synthetic import synthetic_signals
 
 from tests.sim.test_trace import make_record
+from tests.sim.test_trace_equivalence import GOLDEN_DIGESTS
 
 
 class TestLatencyStats:
@@ -174,7 +177,7 @@ class TestMetricsCollector:
 # ----------------------------------------------------------------------
 
 def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
-    """The three-pass reduction the one-walk collector replaced.
+    """A record walk: the reduction the trace now keeps running.
 
     One walk over the records for bandwidth and attempt counts, a second
     for the segment of each instance's first attempt, then sorted
@@ -378,3 +381,36 @@ def test_engine_scenarios_match_reference(backend, scenario,
         trace, result.metrics.horizon_mt,
         macrotick_us=params.gd_macrotick_us,
         channel_count=params.channel_count)
+
+
+def exact_fields(metrics):
+    """Every metric field, floats as their exact hex form."""
+    return [value.hex() if isinstance(value, float) else value
+            for value in _flatten(dataclasses.astuple(metrics))]
+
+
+def _flatten(values):
+    for value in values:
+        if isinstance(value, tuple):
+            yield from _flatten(value)
+        else:
+            yield value
+
+
+@pytest.mark.parametrize("engine_mode", ("interpreter", "vectorized"))
+@pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS["flexray"]))
+def test_golden_scenarios_match_reference_walk(seed, backend, engine_mode):
+    """The running reduction equals a walk over the records, bit for
+    bit, on the golden-digest scenarios of both engines."""
+    scenario = generate_scenario(seed, backend)
+    result = run_experiment(engine_mode=engine_mode,
+                            **scenario.experiment_kwargs())
+    trace = result.cluster.trace
+    assert trace_digest(trace) == GOLDEN_DIGESTS[backend][seed]
+    params = result.cluster.params
+    reference = reference_metrics(
+        trace, result.metrics.horizon_mt,
+        macrotick_us=params.gd_macrotick_us,
+        channel_count=params.channel_count)
+    assert exact_fields(result.metrics) == exact_fields(reference)

@@ -172,77 +172,46 @@ class TestRngStream:
 
 
 class TestBernoulliDrawOrder:
-    """Pin the exact draw order the vectorized engine depends on.
+    """Pin the stream properties the injector's fault column depends on.
 
-    The batched fault path is only trace-equivalent to the scalar one
-    because three properties hold bit-for-bit; each gets its own
-    regression here so a numpy upgrade or refactor that silently breaks
-    one fails loudly:
+    The fault column (``repro.faults.injector``, whose own draw-order
+    tests pin the verdicts) reproduces scalar ``bernoulli`` draws only
+    because these hold bit for bit:
 
-    1. ``bernoulli_batch`` equals the scalar ``bernoulli`` loop,
-    2. degenerate probabilities (0.0 / 1.0) consume *no* underlying
-       uniform draw on either path,
-    3. one ``Generator.random(k)`` call yields the same stream as ``k``
-       scalar ``random()`` calls (chunking invariance).
+    1. degenerate probabilities (0.0 / 1.0) consume *no* underlying
+       uniform draw;
+    2. one ``Generator.random(k)`` call yields the same stream as ``k``
+       scalar ``random()`` calls (chunking invariance);
+    3. split streams never perturb each other.
     """
 
-    PROBS = (0.5, 0.0, 0.25, 1.0, 0.75, 0.5, 0.0, 0.9, 0.1, 0.5, 1.0,
-             0.33)
-
-    def test_batch_matches_scalar_loop(self):
-        # 3x the base pattern crosses the small-batch threshold, so this
-        # exercises the vectorized numpy path, not the scalar shortcut.
-        probs = self.PROBS * 3
-        batch = RngStream(99, "order").bernoulli_batch(probs)
-        stream = RngStream(99, "order")
-        assert batch == [stream.bernoulli(p) for p in probs]
-
-    def test_small_batch_shortcut_matches_scalar_loop(self):
-        batch = RngStream(99, "order").bernoulli_batch(self.PROBS)
-        stream = RngStream(99, "order")
-        assert batch == [stream.bernoulli(p) for p in self.PROBS]
-
-    def test_golden_sequence(self):
-        """The literal sequence for a pinned seed: any drift fails."""
-        expected = [True, False, True, True, True, False, False, True,
-                    False, False, True, True]
-        assert RngStream(2026, "draw-order-golden") \
-            .bernoulli_batch(self.PROBS) == expected
-        stream = RngStream(2026, "draw-order-golden")
-        assert [stream.bernoulli(p) for p in self.PROBS] == expected
-
     def test_degenerate_probabilities_consume_no_draw(self):
-        """0.0/1.0 entries must not advance the stream on either path."""
+        """0.0/1.0 draws must not advance the stream."""
+        probabilities = (0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5, 0.5, 0.5)
         plain = RngStream(7, "degenerate")
         with_degenerates = RngStream(7, "degenerate")
         a = [plain.bernoulli(0.5) for _ in range(6)]
-        b = []
-        for p in (0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5, 0.5, 0.5):
-            b.append(with_degenerates.bernoulli(p))
-        assert [v for p, v in zip((0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0,
-                                   0.5, 0.5, 0.5), b) if p == 0.5] == a
-        batch = RngStream(7, "degenerate").bernoulli_batch(
-            (0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5, 0.5, 0.5))
-        assert batch == b
+        b = [with_degenerates.bernoulli(p) for p in probabilities]
+        assert [v for p, v in zip(probabilities, b) if p == 0.5] == a
+        assert with_degenerates.uniforms(3) == plain.uniforms(3)
 
     def test_chunking_invariance(self):
-        """Batches of any split yield one identical combined sequence.
-
-        The splits deliberately mix the numpy path (>= 16 entries) and
-        the scalar shortcut (< 16), pinning that the two implementations
-        consume the underlying stream identically."""
-        whole = RngStream(3, "chunks").bernoulli_batch([0.5] * 40)
+        """Uniforms of any split yield one identical combined sequence,
+        and thresholding them reproduces scalar ``bernoulli`` draws."""
+        whole = RngStream(3, "chunks").uniforms(40)
         stream = RngStream(3, "chunks")
-        split = (stream.bernoulli_batch([0.5] * 20)
-                 + stream.bernoulli_batch([0.5] * 3)
-                 + stream.bernoulli_batch([])
-                 + stream.bernoulli_batch([0.5] * 17))
+        split = (stream.uniforms(20) + stream.uniforms(3)
+                 + stream.uniforms(0) + stream.uniforms(17))
         assert whole == split
+        scalar = RngStream(3, "chunks")
+        assert [u < 0.5 for u in whole] == \
+            [scalar.bernoulli(0.5) for _ in range(40)]
+        with pytest.raises(ValueError):
+            stream.uniforms(-1)
 
     def test_interleaved_channels_do_not_perturb_each_other(self):
-        """Per-channel splits are independent: consult order across
-        channels never changes either channel's own sequence -- the
-        property that lets the vectorized engine batch per channel."""
+        """Split streams are independent: draw order across them never
+        changes either stream's own sequence."""
         root = RngStream(11, "inter")
         a, b = root.split("A"), root.split("B")
         interleaved_a, interleaved_b = [], []
@@ -251,5 +220,5 @@ class TestBernoulliDrawOrder:
             interleaved_b.append(b.bernoulli(0.6))
         root2 = RngStream(11, "inter")
         a2, b2 = root2.split("A"), root2.split("B")
-        assert a2.bernoulli_batch([0.4] * 20) == interleaved_a
-        assert b2.bernoulli_batch([0.6] * 20) == interleaved_b
+        assert [u < 0.4 for u in a2.uniforms(20)] == interleaved_a
+        assert [u < 0.6 for u in b2.uniforms(20)] == interleaved_b

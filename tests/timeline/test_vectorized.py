@@ -14,7 +14,8 @@ from unittest import mock
 import pytest
 
 from repro.core.coefficient import CoEfficientPolicy
-from repro.experiments.figures import case_study_params
+from repro.experiments.figures import case_study_params, \
+    paper_dynamic_preset
 from repro.experiments.runner import make_policy, run_experiment
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import TransientFaultInjector
@@ -30,12 +31,12 @@ from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals
 
 
-def cycle_aligned_signals(params, count=6):
+def cycle_aligned_signals(params, count=6, size_bits=96):
     """Messages released exactly at cycle starts (never mid-segment)."""
     period_ms = 2 * params.cycle_ms
     return SignalSet(
         [Signal(name=f"al-{i}", ecu=i % 4, period_ms=period_ms,
-                offset_ms=0.0, deadline_ms=period_ms, size_bits=96)
+                offset_ms=0.0, deadline_ms=period_ms, size_bits=size_bits)
          for i in range(count)],
         name="cycle-aligned",
     )
@@ -144,25 +145,44 @@ class TestCounterSurface:
             counters.get("engine.scalar_fallback_cycles", 0)
 
 
+def count_blocks(**kwargs):
+    """Run on the batch engine, noting the size of every trace block."""
+    calls = []
+    original = TraceRecorder.record_batch
+
+    def counted(self, plan, cycle, segment, lane_names, bits, verdicts):
+        calls.append(len(plan))
+        original(self, plan, cycle, segment, lane_names, bits, verdicts)
+
+    with mock.patch.object(TraceRecorder, "record_batch", counted):
+        result = run_experiment(engine_mode="vectorized", **kwargs)
+    return calls, result
+
+
 class TestSettleOnce:
     def test_bbw_settles_each_segment_once(self):
         """The engine-bbw scenario: mid-segment arrivals run promise
         admission, yet every segment reaches the trace in one batch."""
-        calls = []
-        original = TraceRecorder.record_batch
-
-        def counted(self, records):
-            calls.append(len(records))
-            original(self, records)
-
-        with mock.patch.object(TraceRecorder, "record_batch", counted):
-            result = run_experiment(
-                engine_mode="vectorized", params=case_study_params("bbw"),
-                scheduler="coefficient", periodic=bbw_signals(),
-                ber=1e-7, seed=1, duration_ms=None, instance_limit=200)
+        calls, result = count_blocks(
+            params=case_study_params("bbw"), scheduler="coefficient",
+            periodic=bbw_signals(), ber=1e-7, seed=1, duration_ms=None,
+            instance_limit=200)
         segments = 2 * result.cycles_run
         assert 0 < len(calls) <= segments
         assert sum(calls) == len(result.cluster.trace)
+
+    def test_dense_trace_settles_each_segment_once(self):
+        """The engine-dense scenario: ~20 busy static slots a cycle under
+        faults, each static segment one block (the dynamic segment idles)."""
+        params = paper_dynamic_preset(100)
+        calls, result = count_blocks(
+            params=params, scheduler="static-only",
+            periodic=cycle_aligned_signals(params, count=40,
+                                           size_bits=144),
+            ber=1e-3, seed=1, duration_ms=200.0)
+        assert 0 < len(calls) <= result.cycles_run
+        assert sum(calls) == len(result.cluster.trace)
+        assert min(calls) >= 20
 
 
 def short_dynamic_params():
