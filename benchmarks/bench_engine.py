@@ -20,7 +20,7 @@ geomean.  The CI ``engine-bench`` job fails when either gate trips or
 when any scenario's traces diverge.
 
 A note on the gate level: scenarios whose cost is engine overhead
-(event-list walking, per-minislot arbitration of idle dynamic segments)
+(per-slot walking, per-minislot arbitration of idle dynamic segments)
 speed up 4-10x under the vectorized engine; scenarios dominated by
 *semantic* work the oracle contract forbids skipping -- CoEfficient
 admission arithmetic, arrival delivery, per-record delivery

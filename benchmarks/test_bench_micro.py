@@ -24,50 +24,11 @@ from repro.experiments.figures import (
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import paper_dynamic_preset
 from repro.obs import NULL_OBS, NullObservability, Observability
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
 from repro.sim.rng import RngStream
 
 from benchmarks.bench_engine import scenarios as engine_scenarios
 
-_DISPATCH_EVENTS = 20_000
-
 ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "vectorized")
-
-
-def _dispatch_events(obs):
-    """Drain a pre-filled event queue through the kernel dispatch loop."""
-    engine = SimulationEngine(obs=obs)
-    engine.register(EventKind.CUSTOM, lambda eng, ev: None)
-    for t in range(_DISPATCH_EVENTS):
-        engine.schedule(t, EventKind.CUSTOM)
-    engine.run_to_completion()
-    return engine.processed_events
-
-
-def test_micro_engine_dispatch_hooks_disabled(benchmark):
-    """Kernel dispatch throughput with observability off (NULL_OBS).
-
-    This is the acceptance baseline for the observability layer: the
-    instrumented kernel with the shared no-op context must stay within
-    a few percent of the pre-instrumentation dispatch rate (the hot
-    path pays one cached boolean check per event).
-    """
-    processed = benchmark(_dispatch_events, NULL_OBS)
-    assert processed == _DISPATCH_EVENTS
-
-
-def test_micro_engine_dispatch_hooks_enabled(benchmark):
-    """Kernel dispatch throughput with a live observability context.
-
-    Compare against the disabled benchmark above to see the cost of
-    full instrumentation (counters + per-kind timers + queue gauge).
-    """
-    obs = Observability()
-    processed = benchmark(_dispatch_events, obs)
-    assert processed == _DISPATCH_EVENTS
-    assert (obs.registry.counter_value("engine.events_dispatched")
-            >= _DISPATCH_EVENTS)
 
 
 #: Obs calls a simulated cycle may make under a disabled context.  A

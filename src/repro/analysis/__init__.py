@@ -3,7 +3,6 @@
 The classical real-time analysis toolkit the paper's scheduling theory
 (Section III) builds on:
 
-- :mod:`repro.analysis.busy_period` -- level-i busy periods;
 - :mod:`repro.analysis.response_time` -- worst-case response-time
   analysis for hard periodic tasks;
 - :mod:`repro.analysis.slack_table` -- the static idle-slot table the
@@ -11,7 +10,6 @@ The classical real-time analysis toolkit the paper's scheduling theory
   the processor-model slack stealer in :mod:`repro.core.slack_stealing`).
 """
 
-from repro.analysis.busy_period import level_i_busy_period, synchronous_busy_period
 from repro.analysis.dynamic_response import (
     DynamicMessageSpec,
     dynamic_segment_schedulable,
@@ -41,8 +39,6 @@ __all__ = [
     "scale_aperiodic_load",
     "validate_schedule",
     "is_schedulable",
-    "level_i_busy_period",
     "response_time_analysis",
-    "synchronous_busy_period",
     "worst_case_response_time",
 ]

@@ -17,7 +17,6 @@ fault-free runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = ["worst_case_response_time", "response_time_analysis",
@@ -65,19 +64,6 @@ def worst_case_response_time(
             return None
         response = candidate
     return None
-
-
-@dataclass(frozen=True)
-class _TaskResult:
-    """Per-task outcome of a full analysis run."""
-
-    response_time: Optional[int]
-    deadline: int
-
-    @property
-    def schedulable(self) -> bool:
-        return (self.response_time is not None
-                and self.response_time <= self.deadline)
 
 
 def response_time_analysis(

@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[mode.value for mode in EngineMode],
                        default=default,
                        help=f"{what}: the {default} cycle-batch engine "
-                            f"(default) or the event-list interpreter "
+                            f"(default) or the per-slot interpreter "
                             f"oracle; both produce identical traces")
 
     run_parser = sub.add_parser("run", help="run one experiment")

@@ -26,7 +26,7 @@ Configuration notes (the full rationale is in DESIGN.md / EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.runner import run_experiment
 from repro.protocol.backend import get_backend
@@ -48,7 +48,6 @@ __all__ = [
     "fig4_transmission_latency",
     "extension_utilization_sweep",
     "fig5_deadline_miss_ratio",
-    "fig5_miss_ratio_campaign",
     "table2_bbw_rows",
     "table3_acc_rows",
 ]
@@ -439,61 +438,6 @@ def fig5_deadline_miss_ratio(
                     "deadline_miss_ratio": result.metrics.deadline_miss_ratio,
                     "produced": result.metrics.produced_instances,
                 })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure 5 with error bars: a seed campaign per sweep point
-# ----------------------------------------------------------------------
-
-def fig5_miss_ratio_campaign(
-    seeds: Sequence[int] = (11, 23, 37, 41),
-    minislot_options: Sequence[int] = (25, 50, 75, 100),
-    ber: float = 1e-7,
-    duration_ms: float = 500.0,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    obs=NULL_OBS,
-) -> List[Dict[str, float]]:
-    """Figure 5 as a Monte-Carlo campaign: mean miss ratio with 95 % CI.
-
-    The single-seed :func:`fig5_deadline_miss_ratio` reproduces the
-    paper's published draws; this variant runs every sweep point across
-    ``seeds`` (optionally fanned over ``workers`` processes and backed
-    by the on-disk campaign cache) so the CoEfficient-vs-FSPEC gap
-    carries error bars.
-    """
-    from repro.experiments.campaign import run_campaign
-
-    rho = _goal_for(ber)
-    rows: List[Dict[str, float]] = []
-    for minislots in minislot_options:
-        params = paper_dynamic_preset(minislots)
-        for scheduler in _COMPARED:
-            campaign = run_campaign(
-                scheduler, seeds=seeds,
-                metrics=("deadline_miss_ratio",),
-                params=params,
-                periodic=dynamic_study_periodic(),
-                aperiodic=dynamic_study_aperiodic(),
-                ber=ber,
-                duration_ms=duration_ms,
-                reliability_goal=rho,
-                workers=workers,
-                cache_dir=cache_dir,
-                obs=obs,
-            )
-            summary = campaign.summary("deadline_miss_ratio")
-            rows.append({
-                "figure": "5-campaign",
-                "minislots": minislots,
-                "scheduler": scheduler,
-                "ber": ber,
-                "seeds": summary.samples,
-                "deadline_miss_ratio": summary.mean,
-                "ci_low": summary.ci_low,
-                "ci_high": summary.ci_high,
-            })
     return rows
 
 

@@ -163,7 +163,7 @@ def run_experiment(
             the run ends.
         engine_mode: ``"vectorized"`` (default, the cycle-batch engine
             over the compiled round) or ``"interpreter"`` (the pure
-            event-list oracle); the two are trace-equivalent by
+            per-slot oracle); the two are trace-equivalent by
             construction and by differential test.
         **policy_kwargs: Forwarded to the policy constructor.
 

@@ -22,12 +22,10 @@ from repro.faults.analysis import (
 from repro.faults.ber import BitErrorRateModel, frame_failure_probability
 from repro.faults.iec61508 import SafetyIntegrityLevel, reliability_goal_for
 from repro.faults.injector import BurstFaultInjector, TransientFaultInjector
-from repro.faults.permanent import PermanentFaultScenario
 
 __all__ = [
     "BitErrorRateModel",
     "BurstFaultInjector",
-    "PermanentFaultScenario",
     "SafetyIntegrityLevel",
     "TransientFaultInjector",
     "frame_failure_probability",

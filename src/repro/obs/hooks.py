@@ -1,10 +1,10 @@
 """Structured event-hook bus.
 
-A hook is a named, schema-light event ("slack.promise", "engine.dispatch"
+A hook is a named, schema-light event ("slack.promise", "engine.cycle"
 ...) carrying a flat field dict.  Subscribers are observation-only: the
 bus hands them the field dict and ignores anything they return, and by
 contract they must not mutate simulation state -- the determinism
-property tests verify that attaching subscribers leaves event sequences
+property tests verify that attaching subscribers leaves trace digests
 and counter values byte-identical.
 
 Emission cost when nobody listens is one attribute read and one ``if``

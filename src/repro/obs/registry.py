@@ -12,7 +12,7 @@ Design constraints, in order of importance:
    add; hot paths that cannot afford even that are guarded by
    ``obs.enabled`` at the call site (see :mod:`repro.obs.observability`).
 
-3. **Flat, dotted names.**  ``engine.dispatch.CYCLE_START`` rather than
+3. **Flat, dotted names.**  ``slack.promise_granted`` rather than
    nested objects: snapshots serialize trivially and tests can assert on
    names without walking a tree.
 """

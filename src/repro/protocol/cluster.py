@@ -63,7 +63,7 @@ class Cluster:
             provably outcome-free, and otherwise delegates the segment
             to the per-slot :class:`~repro.timeline.stepper.TimelineStepper`;
             a policy without a compiled round runs on the interpreter.
-            ``INTERPRETER`` is the pure event-list oracle.  Both modes
+            ``INTERPRETER`` is the per-slot oracle.  Both modes
             produce byte-identical traces
             (``tests/sim/test_trace_equivalence.py``,
             ``tests/sim/test_engine_fuzz.py``).

@@ -1,24 +1,22 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
 This subpackage is the foundation every other part of the reproduction is
 built on.  It provides:
 
 - :mod:`repro.sim.rng` -- deterministic, stream-split random number
   management so that every experiment is reproducible bit-for-bit;
-- :mod:`repro.sim.events` -- typed event records used by the kernel;
-- :mod:`repro.sim.engine` -- a small discrete-event simulation kernel with
-  a monotonic simulated clock and deterministic tie-breaking;
+- :mod:`repro.sim.engine` -- :class:`~repro.sim.engine.EngineMode`, the
+  choice between the per-slot interpreter and the vectorized engine;
 - :mod:`repro.sim.trace` -- per-frame lifecycle trace recording;
 - :mod:`repro.sim.metrics` -- metric accumulation (bandwidth utilization,
   latency statistics, deadline-miss ratios, completion time).
 
-The FlexRay cluster itself executes cycle-by-cycle (the protocol is
-time-triggered), but message arrivals, host activity and experiment
-orchestration are all driven through this kernel.
+The FlexRay cluster executes cycle by cycle (the protocol is
+time-triggered).  There is no general event list: message arrivals come
+from per-source release streams merged by
+:class:`~repro.protocol.arrivals.ArrivalMultiplexer`.
 """
 
-from repro.sim.engine import Event, SimulationEngine
-from repro.sim.events import EventKind
 from repro.sim.metrics import LatencyStats, MetricsCollector, SimulationMetrics
 from repro.sim.rng import RngStream
 from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
@@ -31,14 +29,11 @@ from repro.sim.trace_io import (
 )
 
 __all__ = [
-    "Event",
-    "EventKind",
     "FrameRecord",
     "LatencyStats",
     "MessageStatistics",
     "MetricsCollector",
     "RngStream",
-    "SimulationEngine",
     "SimulationMetrics",
     "TraceRecorder",
     "TransmissionOutcome",

@@ -2,123 +2,135 @@
 
 The observability contract (``src/repro/obs``) promises that attaching
 counters, hook subscribers, or swapping the context entirely is
-*observation-only*: the kernel's dispatch sequence, clock, and the
-deterministic counter/gauge snapshot are pure functions of the schedule.
-These properties drive randomized schedules (including rescheduling
-handlers and same-instant ties) through paired engines and require
-bit-identical behavior.
+*observation-only*: the trace, the cycle count and the deterministic
+counter/gauge snapshot are pure functions of the seed.  These
+properties drive a small CoEfficient scenario at a high bit error rate
+(so retransmission, slack admission and fault draws all run) through
+paired ``run_experiment`` calls on both engine modes and require
+bit-identical results.
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.runner import run_experiment
+from repro.flexray.params import FlexRayParams
 from repro.obs import NULL_OBS, HookRecorder, Observability
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
+from repro.protocol.signal import Signal, SignalSet
+from repro.sim.engine import EngineMode
+from repro.sim.trace import trace_digest
 
-# A schedule is a list of (time, kind) seeds; handlers below reschedule
-# deterministically, so the full event sequence is a pure function of it.
-schedules = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=200),
-        st.sampled_from(list(EventKind)),
-    ),
-    min_size=0,
-    max_size=30,
+SMALL = FlexRayParams(
+    gd_cycle_mt=800, gd_static_slot_mt=40, g_number_of_static_slots=10,
+    gd_minislot_mt=8, g_number_of_minislots=40,
 )
 
-horizons = st.integers(min_value=0, max_value=300)
+PERIODIC = SignalSet([
+    Signal(name="p1", ecu=0, period_ms=0.8, offset_ms=0.1,
+           deadline_ms=0.8, size_bits=128),
+    Signal(name="p2", ecu=0, period_ms=1.6, offset_ms=0.2,
+           deadline_ms=1.6, size_bits=200),
+    Signal(name="p3", ecu=1, period_ms=3.2, offset_ms=0.3,
+           deadline_ms=3.2, size_bits=256),
+], name="obs-periodic")
+
+APERIODIC = SignalSet([
+    Signal(name="a1", ecu=2, period_ms=4.0, offset_ms=0.5,
+           deadline_ms=4.0, size_bits=160, priority=1, aperiodic=True),
+    Signal(name="a2", ecu=3, period_ms=8.0, offset_ms=1.0,
+           deadline_ms=8.0, size_bits=240, priority=2, aperiodic=True),
+], name="obs-aperiodic")
+
+#: The event catalogue of ``docs/observability.md``.
+HOOK_NAMES = (
+    "engine.cycle",
+    "slack.promise",
+    "policy.slack_steal",
+    "policy.retx_admission",
+    "retransmission.plan",
+    "metrics.computed",
+    "experiment.finished",
+    "campaign.finished",
+)
+
+seeds = st.integers(min_value=0, max_value=10_000)
+bers = st.sampled_from([1e-4, 1e-3])
+modes = st.sampled_from(list(EngineMode))
+
+property_settings = settings(
+    max_examples=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
-def _run(schedule, horizon, obs, subscribe=False):
-    """Run one engine over ``schedule`` and return everything observable.
-
-    The handler both records the dispatch sequence and deterministically
-    reschedules follow-up events, exercising the in-run scheduling path.
-    """
-    engine = SimulationEngine(obs=obs)
-    seen = []
-
-    def handler(eng, event):
-        seen.append((event.time, int(event.kind), event.sequence))
-        if event.time % 3 == 0 and event.time < 260:
-            eng.schedule(event.time + 7, EventKind.CUSTOM)
-
-    for kind in EventKind:
-        engine.register(kind, handler)
-
-    recorder = None
-    if subscribe and obs.enabled:
-        recorder = HookRecorder()
-        obs.hooks.subscribe("engine.dispatch", recorder)
-
-    for time, kind in schedule:
-        engine.schedule(time, kind)
-    dispatched = engine.run_until(horizon)
+def _run(seed, ber, mode, obs):
+    """One short CoEfficient run; returns what the comparison needs."""
+    result = run_experiment(
+        params=SMALL, scheduler="coefficient",
+        periodic=PERIODIC, aperiodic=APERIODIC,
+        ber=ber, seed=seed, duration_ms=16.0,
+        obs=obs, engine_mode=mode,
+    )
     return {
-        "seen": seen,
-        "dispatched": dispatched,
-        "now": engine.now,
-        "pending": engine.pending_events,
-        "recorder": recorder,
+        "digest": trace_digest(result.cluster.trace),
+        "cycles": result.cycles_run,
+        "counters": result.counters,
     }
 
 
-@given(schedule=schedules, horizon=horizons)
-@settings(max_examples=60, deadline=None)
-def test_observed_run_replays_identically_to_unobserved(schedule, horizon):
-    bare = _run(schedule, horizon, NULL_OBS)
-    observed = _run(schedule, horizon, Observability())
-    for key in ("seen", "dispatched", "now", "pending"):
-        assert bare[key] == observed[key]
+@given(seed=seeds, ber=bers, mode=modes)
+@property_settings
+def test_observed_run_replays_identically_to_unobserved(seed, ber, mode):
+    bare = _run(seed, ber, mode, NULL_OBS)
+    observed = _run(seed, ber, mode, Observability())
+    assert bare == observed
 
 
-@given(schedule=schedules, horizon=horizons)
-@settings(max_examples=60, deadline=None)
-def test_two_observed_runs_agree_on_deterministic_snapshot(schedule, horizon):
+@given(seed=seeds, ber=bers, mode=modes)
+@property_settings
+def test_two_observed_runs_agree_on_deterministic_snapshot(seed, ber, mode):
     obs_a, obs_b = Observability(), Observability()
-    run_a = _run(schedule, horizon, obs_a)
-    run_b = _run(schedule, horizon, obs_b)
-    assert run_a["seen"] == run_b["seen"]
+    run_a = _run(seed, ber, mode, obs_a)
+    run_b = _run(seed, ber, mode, obs_b)
+    assert run_a == run_b
     # Counters and gauges are replay-comparable; wall-clock timers are
     # deliberately excluded from this snapshot.
     snap_a = obs_a.deterministic_snapshot()
-    snap_b = obs_b.deterministic_snapshot()
-    assert snap_a == snap_b
+    assert snap_a == obs_b.deterministic_snapshot()
     assert set(snap_a) == {"counters", "gauges"}
-    if run_a["dispatched"]:
-        assert (snap_a["counters"]["engine.events_dispatched"]
-                == run_a["dispatched"])
+    assert snap_a["counters"]["engine.cycles"] == run_a["cycles"]
 
 
-@given(schedule=schedules, horizon=horizons)
-@settings(max_examples=60, deadline=None)
+@given(seed=seeds, ber=bers, mode=modes)
+@property_settings
 def test_hook_subscribers_do_not_perturb_counters_or_dispatch(
-        schedule, horizon):
+        seed, ber, mode):
     obs_plain, obs_hooked = Observability(), Observability()
-    plain = _run(schedule, horizon, obs_plain, subscribe=False)
-    hooked = _run(schedule, horizon, obs_hooked, subscribe=True)
-    assert plain["seen"] == hooked["seen"]
+    recorder = HookRecorder()
+    for name in HOOK_NAMES:
+        obs_hooked.hooks.subscribe(name, recorder)
+    plain = _run(seed, ber, mode, obs_plain)
+    hooked = _run(seed, ber, mode, obs_hooked)
+    assert plain == hooked
     assert (obs_plain.deterministic_snapshot()
             == obs_hooked.deterministic_snapshot())
-    # The recorder saw exactly the dispatched events, in order.
-    recorder = hooked["recorder"]
-    captured = [(fields["time"], fields["sequence"])
-                for __, fields in recorder.events]
-    assert captured == [(t, s) for t, __, s in hooked["seen"]]
+    # The recorder saw one cycle event per simulated cycle, in order.
+    cycles = [fields["cycle"] for fields in recorder.of("engine.cycle")]
+    assert cycles == list(range(hooked["cycles"]))
+    assert recorder.of("experiment.finished")
 
 
-@given(schedule=schedules, horizon=horizons)
-@settings(max_examples=40, deadline=None)
-def test_counters_are_pure_functions_of_the_schedule(schedule, horizon):
-    # Running the same schedule through a reused Observability twice
-    # doubles every engine counter: no hidden cross-run state leaks in.
+@given(seed=seeds, ber=bers, mode=modes)
+@property_settings
+def test_counters_are_pure_functions_of_the_schedule(seed, ber, mode):
+    # Running the same seed through a reused Observability twice
+    # doubles every counter: no hidden cross-run state leaks in.
     obs = Observability()
-    first = _run(schedule, horizon, obs)
-    once = {k: v for k, v in
-            obs.deterministic_snapshot()["counters"].items()}
-    second = _run(schedule, horizon, obs)
-    assert first["seen"] == second["seen"]
+    first = _run(seed, ber, mode, obs)
+    once = dict(obs.deterministic_snapshot()["counters"])
+    second = _run(seed, ber, mode, obs)
+    assert first == second
     twice = obs.deterministic_snapshot()["counters"]
+    assert set(twice) == set(once)
     for name, value in once.items():
         assert twice[name] == 2 * value

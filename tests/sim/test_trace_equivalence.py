@@ -1,7 +1,7 @@
 """Differential engine tests: vectorized versus interpreter, byte for byte.
 
 The default engine (:class:`repro.timeline.VectorizedStepper`) claims
-*trace equivalence* with the pure event-list interpreter: same
+*trace equivalence* with the per-slot interpreter: same
 configuration, same seed, same policy -> the exact same sequence of
 :class:`~repro.sim.trace.FrameRecord` entries, every field identical, in
 the same order.  Every scenario also runs on the engine's delegated
