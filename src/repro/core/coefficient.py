@@ -168,7 +168,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
         dynamic_share = 0.0
         if self.retransmission_slot_id is not None:
             serving = sum(
-                1 for channel in self.cluster.channels
+                1 for channel in self._channels
                 if self.serves_dynamic(channel)
             )
             dynamic_share = float(serving)

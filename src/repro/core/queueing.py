@@ -88,7 +88,9 @@ class QueueingPolicyBase(SchedulerPolicy):
         self.drop_expired_dynamic = drop_expired_dynamic
         self._optimize_iterations = optimize_iterations
         self.params: Optional[SegmentGeometry] = None
-        self.cluster: Optional[Cluster] = None
+        # The bound cluster's channels; the policy keeps no reference
+        # to the cluster itself (see SchedulerPolicy.bind).
+        self._channels: Tuple[Channel, ...] = ()
         self._table: Optional[ScheduleTable] = None
         self._round: Optional[CompiledRound] = None
         # (message_id, chunk) -> [(channel, slot_id), ...]
@@ -167,8 +169,8 @@ class QueueingPolicyBase(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def bind(self, cluster: Cluster) -> None:
-        self.cluster = cluster
         self.params = cluster.params
+        self._channels = tuple(cluster.channels)
         frames = self._packing.static_frames()
         self._table = self.params.build_schedule(
             frames, strategy=self.channel_strategy()
@@ -183,7 +185,7 @@ class QueueingPolicyBase(SchedulerPolicy):
             self._table = optimizer.optimize_table(
                 self._table, iterations=self._optimize_iterations)
         self._round = compile_round(
-            self._table, self.params, list(cluster.channels), obs=self.obs
+            self._table, self.params, list(self._channels), obs=self.obs
         )
         self._build_placements()
         self._build_dynamic_queues()

@@ -45,8 +45,9 @@ __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
 #: Bump on any change to the cached payload shape or to simulation
 #: semantics that should invalidate old entries wholesale.  Version 2:
 #: trace records became named tuples.  Version 3: a trace pickles as
-#: primitive per-field columns.
-CACHE_VERSION = 3
+#: primitive per-field columns.  Version 4: a trace's per-instance state
+#: is a tuple of primitives (plus a chunk map) instead of a dataclass.
+CACHE_VERSION = 4
 
 
 def fingerprint(value: object) -> object:

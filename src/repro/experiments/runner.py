@@ -9,8 +9,10 @@ the same code path.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.baselines.dynamic_priority import DynamicPriorityPolicy
 from repro.baselines.fspec import FspecPolicy
@@ -160,7 +162,8 @@ def run_experiment(
         obs: Observability context threaded through the policy, the
             cluster and the metric reduction; policy counters and
             slack-planner statistics are merged into its registry when
-            the run ends.
+            the run ends, and the cycle collector's pauses during the
+            run are charged to its ``engine.gc.gen<N>`` timers.
         engine_mode: ``"vectorized"`` (default, the cycle-batch engine
             over the compiled round) or ``"interpreter"`` (the pure
             per-slot oracle); the two are trace-equivalent by
@@ -173,37 +176,39 @@ def run_experiment(
     if duration_ms is None and instance_limit is None:
         raise ValueError("set duration_ms or instance_limit")
     workload = _merge(periodic, aperiodic)
-    with obs.section("experiment.setup"):
-        packing = pack_signals(workload, params)
-        rng = RngStream(seed, scope="experiment")
-        ber_model = BitErrorRateModel(ber_channel_a=ber)
-        injector = TransientFaultInjector(ber_model, rng)
-        policy = make_policy(
-            scheduler, packing, ber_model,
-            reliability_goal=reliability_goal,
-            time_unit_ms=time_unit_ms,
-            **policy_kwargs,
-        )
-        policy.attach_observability(obs)
-        sources = packing.build_sources(rng, instance_limit=instance_limit)
-        cluster = Cluster(
-            params=params,
-            policy=policy,
-            sources=sources,
-            corrupts=injector,
-            obs=obs,
-            mode=engine_mode,
-        )
-    with obs.section("experiment.run"):
-        if duration_ms is not None:
-            cycles = cluster.run_for_ms(duration_ms)
-        else:
-            cycles = cluster.run_until_complete(max_cycles=max_cycles)
-    metrics = cluster.metrics()
-    counters = dict(getattr(policy, "counters", {}))
-    if obs.enabled:
-        _export_run_observability(obs, scheduler, policy, counters, cycles,
-                                  seed)
+    timing = _charge_gc(obs) if obs.enabled else contextlib.nullcontext()
+    with timing:
+        with obs.section("experiment.setup"):
+            packing = pack_signals(workload, params)
+            rng = RngStream(seed, scope="experiment")
+            ber_model = BitErrorRateModel(ber_channel_a=ber)
+            injector = TransientFaultInjector(ber_model, rng)
+            policy = make_policy(
+                scheduler, packing, ber_model,
+                reliability_goal=reliability_goal,
+                time_unit_ms=time_unit_ms,
+                **policy_kwargs,
+            )
+            policy.attach_observability(obs)
+            sources = packing.build_sources(rng, instance_limit=instance_limit)
+            cluster = Cluster(
+                params=params,
+                policy=policy,
+                sources=sources,
+                corrupts=injector,
+                obs=obs,
+                mode=engine_mode,
+            )
+        with obs.section("experiment.run"):
+            if duration_ms is not None:
+                cycles = cluster.run_for_ms(duration_ms)
+            else:
+                cycles = cluster.run_until_complete(max_cycles=max_cycles)
+        metrics = cluster.metrics()
+        counters = dict(getattr(policy, "counters", {}))
+        if obs.enabled:
+            _export_run_observability(obs, scheduler, policy, counters, cycles,
+                                      seed)
     return ExperimentResult(
         scheduler=scheduler,
         metrics=metrics,
@@ -213,6 +218,30 @@ def run_experiment(
         cluster=cluster,
         engine_mode=EngineMode.parse(engine_mode).value,
     )
+
+
+@contextlib.contextmanager
+def _charge_gc(obs) -> Iterator[None]:
+    """Time every cycle-collector pass in the block, per generation.
+
+    The collector pauses whatever allocates when a threshold trips, so
+    no layer timer sees its time; while the block runs, each pass is
+    recorded as one ``engine.gc.gen<N>`` timer observation.
+    """
+    started = [0]
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            started[0] = obs.now_ns()
+        else:
+            obs.observe_ns(f"engine.gc.gen{info['generation']}",
+                           obs.now_ns() - started[0])
+
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
 
 
 def _export_run_observability(obs, scheduler: str,

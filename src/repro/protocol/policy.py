@@ -72,7 +72,10 @@ class SchedulerPolicy(abc.ABC):
 
         Called exactly once before the first cycle.  Implementations
         build schedule tables, compute retransmission budgets, and size
-        their queues here.
+        their queues here.  They copy what they need from ``cluster``
+        and keep no reference to it: the cluster owns the policy, and a
+        back-reference would make every run a cycle that only the cycle
+        collector can free.
         """
 
     @abc.abstractmethod

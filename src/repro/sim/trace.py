@@ -12,17 +12,21 @@ cannot "know" it is being measured -- and lets tests assert detailed
 invariants (e.g. no two transmissions overlap on one channel).
 
 The recorder pays once per segment, not once per frame, on the batch
-engine's path:
+engine's path, and holds nothing the cycle collector must walk:
 
 - the vectorized engine hands each settled segment plan over as one
-  block (:meth:`TraceRecorder.record_batch`); a :class:`FrameRecord` is
-  built only when a reader iterates the trace;
+  block (:meth:`TraceRecorder.record_batch`); the recorder copies it
+  into a tuple of primitive rows (strings, ints and bools, no engine
+  object and no enum) and builds a :class:`FrameRecord` only when a
+  reader iterates the trace;
+- the per-instance delivery state is a plain tuple of primitives per
+  instance, which the collector untracks like the rows;
 - the record-level metric sums run as attempts are recorded
   (:meth:`TraceRecorder.reduction`), so the metric reduction walks the
   instances, never the records;
 - :func:`trace_digest` streams the canonical lines into the hash;
-- a pickled trace holds one primitive column per field, with no engine
-  objects, and iterates those columns after unpickling.
+- a pickled trace holds one primitive column per field and iterates
+  those columns after unpickling.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import enum
 import hashlib
 from array import array
 from itertools import islice
-from dataclasses import dataclass, field
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -112,27 +115,6 @@ class InstanceSummary(NamedTuple):
     segment: Optional[str]
 
 
-@dataclass(slots=True)
-class _InstanceState:
-    """Mutable delivery state of one message instance.
-
-    A multi-chunk instance is delivered only when every chunk has been
-    delivered; its delivery time is the time the *last* chunk landed.
-    """
-
-    generation_time: int
-    deadline: int
-    chunks: int = 1
-    chunk_delivered_at: Dict[int, int] = field(default_factory=dict)
-    segment: Optional[str] = None
-
-    @property
-    def delivered_at(self) -> Optional[int]:
-        if len(self.chunk_delivered_at) < self.chunks:
-            return None
-        return max(self.chunk_delivered_at.values())
-
-
 class TraceReduction(NamedTuple):
     """The record-level metric sums, kept running as the trace records.
 
@@ -151,7 +133,7 @@ class TraceReduction(NamedTuple):
     retransmissions: int
 
 
-#: Pickled outcome codes (index into this tuple).
+#: Stored outcome codes (index into this tuple).
 _OUTCOMES = tuple(TransmissionOutcome)
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
 
@@ -168,8 +150,8 @@ class _Columns(list):
     """Recorded attempts as one column per :class:`FrameRecord` field.
 
     The pickled form of a trace, and its first part after unpickling:
-    it holds only primitive values (``bool`` flags and outcomes as byte
-    codes), so a stored trace references no engine object.
+    packed columns take less memory and load faster than the recorded
+    row blocks (a campaign holds every seed's unpickled trace).
     """
 
     @classmethod
@@ -195,21 +177,27 @@ class _Columns(list):
             *self[_OUTCOME_FIELD + 2:]))
 
 
-def _block_records(plan, cycle, segment, lane_names, bits,
-                   verdicts) -> Iterator[FrameRecord]:
-    """The :class:`FrameRecord` of each entry of a recorded block."""
-    corrupted = TransmissionOutcome.CORRUPTED
-    delivered = TransmissionOutcome.DELIVERED
-    for (lane, slot_id, start, end, pending), total_bits, corrupt in zip(
-            plan, bits, verdicts):
-        frame = pending.frame
+#: A recorded attempt is stored as a row of primitives: every
+#: :class:`FrameRecord` field except ``cycle`` and ``segment`` (kept
+#: once per block), with the outcome as its index in ``_OUTCOMES``
+#: (the batch engine stores its corruption verdict, a bool, which
+#: indexes the same way: ``False`` is delivered, ``True`` corrupted).
+_CORRUPTED = _OUTCOME_CODE[TransmissionOutcome.CORRUPTED]
+
+
+def _block_records(cycle: int, segment: str,
+                   rows: Tuple[tuple, ...]) -> Iterator[FrameRecord]:
+    """The :class:`FrameRecord` of each row of a recorded block."""
+    outcomes = _OUTCOMES
+    for (message_id, instance, channel, slot_id, start, end, bits,
+         payload_bits, outcome, is_retransmission, generation_time,
+         deadline, chunk) in rows:
         # Positional, in field order: keyword arguments double the
         # construction cost of a named tuple.
         yield FrameRecord(
-            frame.message_id, pending.instance, lane_names[lane], slot_id,
-            cycle, start, end, total_bits, frame.payload_bits, segment,
-            corrupted if corrupt else delivered, pending.is_retransmission,
-            pending.generation_time_mt, pending.deadline_mt, frame.chunk)
+            message_id, instance, channel, slot_id, cycle, start, end,
+            bits, payload_bits, segment, outcomes[outcome],
+            is_retransmission, generation_time, deadline, chunk)
 
 
 class TraceRecorder:
@@ -217,14 +205,20 @@ class TraceRecorder:
 
     Attempts arrive one :class:`FrameRecord` at a time (:meth:`record`)
     or one settled segment plan at a time (:meth:`record_batch`); both
-    append to one ordered part list, and iteration builds the
-    :class:`FrameRecord` of a block entry only when a reader asks.
+    append a block of primitive rows to one ordered part list, and
+    iteration builds the :class:`FrameRecord` of a row only when a
+    reader asks.
 
     The recorder also tracks first-successful-delivery time per message
     instance, which is what latency and deadline-miss metrics are defined
     over (a later redundant copy does not improve latency), and keeps the
     record-level metric sums running (:meth:`reduction`), so the metric
     reduction never walks the records again.
+
+    Everything it keeps is a list, tuple, dict or array of ints,
+    strings, bools and ``None``: the cycle collector untracks such
+    tuples, so a long trace adds nothing to the young collections it
+    survives.
     """
 
     def __init__(self, protocol: str = "generic") -> None:
@@ -232,11 +226,21 @@ class TraceRecorder:
         #: under; stamped into the canonical byte form so traces of
         #: different protocols can never compare equal.
         self.protocol = protocol
-        # FrameRecord, block tuple (see record_batch) or _Columns parts,
-        # in recording order.
+        # ``(cycle, segment, rows)`` blocks (see _block_records) or
+        # _Columns parts, in recording order.
         self._parts: List[object] = []
         self._count = 0
-        self._instances: Dict[Tuple[str, int], _InstanceState] = {}
+        # (message_id, instance) -> (generation_time, deadline, chunks,
+        # segment, delivered_at): the segment of the first attempt
+        # (None before it) and the delivery time (None until every
+        # chunk landed).  A single-chunk instance is delivered by its
+        # earliest delivered copy.
+        self._instances: Dict[Tuple[str, int], tuple] = {}
+        # (message_id, instance) -> {chunk: earliest delivery time} of
+        # the instances split over several chunks; an instance is
+        # delivered once every chunk is, at the time the *last* chunk
+        # landed.
+        self._chunk_times: Dict[Tuple[str, int], Dict[int, int]] = {}
         # Incremental count of fully delivered instances.  Delivery is
         # monotone -- a record can only add or improve a chunk's
         # delivery time, never remove one -- so counting transitions at
@@ -253,10 +257,7 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[FrameRecord]:
         for part in self._parts:
-            kind = type(part)
-            if kind is FrameRecord:
-                yield part
-            elif kind is tuple:
+            if type(part) is tuple:
                 yield from _block_records(*part)
             else:
                 yield from part.records()
@@ -272,8 +273,8 @@ class TraceRecorder:
                               self._corrupted, self._retransmissions)
 
     def __getstate__(self) -> Dict[str, object]:
-        # Blocks reference the engine's PendingFrame objects; the stored
-        # form is columns of primitives, converted once here.
+        # The stored form is one packed column per field, converted
+        # once here (see _Columns).
         state = self.__dict__.copy()
         parts = self._parts
         if parts and not (len(parts) == 1 and type(parts[0]) is _Columns):
@@ -297,42 +298,18 @@ class TraceRecorder:
             raise ValueError(f"chunks must be >= 1, got {chunks}")
         key = (message_id, instance)
         if key not in self._instances:
-            self._instances[key] = _InstanceState(
-                generation_time=generation_time, deadline=deadline,
-                chunks=chunks,
-            )
+            self._instances[key] = (generation_time, deadline, chunks, None,
+                                    None)
 
     def record(self, record: FrameRecord) -> None:
         """Append a transmission attempt and update instance state."""
-        self._parts.append(record)
-        self._count += 1
-        duration = record.end - record.start
-        self._occupied_mt += duration
-        if record.is_retransmission:
-            self._retransmissions += 1
-        key = (record.message_id, record.instance)
-        state = self._instances.get(key)
-        if state is None:
-            state = _InstanceState(
-                generation_time=record.generation_time, deadline=record.deadline
-            )
-            self._instances[key] = state
-        if state.segment is None:
-            state.segment = record.segment
-        if record.outcome is TransmissionOutcome.CORRUPTED:
-            self._corrupted += 1
-        elif record.outcome is TransmissionOutcome.DELIVERED:
-            delivered_at = state.chunk_delivered_at
-            existing = delivered_at.get(record.chunk)
-            if existing is None:
-                if len(delivered_at) + 1 == state.chunks:
-                    self._delivered += 1
-                delivered_at[record.chunk] = record.end
-                if record.bits > 0:
-                    self._useful_mt += (duration * record.payload_bits
-                                        / record.bits)
-            elif record.end < existing:
-                delivered_at[record.chunk] = record.end
+        rows = ((record.message_id, record.instance, record.channel,
+                 record.slot_id, record.start, record.end, record.bits,
+                 record.payload_bits, _OUTCOME_CODE[record.outcome],
+                 record.is_retransmission, record.generation_time,
+                 record.deadline, record.chunk),)
+        self._parts.append((record.cycle, record.segment, rows))
+        self._account(record.segment, rows)
 
     def record_batch(self, plan: Sequence[tuple], cycle: int, segment: str,
                      lane_names: Sequence[str], bits: Sequence[int],
@@ -341,52 +318,80 @@ class TraceRecorder:
 
         Equivalent to calling :meth:`record` once per entry, in order.
         ``plan`` holds ``(lane, slot_id, start, end, pending)`` entries,
-        where ``pending`` is the transmitted (immutable) pending frame
-        and ``lane_names[lane]`` its channel name; ``bits`` and
-        ``verdicts`` give each entry's total frame bits and corruption
-        verdict.  The recorder keeps the block as handed over -- no
-        caller may mutate it afterwards -- and builds its
-        :class:`FrameRecord` entries only when read.
+        where ``pending`` is the transmitted pending frame and
+        ``lane_names[lane]`` its channel name; ``bits`` and ``verdicts``
+        give each entry's total frame bits and corruption verdict.  The
+        recorder copies each entry's fields into a row of primitives
+        and keeps no reference to the plan, its pending frames or the
+        outcome enum; :class:`FrameRecord` entries are built only when
+        read.
         """
-        self._parts.append((plan, cycle, segment, lane_names, bits,
-                            verdicts))
-        self._count += len(plan)
+        rows = tuple([
+            (pending.frame.message_id, pending.instance, lane_names[lane],
+             slot_id, start, end, total_bits, pending.frame.payload_bits,
+             corrupt, pending.is_retransmission, pending.generation_time_mt,
+             pending.deadline_mt, pending.frame.chunk)
+            for (lane, slot_id, start, end, pending), total_bits, corrupt
+            in zip(plan, bits, verdicts)])
+        self._parts.append((cycle, segment, rows))
+        self._account(segment, rows)
+
+    def _account(self, segment: str, rows: Tuple[tuple, ...]) -> None:
+        """Fold one block's rows into the instance state and the sums."""
+        self._count += len(rows)
         instances = self._instances
         occupied_mt = self._occupied_mt
         useful_mt = self._useful_mt
         corrupted = self._corrupted
         retransmissions = self._retransmissions
         delivered = self._delivered
-        for (__, ___, start, end, pending), total_bits, corrupt in zip(
-                plan, bits, verdicts):
-            frame = pending.frame
+        for (message_id, instance, __, ___, start, end, bits, payload_bits,
+             outcome, is_retransmission, generation_time, deadline,
+             chunk) in rows:
             duration = end - start
             occupied_mt += duration
-            if pending.is_retransmission:
+            if is_retransmission:
                 retransmissions += 1
-            key = (frame.message_id, pending.instance)
+            key = (message_id, instance)
             state = instances.get(key)
             if state is None:
-                state = _InstanceState(
-                    generation_time=pending.generation_time_mt,
-                    deadline=pending.deadline_mt)
-                instances[key] = state
-            if state.segment is None:
-                state.segment = segment
-            if corrupt:
-                corrupted += 1
-                continue
-            delivered_at = state.chunk_delivered_at
-            chunk = frame.chunk
-            existing = delivered_at.get(chunk)
-            if existing is None:
-                if len(delivered_at) + 1 == state.chunks:
+                chunks, first_segment, delivered_at = 1, None, None
+            else:
+                generation_time, deadline, chunks, first_segment, \
+                    delivered_at = state
+            changed = first_segment is None
+            if changed:
+                first_segment = segment
+            if outcome:
+                if outcome == _CORRUPTED:
+                    corrupted += 1
+            elif chunks == 1:
+                if delivered_at is None:
                     delivered += 1
-                delivered_at[chunk] = end
-                if total_bits > 0:
-                    useful_mt += duration * frame.payload_bits / total_bits
-            elif end < existing:
-                delivered_at[chunk] = end
+                    if bits > 0:
+                        useful_mt += duration * payload_bits / bits
+                    delivered_at = end
+                    changed = True
+                elif end < delivered_at:
+                    delivered_at = end
+                    changed = True
+            else:
+                times = self._chunk_times.setdefault(key, {})
+                existing = times.get(chunk)
+                if existing is None:
+                    times[chunk] = end
+                    if bits > 0:
+                        useful_mt += duration * payload_bits / bits
+                    if len(times) == chunks:
+                        delivered += 1
+                elif end < existing:
+                    times[chunk] = end
+                if len(times) >= chunks:
+                    delivered_at = max(times.values())
+                changed = True
+            if changed:
+                instances[key] = (generation_time, deadline, chunks,
+                                  first_segment, delivered_at)
         self._occupied_mt = occupied_mt
         self._useful_mt = useful_mt
         self._corrupted = corrupted
@@ -404,7 +409,7 @@ class TraceRecorder:
     def delivery_time(self, message_id: str, instance: int) -> Optional[int]:
         """First successful delivery time of an instance, or ``None``."""
         state = self._instances.get((message_id, instance))
-        return None if state is None else state.delivered_at
+        return None if state is None else state[4]
 
     def instance_summaries(self) -> List[InstanceSummary]:
         """One :class:`InstanceSummary` per instance, in production order.
@@ -412,9 +417,11 @@ class TraceRecorder:
         The sorted query methods below are views over this list.
         """
         return [
-            InstanceSummary(message_id, instance, state.generation_time,
-                            state.deadline, state.delivered_at, state.segment)
-            for (message_id, instance), state in self._instances.items()
+            InstanceSummary(message_id, instance, generation_time, deadline,
+                            delivered_at, segment)
+            for (message_id, instance), (generation_time, deadline, __,
+                                         segment, delivered_at)
+            in self._instances.items()
         ]
 
     def latencies(self) -> List[Tuple[str, int, int]]:

@@ -152,8 +152,9 @@ def per_message_statistics(trace: TraceRecorder) -> List[MessageStatistics]:
     missed: Dict[str, int] = {}
     for (message_id, __) in trace.missed_instances():
         missed[message_id] = missed.get(message_id, 0) + 1
-    for (message_id, __), state in getattr(trace, "_instances").items():
-        instances[message_id] = instances.get(message_id, 0) + 1
+    for summary in trace.instance_summaries():
+        instances[summary.message_id] = \
+            instances.get(summary.message_id, 0) + 1
 
     out: List[MessageStatistics] = []
     for message_id in sorted(instances):

@@ -1,9 +1,13 @@
 """Unit tests for the experiment runner."""
 
+import gc
+
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import SCHEDULERS, make_policy, run_experiment
 from repro.faults.ber import BitErrorRateModel
+from repro.obs import NULL_OBS, Observability
 from repro.packing.frame_packing import pack_signals
 
 
@@ -121,3 +125,37 @@ class TestRunExperiment:
         row = result.row()
         assert row["scheduler"] == "coefficient"
         assert "bandwidth_utilization" in row
+
+
+class TestGcTimers:
+    def test_passes_during_the_run_are_charged_per_generation(
+            self, small_params, tiny_periodic_signals):
+        obs = Observability()
+        passes = []
+
+        def collect_once_per_generation(event, fields):
+            if len(passes) < 3:
+                passes.append(gc.collect(len(passes)))
+
+        obs.hooks.subscribe("engine.cycle", collect_once_per_generation)
+        callbacks = list(gc.callbacks)
+        run_experiment(params=small_params, scheduler="coefficient",
+                       periodic=tiny_periodic_signals, ber=0.0, seed=1,
+                       duration_ms=10.0, obs=obs)
+        assert len(passes) == 3
+        assert gc.callbacks == callbacks, "the hook outlived the run"
+        timers = obs.snapshot()["timers"]
+        for generation in (0, 1, 2):
+            timer = timers[f"engine.gc.gen{generation}"]
+            assert timer["count"] >= 1
+            assert timer["total_ns"] > 0
+
+    def test_disabled_obs_registers_no_hook(self, monkeypatch, small_params,
+                                            tiny_periodic_signals):
+        def refuse(obs):
+            raise AssertionError("GC hook registered without observability")
+
+        monkeypatch.setattr(runner, "_charge_gc", refuse)
+        run_experiment(params=small_params, scheduler="coefficient",
+                       periodic=tiny_periodic_signals, ber=0.0, seed=1,
+                       duration_ms=10.0, obs=NULL_OBS)

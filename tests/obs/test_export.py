@@ -1,9 +1,11 @@
 """Unit tests for the JSONL exporter and its validating reader."""
 
+import gc
 import json
 
 import pytest
 
+from repro.experiments.runner import _charge_gc
 from repro.obs import (
     SCHEMA_VERSION,
     Observability,
@@ -16,10 +18,14 @@ from repro.obs import (
 
 @pytest.fixture
 def populated_obs():
+    """One name per record kind, each from the docs/observability.md
+    catalogue; the timer is a real collector pass charged by the
+    runner's GC hook."""
     obs = Observability()
-    obs.inc("engine.events_dispatched", 12)
-    obs.set_gauge("engine.queue_depth", 3)
-    obs.observe_ns("engine.handler.CUSTOM", 4200)
+    obs.inc("engine.cycles", 12)
+    obs.set_gauge("engine.trace_records", 3)
+    with _charge_gc(obs):
+        gc.collect(0)
     with obs.section("experiment.run"):
         pass
     return obs
@@ -57,9 +63,15 @@ class TestWriteAndRead:
         assert len(records) == count
         counters = {r["name"]: r["value"]
                     for r in records if r["record"] == "counter"}
-        assert counters["engine.events_dispatched"] == 12
+        assert counters["engine.cycles"] == 12
         gauges = {r["name"]: r for r in records if r["record"] == "gauge"}
-        assert gauges["engine.queue_depth"]["value"] == 3
+        assert gauges["engine.trace_records"]["value"] == 3
+        timers = {r["name"]: r for r in records if r["record"] == "timer"}
+        assert set(timers) == {"engine.gc.gen0"}
+        assert timers["engine.gc.gen0"]["count"] == 1
+        assert timers["engine.gc.gen0"]["total_ns"] > 0
+        profiles = {r["section"] for r in records if r["record"] == "profile"}
+        assert profiles == {"experiment.run"}
 
     def test_one_json_object_per_line(self, populated_obs, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -69,14 +81,15 @@ class TestWriteAndRead:
 
     def test_captured_events_exported(self, populated_obs, tmp_path):
         events = attach_event_capture(populated_obs)
-        populated_obs.emit("engine.dispatch", time=7, kind="CUSTOM")
+        populated_obs.emit("engine.cycle", cycle=7, start_mt=5600,
+                           pending_work=2)
         path = tmp_path / "metrics.jsonl"
         write_metrics_jsonl(str(path), populated_obs, events=events)
         records = read_metrics_jsonl(str(path))
         event_records = [r for r in records if r["record"] == "event"]
         assert event_records == [{"record": "event",
-                                  "event": "engine.dispatch",
-                                  "time": 7, "kind": "CUSTOM"}]
+                                  "event": "engine.cycle", "cycle": 7,
+                                  "start_mt": 5600, "pending_work": 2}]
 
     def test_event_capture_is_bounded(self):
         obs = Observability()
@@ -90,7 +103,7 @@ class TestStrictEncoding:
     def test_unencodable_event_field_raises_and_writes_nothing(
             self, populated_obs, tmp_path):
         events = attach_event_capture(populated_obs)
-        populated_obs.emit("engine.dispatch", payload=object())
+        populated_obs.emit("engine.cycle", payload=object())
         path = tmp_path / "metrics.jsonl"
         with pytest.raises(TypeError, match="payload"):
             write_metrics_jsonl(str(path), populated_obs, events=events)

@@ -179,10 +179,17 @@ class TestMetricsCollector:
 def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
     """A record walk: the reduction the trace now keeps running.
 
-    One walk over the records for bandwidth and attempt counts, a second
+    One walk over the records for bandwidth, attempt counts and the
+    earliest delivery of every ``(message, instance, chunk)``, a second
     for the segment of each instance's first attempt, then sorted
-    instance walks for latencies, misses and the last delivery -- read
-    from the recorder's per-instance state, not from its query methods.
+    instance walks for latencies, misses and the last delivery.  Only
+    the instance set (identity, generation time, deadline) is read from
+    the recorder, through ``instance_summaries()``; every delivery time
+    is derived from the records.  An instance is delivered once each
+    chunk of its message has a delivered copy, at the time the last
+    chunk landed; a message's chunk count is one more than the highest
+    chunk index among its records, so every chunk of a multi-chunk
+    message must be attempted at least once somewhere in the trace.
     """
     total_medium_mt = horizon_mt * channel_count
     useful_mt = 0
@@ -190,37 +197,44 @@ def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
     corrupted = 0
     retransmissions = 0
     attempts = 0
-    first_delivery_counted = set()
+    chunk_delivered_at = {}
+    chunk_count = {}
     for record in trace:
         attempts += 1
         duration = record.end - record.start
         occupied_mt += duration
+        chunk_count[record.message_id] = max(
+            chunk_count.get(record.message_id, 1), record.chunk + 1)
         if record.is_retransmission:
             retransmissions += 1
         if record.outcome is TransmissionOutcome.CORRUPTED:
             corrupted += 1
         elif record.outcome is TransmissionOutcome.DELIVERED:
             key = (record.message_id, record.instance, record.chunk)
-            if key not in first_delivery_counted:
-                first_delivery_counted.add(key)
+            earlier = chunk_delivered_at.get(key)
+            if earlier is None:
+                chunk_delivered_at[key] = record.end
                 if record.bits > 0:
                     useful_mt += duration * record.payload_bits / record.bits
+            elif record.end < earlier:
+                chunk_delivered_at[key] = record.end
 
-    def delivered_at(state):
-        if len(state.chunk_delivered_at) < state.chunks:
-            return None
-        return max(state.chunk_delivered_at.values())
+    def delivered_at(message_id, instance):
+        times = [chunk_delivered_at.get((message_id, instance, chunk))
+                 for chunk in range(chunk_count.get(message_id, 1))]
+        return None if None in times else max(times)
 
-    instances = sorted(trace._instances.items())
-    latencies = [(key, delivered_at(state) - state.generation_time)
-                 for key, state in instances
-                 if delivered_at(state) is not None]
-    missed = sum(1 for __, state in instances
-                 if delivered_at(state) is None
-                 or delivered_at(state) > state.deadline)
-    times = [delivered_at(state) for __, state in instances
-             if delivered_at(state) is not None]
+    instances = sorted(
+        ((s.message_id, s.instance), s.generation_time, s.deadline,
+         delivered_at(s.message_id, s.instance))
+        for s in trace.instance_summaries())
+    latencies = [(key, at - generation)
+                 for key, generation, __, at in instances if at is not None]
+    missed = sum(1 for __, ___, deadline, at in instances
+                 if at is None or at > deadline)
+    times = [at for __, ___, ____, at in instances if at is not None]
     last_delivery = max(times) if times else None
+    delivered = len(times)
 
     segment_of_instance = {}
     for record in trace:
@@ -238,7 +252,7 @@ def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
                         else last_delivery * macrotick_us / 1000.0)
     if produced == 0:
         running_time_ms = 0.0
-    elif trace.delivered_count() < produced or last_delivery is None:
+    elif delivered < produced or last_delivery is None:
         running_time_ms = float("inf")
     else:
         running_time_ms = last_delivery_ms
@@ -255,7 +269,7 @@ def reference_metrics(trace, horizon_mt, macrotick_us=1.0, channel_count=2):
                                                      macrotick_us),
         deadline_miss_ratio=(missed / produced) if produced else 0.0,
         produced_instances=produced,
-        delivered_instances=trace.delivered_count(),
+        delivered_instances=delivered,
         total_attempts=attempts,
         corrupted_attempts=corrupted,
         retransmission_attempts=retransmissions,
