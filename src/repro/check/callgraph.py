@@ -1,6 +1,7 @@
 """AST call graph over ``src/repro`` (the ``EFF3xx`` substrate).
 
-Parses every module under the given roots (no imports are executed),
+Takes the modules of the checker's one parse
+(:func:`repro.check.frontend.read_sources`; no imports are executed),
 collects classes with their resolved base-class chains and methods, and
 summarizes every function body via
 :func:`repro.check.effects.summarize_function`.  The result is a
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.check.effects import FunctionSummary, summarize_function
+from repro.check.frontend import SourceFile, dotted_name
 
 __all__ = ["Project", "ClassInfo", "FunctionInfo", "build_project"]
 
@@ -137,80 +138,22 @@ class Project:
         return self.functions.get(local)
 
 
-def _module_name(path: Path, root: Path) -> str:
-    """``src/repro/core/queueing.py`` -> ``repro.core.queueing``."""
-    relative = path.relative_to(root)
-    parts = list(relative.parts)
-    if parts[-1] == "__init__.py":
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][:-3]
-    return ".".join([root.name] + parts) if parts else root.name
-
-
-def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                key = alias.asname or alias.name.split(".")[0]
-                aliases[key] = alias.name if alias.asname \
-                    else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.level == 0:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = \
-                        f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _iter_sources(roots: Sequence[Path]) -> Iterable[Tuple[Path, Path]]:
-    for root in roots:
-        root = root.resolve()
-        if root.is_file():
-            yield root, root.parent
-            continue
-        for path in sorted(root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            yield path, root
-
-
-def build_project(roots: Sequence[Path],
-                  extra_sources: Optional[
-                      Dict[str, Tuple[str, str]]] = None) -> Project:
-    """Parse every module under ``roots`` into a :class:`Project`.
+def build_project(sources: Sequence[SourceFile]) -> Project:
+    """Collect the classes and functions of parsed modules.
 
     Args:
-        roots: Package roots (e.g. ``[Path("src/repro")]``); module
-            names are derived relative to each root, with the root's
-            directory name as the top package.
-        extra_sources: ``module_name -> (display_path, source)`` of
-            additional in-memory modules (the refutation tests feed a
-            deliberately impure policy this way).  Files that fail to
-            parse are skipped -- the determinism linter owns syntax
-            errors (``DET999``).
+        sources: The parsed modules; one that did not parse (its
+            ``DET999`` is reported by the determinism rules) is
+            skipped.
     """
     project = Project()
-    sources: List[Tuple[str, str, str]] = []
-    for path, root in _iter_sources(roots):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
+    for source in sources:
+        if source.tree is None:
             continue
-        sources.append((_module_name(path, root), str(path), text))
-    for module, (display, text) in sorted((extra_sources or {}).items()):
-        sources.append((module, display, text))
-
-    for module, display, text in sources:
-        try:
-            tree = ast.parse(text)
-        except SyntaxError:
-            continue
-        aliases = _collect_aliases(tree)
-        project.aliases[module] = aliases
-        for node in tree.body:
-            _collect_toplevel(project, node, module, display, aliases)
+        project.aliases[source.module] = source.aliases
+        for node in source.tree.body:
+            _collect_toplevel(project, node, source.module, source.path,
+                              source.aliases)
     return project
 
 
@@ -239,14 +182,9 @@ def _collect_toplevel(project: Project, node: ast.stmt, module: str,
         if isinstance(base, ast.Name):
             info.base_names.append(base.id)
         elif isinstance(base, ast.Attribute):
-            parts: List[str] = []
-            current: ast.AST = base
-            while isinstance(current, ast.Attribute):
-                parts.append(current.attr)
-                current = current.value
-            if isinstance(current, ast.Name):
-                parts.append(aliases.get(current.id, current.id))
-                info.base_names.append(".".join(reversed(parts)))
+            dotted = dotted_name(base, aliases)
+            if dotted is not None:
+                info.base_names.append(dotted)
     for child in node.body:
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             method_qual = f"{qualname}.{child.name}"

@@ -14,9 +14,9 @@ the AST and without executing anything:
   only when ``self.feedback`` is true.  The shipped promises are
   conditional on ``not self.feedback``, so feedback-gated effects are
   excluded from those proofs (and included for unconditional ones);
-- primitive effects seeded from the determinism linter's fact tables
-  (wall-clock reads per ``DET101``, unseeded RNG draws per ``DET102``)
-  and ``global``-statement writes.
+- primitive effects from the one wall-clock/RNG fact table
+  (:func:`primitive_effects`, which the ``DET101``/``DET102`` rules
+  read too) and ``global``-statement writes.
 
 The location split is what makes the shipped policies provable with
 zero false positives: ``on_outcome`` *mutating* the planner via
@@ -48,16 +48,32 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.check.frontend import dotted_name
+
 __all__ = [
     "Access", "CallSite", "FunctionSummary", "summarize_function",
     "EFFECT_RNG", "EFFECT_WALL_CLOCK", "EFFECT_GLOBAL_WRITE",
-    "primitive_effects", "FEEDBACK_ATTRS",
+    "primitive_effects", "is_feedback_test", "FEEDBACK_ATTRS",
 ]
 
 #: Primitive effect tags (seeded facts, closed over the call graph).
 EFFECT_RNG = "rng-draw"
 EFFECT_WALL_CLOCK = "wall-clock"
 EFFECT_GLOBAL_WRITE = "global-write"
+
+#: Dotted call targets that read the wall clock.
+_WALL_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns",
+    "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
+    "datetime.now", "datetime.utcnow", "datetime.today",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.date.today",
+})
+
+#: Names whose call with these roots is a global RNG draw.
+_RNG_ROOTS = ("random", "np.random", "numpy.random")
 
 #: ``self`` attributes whose truthiness encodes "reactive ARQ is on".
 FEEDBACK_ATTRS = frozenset({"feedback", "_feedback"})
@@ -116,11 +132,13 @@ class FunctionSummary:
 
 
 def primitive_effects(dotted: str, node: ast.Call) -> Set[str]:
-    """Primitive effects of one dotted call, per the DET fact tables."""
-    # Imported lazily so this module stays importable from lint tests
-    # without a cycle (lint.checker imports check rule ids for DET106).
-    from repro.lint.checker import _RNG_ROOTS, _WALL_CLOCK_CALLS
+    """Primitive effects of one alias-expanded dotted call.
 
+    The one wall-clock/RNG fact table: ``DET101``/``DET102`` flag these
+    calls per file and ``EFF302`` closes them over the call graph.  A
+    seeded ``default_rng(seed)`` construction is the one sanctioned
+    RNG use.
+    """
     effects: Set[str] = set()
     if dotted in _WALL_CLOCK_CALLS:
         effects.add(EFFECT_WALL_CLOCK)
@@ -142,7 +160,7 @@ def _is_self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_feedback_test(node: ast.AST) -> bool:
+def is_feedback_test(node: ast.AST) -> bool:
     """Whether an expression is exactly a ``self.feedback``-style load."""
     attr = _is_self_attr(node)
     return attr is not None and attr in FEEDBACK_ATTRS
@@ -168,17 +186,6 @@ class _BodyVisitor:
 
     def _write(self, location: str, lineno: int, gated: bool) -> None:
         self._s.writes.append(Access(location, lineno, gated))
-
-    def _dotted(self, node: ast.AST) -> Optional[str]:
-        parts: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        parts.append(self._aliases.get(current.id, current.id))
-        return ".".join(reversed(parts))
 
     # -- statements -----------------------------------------------------
 
@@ -265,22 +272,22 @@ class _BodyVisitor:
     def _if(self, stmt: ast.If, gated: bool) -> None:
         """Feedback gating: route each branch with the right flag."""
         test = stmt.test
-        if _is_feedback_test(test):
+        if is_feedback_test(test):
             self._stmts(stmt.body, True)
             self._stmts(stmt.orelse, gated)
             return
         if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) \
-                and _is_feedback_test(test.operand):
+                and is_feedback_test(test.operand):
             self._stmts(stmt.body, gated)
             self._stmts(stmt.orelse, True)
             return
         if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) \
-                and any(_is_feedback_test(v) for v in test.values):
+                and any(is_feedback_test(v) for v in test.values):
             # `if self.feedback and cond():` -- the body and the
             # conjuncts after the feedback test only run with feedback.
             seen_feedback = False
             for value in test.values:
-                if _is_feedback_test(value):
+                if is_feedback_test(value):
                     seen_feedback = True
                     continue
                 self._expr(value, gated or seen_feedback, used=True)
@@ -391,7 +398,7 @@ class _BodyVisitor:
         """`self.feedback and X` gates the conjuncts after the test."""
         seen_feedback = False
         for value in node.values:
-            if isinstance(node.op, ast.And) and _is_feedback_test(value):
+            if isinstance(node.op, ast.And) and is_feedback_test(value):
                 self._s.value_loads.append(
                     Access(_is_self_attr(value) or "feedback",
                            value.lineno, gated))
@@ -423,7 +430,7 @@ class _BodyVisitor:
                         self._read(f"{attr}.*", node.lineno, gated)
                         self._read(attr, node.lineno, gated)
                 else:
-                    dotted = self._dotted(func)
+                    dotted = dotted_name(func, self._aliases)
                     if dotted is not None:
                         self._s.effects |= primitive_effects(dotted, node)
                         self._s.calls.append(

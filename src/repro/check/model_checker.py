@@ -1,7 +1,7 @@
 """Symbolic hyperperiod model checker over ``CompiledRound`` (``MDL4xx``).
 
-The FRS11x round checks spot-check a compiled round; this module proves
-its invariants over the **full hyperperiod** (``cycle_count`` cycles,
+This module proves a compiled round's array invariants over the **full
+hyperperiod** (``cycle_count`` cycles,
 i.e. ``lcm(pattern, 64)``) by pure interval arithmetic on the flat
 integer arrays -- no cycle is ever simulated:
 
@@ -21,7 +21,9 @@ integer arrays -- no cycle is ever simulated:
   ``pattern_length``, so a wrong pattern length is only observable
   beyond the first pattern -- exactly what this rule sweeps), and the
   prefix-sum window query agrees with per-cycle totals over single
-  cycles, prefixes, and pattern-*crossing* windows.
+  cycles, prefixes, pattern-*crossing* windows, and every window
+  ``[start, pattern_length)`` from a base the acceptance test can
+  start at.
 - **MDL404** -- Theorem-1 extrapolation: the plan's log-space success
   product still clears the reliability goal (the same arithmetic as
   ``ANA204``, checked here because the steady-state argument leans on
@@ -36,7 +38,7 @@ minimal failing row set with a one-command repro (``MDL405``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.faults.analysis import log_message_success_probability
 from repro.protocol.channel import Channel
@@ -56,7 +58,7 @@ from repro.verify.diagnostics import (
 )
 
 __all__ = ["check_hyperperiod_model", "dynamic_retransmission_capacity",
-           "STRUCTURAL_RULES"]
+           "theorem1_inputs", "STRUCTURAL_RULES"]
 
 _KIND_NAMES = {
     SEGMENT_STATIC: "static",
@@ -91,6 +93,61 @@ def dynamic_retransmission_capacity(
                        if per_frame > 0 else 0)
         capacity[message] = per_channel * params.channel_count
     return capacity
+
+
+def theorem1_inputs(packing, params, ber: float, reliability_goal: float,
+                    time_unit_ms: float, max_budget: int,
+                    uniform_budget: bool = False):
+    """The Theorem-1 plan of a packed workload and the
+    :func:`check_hyperperiod_model` keyword inputs that prove it.
+
+    Derives every message's worst-chunk failure probability, instance
+    rate, bandwidth cost and period exactly as
+    :class:`~repro.core.coefficient.CoEfficientPolicy` does on bind,
+    then plans the budgets (differentiated, or the uniform-k ablation).
+
+    Returns:
+        ``(plan, inputs)``; ``inputs`` carries ``budgets``,
+        ``failure_probabilities``, ``instances``, ``reliability_goal``,
+        ``retransmission_periods_ms`` and
+        ``dynamic_retransmission_slots_per_cycle``.
+    """
+    from repro.core.retransmission import (
+        plan_retransmissions,
+        uniform_retransmission_plan,
+    )
+    from repro.faults.ber import BitErrorRateModel
+
+    ber_model = BitErrorRateModel(ber_channel_a=ber)
+    failure: Dict[str, float] = {}
+    instances: Dict[str, float] = {}
+    cost: Dict[str, float] = {}
+    periods: Dict[str, float] = {}
+    worst_bits: Dict[str, int] = {}
+    for message in packing.messages:
+        worst = max(chunk.payload_bits for chunk in message.chunks) + 64
+        worst_bits[message.message_id] = worst
+        failure[message.message_id] = ber_model.failure_probability(
+            "A", worst)
+        instances[message.message_id] = time_unit_ms / message.period_ms
+        cost[message.message_id] = worst / message.period_ms
+        periods[message.message_id] = message.period_ms
+    if uniform_budget:
+        plan = uniform_retransmission_plan(
+            failure, instances, reliability_goal, max_budget=max_budget)
+    else:
+        plan = plan_retransmissions(
+            failure, instances, reliability_goal,
+            bandwidth_cost=cost, max_budget=max_budget)
+    return plan, dict(
+        budgets=plan.budgets,
+        failure_probabilities=failure,
+        instances=instances,
+        reliability_goal=reliability_goal,
+        retransmission_periods_ms=periods,
+        dynamic_retransmission_slots_per_cycle=
+            dynamic_retransmission_capacity(params, worst_bits),
+    )
 
 
 def check_hyperperiod_model(
@@ -263,10 +320,11 @@ def _check_window_geometry(compiled: CompiledRound,
 # MDL402 -- owner agreement
 # ----------------------------------------------------------------------
 
-def _check_owner_agreement(compiled: CompiledRound,
-                           budget: DiagnosticBudget) -> None:
+def _flat_owners(compiled: CompiledRound) -> Dict[Tuple[int, int],
+                                                 Dict[int, int]]:
+    """Flat-array truth for EVERY hyperperiod cycle:
+    ``(channel code, cycle) -> {slot_id: owner_node}``."""
     cycle_mt = compiled.params.gd_cycle_mt
-    # Flat-array truth: (code, cycle) -> {slot_id: owner_node}.
     flat: Dict[Tuple[int, int], Dict[int, int]] = {}
     for i, kind in enumerate(compiled.segment_kinds):
         if kind != SEGMENT_STATIC:
@@ -275,10 +333,15 @@ def _check_owner_agreement(compiled: CompiledRound,
         if code not in (0, 1):
             continue
         cycle = compiled.starts[i] // cycle_mt
-        if not 0 <= cycle < compiled.cycle_count:
-            continue
-        flat.setdefault((code, cycle), {})[compiled.slot_ids[i]] = \
-            compiled.owner_nodes[i]
+        if 0 <= cycle < compiled.cycle_count:
+            flat.setdefault((code, cycle), {})[compiled.slot_ids[i]] = \
+                compiled.owner_nodes[i]
+    return flat
+
+
+def _check_owner_agreement(compiled: CompiledRound,
+                           budget: DiagnosticBudget) -> None:
+    flat = _flat_owners(compiled)
     by_code = {CHANNEL_CODES[c]: c for c in (Channel.A, Channel.B)}
     for cycle in range(compiled.cycle_count):
         for code in (0, 1):
@@ -324,32 +387,20 @@ def _check_owner_agreement(compiled: CompiledRound,
 
 def _check_slack_conservation(compiled: CompiledRound,
                               budget: DiagnosticBudget) -> None:
-    params = compiled.params
-    cycle_mt = params.gd_cycle_mt
-    total_slots = params.g_number_of_static_slots
+    total_slots = compiled.params.g_number_of_static_slots
     pattern = compiled.pattern_length
     # Owned sets straight from the flat arrays, for EVERY hyperperiod
     # cycle -- the idle tables only span one pattern, so comparing each
     # hyperperiod cycle against its table entry is what catches a
     # pattern_length that lies about the true repetition.
-    owned: Dict[Tuple[int, int], Set[int]] = {}
-    for i, kind in enumerate(compiled.segment_kinds):
-        if kind != SEGMENT_STATIC:
-            continue
-        code = compiled.channel_codes[i]
-        if code not in (0, 1):
-            continue
-        cycle = compiled.starts[i] // cycle_mt
-        if 0 <= cycle < compiled.cycle_count:
-            owned.setdefault((code, cycle), set()).add(
-                compiled.slot_ids[i])
+    owned = _flat_owners(compiled)
     per_cycle_total: List[int] = []
     for cycle in range(compiled.cycle_count):
         cycle_total = 0
         for channel in compiled.channels:
             code = CHANNEL_CODES.get(channel)
-            taken = owned.get((code, cycle), set()) \
-                if code is not None else set()
+            taken = owned.get((code, cycle), {}) \
+                if code is not None else {}
             expected = tuple(slot_id
                              for slot_id in range(1, total_slots + 1)
                              if slot_id not in taken)
@@ -370,12 +421,15 @@ def _check_slack_conservation(compiled: CompiledRound,
                              "wrong",
                 ))
         per_cycle_total.append(cycle_total)
-    # Window-sum conservation: single cycles, prefixes, and
-    # pattern-crossing windows must all agree with the per-cycle truth.
+    # Window-sum conservation: single cycles, prefixes, pattern-crossing
+    # windows and the suffixes [start, pattern) of the first pattern
+    # ((0, pattern) is already a prefix) must all agree with the
+    # per-cycle truth.
     windows = [(c, c + 1) for c in range(compiled.cycle_count)]
     windows += [(0, c) for c in range(compiled.cycle_count + 1)]
     windows += [(c, c + pattern)
                 for c in range(compiled.cycle_count - pattern + 1)]
+    windows += [(c, pattern) for c in range(1, pattern)]
     for start, end in windows:
         expected_sum = sum(per_cycle_total[start:end])
         actual_sum = compiled.idle_slots_between(start, end)

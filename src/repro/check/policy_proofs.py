@@ -49,7 +49,7 @@ from repro.check.effects import (
     EFFECT_GLOBAL_WRITE,
     EFFECT_RNG,
     EFFECT_WALL_CLOCK,
-    FEEDBACK_ATTRS,
+    is_feedback_test,
 )
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
@@ -143,7 +143,7 @@ def interpret_promise(project: Project, cls: ClassInfo) -> Optional[Promise]:
         return Promise(UNLESS_FEEDBACK if unless_feedback else ALWAYS,
                        location=location)
     if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not) \
-            and _is_self_feedback(value.operand):
+            and is_feedback_test(value.operand):
         return Promise(UNLESS_FEEDBACK, location=location)
     anchor = _match_no_override(project, fn, value)
     if anchor is not None:
@@ -152,17 +152,10 @@ def interpret_promise(project: Project, cls: ClassInfo) -> Optional[Promise]:
     return Promise(UNRECOGNIZED, location=location)
 
 
-def _is_self_feedback(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr in FEEDBACK_ATTRS)
-
-
 def _is_feedback_guard(stmt: ast.stmt) -> bool:
     """``if self.feedback: return False`` (no else)."""
     return (isinstance(stmt, ast.If)
-            and _is_self_feedback(stmt.test)
+            and is_feedback_test(stmt.test)
             and not stmt.orelse
             and len(stmt.body) == 1
             and isinstance(stmt.body[0], ast.Return)

@@ -1,7 +1,13 @@
-"""Rule catalogue of the contract checker (``EFF*`` / ``MDL*``).
+"""Rule catalogue of the contract checker (``DET*`` / ``EFF*`` / ``MDL*``).
 
-Two rule families prove (or refute) the promises the three-engine
-architecture rests on:
+Three rule families check the promises the engines rest on:
+
+- ``DET1xx`` -- per-file determinism rules over the repo's own source
+  (:mod:`repro.check.determinism`): wall-clock reads, RNG draws that
+  bypass the seeded :mod:`repro.sim.rng` streams, mutable default
+  arguments, float equality on time values, and set iteration on paths
+  that feed ordered output.  They run inside the same single parse as
+  ``EFF3xx``; ``repro lint`` runs this family alone.
 
 - ``EFF3xx`` -- effect-inference rules over the repo's own source: a
   call graph over ``src/repro`` is built via AST, attribute read/write
@@ -28,20 +34,49 @@ obligations are visible in review, not just their failures).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, FrozenSet
 
 from repro.verify.diagnostics import Severity
-from repro.verify.rules import Rule
+from repro.verify.rules import VERIFY_RULES, Rule, catalogue
 
-__all__ = ["CHECK_RULES"]
-
-
-def _catalogue(*rules: Rule) -> Dict[str, Rule]:
-    return {rule.rule_id: rule for rule in rules}
+__all__ = ["CHECK_RULES", "KNOWN_RULE_IDS"]
 
 
 #: Every rule the contract checker can emit, keyed by id.
-CHECK_RULES: Dict[str, Rule] = _catalogue(
+CHECK_RULES: Dict[str, Rule] = catalogue(
+    # ---------------------------------------------------------------- DET
+    Rule("DET100", "suppression-missing-reason", Severity.WARNING,
+         "A '# lint-ok: <RULE>' suppression has no reason text; "
+         "suppressions must say why the finding is safe."),
+    Rule("DET101", "wall-clock-read", Severity.ERROR,
+         "time.time()/datetime.now()-style wall-clock reads inside "
+         "sim/, core/, protocol/, the protocol backends or analysis/ "
+         "make runs irreproducible; simulated time comes from the "
+         "engine."),
+    Rule("DET102", "unseeded-rng", Severity.ERROR,
+         "Global random.* or numpy.random.* draws (including "
+         "np.random.default_rng() without a seed) inside sim/, core/, "
+         "protocol/, the protocol backends or analysis/ bypass the "
+         "seeded stream-splitting design; route through "
+         "repro.sim.rng.RngStream."),
+    Rule("DET103", "mutable-default-argument", Severity.ERROR,
+         "A mutable default argument (list/dict/set literal or "
+         "constructor) is shared across calls and mutates global "
+         "state."),
+    Rule("DET104", "float-time-equality", Severity.ERROR,
+         "== / != on a float time-valued expression (a *_ms / *_us "
+         "name) is representation-dependent; compare macrotick "
+         "integers or use an explicit tolerance."),
+    Rule("DET105", "unordered-set-iteration", Severity.ERROR,
+         "Iterating a set inside experiments/ or obs/ feeds "
+         "hash-order-dependent sequences into merge or export paths; "
+         "wrap the iterable in sorted()."),
+    Rule("DET106", "suppression-unknown-rule", Severity.ERROR,
+         "A '# lint-ok:' comment lists a rule id that no catalogue "
+         "(DET/FRC/FRS/ANA/EFF/MDL) defines; a typo'd id suppresses "
+         "nothing and hides the author's intent."),
+    Rule("DET999", "syntax-error", Severity.ERROR,
+         "The file does not parse; no source rule can be checked."),
     # ---------------------------------------------------------------- EFF
     Rule("EFF300", "outcome-free-proved", Severity.INFO,
          "A policy class's decisions_are_outcome_free() promise was "
@@ -54,7 +89,7 @@ CHECK_RULES: Dict[str, Rule] = _catalogue(
          "answers."),
     Rule("EFF302", "nondeterministic-decision", Severity.ERROR,
          "A decision path can reach a wall-clock read or an unseeded "
-         "RNG draw (per the DET101/DET102 fact tables); trace "
+         "RNG draw (the facts DET101/DET102 flag per file); trace "
          "equivalence across engines is void."),
     Rule("EFF303", "promise-unrecognized", Severity.WARNING,
          "decisions_are_outcome_free() has a body the static evaluator "
@@ -83,8 +118,8 @@ CHECK_RULES: Dict[str, Rule] = _catalogue(
          "The idle tables / prefix sums are not conserved over the "
          "full hyperperiod: an idle set differs from the owner-array "
          "complement in some cycle, or a window sum (single cycle, "
-         "prefix, or pattern-crossing) disagrees with the per-cycle "
-         "totals."),
+         "prefix, pattern-crossing, or a suffix of the first pattern) "
+         "disagrees with the per-cycle totals."),
     Rule("MDL404", "theorem1-hyperperiod-unsound", Severity.ERROR,
          "The log-space Theorem-1 bound extrapolated over the "
          "hyperperiod fails: the planned budgets miss the reliability "
@@ -95,3 +130,7 @@ CHECK_RULES: Dict[str, Rule] = _catalogue(
          "A violating round was shrunk to a minimal counterexample and "
          "serialized with a one-command repro."),
 )
+
+#: Every id any catalogue defines: the valid ``# lint-ok:`` targets.
+KNOWN_RULE_IDS: FrozenSet[str] = frozenset(CHECK_RULES) \
+    | frozenset(VERIFY_RULES)

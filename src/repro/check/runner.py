@@ -1,9 +1,10 @@
 """Orchestration of the contract checker (the ``repro check`` engine).
 
-Three entry points compose the two rule families:
+Three entry points compose the rule families:
 
-- :func:`check_sources` -- build the AST call graph over the source
-  roots and prove/refute every policy's
+- :func:`check_sources` -- parse the source roots once, run the
+  per-file determinism rules (``DET1xx``) over every module, then
+  build the AST call graph and prove/refute every policy's
   ``decisions_are_outcome_free()`` promise (``EFF3xx``).
 - :func:`check_workload` -- build the offline artifacts of one
   workload exactly as :func:`repro.verify.verifier.verify_experiment`
@@ -29,10 +30,12 @@ from repro.check.counterexample import (
     round_to_payload,
     shrink_round,
 )
+from repro.check.determinism import check_file
+from repro.check.frontend import read_sources
 from repro.check.model_checker import (
     STRUCTURAL_RULES,
     check_hyperperiod_model,
-    dynamic_retransmission_capacity,
+    theorem1_inputs,
 )
 from repro.check.policy_proofs import check_policy_promises
 from repro.timeline.compiler import CompiledRound
@@ -51,10 +54,24 @@ def check_sources(
     roots: Optional[Sequence[Path]] = None,
     extra_sources: Optional[Dict[str, Tuple[str, str]]] = None,
 ) -> Report:
-    """Prove/refute every policy promise over the source tree."""
-    project = build_project(list(roots or default_source_roots()),
-                            extra_sources=extra_sources)
-    return check_policy_promises(project)
+    """Run the source rules over the tree: ``DET1xx`` per file, then
+    ``EFF3xx`` over the call graph, from one parse.
+
+    Args:
+        roots: Package roots (default: the ``repro`` package itself).
+        extra_sources: ``module_name -> (display_path, source)`` of
+            additional in-memory modules (the refutation tests feed a
+            deliberately impure policy this way).
+    """
+    sources = read_sources(
+        [str(Path(root).resolve())
+         for root in roots or default_source_roots()],
+        extra_sources=extra_sources)
+    report = Report()
+    for source in sources:
+        report.extend(check_file(source))
+    report.merge(check_policy_promises(build_project(sources)))
+    return report
 
 
 def _synthesize_counterexample(
@@ -109,8 +126,6 @@ def check_workload(
     way the verifier's pre-campaign gate does, then runs the
     hyperperiod model checker with full reliability inputs.
     """
-    from repro.core.retransmission import plan_retransmissions
-    from repro.faults.ber import BitErrorRateModel
     from repro.protocol.channel import Channel
     from repro.packing.frame_packing import pack_signals
     from repro.timeline.compiler import compile_round
@@ -145,34 +160,9 @@ def check_workload(
     if params.channel_count == 2:
         channels.append(Channel.B)
     compiled = compile_round(table, params, channels)
-
-    ber_model = BitErrorRateModel(ber_channel_a=ber)
-    failure: Dict[str, float] = {}
-    instances: Dict[str, float] = {}
-    cost: Dict[str, float] = {}
-    periods: Dict[str, float] = {}
-    worst_bits: Dict[str, int] = {}
-    for message in packing.messages:
-        worst = max(chunk.payload_bits for chunk in message.chunks) + 64
-        worst_bits[message.message_id] = worst
-        failure[message.message_id] = ber_model.failure_probability(
-            "A", worst)
-        instances[message.message_id] = time_unit_ms / message.period_ms
-        cost[message.message_id] = worst / message.period_ms
-        periods[message.message_id] = message.period_ms
-    plan = plan_retransmissions(failure, instances, reliability_goal,
-                                bandwidth_cost=cost,
-                                max_budget=max_budget)
-    result = check_hyperperiod_model(
-        compiled,
-        budgets=plan.budgets,
-        failure_probabilities=failure,
-        instances=instances,
-        reliability_goal=reliability_goal,
-        retransmission_periods_ms=periods,
-        dynamic_retransmission_slots_per_cycle=
-            dynamic_retransmission_capacity(params, worst_bits),
-    )
+    __, inputs = theorem1_inputs(packing, params, ber, reliability_goal,
+                                 time_unit_ms, max_budget)
+    result = check_hyperperiod_model(compiled, **inputs)
     _synthesize_counterexample(compiled, result, counterexample_dir,
                                label)
     report.merge(result)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands mirror the library's main entry points:
+The subcommands mirror the library's main entry points:
 
 - ``run`` -- one experiment: workload x scheduler x fault environment;
 - ``campaign`` -- a multi-seed Monte-Carlo campaign with confidence
@@ -14,7 +14,11 @@ Four subcommands mirror the library's main entry points:
 - ``breakdown`` -- breakdown-load search per scheduler (extension);
 - ``verify-config`` -- statically verify a cluster configuration,
   schedule, and Theorem-1 plan without simulating (exit 1 on errors);
-- ``lint`` -- determinism lint over source paths (exit 1 on errors);
+- ``lint`` -- the ``DET*`` determinism rules of ``check`` alone, over
+  source paths (exit 1 on errors);
+- ``check`` -- the static-analysis gate: ``DET*`` rules and policy
+  effect proofs over the source tree, hyperperiod model checks of
+  every bundled workload's compiled round (exit 1 on errors);
 - ``serve`` -- run the online admission-control service (JSON lines
   over TCP; see ``docs/service.md``);
 - ``loadgen`` -- fire a deterministic seeded Poisson request stream at
@@ -50,13 +54,13 @@ from repro.obs import (
     format_profile,
     write_metrics_jsonl,
 )
-from repro.protocol.backend import available_backends, get_backend
-from repro.protocol.signal import SignalSet
+from repro.protocol.backend import (
+    available_backends,
+    get_backend,
+    workload_minislots,
+)
 from repro.sim.engine import EngineMode
-from repro.workloads.acc import acc_signals
-from repro.workloads.bbw import bbw_signals
-from repro.workloads.sae import sae_aperiodic_signals
-from repro.workloads.synthetic import synthetic_signals
+from repro.workloads import bundled_periodic, sae_aperiodic_signals
 
 __all__ = ["main", "build_parser"]
 
@@ -64,26 +68,12 @@ _WORKLOADS = ("bbw", "acc", "synthetic")
 _FIGURES = ("1", "2", "3", "4", "5")
 
 
-def _periodic_workload(name: str, count: int, seed: int) -> SignalSet:
-    if name == "bbw":
-        return bbw_signals()
-    if name == "acc":
-        return acc_signals()
-    if name == "synthetic":
-        return synthetic_signals(count, seed=seed, max_size_bits=216)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def _backend_of(args):
     return get_backend(getattr(args, "backend", "flexray"))
 
 
 def _params_for(args) -> "SegmentGeometry":
-    backend = _backend_of(args)
-    if args.workload in ("bbw", "acc"):
-        return backend.case_study_params(args.workload,
-                                         minislots=args.minislots)
-    return backend.dynamic_preset(args.minislots)
+    return _backend_of(args).workload_params(args.workload, args.minislots)
 
 
 def _emit(rows: List[Dict], as_json: bool) -> None:
@@ -157,7 +147,7 @@ def _open_store(args, obs):
 
 def _cmd_run(args) -> int:
     obs, events = _make_observability(args)
-    periodic = _periodic_workload(args.workload, args.count, args.seed)
+    periodic = bundled_periodic(args.workload, args.count, args.seed)
     aperiodic = sae_aperiodic_signals(count=args.aperiodic) \
         if args.aperiodic > 0 else None
     params = _params_for(args)
@@ -198,7 +188,7 @@ def _cmd_campaign(args) -> int:
     if args.coordinate:
         return _cmd_campaign_coordinated(args)
     obs, events = _make_observability(args)
-    periodic = _periodic_workload(args.workload, args.count, args.seed)
+    periodic = bundled_periodic(args.workload, args.count, args.seed)
     aperiodic = sae_aperiodic_signals(count=args.aperiodic) \
         if args.aperiodic > 0 else None
     params = _params_for(args)
@@ -281,7 +271,8 @@ def _cmd_campaign_coordinated(args) -> int:
         backend=args.backend,
         count=args.count, seed=args.seed,
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        aperiodic=args.aperiodic, minislots=args.minislots,
+        aperiodic=args.aperiodic,
+        minislots=workload_minislots(args.workload, args.minislots),
         ber=args.ber, reliability_goal=args.rho,
         duration_ms=args.duration_ms, engine_mode=args.engine_mode,
         chunk=args.chunk)
@@ -350,7 +341,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    periodic = _periodic_workload(args.workload, args.count, args.seed)
+    periodic = bundled_periodic(args.workload, args.count, args.seed)
     model = BitErrorRateModel(ber_channel_a=args.ber)
     failure = {}
     instances = {}
@@ -428,36 +419,20 @@ _VERIFY_WORKLOADS = ("sae", "bbw", "acc", "synthetic")
 def _verify_target(workload: str, args) -> Dict[str, object]:
     """Assemble the ``verify_experiment`` inputs for one bundled workload.
 
-    The defaults mirror the pairings the evaluation actually runs: the
-    case studies (``bbw``/``acc``) on the 50-minislot case-study
-    cluster, the SAE/synthetic dynamic studies on the 100-minislot
-    paper preset.
+    The cluster comes from the same rule ``run`` and ``campaign`` use
+    (:meth:`~repro.protocol.backend.ProtocolBackend.workload_params`).
     """
-    backend = _backend_of(args)
-    minislots = args.minislots
-    if minislots is None:
-        minislots = 50 if workload in ("bbw", "acc") else 100
-    aperiodic = sae_aperiodic_signals(count=args.aperiodic) \
-        if args.aperiodic > 0 else None
+    params = _backend_of(args).workload_params(workload, args.minislots)
     if workload == "sae":
         # The SAE set is the paper's aperiodic study: no periodic half.
         count = args.aperiodic if args.aperiodic > 0 else 30
-        return {
-            "params": backend.dynamic_preset(minislots),
-            "periodic": None,
-            "aperiodic": sae_aperiodic_signals(count=count),
-        }
-    if workload in ("bbw", "acc"):
-        params = backend.case_study_params(workload,
-                                           minislots=minislots)
-        periodic = bbw_signals() if workload == "bbw" else acc_signals()
-        return {"params": params, "periodic": periodic,
-                "aperiodic": aperiodic}
+        return {"params": params, "periodic": None,
+                "aperiodic": sae_aperiodic_signals(count=count)}
     return {
-        "params": backend.dynamic_preset(minislots),
-        "periodic": synthetic_signals(args.count, seed=args.seed,
-                                      max_size_bits=216),
-        "aperiodic": aperiodic,
+        "params": params,
+        "periodic": bundled_periodic(workload, args.count, args.seed),
+        "aperiodic": sae_aperiodic_signals(count=args.aperiodic)
+        if args.aperiodic > 0 else None,
     }
 
 
@@ -629,7 +604,7 @@ def _cmd_web(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import lint_paths
+    from repro.check import lint_paths
 
     report = lint_paths(args.paths)
     if args.json:
@@ -726,10 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--workload", choices=_WORKLOADS,
-                       default="synthetic",
-                       help="periodic workload (default: synthetic)")
+    def scenario_options(p):
         p.add_argument("--count", type=int, default=20,
                        help="synthetic message count (default: 20)")
         p.add_argument("--seed", type=int, default=42)
@@ -737,6 +709,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bit error rate (default: 1e-7)")
         p.add_argument("--rho", type=float, default=1 - 1e-4,
                        help="reliability goal (default: 1-1e-4)")
+
+    def common(p):
+        p.add_argument("--workload", choices=_WORKLOADS,
+                       default="synthetic",
+                       help="periodic workload (default: synthetic)")
+        scenario_options(p)
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of a table")
 
@@ -758,6 +736,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol backend the cluster geometry "
                             "comes from (default: flexray)")
 
+    def minislots_option(p):
+        p.add_argument("--minislots", type=int, default=None,
+                       help="minislot count (default: 50 for the case "
+                            "studies, 100 otherwise)")
+
+    def target_options(p):
+        """The bundled-workload target flags of verify-config/check."""
+        scenario_options(p)
+        minislots_option(p)
+        p.add_argument("--aperiodic", type=int, default=0,
+                       help="SAE aperiodic message count to mix into "
+                            "periodic workloads (0 = none; the sae "
+                            "workload itself defaults to 30)")
+
     def engine_option(p, what):
         default = EngineMode.parse(None).value
         p.add_argument("--engine-mode",
@@ -773,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend_option(run_parser)
     run_parser.add_argument("--scheduler", nargs="+", choices=SCHEDULERS,
                             default=["coefficient", "fspec"])
-    run_parser.add_argument("--minislots", type=int, default=100)
+    minislots_option(run_parser)
     run_parser.add_argument("--aperiodic", type=int, default=30,
                             help="SAE aperiodic message count (0 = none)")
     run_parser.add_argument("--duration-ms", type=float, default=500.0)
@@ -790,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--scheduler", nargs="+",
                                  choices=SCHEDULERS,
                                  default=["coefficient", "fspec"])
-    campaign_parser.add_argument("--minislots", type=int, default=100)
+    minislots_option(campaign_parser)
     campaign_parser.add_argument("--aperiodic", type=int, default=30,
                                  help="SAE aperiodic message count "
                                       "(0 = none)")
@@ -891,21 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=_VERIFY_WORKLOADS + ("all",),
                                default="all",
                                help="workload to verify (default: all)")
-    verify_parser.add_argument("--count", type=int, default=20,
-                               help="synthetic message count (default: 20)")
-    verify_parser.add_argument("--seed", type=int, default=42)
-    verify_parser.add_argument("--ber", type=float, default=1e-7,
-                               help="bit error rate (default: 1e-7)")
-    verify_parser.add_argument("--rho", type=float, default=1 - 1e-4,
-                               help="reliability goal (default: 1-1e-4)")
-    verify_parser.add_argument("--minislots", type=int, default=None,
-                               help="minislot count (default: 50 for the "
-                                    "case studies, 100 otherwise)")
-    verify_parser.add_argument("--aperiodic", type=int, default=0,
-                               help="SAE aperiodic message count to mix "
-                                    "into periodic workloads (0 = none; "
-                                    "the sae workload itself defaults "
-                                    "to 30)")
+    target_options(verify_parser)
     verify_parser.add_argument("--json", action="store_true",
                                help="emit JSON instead of a table")
     backend_option(verify_parser)
@@ -926,9 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--seed", type=int, default=42)
     serve_parser.add_argument("--ber", type=float, default=1e-7)
     serve_parser.add_argument("--rho", type=float, default=1 - 1e-4)
-    serve_parser.add_argument("--minislots", type=int, default=None,
-                              help="minislot count (default: 50 for the "
-                                   "case studies, 100 otherwise)")
+    minislots_option(serve_parser)
     backend_option(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8471,
@@ -1028,7 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.set_defaults(handler=_cmd_loadgen)
 
     lint_parser = sub.add_parser(
-        "lint", help="determinism lint (DET* rules) over source paths")
+        "lint", help="the determinism rules (DET*) of `repro check` "
+                     "alone, over source paths")
     lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
                              help="files or directories "
                                   "(default: src/repro)")
@@ -1038,28 +1015,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = sub.add_parser(
         "check",
-        help="prove the engine-equivalence contract: policy "
-             "outcome-free promises (EFF* rules) + hyperperiod model "
-             "check of compiled rounds (MDL* rules)")
+        help="prove the engine-equivalence contract: determinism "
+             "rules (DET*) and policy outcome-free promises (EFF*) over "
+             "the source tree + hyperperiod model check of compiled "
+             "rounds (MDL*)")
     check_parser.add_argument("--workload",
                               choices=_VERIFY_WORKLOADS + ("all", "none"),
                               default="all",
                               help="workload rounds to model-check "
                                    "(default: all; none = source "
                                    "proofs only)")
-    check_parser.add_argument("--count", type=int, default=20,
-                              help="synthetic message count (default: 20)")
-    check_parser.add_argument("--seed", type=int, default=42)
-    check_parser.add_argument("--ber", type=float, default=1e-7,
-                              help="bit error rate (default: 1e-7)")
-    check_parser.add_argument("--rho", type=float, default=1 - 1e-4,
-                              help="reliability goal (default: 1-1e-4)")
-    check_parser.add_argument("--minislots", type=int, default=None,
-                              help="minislot count (default: 50 for the "
-                                   "case studies, 100 otherwise)")
-    check_parser.add_argument("--aperiodic", type=int, default=0,
-                              help="SAE aperiodic message count to mix "
-                                   "into periodic workloads")
+    target_options(check_parser)
     check_parser.add_argument("--round-json", default=None, metavar="PATH",
                               help="model-check a serialized "
                                    "counterexample round instead of the "

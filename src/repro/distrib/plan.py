@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.cache import run_key
 from repro.sim.engine import EngineMode
@@ -47,27 +47,11 @@ def build_experiment_kwargs(workload: str, count: int, seed: int,
     configurations from identical scalars.
     """
     from repro.protocol.backend import get_backend
-    from repro.workloads.acc import acc_signals
-    from repro.workloads.bbw import bbw_signals
-    from repro.workloads.sae import sae_aperiodic_signals
-    from repro.workloads.synthetic import synthetic_signals
+    from repro.workloads import bundled_periodic, sae_aperiodic_signals
 
-    if workload == "bbw":
-        periodic = bbw_signals()
-    elif workload == "acc":
-        periodic = acc_signals()
-    elif workload == "synthetic":
-        periodic = synthetic_signals(count, seed=seed, max_size_bits=216)
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    protocol = get_backend(backend)
-    if workload in ("bbw", "acc"):
-        params = protocol.case_study_params(workload,
-                                            minislots=minislots)
-    else:
-        params = protocol.dynamic_preset(minislots)
+    periodic = bundled_periodic(workload, count, seed)
     return dict(
-        params=params,
+        params=get_backend(backend).workload_params(workload, minislots),
         periodic=periodic,
         aperiodic=(sae_aperiodic_signals(count=aperiodic)
                    if aperiodic > 0 else None),

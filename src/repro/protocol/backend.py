@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import importlib
-from typing import TYPE_CHECKING, ClassVar, Dict, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 from repro.protocol.geometry import SegmentGeometry
 
@@ -31,7 +31,23 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
+    "workload_minislots",
 ]
+
+#: Workloads that run on their own derived case-study cluster.
+CASE_STUDIES = ("bbw", "acc")
+
+
+def workload_minislots(workload: str, minislots: Optional[int] = None) -> int:
+    """The one ``--minislots`` default rule of every command.
+
+    An explicit count wins; otherwise the case studies get the 50
+    minislots their 4 ms case-study cycle has room for, and every other
+    workload the 100-minislot dynamic-study preset.
+    """
+    if minislots is not None:
+        return minislots
+    return 50 if workload in CASE_STUDIES else 100
 
 
 class ProtocolBackend(abc.ABC):
@@ -112,6 +128,22 @@ class ProtocolBackend(abc.ABC):
                 slot_headroom=1.6, template=self.geometry_template(),
             )
         raise ValueError(f"unknown case study {workload!r}")
+
+    def workload_params(self, workload: str,
+                        minislots: Optional[int] = None) -> SegmentGeometry:
+        """The cluster a bundled workload runs on.
+
+        Args:
+            workload: A case study (``"bbw"``/``"acc"``) gets its
+                derived cluster; any other workload the dynamic-study
+                preset.
+            minislots: Dynamic-segment length (default: per
+                :func:`workload_minislots`).
+        """
+        minislots = workload_minislots(workload, minislots)
+        if workload in CASE_STUDIES:
+            return self.case_study_params(workload, minislots=minislots)
+        return self.dynamic_preset(minislots)
 
     def derive_params(self, signals: "SignalSet",
                       **kwargs: object) -> SegmentGeometry:

@@ -32,10 +32,8 @@ from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.signal import Signal, SignalSet
 from repro.timeline.compiler import CompiledRound
 from repro.verify import ConfigurationError, verify_experiment
-from repro.workloads.acc import acc_signals
-from repro.workloads.bbw import bbw_signals
+from repro.workloads import bundled_periodic
 from repro.workloads.sae import sae_aperiodic_signals
-from repro.workloads.synthetic import synthetic_signals
 
 __all__ = ["SERVICE_WORKLOADS", "ServiceSetup", "build_channel_task_sets",
            "load_service_setup", "round_task_sets", "signal_to_task"]
@@ -198,14 +196,11 @@ def round_task_sets(compiled: CompiledRound, tick_us: int = 100,
 
 
 def _workload_signals(workload: str, count: int, seed: int) -> SignalSet:
-    if workload == "bbw":
-        return bbw_signals()
-    if workload == "acc":
-        return acc_signals()
-    if workload in ("synthetic", "sae"):
-        return synthetic_signals(count, seed=seed, max_size_bits=216)
-    raise ValueError(f"unknown service workload {workload!r}; "
-                     f"expected one of {SERVICE_WORKLOADS}")
+    if workload not in SERVICE_WORKLOADS:
+        raise ValueError(f"unknown service workload {workload!r}; "
+                         f"expected one of {SERVICE_WORKLOADS}")
+    return bundled_periodic("synthetic" if workload == "sae" else workload,
+                            count, seed)
 
 
 def load_service_setup(workload: str = "synthetic", count: int = 20,
@@ -255,12 +250,7 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
     engine_mode = EngineMode.parse(engine_mode).value
     protocol = get_backend(backend)
     periodic = _workload_signals(workload, count, seed)
-    if minislots is None:
-        minislots = 50 if workload in ("bbw", "acc") else 100
-    if workload in ("bbw", "acc"):
-        params = protocol.case_study_params(workload, minislots=minislots)
-    else:
-        params = protocol.dynamic_preset(minislots)
+    params = protocol.workload_params(workload, minislots)
 
     if verify:
         aperiodic = sae_aperiodic_signals() if workload == "sae" else None

@@ -105,8 +105,8 @@ class CompiledRound:
         idle_slots_override: Pre-computed per-channel idle tables,
             ``{channel: [tuple_of_slot_ids, ...]}`` indexed by cycle in
             pattern.  Normally ``None`` (idle tables are derived from
-            the owner arrays); the verifier's FRS112 check exists to
-            catch an externally supplied table that disagrees.
+            the owner arrays); the model checker's MDL403 rule exists
+            to catch an externally supplied table that disagrees.
     """
 
     def __init__(

@@ -16,8 +16,10 @@ Entry points:
 - :data:`VERIFY_RULES` -- the rule catalogue behind
   ``docs/static_analysis.md``.
 
-The sibling :mod:`repro.lint` package lints the repo's *source code*
-for determinism hazards with the same diagnostic shape.
+The sibling :mod:`repro.check` package checks the repo's *source code*
+(``DET*`` determinism rules, ``EFF*`` policy effect proofs) and
+model-checks compiled rounds over the hyperperiod (``MDL*``), with the
+same diagnostic shape.
 """
 
 from repro.verify.analysis_checks import (

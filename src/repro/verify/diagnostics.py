@@ -1,8 +1,8 @@
 """Structured diagnostics shared by the static-analysis layer.
 
 Both halves of the static-analysis subsystem -- the simulation-free
-configuration verifier (:mod:`repro.verify`) and the AST determinism
-linter (:mod:`repro.lint`) -- report their findings in the same shape:
+configuration verifier (:mod:`repro.verify`) and the contract checker
+(:mod:`repro.check`) -- report their findings in the same shape:
 a :class:`Diagnostic` carries a stable rule id, a severity, a location,
 a human-readable message and a fix hint, and a :class:`Report` collects
 them with the filtering and formatting the CLI and the pre-campaign
@@ -14,7 +14,9 @@ Rule-id namespaces:
 - ``FRS*`` -- static-segment schedule-table checks;
 - ``ANA*`` -- analysis-object checks (slack tables, busy-period
   preconditions, Theorem-1 feasibility, deadline sanity);
-- ``DET*`` -- determinism lint rules over the repo's own source.
+- ``DET*`` -- determinism rules over the repo's own source;
+- ``EFF*`` -- policy effect proofs over the repo's own source;
+- ``MDL*`` -- hyperperiod model checks of compiled rounds.
 """
 
 from __future__ import annotations

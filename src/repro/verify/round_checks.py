@@ -1,26 +1,22 @@
 """Compiled-round checks (``FRS11x`` rules).
 
 A :class:`~repro.timeline.compiler.CompiledRound` is the executable
-form of a schedule: the stepper walks its flat arrays instead of
+form of a schedule: the engines walk its flat arrays instead of
 querying the table, and the analysis layers read its slack tables.  A
 compiler bug (or a round deserialized/hand-built from raw arrays) would
-therefore corrupt *execution*, not just a report -- so the verifier
-re-derives the round's invariants from first principles:
+therefore corrupt *execution*, not just a report.  The hyperperiod
+model checker (:mod:`repro.check.model_checker`, ``MDL401``-``MDL403``)
+proves the arrays' window geometry, owner maps and slack tables; the
+two rules here check what it does not look at:
 
 - **FRS110** -- the round must agree with its source schedule: every
   ``ScheduleTable.lookup`` answer over one full matrix is reproduced by
   ``CompiledRound.owner`` (full static coverage, no phantom owners).
-- **FRS111** -- the flat static windows must be geometrically sound:
-  aligned to their (cycle, slot) position, one slot long, action point
-  inside the window, and non-overlapping per channel.
-- **FRS112** -- the derived slack tables must match the owner arrays:
-  the idle set of every (channel, cycle-in-pattern) is exactly the
-  complement of the owned set, and the prefix sums agree with it.
 - **FRS113** -- the static-step view must re-derive from the flat
-  arrays: this is the batch geometry both the stepper and the
-  vectorized engine execute, so a step out of slot order, a wrong
-  action offset, entries out of channel order, a phantom entry or a
-  missing owned slot would silently change what transmits.
+  arrays: this is the batch geometry the engines execute, so a step
+  out of slot order, a wrong action offset, entries out of channel
+  order, a phantom entry or a missing owned slot would silently change
+  what transmits.
 """
 
 from __future__ import annotations
@@ -40,20 +36,10 @@ from repro.verify.diagnostics import (
 
 __all__ = ["check_compiled_round"]
 
-#: Stop after this many diagnostics per rule: a corrupt array usually
-#: breaks thousands of (cycle, slot) pairs and one example per pair
-#: helps nobody.
-_MAX_PER_RULE = 8
-
-#: Backwards-compatible alias; the budget now lives in
-#: :mod:`repro.verify.diagnostics` so the ``MDL4xx`` model checker can
-#: share it.
-_Budget = DiagnosticBudget
-
 
 def check_compiled_round(compiled: CompiledRound,
                          table: Optional[ScheduleTable] = None) -> Report:
-    """Run every ``FRS11x`` rule against a compiled round.
+    """Run ``FRS110`` and ``FRS113`` against a compiled round.
 
     Args:
         compiled: The round to verify.
@@ -66,11 +52,9 @@ def check_compiled_round(compiled: CompiledRound,
         A :class:`Report`; empty when the round is sound.
     """
     report = Report()
-    budget = _Budget(report)
+    budget = DiagnosticBudget(report)
     params = compiled.params
     _check_owner_agreement(compiled, table, params, budget)
-    _check_windows(compiled, params, budget)
-    _check_slack_tables(compiled, params, budget)
     _check_static_steps(compiled, params, budget)
     budget.close()
     return report
@@ -78,7 +62,7 @@ def check_compiled_round(compiled: CompiledRound,
 
 def _check_owner_agreement(compiled: CompiledRound,
                            table: Optional[ScheduleTable],
-                           params: SegmentGeometry, budget: _Budget) -> None:
+                           params: SegmentGeometry, budget: DiagnosticBudget) -> None:
     """FRS110: round owners == schedule lookups, both directions."""
     if table is None:
         return
@@ -109,102 +93,8 @@ def _check_owner_agreement(compiled: CompiledRound,
                 ))
 
 
-def _check_windows(compiled: CompiledRound, params: SegmentGeometry,
-                   budget: _Budget) -> None:
-    """FRS111: static windows aligned, slot-long, non-overlapping."""
-    cycle_mt = params.gd_cycle_mt
-    slot_mt = params.gd_static_slot_mt
-    offset = params.gd_action_point_offset_mt
-    horizon = compiled.cycle_count * cycle_mt
-    per_channel: dict = {}
-    for i, kind in enumerate(compiled.segment_kinds):
-        if kind != SEGMENT_STATIC:
-            continue
-        start = compiled.starts[i]
-        end = compiled.ends[i]
-        slot_id = compiled.slot_ids[i]
-        where = f"round.entry {i} (slot {slot_id})"
-        cycle, phase = divmod(start, cycle_mt)
-        expected_phase = (slot_id - 1) * slot_mt
-        if (end - start != slot_mt or phase != expected_phase
-                or compiled.actions[i] != start + offset
-                or not 0 <= start < horizon):
-            budget.add(Diagnostic(
-                rule_id="FRS111", severity=Severity.ERROR,
-                location=where,
-                message=f"window [{start}, {end}) action "
-                        f"{compiled.actions[i]} is not the slot-{slot_id} "
-                        f"window of cycle {cycle} (expected start "
-                        f"{cycle * cycle_mt + expected_phase}, length "
-                        f"{slot_mt}, action offset {offset})",
-                fix_hint="recompile the round; the flat arrays were "
-                         "built against different timing parameters",
-            ))
-            continue
-        per_channel.setdefault(compiled.channel_codes[i], []).append(
-            (start, end, i, slot_id))
-    for code in sorted(per_channel):
-        windows = sorted(per_channel[code])
-        for (s1, e1, i1, slot1), (s2, e2, i2, slot2) in zip(windows,
-                                                           windows[1:]):
-            if s2 < e1:
-                budget.add(Diagnostic(
-                    rule_id="FRS111", severity=Severity.ERROR,
-                    location=f"round.entry {i1}/{i2} (channel code {code})",
-                    message=f"static windows overlap: slot {slot1} "
-                            f"[{s1}, {e1}) and slot {slot2} [{s2}, {e2})",
-                    fix_hint="two frames were compiled into the same "
-                             "(channel, cycle, slot); fix the schedule "
-                             "conflict and recompile",
-                ))
-
-
-def _check_slack_tables(compiled: CompiledRound, params: SegmentGeometry,
-                        budget: _Budget) -> None:
-    """FRS112: idle tables are the exact complement of the owner arrays."""
-    total_slots = params.g_number_of_static_slots
-    per_cycle_total = []
-    for cycle in range(compiled.pattern_length):
-        cycle_total = 0
-        for channel in compiled.channels:
-            expected = tuple(
-                slot_id for slot_id in range(1, total_slots + 1)
-                if compiled.owner(channel, cycle, slot_id) is None
-            )
-            actual = compiled.idle_slots(channel, cycle)
-            cycle_total += len(expected)
-            if actual != expected:
-                budget.add(Diagnostic(
-                    rule_id="FRS112", severity=Severity.ERROR,
-                    location=f"round.slack.{channel.name}.cycle {cycle}",
-                    message=f"idle table {list(actual)} is not the "
-                            f"complement {list(expected)} of the owned "
-                            f"slots",
-                    fix_hint="drop the idle_slots_override (or recompile); "
-                             "the slack supply must be derived from the "
-                             "owner arrays",
-                ))
-        per_cycle_total.append(cycle_total)
-    # Prefix sums must agree with the per-cycle idle sets the policy's
-    # acceptance test draws on (one whole pattern checks every base).
-    for start in range(compiled.pattern_length):
-        expected_sum = sum(per_cycle_total[start:])
-        actual_sum = compiled.idle_slots_between(start,
-                                                 compiled.pattern_length)
-        if actual_sum != expected_sum:
-            budget.add(Diagnostic(
-                rule_id="FRS112", severity=Severity.ERROR,
-                location=f"round.slack.prefix[{start}]",
-                message=f"idle_slots_between({start}, "
-                        f"{compiled.pattern_length}) = {actual_sum} but the "
-                        f"idle tables sum to {expected_sum}",
-                fix_hint="the prefix sums diverged from the idle tables; "
-                         "recompile the round",
-            ))
-
-
 def _check_static_steps(compiled: CompiledRound, params: SegmentGeometry,
-                        budget: _Budget) -> None:
+                        budget: DiagnosticBudget) -> None:
     """FRS113: the static-step batch view re-derives from the flat arrays.
 
     ``static_steps(cycle)`` is the geometry both engines execute -- the

@@ -1,12 +1,13 @@
 """Rule catalogue of the configuration verifier.
 
 Every check the verifier can emit is declared here with its stable id,
-default severity and a one-line description; ``docs/static_analysis.md``
-is generated from the same information and the test suite asserts that
-every catalogued rule has a test that triggers it.
+default severity and a one-line description.  ``docs/static_analysis.md``
+has one table row per catalogued rule; ``tests/test_rule_docs.py``
+keeps the tables and the catalogues in step.
 
-The determinism linter's ``DET*`` rules live in
-:mod:`repro.lint.rules`; the two catalogues share the
+The contract checker's ``DET*``/``EFF*``/``MDL*`` rules live in
+:mod:`repro.check.rules`, built with the same :class:`Rule` and
+:func:`catalogue`; both emit the
 :class:`~repro.verify.diagnostics.Diagnostic` shape.
 """
 
@@ -17,7 +18,7 @@ from typing import Dict
 
 from repro.verify.diagnostics import Severity
 
-__all__ = ["Rule", "VERIFY_RULES"]
+__all__ = ["Rule", "VERIFY_RULES", "catalogue"]
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,13 @@ class Rule:
     description: str
 
 
-def _catalogue(*rules: Rule) -> Dict[str, Rule]:
+def catalogue(*rules: Rule) -> Dict[str, Rule]:
+    """Key rules by id, in declaration order."""
     return {rule.rule_id: rule for rule in rules}
 
 
 #: Every rule the configuration verifier can emit, keyed by id.
-VERIFY_RULES: Dict[str, Rule] = _catalogue(
+VERIFY_RULES: Dict[str, Rule] = catalogue(
     # ---------------------------------------------------------------- FRC
     Rule("FRC001", "cycle-arithmetic-mismatch", Severity.ERROR,
          "static + dynamic + symbol window + NIT must equal gdCycle."),
@@ -87,14 +89,6 @@ VERIFY_RULES: Dict[str, Rule] = _catalogue(
          "A compiled round's owner view disagrees with its source "
          "schedule's lookup over the communication matrix (missing "
          "coverage or a phantom owner)."),
-    Rule("FRS111", "round-window-invalid", Severity.ERROR,
-         "A compiled static window is misaligned with its (cycle, slot) "
-         "position, has the wrong length or action point, or overlaps "
-         "another window on the same channel."),
-    Rule("FRS112", "round-slack-inconsistent", Severity.ERROR,
-         "A compiled round's idle/slack tables are not the exact "
-         "complement of its owner arrays (the stepper and the "
-         "acceptance test would disagree about structural slack)."),
     Rule("FRS113", "round-steps-inconsistent", Severity.ERROR,
          "A compiled round's static-step view (the batch geometry the "
          "stepper and the vectorized engine execute) disagrees with the "

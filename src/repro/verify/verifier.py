@@ -21,12 +21,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.slack_table import IdleSlotTable
-from repro.core.retransmission import (
-    RetransmissionPlan,
-    plan_retransmissions,
-    uniform_retransmission_plan,
-)
-from repro.faults.ber import BitErrorRateModel
+from repro.core.retransmission import RetransmissionPlan
 from repro.protocol.channel import Channel
 from repro.protocol.frame import frame_duration_mt
 from repro.protocol.geometry import SegmentGeometry
@@ -126,7 +121,7 @@ def verify_configuration(
     if compiled is not None:
         source = schedule if isinstance(schedule, ScheduleTable) else None
         report.merge(check_compiled_round(compiled, table=source))
-        # The hyperperiod model checker re-proves the round's window,
+        # The hyperperiod model checker proves the round's window,
         # owner and slack invariants over the full matrix (MDL4xx) --
         # structural rules only at this altitude; verify_experiment
         # supplies the Theorem-1 inputs.
@@ -265,51 +260,22 @@ def verify_experiment(
     report.merge(check_utilization([(demand_mt, supply_mt)],
                                    location="static_segment"))
 
-    # Theorem-1 plan, derived exactly as CoEfficientPolicy.on_bound does.
-    ber_model = BitErrorRateModel(ber_channel_a=ber)
-    failure = {}
-    instances = {}
-    cost = {}
-    periods = {}
-    worst = {}
-    for message in packing.messages:
-        worst_bits = max(
-            chunk.payload_bits for chunk in message.chunks
-        ) + 64  # frame overhead
-        worst[message.message_id] = worst_bits
-        failure[message.message_id] = ber_model.failure_probability(
-            "A", worst_bits)
-        instances[message.message_id] = time_unit_ms / message.period_ms
-        cost[message.message_id] = worst_bits / message.period_ms
-        periods[message.message_id] = message.period_ms
-    if uniform_budget:
-        plan = uniform_retransmission_plan(
-            failure, instances, reliability_goal, max_budget=max_budget)
-    else:
-        plan = plan_retransmissions(
-            failure, instances, reliability_goal,
-            bandwidth_cost=cost, max_budget=max_budget)
-    report.merge(verify_configuration(
-        plan=plan,
-        failure_probabilities=failure,
-        instances=instances,
-        reliability_goal=reliability_goal,
-    ))
-    # Hyperperiod model check with full Theorem-1 inputs: the
+    # Theorem-1 plan, derived exactly as CoEfficientPolicy.on_bound does,
+    # then the hyperperiod model check with full Theorem-1 inputs: the
     # structural MDL rules plus the log-space goal and the fundability
     # of the planned budgets, extrapolated over the whole matrix.
     from repro.check.model_checker import (
         check_hyperperiod_model,
-        dynamic_retransmission_capacity,
+        theorem1_inputs,
     )
-    report.merge(check_hyperperiod_model(
-        compiled,
-        budgets=plan.budgets,
-        failure_probabilities=failure,
-        instances=instances,
+    plan, inputs = theorem1_inputs(packing, params, ber, reliability_goal,
+                                   time_unit_ms, max_budget,
+                                   uniform_budget=uniform_budget)
+    report.merge(verify_configuration(
+        plan=plan,
+        failure_probabilities=inputs["failure_probabilities"],
+        instances=inputs["instances"],
         reliability_goal=reliability_goal,
-        retransmission_periods_ms=periods,
-        dynamic_retransmission_slots_per_cycle=
-            dynamic_retransmission_capacity(params, worst),
     ))
+    report.merge(check_hyperperiod_model(compiled, **inputs))
     return report

@@ -54,6 +54,29 @@ class TestStructuralViolations:
         assert rule_counts(check_hyperperiod_model(broken)) \
             == {"MDL402": 1}
 
+    def test_mdl403_sums_every_window_to_the_pattern_end(
+            self, tiny_workload, small_params):
+        """Every ``[start, pattern_length)`` window the acceptance test
+        can start at is compared, not only prefixes and whole patterns."""
+        packing = pack_signals(tiny_workload, small_params)
+        table = build_dual_schedule(packing.static_frames(),
+                                    small_params)
+        compiled = compile_round(table, small_params,
+                                 [Channel.A, Channel.B])
+        pattern = compiled.pattern_length
+        assert pattern >= 3, "fixture needs a suffix that is no prefix"
+        honest = compiled.idle_slots_between
+
+        def off_by_one_after_the_first_cycle(start, end):
+            lie = 1 if (start, end) == (1, pattern) else 0
+            return honest(start, end) + lie
+
+        compiled.idle_slots_between = off_by_one_after_the_first_cycle
+        report = check_hyperperiod_model(compiled)
+        assert rule_counts(report) == {"MDL403": 1}
+        assert report.diagnostics[0].location \
+            == f"round.slack.window[1, {pattern})"
+
     def test_mdl403_pattern_length_lie(self, nit_params):
         report = check_hyperperiod_model(build_liar_round(nit_params))
         counts = rule_counts(report)

@@ -2,10 +2,18 @@
 
 from pathlib import Path
 
-from repro.lint import LINT_RULES, lint_paths, scope_for_path
+from repro.check import (
+    CHECK_RULES,
+    KNOWN_RULE_IDS,
+    check_sources,
+    lint_paths,
+)
+from repro.check.determinism import scope_for_path
 from repro.verify import VERIFY_RULES
 
 REPO = Path(__file__).resolve().parents[2]
+DET_RULES = {rule_id: rule for rule_id, rule in CHECK_RULES.items()
+             if rule_id.startswith("DET")}
 
 
 class TestScopeForPath:
@@ -58,18 +66,34 @@ class TestLintPaths:
         assert files == sorted(files)
 
 
+class TestOneParse:
+    """`repro check` runs the DET family over the same parse as EFF."""
+
+    def test_check_sources_reports_what_lint_reports(self, tmp_path):
+        root = tmp_path / "pkg"
+        (root / "sim").mkdir(parents=True)
+        (root / "sim" / "model.py").write_text(
+            "import time\nt = time.time()\n")
+        (root / "broken.py").write_text("def broken(:\n")
+        det = [d for d in check_sources([root])
+               if d.rule_id.startswith("DET")]
+        assert [d.rule_id for d in det] == ["DET999", "DET101"]
+        assert det == list(lint_paths([str(root.resolve())]))
+
+
 class TestRuleCatalogues:
     def test_lint_rule_ids_are_namespaced(self):
-        assert set(LINT_RULES) == {
+        assert set(DET_RULES) == {
             "DET100", "DET101", "DET102", "DET103", "DET104", "DET105",
             "DET106", "DET999",
         }
 
     def test_catalogues_do_not_collide(self):
-        assert not set(LINT_RULES) & set(VERIFY_RULES)
+        assert not set(CHECK_RULES) & set(VERIFY_RULES)
+        assert KNOWN_RULE_IDS == set(CHECK_RULES) | set(VERIFY_RULES)
 
     def test_every_rule_documents_itself(self):
-        for rule in list(LINT_RULES.values()) + list(VERIFY_RULES.values()):
+        for rule in list(CHECK_RULES.values()) + list(VERIFY_RULES.values()):
             assert rule.rule_id
             assert rule.title
             assert rule.description

@@ -30,13 +30,13 @@ class TestDiagnosticBudget:
         report = Report()
         budget = DiagnosticBudget(report, max_per_rule=8)
         for index in range(20):
-            budget.add(finding("FRS111", index))
+            budget.add(finding("MDL401", index))
         budget.close()
-        rows = [d for d in report.diagnostics if d.rule_id == "FRS111"]
+        rows = [d for d in report.diagnostics if d.rule_id == "MDL401"]
         assert len(rows) == 9  # 8 findings + the suppression note
         assert "12 more" in rows[-1].message
         assert "suppressed" in rows[-1].message
-        assert budget.count("FRS111") == 20  # counts keep the truth
+        assert budget.count("MDL401") == 20  # counts keep the truth
 
     def test_budgets_are_per_rule(self):
         report = Report()
@@ -55,7 +55,7 @@ class TestDiagnosticBudget:
         report = Report()
         budget = DiagnosticBudget(report, max_per_rule=8)
         for index in range(8):
-            budget.add(finding("FRS112", index))
+            budget.add(finding("MDL403", index))
         budget.close()
         assert len(report) == 8
         assert all("suppressed" not in d.message

@@ -1,7 +1,15 @@
-"""FRS11x rules over compiled rounds, built and hand-broken."""
+"""Compiled-round rules over rounds built and hand-broken.
+
+``FRS110``/``FRS113`` are the verifier's own round rules.  The rounds
+that triggered the retired ``FRS111`` (window geometry) and ``FRS112``
+(idle tables vs owners) rules are kept here and asserted against the
+hyperperiod model checker, whose ``MDL401``/``MDL403`` prove the same
+invariants over every cycle.
+"""
 
 import pytest
 
+from repro.check.model_checker import check_hyperperiod_model
 from repro.protocol.channel import Channel
 from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
@@ -80,21 +88,22 @@ class TestFrs110OwnerMismatch:
 
 
 class TestFrs111WindowInvalid:
-    def test_misaligned_window(self, compiled, table):
+    """The retired FRS111 trigger rounds: MDL401 catches each."""
+
+    def test_misaligned_window(self, compiled):
         index = static_indices(compiled)[0]
         ends = list(compiled.ends)
         ends[index] += 1
-        report = check_compiled_round(rebuild(compiled, ends=ends),
-                                      table=table)
-        assert "FRS111" in report.rule_ids()
+        report = check_hyperperiod_model(rebuild(compiled, ends=ends))
+        assert "MDL401" in report.rule_ids()
 
-    def test_action_point_outside_window(self, compiled, table):
+    def test_action_point_outside_window(self, compiled):
         index = static_indices(compiled)[0]
         actions = list(compiled.actions)
         actions[index] += 7
-        report = check_compiled_round(rebuild(compiled, actions=actions),
-                                      table=table)
-        assert "FRS111" in report.rule_ids()
+        report = check_hyperperiod_model(rebuild(compiled,
+                                                 actions=actions))
+        assert "MDL401" in report.rule_ids()
 
     def test_overlapping_windows(self, small_params):
         """Two geometrically valid slot-1 windows on one channel overlap."""
@@ -108,25 +117,28 @@ class TestFrs111WindowInvalid:
             channel_codes=[0, 0], owner_nodes=[0, 1], frame_ids=[1, 2],
             segment_kinds=[SEGMENT_STATIC, SEGMENT_STATIC],
         )
-        report = check_compiled_round(round_)
-        assert "FRS111" in report.rule_ids()
-        assert any("overlap" in d.message for d in report.diagnostics)
+        report = check_hyperperiod_model(round_)
+        assert "MDL401" in report.rule_ids()
+        assert any("overlap" in d.message for d in report.diagnostics
+                   if d.rule_id == "MDL401")
 
 
 class TestFrs112SlackInconsistent:
-    def test_override_disagreeing_with_owners(self, compiled, table,
-                                              small_params):
+    """The retired FRS112 trigger round: MDL403 catches it."""
+
+    def test_override_disagreeing_with_owners(self, compiled, table):
         override = {
             channel: [(1,)] * compiled.pattern_length
             for channel in compiled.channels
         }
         broken = rebuild(compiled, override=override)
-        report = check_compiled_round(broken, table=table)
-        assert "FRS112" in report.rule_ids()
+        report = check_hyperperiod_model(broken)
+        assert "MDL403" in report.rule_ids()
         # The geometry and ownership rules are untouched by a bad
         # slack table: the rule is independently triggerable.
-        assert "FRS110" not in report.rule_ids()
-        assert "FRS111" not in report.rule_ids()
+        assert "MDL401" not in report.rule_ids()
+        assert "MDL402" not in report.rule_ids()
+        assert len(check_compiled_round(broken, table=table)) == 0
 
 
 class TestFrs113StepsInconsistent:
@@ -202,36 +214,37 @@ def rule_counts(report):
 
 
 class TestFrs11xDiagnosticBudgets:
-    """Every FRS11x rule fires exactly once per single offense and is
-    capped at 8 findings + 1 suppression note under a flood."""
+    """FRS110/FRS113 fire exactly once per single offense; every rule
+    is capped at 8 findings + 1 suppression note under a flood.  The
+    retired FRS111/FRS112 rounds are asserted against MDL401/MDL403."""
 
     def test_frs110_single_offense_fires_once(self, compiled, table):
         broken = rebuild(compiled, drop=[static_indices(compiled)[0]])
         report = check_compiled_round(broken, table=table)
         assert rule_counts(report) == {"FRS110": 1}
 
-    def test_frs111_single_offense_fires_once(self, compiled, table):
+    def test_frs111_single_offense_fires_once(self, compiled):
         index = static_indices(compiled)[0]
         ends = list(compiled.ends)
         ends[index] += 1
-        report = check_compiled_round(rebuild(compiled, ends=ends),
-                                      table=table)
-        assert rule_counts(report) == {"FRS111": 1}
+        report = check_hyperperiod_model(rebuild(compiled, ends=ends))
+        assert rule_counts(report) == {"MDL401": 1}
 
-    def test_frs111_flood_is_capped(self, compiled, table):
+    def test_frs111_flood_is_capped(self, compiled):
         ends = [end + 1 if kind == SEGMENT_STATIC else end
                 for end, kind in zip(compiled.ends,
                                      compiled.segment_kinds)]
-        report = check_compiled_round(rebuild(compiled, ends=ends),
-                                      table=table)
-        frs111 = [d for d in report.diagnostics if d.rule_id == "FRS111"]
-        assert len(frs111) == 9  # 8 findings + the suppression note
-        assert "suppressed" in frs111[-1].message
+        report = check_hyperperiod_model(rebuild(compiled, ends=ends))
+        mdl401 = [d for d in report.diagnostics if d.rule_id == "MDL401"]
+        assert len(mdl401) == 9  # 8 findings + the suppression note
+        assert "suppressed" in mdl401[-1].message
 
-    def test_frs112_single_offense_fires_once(self, compiled, table,
+    def test_frs112_single_offense_fires_once(self, compiled,
                                               small_params):
         # Swap one idle slot for an owned one: the cardinality (and so
         # every prefix sum) is preserved, isolating the complement rule.
+        # The tables repeat every pattern, so MDL403 sees the one wrong
+        # entry in each hyperperiod cycle that maps to it.
         override = {
             channel: [list(compiled.idle_slots(channel, cycle))
                       for cycle in range(compiled.pattern_length)]
@@ -245,20 +258,26 @@ class TestFrs11xDiagnosticBudgets:
         idle[0] = owned[0]
         frozen = {channel: [tuple(sorted(row)) for row in rows]
                   for channel, rows in override.items()}
-        report = check_compiled_round(rebuild(compiled, override=frozen),
-                                      table=table)
-        assert rule_counts(report) == {"FRS112": 1}
+        report = check_hyperperiod_model(rebuild(compiled,
+                                                 override=frozen))
+        hits = compiled.cycle_count // compiled.pattern_length
+        assert rule_counts(report) == {"MDL403": min(hits, 8)
+                                       + (hits > 8)}
+        for diagnostic in report.diagnostics[:min(hits, 8)]:
+            assert diagnostic.location.startswith("round.slack.A.cycle ")
+            cycle = int(diagnostic.location.rsplit(" ", 1)[1])
+            assert cycle % compiled.pattern_length == 0
 
-    def test_frs112_flood_is_capped(self, compiled, table):
+    def test_frs112_flood_is_capped(self, compiled):
         override = {
             channel: [(1,)] * compiled.pattern_length
             for channel in compiled.channels
         }
-        report = check_compiled_round(rebuild(compiled, override=override),
-                                      table=table)
-        frs112 = [d for d in report.diagnostics if d.rule_id == "FRS112"]
-        assert len(frs112) == 9
-        assert "suppressed" in frs112[-1].message
+        report = check_hyperperiod_model(rebuild(compiled,
+                                                 override=override))
+        mdl403 = [d for d in report.diagnostics if d.rule_id == "MDL403"]
+        assert len(mdl403) == 9
+        assert "suppressed" in mdl403[-1].message
 
     def test_frs113_single_offense_fires_once(self, compiled, table):
         broken = rebuild(compiled)
