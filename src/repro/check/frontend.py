@@ -4,8 +4,10 @@ Every rule family that reads source -- the per-file ``DET1xx``
 determinism rules and the call-graph ``EFF3xx`` proofs -- runs over the
 :class:`SourceFile` list :func:`read_sources` produces, so each module
 is read and parsed exactly once and its import-alias map is built
-once.  A file that does not parse keeps its slot with ``tree=None`` and
-a ``DET999`` diagnostic; no rule family sees it otherwise.
+once.  A file that does not decode or parse keeps its slot with
+``tree=None`` and a ``DET999`` diagnostic; no rule family sees it
+otherwise.  Files are decoded as the interpreter decodes them: by their
+PEP 263 coding comment, else as UTF-8.
 
 Files are visited in a fixed order (per directory: its ``.py`` files by
 name, then its sub-directories by name), so reports never depend on
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import os
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -111,6 +114,20 @@ def parse_module(path: str, module: str, text: str) -> SourceFile:
                       aliases=collect_aliases(tree))
 
 
+def _undecodable(path: str, module: str, error: Exception) -> SourceFile:
+    """A file whose bytes do not decode: one ``DET999`` finding."""
+    reason = error.msg if isinstance(error, SyntaxError) else str(error)
+    return SourceFile(
+        path=path, module=module, text="", tree=None, aliases={},
+        syntax_error=Diagnostic(
+            rule_id="DET999", severity=Severity.ERROR,
+            location=f"{path}:0:0",
+            message=f"file cannot be decoded: {reason}",
+            fix_hint="save the file as UTF-8 or declare its encoding "
+                     "in a PEP 263 coding comment",
+        ))
+
+
 def _module_name(path: Path, root: Path) -> str:
     """``src/repro/core/queueing.py`` -> ``repro.core.queueing``."""
     parts = list(path.relative_to(root).parts)
@@ -139,10 +156,14 @@ def read_sources(roots: Sequence[str],
         if os.path.isfile(root):
             base = base.parent
         for path in python_files([root]):
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            files.append(parse_module(
-                path, _module_name(Path(path), base), text))
+            module = _module_name(Path(path), base)
+            try:
+                with tokenize.open(path) as handle:
+                    text = handle.read()
+            except (SyntaxError, UnicodeDecodeError) as error:
+                files.append(_undecodable(path, module, error))
+                continue
+            files.append(parse_module(path, module, text))
     for module, (display, text) in sorted((extra_sources or {}).items()):
         files.append(parse_module(display, module, text))
     return files

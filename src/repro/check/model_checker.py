@@ -24,12 +24,15 @@ integer arrays -- no cycle is ever simulated:
   cycles, prefixes, pattern-*crossing* windows, and every window
   ``[start, pattern_length)`` from a base the acceptance test can
   start at.
-- **MDL404** -- Theorem-1 extrapolation: the plan's log-space success
-  product still clears the reliability goal (the same arithmetic as
-  ``ANA204``, checked here because the steady-state argument leans on
-  the hyperperiod tiling just proved), and the hyperperiod
-  retransmission demand ``sum_z k_z * ceil(H / T_z)`` does not exceed
-  the structural idle-slot supply plus the reserved dynamic capacity.
+- **MDL404** -- Theorem-1 fundability: the planned budgets, clipped to
+  the retransmissions the structural idle-slot supply plus the reserved
+  dynamic capacity can fund in the worst-aligned period window over the
+  hyperperiod tiling just proved, still clear the reliability goal.
+  Whether the unclipped plan clears it is ``ANA204``'s
+  (:func:`~repro.verify.analysis_checks.check_retransmission_plan`),
+  proved once per report: :func:`~repro.check.runner.check_workload`
+  and :func:`~repro.verify.verifier.verify_experiment` run it beside
+  this rule.
 
 On violation, :mod:`repro.check.counterexample` shrinks the round to a
 minimal failing row set with a one-command repro (``MDL405``).
@@ -181,10 +184,10 @@ def check_hyperperiod_model(
             when frame sizes differ (how many of *that message's*
             retransmission frames fit one dynamic segment).
 
-    The ``MDL404`` checks run only when ``budgets``,
-    ``failure_probabilities``, ``instances`` and ``reliability_goal``
-    are all given (the demand bound additionally needs
-    ``retransmission_periods_ms``); the structural rules always run.
+    The ``MDL404`` check runs only when ``budgets``,
+    ``failure_probabilities``, ``instances``, ``reliability_goal`` and
+    ``retransmission_periods_ms`` are all given; the structural rules
+    always run.
 
     Returns:
         A :class:`Report`; empty when the hyperperiod model is sound.
@@ -459,47 +462,19 @@ def _check_theorem1(
     dynamic_retransmission_slots_per_cycle: Union[int, Mapping[str, int]],
     budget: DiagnosticBudget,
 ) -> None:
+    # The log-space success product itself is ANA204's
+    # (check_retransmission_plan), which every caller with a plan runs
+    # beside this rule; so is the diagnosis of a goal outside (0, 1]
+    # or a message without an instance rate, on which this rule only
+    # stands down.
     location = "round.theorem1"
-    if not 0.0 < reliability_goal <= 1.0:
-        budget.add(Diagnostic(
-            rule_id="MDL404", severity=Severity.ERROR,
-            location=f"{location}.rho",
-            message=f"reliability goal rho={reliability_goal:g} outside "
-                    f"(0, 1]",
-            fix_hint="rho = 1 - gamma for the configured SIL",
-        ))
+    if not 0.0 < reliability_goal <= 1.0 or any(
+            message not in instances for message in failure_probabilities):
         return
-    # (a) The log-space success product (same arithmetic as ANA204,
-    # re-proved here because the steady-state extrapolation leans on the
-    # hyperperiod tiling the structural rules just established).
-    log_total = 0.0
-    for message in sorted(failure_probabilities):
-        if message not in instances:
-            budget.add(Diagnostic(
-                rule_id="MDL404", severity=Severity.ERROR,
-                location=f"{location}.instances[{message}]",
-                message="no instance rate (u/T_z) for this message",
-                fix_hint="every planned message needs its rate",
-            ))
-            return
-        log_total += log_message_success_probability(
-            failure_probabilities[message], budgets.get(message, 0),
-            instances[message])
     gamma = 1.0 - reliability_goal
     goal_log = math.log1p(-gamma) if gamma < 0.5 else \
         math.log(reliability_goal)
-    if log_total < goal_log:
-        achieved_gamma = -math.expm1(log_total)
-        budget.add(Diagnostic(
-            rule_id="MDL404", severity=Severity.ERROR,
-            location=location,
-            message=f"the planned budgets miss the reliability goal "
-                    f"over the hyperperiod: failure probability "
-                    f"{achieved_gamma:.6g} > allowed gamma {gamma:.6g}",
-            fix_hint="raise the budgets of the highest-rate lossy "
-                     "messages or relax the goal",
-        ))
-    # (b) Budget fundability: a retransmission of instance i must land
+    # Budget fundability: a retransmission of instance i must land
     # before the next instance releases (constrained deadlines), so at
     # most ``available`` of the k_z planned attempts structurally exist
     # inside a period window -- the worst (minimum-slack) alignment

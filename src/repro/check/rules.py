@@ -121,11 +121,11 @@ CHECK_RULES: Dict[str, Rule] = catalogue(
          "prefix, pattern-crossing, or a suffix of the first pattern) "
          "disagrees with the per-cycle totals."),
     Rule("MDL404", "theorem1-hyperperiod-unsound", Severity.ERROR,
-         "The log-space Theorem-1 bound extrapolated over the "
-         "hyperperiod fails: the planned budgets miss the reliability "
-         "goal, or the hyperperiod retransmission demand exceeds the "
+         "The Theorem-1 budgets, clipped to the retransmissions the "
          "structural idle-slot supply plus the reserved dynamic "
-         "capacity."),
+         "capacity funds in the worst-aligned period window of the "
+         "hyperperiod, miss the reliability goal (whether the "
+         "unclipped plan misses it is ANA204's)."),
     Rule("MDL405", "counterexample-synthesized", Severity.INFO,
          "A violating round was shrunk to a minimal counterexample and "
          "serialized with a one-command repro."),

@@ -39,6 +39,7 @@ from repro.check.model_checker import (
 )
 from repro.check.policy_proofs import check_policy_promises
 from repro.timeline.compiler import CompiledRound
+from repro.verify.analysis_checks import check_retransmission_plan
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["check_sources", "check_workload", "check_round",
@@ -166,6 +167,10 @@ def check_workload(
     _synthesize_counterexample(compiled, result, counterexample_dir,
                                label)
     report.merge(result)
+    # MDL404 proves the plan fundable; the goal product is ANA204's.
+    report.merge(check_retransmission_plan(
+        inputs["failure_probabilities"], inputs["instances"],
+        inputs["budgets"], reliability_goal))
     return report
 
 

@@ -21,14 +21,14 @@ retransmission reaction to failures.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protocol.channel import Channel
 from repro.protocol.chi import PriorityOutputQueue, StaticBuffer
 from repro.protocol.cluster import Cluster
 from repro.protocol.frame import FrameKind, PendingFrame
 from repro.protocol.geometry import SegmentGeometry
-from repro.protocol.policy import SchedulerPolicy
+from repro.protocol.policy import SchedulerPolicy, Settled
 from repro.protocol.schedule import ScheduleTable
 from repro.packing.frame_packing import PackingResult
 from repro.sim.trace import TransmissionOutcome
@@ -271,24 +271,30 @@ class QueueingPolicyBase(SchedulerPolicy):
             self._dynamic_queues[slot_id].push(pending)
             self._dynamic_backlog += 1
 
-    def on_arrival(self, pending: PendingFrame) -> None:
-        frame = pending.frame
-        message_id = frame.message_id
-        if frame.kind is FrameKind.DYNAMIC:
-            self.route_dynamic_arrival(pending)
-        else:
-            for buffer in self._arrival_buffers.get((message_id, frame.chunk),
-                                                    ()):
-                buffer.write(pending)
-        if self.feedback:
-            chunk_key = (message_id, pending.instance, frame.chunk)
-            if chunk_key not in self._chunk_status:
-                self._chunk_status[chunk_key] = (_PENDING,
-                                                 pending.deadline_mt)
-            return
-        copies = self.redundancy_for_arrival(pending)
-        if not copies:
-            return
+    def on_arrival(self, pendings: Sequence[PendingFrame]) -> None:
+        arrival_buffers = self._arrival_buffers
+        redundancy_for_arrival = self.redundancy_for_arrival
+        dynamic = FrameKind.DYNAMIC
+        for pending in pendings:
+            frame = pending.frame
+            if frame.kind is dynamic:
+                self.route_dynamic_arrival(pending)
+            else:
+                for buffer in arrival_buffers.get(
+                        (frame.message_id, frame.chunk), ()):
+                    buffer.write(pending)
+            if self.feedback:
+                chunk_key = (frame.message_id, pending.instance, frame.chunk)
+                if chunk_key not in self._chunk_status:
+                    self._chunk_status[chunk_key] = (_PENDING,
+                                                     pending.deadline_mt)
+                continue
+            copies = redundancy_for_arrival(pending)
+            if copies:
+                self._enqueue_copies(pending, copies)
+
+    def _enqueue_copies(self, pending: PendingFrame, copies: int) -> None:
+        """Admit and queue up to ``copies`` open-loop copies of ``pending``."""
         now_mt = pending.generation_time_mt
         counters = self.counters
         observed = self.obs.enabled
@@ -306,7 +312,7 @@ class QueueingPolicyBase(SchedulerPolicy):
                 counters["retx_abandoned"] += 1
             if observed:
                 self.obs.emit("policy.retx_admission",
-                              message_id=message_id,
+                              message_id=pending.message_id,
                               instance=pending.instance,
                               admitted=admitted, open_loop=True)
 
@@ -395,19 +401,19 @@ class QueueingPolicyBase(SchedulerPolicy):
     # SchedulerPolicy: outcomes
     # ------------------------------------------------------------------
 
-    def on_outcome(self, pending: PendingFrame, channel: Channel,
-                   segment: str, outcome: TransmissionOutcome,
-                   end_mt: int) -> None:
-        self._now_mt = end_mt
+    def on_outcome(self, segment: str, settled: Sequence[Settled]) -> None:
+        self._now_mt = settled[-1][3]
         if self.feedback:
-            if outcome is TransmissionOutcome.DELIVERED:
-                key = (pending.message_id, pending.instance,
-                       pending.frame.chunk)
-                deadline = self._chunk_status.get(
-                    key, (0, pending.deadline_mt))[1]
-                self._chunk_status[key] = (_DELIVERED, deadline)
-            else:
-                self.handle_failure(pending, segment, end_mt)
+            for pending, __, outcome, end_mt in settled:
+                self._now_mt = end_mt
+                if outcome is TransmissionOutcome.DELIVERED:
+                    key = (pending.message_id, pending.instance,
+                           pending.frame.chunk)
+                    deadline = self._chunk_status.get(
+                        key, (0, pending.deadline_mt))[1]
+                    self._chunk_status[key] = (_DELIVERED, deadline)
+                else:
+                    self.handle_failure(pending, segment, end_mt)
 
     # ------------------------------------------------------------------
     # Retransmission heap helpers (shared by subclasses)

@@ -47,7 +47,9 @@ __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
 #: trace records became named tuples.  Version 3: a trace pickles as
 #: primitive per-field columns.  Version 4: a trace's per-instance state
 #: is a tuple of primitives (plus a chunk map) instead of a dataclass.
-CACHE_VERSION = 4
+#: Version 5: a ``PendingFrame`` the cached policy still queues is a
+#: named tuple, which an entry pickled from the dataclass cannot build.
+CACHE_VERSION = 5
 
 
 def fingerprint(value: object) -> object:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.protocol.frame import Frame, PendingFrame
 from repro.sim.rng import RngStream
@@ -56,13 +56,13 @@ class Release(NamedTuple):
         return len(self.pendings)
 
 
-def _release(message_id: str, chunks: Sequence[Frame], instance: int,
-             release_time: int, deadline: int, priority: int) -> Release:
+def _release(chunks: Sequence[Frame], instance: int, release_time: int,
+             deadline: int, priority: int) -> Release:
     """One release of ``chunks``: a :class:`PendingFrame` per chunk."""
     # Positional, in PendingFrame field order (frame, instance,
     # generation_time_mt, deadline_mt, priority, kind): keywords cost
     # a measurable share of a construction made once per chunk.
-    return Release(message_id, instance, release_time, deadline, [
+    return Release(chunks[0].message_id, instance, release_time, deadline, [
         PendingFrame(chunk, instance, release_time, deadline, priority,
                      chunk.kind)
         for chunk in chunks
@@ -77,8 +77,17 @@ class MessageSource(abc.ABC):
         """Time of the next release, or ``None`` when exhausted."""
 
     @abc.abstractmethod
+    def advance(self) -> Tuple[Release, Optional[int]]:
+        """Produce the next release and advance the source.
+
+        Returns the release together with the time of the one after it
+        (``None`` once the source is exhausted), so the multiplexer
+        pays one call per release.
+        """
+
     def pop_release(self) -> Release:
         """Produce the next release and advance the source."""
+        return self.advance()[0]
 
     @property
     @abc.abstractmethod
@@ -141,15 +150,18 @@ class PeriodicSource(MessageSource):
             return None
         return self._offset + self._next_instance * self._period
 
-    def pop_release(self) -> Release:
-        release_time = self.next_release_mt()
-        if release_time is None:
-            raise RuntimeError(f"source {self.message_id} is exhausted")
+    def advance(self) -> Tuple[Release, Optional[int]]:
         instance = self._next_instance
-        self._next_instance += 1
-        return _release(self.message_id, self._chunks, instance,
-                        release_time, release_time + self._deadline,
-                        self._priority)
+        limit = self._limit
+        if limit is not None and instance >= limit:
+            raise RuntimeError(f"source {self.message_id} is exhausted")
+        release_time = self._offset + instance * self._period
+        self._next_instance = instance + 1
+        release = _release(self._chunks, instance, release_time,
+                           release_time + self._deadline, self._priority)
+        if limit is not None and instance + 1 >= limit:
+            return release, None
+        return release, release_time + self._period
 
 
 class SporadicSource(MessageSource):
@@ -204,19 +216,22 @@ class SporadicSource(MessageSource):
             return None
         return self._next_time
 
-    def pop_release(self) -> Release:
-        release_time = self.next_release_mt()
-        if release_time is None:
-            raise RuntimeError(f"source {self.message_id} is exhausted")
+    def advance(self) -> Tuple[Release, Optional[int]]:
         instance = self._next_instance
-        self._next_instance += 1
+        limit = self._limit
+        if limit is not None and instance >= limit:
+            raise RuntimeError(f"source {self.message_id} is exhausted")
+        release_time = self._next_time
+        self._next_instance = instance + 1
         gap = self._interarrival
         if self._jitter > 0:
             gap = int(gap * (1.0 + self._rng.uniform(0.0, self._jitter)))
         self._next_time = release_time + max(1, gap)
-        return _release(self.message_id, self._chunks, instance,
-                        release_time, release_time + self._deadline,
-                        self._priority)
+        release = _release(self._chunks, instance, release_time,
+                           release_time + self._deadline, self._priority)
+        if limit is not None and instance + 1 >= limit:
+            return release, None
+        return release, self._next_time
 
 
 class ArrivalMultiplexer:
@@ -264,9 +279,8 @@ class ArrivalMultiplexer:
         sources = self._sources
         while heap and heap[0][0] <= time_mt:
             __, message_id, index = heap[0]
-            source = sources[index]
-            releases.append(source.pop_release())
-            next_time = source.next_release_mt()
+            release, next_time = sources[index].advance()
+            releases.append(release)
             # Source indices make every key distinct, so replacing the
             # root in place pops in exactly the order pop+push would.
             if next_time is None:

@@ -24,6 +24,12 @@ class Channel(enum.Enum):
     A = "A"
     B = "B"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; it is computed in C, where the
+    # inherited ``Enum.__hash__`` is a Python call per lookup of a
+    # channel-keyed map (once per static query).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

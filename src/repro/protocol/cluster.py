@@ -279,7 +279,9 @@ class Cluster:
 
         The segment engines call this before every slot, and most calls
         find nothing due: those return after one peek at the release
-        heap.
+        heap.  A call that finds releases due is one delivery pass: one
+        call notes them in the trace, and one ``on_arrival`` call hands
+        the policy their chunk instances, in release order.
         """
         multiplexer = self._multiplexer
         next_mt = multiplexer.next_release_mt()
@@ -288,16 +290,9 @@ class Cluster:
         releases = multiplexer.pop_until(time_mt)
         if self._observed:
             self._obs.inc("engine.arrivals_delivered", len(releases))
-        note_instance = self.trace.note_instance
-        on_arrival = self.policy.on_arrival
-        for release in releases:
-            note_instance(
-                release.message_id, release.instance,
-                release.generation_time_mt, release.deadline_mt,
-                chunks=release.chunks,
-            )
-            for pending in release.pendings:
-                on_arrival(pending)
+        self.trace.note_releases(releases)
+        self.policy.on_arrival([pending for release in releases
+                                for pending in release.pendings])
 
     # ------------------------------------------------------------------
     # Results

@@ -163,4 +163,4 @@ class DynamicSegmentEngine:
             deadline=pending.deadline_mt,
             chunk=pending.frame.chunk,
         ))
-        self._policy.on_outcome(pending, channel, "dynamic", outcome, end)
+        self._policy.on_outcome("dynamic", ((pending, channel, outcome, end),))

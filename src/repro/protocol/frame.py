@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.protocol.geometry import SegmentGeometry
 
@@ -35,6 +35,7 @@ __all__ = ["HARD_MAX_PAYLOAD_BITS", "FrameKind", "Frame", "PendingFrame",
 HARD_MAX_PAYLOAD_BITS = 1518 * 8
 
 _pending_sequence = itertools.count()
+_tuple_new = tuple.__new__
 
 
 class FrameKind(enum.Enum):
@@ -48,6 +49,11 @@ class FrameKind(enum.Enum):
 
     DYNAMIC = "dynamic"
     """Soft-deadline aperiodic (dynamic-segment event message)."""
+
+
+# A module global loads several times faster than an enum member looked
+# up through its class, and the trace asks once per recorded attempt.
+_RETRANSMISSION = FrameKind.RETRANSMISSION
 
 
 def frame_duration_mt(payload_bits: int, params: SegmentGeometry) -> int:
@@ -161,13 +167,33 @@ class Frame:
         return frame_duration_mt(self.payload_bits, params)
 
 
-@dataclass(frozen=True, slots=True)
-class PendingFrame:
+class _PendingFields(NamedTuple):
+    """The fields of a :class:`PendingFrame`, in construction order."""
+
+    frame: Frame
+    instance: int
+    generation_time_mt: int
+    deadline_mt: int
+    priority: int
+    kind: FrameKind = FrameKind.STATIC
+    attempt: int = 0
+    sequence: int = 0
+
+
+class PendingFrame(_PendingFields):
     """One frame instance waiting for (re)transmission.
 
-    Instances are ordered by ``(priority, sequence)``: the sequence number
-    is a global monotone counter, so equal-priority instances are FIFO --
+    Queues order instances by :meth:`queue_key`: the sequence number is
+    a global monotone counter, so equal-priority instances are FIFO --
     the ordering the paper's dynamic-segment queues use.
+
+    An immutable named tuple, like
+    :class:`~repro.protocol.arrivals.Release`: every host release builds
+    one per chunk, and a tuple constructs several times faster than a
+    frozen dataclass, whose generated ``__init__`` sets every field
+    through ``object.__setattr__``.  Construction still validates the
+    fields, positionally or by keyword, and ``_replace`` goes through
+    the same checks.
 
     Attributes:
         frame: The configured frame being instantiated.
@@ -178,29 +204,35 @@ class PendingFrame:
         kind: Scheduling class; distinguishes a retransmission instance
             from the original static instance of the same frame.
         attempt: 0 for the first transmission, k for the k-th retry.
-        sequence: Global tie-breaking counter (assigned automatically).
+        sequence: Global tie-breaking counter (assigned automatically
+            when omitted).
     """
 
-    frame: Frame
-    instance: int
-    generation_time_mt: int
-    deadline_mt: int
-    priority: int
-    kind: FrameKind = FrameKind.STATIC
-    attempt: int = 0
-    sequence: int = field(default_factory=lambda: next(_pending_sequence))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.instance < 0:
-            raise ValueError(f"instance must be >= 0, got {self.instance}")
-        if self.deadline_mt < self.generation_time_mt:
+    def __new__(cls, frame: Frame, instance: int, generation_time_mt: int,
+                deadline_mt: int, priority: int,
+                kind: FrameKind = FrameKind.STATIC, attempt: int = 0,
+                sequence: Optional[int] = None) -> "PendingFrame":
+        if instance < 0:
+            raise ValueError(f"instance must be >= 0, got {instance}")
+        if deadline_mt < generation_time_mt:
             raise ValueError(
-                f"{self.frame.message_id}#{self.instance}: deadline "
-                f"{self.deadline_mt} precedes generation "
-                f"{self.generation_time_mt}"
+                f"{frame.message_id}#{instance}: deadline "
+                f"{deadline_mt} precedes generation "
+                f"{generation_time_mt}"
             )
-        if self.attempt < 0:
-            raise ValueError(f"attempt must be >= 0, got {self.attempt}")
+        if attempt < 0:
+            raise ValueError(f"attempt must be >= 0, got {attempt}")
+        if sequence is None:
+            sequence = next(_pending_sequence)
+        return _tuple_new(cls, (frame, instance, generation_time_mt,
+                                deadline_mt, priority, kind, attempt,
+                                sequence))
+
+    @classmethod
+    def _make(cls, iterable) -> "PendingFrame":
+        return cls(*iterable)
 
     @property
     def message_id(self) -> str:
@@ -220,7 +252,7 @@ class PendingFrame:
     @property
     def is_retransmission(self) -> bool:
         """Whether this instance is a retry."""
-        return self.attempt > 0 or self.kind is FrameKind.RETRANSMISSION
+        return self.attempt > 0 or self.kind is _RETRANSMISSION
 
     def queue_key(self) -> tuple:
         """Ordering key for priority queues: urgency then FIFO."""
@@ -233,19 +265,10 @@ class PendingFrame:
         is measured from first production) but is reclassified as a
         hard-deadline aperiodic, per the paper's task model.
         """
-        # Direct construction rather than dataclasses.replace(): retries
-        # are minted on the retransmission hot path and replace() pays
-        # per-call field introspection for the same result.
-        return PendingFrame(
-            frame=self.frame,
-            instance=self.instance,
-            generation_time_mt=self.generation_time_mt,
-            deadline_mt=self.deadline_mt,
-            priority=self.priority,
-            kind=FrameKind.RETRANSMISSION,
-            attempt=self.attempt + 1,
-            sequence=next(_pending_sequence),
-        )
+        return PendingFrame(self.frame, self.instance,
+                            self.generation_time_mt, self.deadline_mt,
+                            self.priority, _RETRANSMISSION,
+                            self.attempt + 1)
 
     def slack_at(self, now_mt: int, duration_mt: int) -> int:
         """Laxity if transmission started now: deadline - now - duration."""

@@ -10,11 +10,18 @@ questions:
    transmits on this channel, in this cycle, in this slot?*
 2. At each dynamic slot: *which pending frame (if any) is at the head of
    this frame ID's queue on this channel?*
-3. After every attempt: *here is the outcome* (so the policy can plan
-   retransmissions).
+3. Once a segment's attempts are settled: *here are the outcomes* (so
+   the policy can plan retransmissions).
 
 Host arrivals reach the policy through ``on_arrival``, interleaved with
 the queries at the action points where the hosts release them.
+
+The two feedback hooks are batch calls, one per delivery pass and one
+per settled segment: ``on_arrival`` receives every chunk instance the
+hosts released since the previous pass, and ``on_outcome`` every
+attempt of a segment the vectorized engine settled at once.  The
+interpreter reports each attempt right after it, as a batch of one, so
+there is one hook contract for every engine.
 
 This narrow interface is what lets CoEfficient steal static slack: the
 engine does not care whether the frame it is handed was the slot's
@@ -26,7 +33,7 @@ the tools to be.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.protocol.channel import Channel
 from repro.protocol.frame import PendingFrame
@@ -37,7 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocol.cluster import Cluster
     from repro.timeline.compiler import CompiledRound
 
-__all__ = ["SchedulerPolicy"]
+__all__ = ["Settled", "SchedulerPolicy"]
+
+#: One settled transmission attempt as :meth:`SchedulerPolicy.on_outcome`
+#: receives it: ``(pending, channel, outcome, end_mt)``.
+Settled = Tuple[PendingFrame, Channel, TransmissionOutcome, int]
 
 
 class SchedulerPolicy(abc.ABC):
@@ -46,7 +57,7 @@ class SchedulerPolicy(abc.ABC):
     Lifecycle: ``bind`` once (offline planning: schedule tables,
     retransmission budgets), then per cycle ``on_cycle_start`` followed by
     the engines' per-slot queries, with ``on_arrival`` interleaved as the
-    hosts produce messages.
+    hosts produce messages and ``on_outcome`` after the attempts.
     """
 
     #: Human-readable policy name used in experiment tables.
@@ -79,8 +90,15 @@ class SchedulerPolicy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def on_arrival(self, pending: PendingFrame) -> None:
-        """A host produced a message instance (one call per chunk)."""
+    def on_arrival(self, pendings: Sequence[PendingFrame]) -> None:
+        """Hosts produced message instances (one call per delivery pass).
+
+        ``pendings`` holds the chunk instances of every release due by
+        the pass's time, in release order (time, then message ID, then
+        chunk), and is never empty.  They all land at one point between
+        two queries, so the policy handles them as it would one at a
+        time, in order.
+        """
 
     @abc.abstractmethod
     def on_cycle_start(self, cycle: int, start_mt: int) -> None:
@@ -123,10 +141,17 @@ class SchedulerPolicy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def on_outcome(self, pending: PendingFrame, channel: Channel,
-                   segment: str, outcome: TransmissionOutcome,
-                   end_mt: int) -> None:
-        """Feedback after an attempt (the sender monitors the bus)."""
+    def on_outcome(self, segment: str, settled: Sequence[Settled]) -> None:
+        """Feedback on settled attempts (the sender monitors the bus).
+
+        ``settled`` holds ``(pending, channel, outcome, end_mt)`` for
+        each attempt of one ``segment`` (``"static"`` or ``"dynamic"``)
+        in interpreter order, and is never empty.  The interpreter
+        passes each attempt alone, right after it; the vectorized engine
+        passes a whole segment at its end, which only a policy whose
+        decisions are outcome-free (:meth:`decisions_are_outcome_free`)
+        ever sees.
+        """
 
     def compiled_round(self) -> Optional["CompiledRound"]:
         """The policy's compiled communication round, if it has one.

@@ -141,4 +141,4 @@ class StaticSegmentEngine:
             deadline=pending.deadline_mt,
             chunk=pending.frame.chunk,
         ))
-        self._policy.on_outcome(pending, channel, "static", outcome, end)
+        self._policy.on_outcome("static", ((pending, channel, outcome, end),))

@@ -296,10 +296,25 @@ class TraceRecorder:
         """
         if chunks < 1:
             raise ValueError(f"chunks must be >= 1, got {chunks}")
-        key = (message_id, instance)
-        if key not in self._instances:
-            self._instances[key] = (generation_time, deadline, chunks, None,
-                                    None)
+        self.note_releases(((message_id, instance, generation_time, deadline,
+                             range(chunks)),))
+
+    def note_releases(self, releases: Iterable[tuple]) -> None:
+        """Register one delivery pass of host releases.
+
+        :meth:`note_instance` for every entry, in order, in one call.
+        Each entry is ``(message_id, instance, generation_time, deadline,
+        frames)`` -- a :class:`~repro.protocol.arrivals.Release` -- whose
+        instance is split over ``len(frames)`` chunk frames (at least
+        one: a source refuses an empty chunk list).
+        """
+        instances = self._instances
+        for message_id, instance, generation_time, deadline, frames \
+                in releases:
+            key = (message_id, instance)
+            if key not in instances:
+                instances[key] = (generation_time, deadline, len(frames),
+                                  None, None)
 
     def record(self, record: FrameRecord) -> None:
         """Append a transmission attempt and update instance state."""

@@ -21,7 +21,10 @@ is evaluated in two phases:
   the oracle supports it), the plan goes to the trace as one block
   (:meth:`~repro.sim.trace.TraceRecorder.record_batch`; no
   :class:`~repro.sim.trace.FrameRecord` is built on this path), and
-  the outcomes are replayed to the policy in interpreter order.
+  the settled segment goes to the policy in one
+  :meth:`~repro.protocol.policy.SchedulerPolicy.on_outcome` call, its
+  attempts in interpreter order (the interpreter reports each attempt
+  alone, as a batch of one).
 
 Splitting the phases is sound only when the policy promises, via
 :meth:`~repro.protocol.policy.SchedulerPolicy.decisions_are_outcome_free`,
@@ -298,7 +301,10 @@ class VectorizedStepper(TimelineStepper):
     def _validate_static(self, pending: PendingFrame, slot_id: int,
                          action_point: int) -> int:
         """The interpreter's physical checks, raising its exact errors."""
-        duration = self._duration(pending.frame.payload_bits)
+        payload_bits = pending.frame.payload_bits
+        duration = self._duration_memo.get(payload_bits)
+        if duration is None:
+            duration = self._duration(payload_bits)
         slot_end = action_point - self._action_offset + self._slot_mt
         if action_point + duration > slot_end:
             raise ValueError(
@@ -434,7 +440,8 @@ class VectorizedStepper(TimelineStepper):
 
     def _flush(self, cycle: int, plan: List[_Planned],
                segment: str) -> None:
-        """Settle a segment plan: fault draws, one trace block, outcomes."""
+        """Settle a segment plan: fault draws, one trace block, and one
+        ``on_outcome`` call for the whole segment."""
         if not plan:
             return
         bits = [entry[4].frame.total_bits for entry in plan]
@@ -442,12 +449,12 @@ class VectorizedStepper(TimelineStepper):
         self._trace.record_batch(plan, cycle, segment, self._lane_names,
                                  bits, verdicts)
         channels = self._lane_channels
-        on_outcome = self._policy.on_outcome
         corrupted = TransmissionOutcome.CORRUPTED
         delivered = TransmissionOutcome.DELIVERED
-        for (lane, __, ___, end, pending), corrupt in zip(plan, verdicts):
-            on_outcome(pending, channels[lane], segment,
-                       corrupted if corrupt else delivered, end)
+        self._policy.on_outcome(segment, [
+            (pending, channels[lane], corrupted if corrupt else delivered,
+             end)
+            for (lane, __, ___, end, pending), corrupt in zip(plan, verdicts)])
 
     def _fault_verdicts(self, plan: List[_Planned],
                         bits: List[int]) -> List[bool]:

@@ -121,6 +121,20 @@ class TestTheorem1OverTheHyperperiod:
         assert capacity, "the fundability clause must fire"
         assert "fundable=0" in capacity[0].message
 
+    def test_missed_goal_is_caught_once_by_check_workload(
+            self, tiny_workload, small_params):
+        """`repro check` proves the goal product once, as ANA204, and
+        keeps MDL404 for the fundability clip alone."""
+        report = check_workload(small_params, periodic=tiny_workload,
+                                reliability_goal=1.0)
+        assert report.has_errors
+        counts = rule_counts(report)
+        assert counts["ANA204"] == 1
+        assert not [d for d in report.diagnostics
+                    if d.location == "round.theorem1"]
+        assert all(d.location.endswith("capacity")
+                   for d in report.diagnostics if d.rule_id == "MDL404")
+
     def test_dynamic_capacity_scales_with_channels(self, small_params):
         import dataclasses
 

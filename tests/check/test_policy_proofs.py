@@ -33,13 +33,32 @@ class EagerPolicy(QueueingPolicyBase):
     def decisions_are_outcome_free(self):
         return not self.feedback
 
-    def on_outcome(self, pending, channel, segment, outcome, end_mt):
-        self._last_outcome = outcome
-        super().on_outcome(pending, channel, segment, outcome, end_mt)
+    def on_outcome(self, segment, settled):
+        self._last_outcome = settled[-1][2]
+        super().on_outcome(segment, settled)
 
-    def on_arrival(self, pending):
+    def on_arrival(self, pendings):
         if self._last_outcome is None:
-            super().on_arrival(pending)
+            super().on_arrival(pendings)
+'''
+
+BATCH_READER_POLICY = '''\
+from repro.core.queueing import QueueingPolicyBase
+
+
+class TallyPolicy(QueueingPolicyBase):
+    def decisions_are_outcome_free(self):
+        return not self.feedback
+
+    def on_outcome(self, segment, settled):
+        for pending, channel, outcome, end_mt in settled:
+            self._corrupted_tally[pending.message_id] = outcome
+        super().on_outcome(segment, settled)
+
+    def on_arrival(self, pendings):
+        for pending in pendings:
+            if self._corrupted_tally.get(pending.message_id) is None:
+                super().on_arrival((pending,))
 '''
 
 CLOCKED_POLICY = '''\
@@ -106,6 +125,25 @@ class TestImpurePoliciesAreRefuted:
         assert "_last_outcome" in message
         assert "EagerPolicy.on_arrival" in message
         assert "EagerPolicy.on_outcome" in message
+
+    def test_batch_arrival_reading_batch_outcome_writes_is_eff301(self):
+        """A batch ``on_arrival`` that reads, per pending of its pass, a
+        map the batch ``on_outcome`` fills per settled attempt."""
+        report = check_sources(extra_sources={
+            "repro.test_tally": ("tests/fake/tally.py",
+                                 BATCH_READER_POLICY),
+        })
+        refutations = [d for d in report.diagnostics
+                       if d.rule_id == "EFF301"]
+        assert len(refutations) == 1
+        message = refutations[0].message
+        assert "TallyPolicy" in message
+        assert "_corrupted_tally.*" in message
+        assert "TallyPolicy.on_arrival" in message
+        assert "TallyPolicy.on_outcome" in message
+        assert not any(d.rule_id == "EFF300"
+                       and d.message.startswith("TallyPolicy")
+                       for d in report.diagnostics)
 
     def test_wall_clock_on_decision_path_is_eff302(self):
         report = check_sources(extra_sources={

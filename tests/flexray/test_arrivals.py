@@ -1,6 +1,8 @@
 """Unit tests for message sources and the arrival multiplexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocol.arrivals import (
     ArrivalMultiplexer,
@@ -165,3 +167,81 @@ class TestArrivalMultiplexer:
         assert mux.exhausted
         assert mux.pop_until(100) == []
         assert mux.next_release_mt() is None
+
+    def test_advance_returns_the_next_release_time(self):
+        for source in (periodic(limit=3), sporadic(limit=3)):
+            while source.next_release_mt() is not None:
+                release, next_time = source.advance()
+                assert next_time == source.next_release_mt()
+                assert release.instance >= 0
+            with pytest.raises(RuntimeError):
+                source.advance()
+
+
+#: One random source: (kind, offset, period, chunks, limit, seed).
+_SOURCE = st.tuples(
+    st.sampled_from(["periodic", "sporadic"]),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([10, 20, 25, 40]),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+def _build_sources(specs, names):
+    sources = []
+    for (kind, offset, period, chunks, limit, seed), name in zip(specs,
+                                                                 names):
+        if kind == "periodic":
+            sources.append(periodic(message_id=name, period=period,
+                                    offset=offset, deadline=period,
+                                    limit=limit, chunks=chunks))
+        else:
+            frames = [make_frame(message_id=name, chunk=i,
+                                 chunk_count=chunks, kind=FrameKind.DYNAMIC)
+                      for i in range(chunks)]
+            sources.append(SporadicSource(
+                chunks=frames, min_interarrival_mt=period, offset_mt=offset,
+                deadline_mt=period, priority=5,
+                rng=RngStream(seed, f"mux-{name}"), jitter=0.5,
+                limit=limit))
+    return sources
+
+
+def _one_at_a_time(sources, horizon):
+    """The reference merge: pop the earliest (time, message_id) release,
+    one ``pop_release`` at a time, up to ``horizon``."""
+    order = []
+    while True:
+        due = [(source.next_release_mt(), source.message_id, index)
+               for index, source in enumerate(sources)
+               if source.next_release_mt() is not None]
+        if not due or min(due)[0] > horizon:
+            return order
+        __, ___, index = min(due)
+        release = sources[index].pop_release()
+        order.append((release.generation_time_mt, release.message_id,
+                      release.instance, len(release.pendings)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(_SOURCE, min_size=1, max_size=6),
+       names=st.permutations(["a", "b", "c", "d", "e", "f"]),
+       steps=st.lists(st.integers(min_value=0, max_value=60), min_size=1,
+                      max_size=8))
+def test_batched_pop_until_matches_popping_one_release_at_a_time(
+        specs, names, steps):
+    """Same-instant ties (equal offsets and periods) must break by
+    message ID, whatever the order the sources were given in."""
+    horizon = 0
+    batched = []
+    mux = ArrivalMultiplexer(_build_sources(specs, names))
+    for step in steps:
+        horizon += step
+        for release in mux.pop_until(horizon):
+            assert [p.frame.chunk for p in release.pendings] == \
+                list(range(len(release.pendings)))
+            batched.append((release.generation_time_mt, release.message_id,
+                            release.instance, len(release.pendings)))
+    assert batched == _one_at_a_time(_build_sources(specs, names), horizon)

@@ -1,5 +1,7 @@
 """Unit tests for the FlexRay frame model."""
 
+import pickle
+
 import pytest
 
 from repro.protocol.frame import Frame, FrameKind, PendingFrame, frame_duration_mt
@@ -111,6 +113,53 @@ class TestPendingFrame:
         first = make_pending()
         second = make_pending()
         assert second.sequence > first.sequence
+
+    def test_sequence_monotone_across_retries_and_positional_builds(self):
+        frame = make_frame()
+        made = [make_pending(), PendingFrame(frame, 0, 100, 1000, 5)]
+        made.append(made[0].retry(0))
+        made.append(make_pending(instance=3))
+        sequences = [pending.sequence for pending in made]
+        assert sequences == sorted(sequences)
+        assert len(set(sequences)) == len(sequences)
+
+    def test_rejects_negative_attempt(self):
+        with pytest.raises(ValueError):
+            make_pending(attempt=-1)
+
+    def test_rejects_attribute_assignment(self):
+        pending = make_pending()
+        with pytest.raises(AttributeError):
+            pending.priority = 1
+        with pytest.raises(AttributeError):
+            pending.note = "x"
+        assert pending.priority == 5
+
+    def test_replace_revalidates(self):
+        pending = make_pending()
+        assert pending._replace(priority=1).priority == 1
+        with pytest.raises(ValueError):
+            pending._replace(deadline_mt=0)
+
+    def test_keyword_and_positional_construction_agree(self):
+        frame = make_frame()
+        by_keyword = PendingFrame(
+            frame=frame, instance=2, generation_time_mt=10, deadline_mt=90,
+            priority=3, kind=FrameKind.RETRANSMISSION, attempt=1,
+            sequence=7)
+        positional = PendingFrame(frame, 2, 10, 90, 3,
+                                  FrameKind.RETRANSMISSION, 1, 7)
+        assert by_keyword == positional
+        assert hash(by_keyword) == hash(positional)
+        assert by_keyword != positional._replace(sequence=8)
+
+    def test_pickle_round_trip_keeps_value_and_sequence(self):
+        pending = make_pending().retry(0)
+        restored = pickle.loads(pickle.dumps(pending))
+        assert type(restored) is PendingFrame
+        assert restored == pending
+        assert restored.sequence == pending.sequence
+        assert restored.is_retransmission
 
     def test_queue_key_priority_order(self):
         urgent = make_pending(priority=1)

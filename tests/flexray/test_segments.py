@@ -29,7 +29,7 @@ class ScriptedPolicy(SchedulerPolicy):
     def bind(self, cluster):
         pass
 
-    def on_arrival(self, pending):
+    def on_arrival(self, pendings):
         pass
 
     def on_cycle_start(self, cycle, start_mt):
@@ -43,11 +43,13 @@ class ScriptedPolicy(SchedulerPolicy):
         queue = self.dynamic_script.get((channel, slot_id))
         return queue[0] if queue else None
 
-    def on_outcome(self, pending, channel, segment, outcome, end_mt):
-        self.outcomes.append((pending, channel, segment, outcome, end_mt))
-        queue = self.dynamic_script.get((channel, pending.frame.frame_id))
-        if queue and queue[0] is pending:
-            queue.pop(0)
+    def on_outcome(self, segment, settled):
+        for pending, channel, outcome, end_mt in settled:
+            self.outcomes.append((pending, channel, segment, outcome,
+                                  end_mt))
+            queue = self.dynamic_script.get((channel, pending.frame.frame_id))
+            if queue and queue[0] is pending:
+                queue.pop(0)
 
     def on_dynamic_hold(self, pending, channel):
         self.holds.append(pending)

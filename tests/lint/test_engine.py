@@ -81,6 +81,40 @@ class TestOneParse:
         assert det == list(lint_paths([str(root.resolve())]))
 
 
+class TestSourceEncodings:
+    """Files are decoded as the interpreter decodes them (PEP 263)."""
+
+    def test_latin1_file_with_a_coding_cookie_is_linted(self, tmp_path):
+        module = tmp_path / "sim" / "model.py"
+        module.parent.mkdir()
+        module.write_bytes(b"# -*- coding: latin-1 -*-\n"
+                           b"NAME = 'caf\xe9'\n"
+                           b"import time\nt = time.time()\n")
+        report = lint_paths([str(tmp_path)])
+        assert report.rule_ids() == ["DET101"]
+        det = [d for d in check_sources([tmp_path / "sim"])
+               if d.rule_id.startswith("DET")]
+        assert [d.rule_id for d in det] == ["DET101"]
+
+    def test_undecodable_file_is_one_det999(self, tmp_path):
+        (tmp_path / "a_latin1_without_cookie.py").write_bytes(
+            b"NAME = 'caf\xe9'\n")
+        (tmp_path / "b_late_bad_byte.py").write_bytes(
+            b"x = 1\ny = 2\nNAME = '\xff\xfe'\n")
+        (tmp_path / "c_unknown_cookie.py").write_bytes(
+            b"# coding: no-such-codec\nx = 1\n")
+        (tmp_path / "d_clean.py").write_text("x = 1\n")
+        report = lint_paths([str(tmp_path)])
+        assert report.rule_ids() == ["DET999"]
+        files = [Path(d.location.rsplit(":", 2)[0]).name for d in report]
+        assert files == ["a_latin1_without_cookie.py",
+                         "b_late_bad_byte.py", "c_unknown_cookie.py"]
+        assert all("cannot be decoded" in d.message for d in report)
+        checked = [d for d in check_sources([tmp_path])
+                   if d.rule_id.startswith("DET")]
+        assert checked == list(lint_paths([str(tmp_path.resolve())]))
+
+
 class TestRuleCatalogues:
     def test_lint_rule_ids_are_namespaced(self):
         assert set(DET_RULES) == {

@@ -78,6 +78,22 @@ class TestBrokenExperiments:
         # The planner also records its own infeasibility as a warning.
         assert "ANA207" in report.rule_ids()
 
+    def test_missed_goal_is_reported_once(self):
+        """ANA204 proves the Theorem-1 product; MDL404 keeps only the
+        fundability clip, so one plan does not miss the goal twice."""
+        report = verify_experiment(
+            params=case_study_params("bbw", minislots=50),
+            periodic=bbw_signals(),
+            reliability_goal=1.0,
+        )
+        product = [d for d in report.errors
+                   if d.location in ("plan", "round.theorem1")]
+        assert [d.rule_id for d in product] == ["ANA204"]
+        # The fundability clause still runs: bbw's k=8 budgets clip to
+        # what the idle slots can fund.
+        capacity = [d for d in report.errors if d.rule_id == "MDL404"]
+        assert [d.location for d in capacity] == ["round.theorem1.capacity"]
+
     def test_geometry_errors_short_circuit_schedule_checks(self):
         # Segments overflow the 100 MT cycle: the verifier must report
         # the geometry error and stop, not chase it into the builders.
