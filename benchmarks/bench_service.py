@@ -16,10 +16,11 @@ incremental-vs-recomputed reconciliation divergence.
 A second section sweeps ``repro serve --shards N``: the same steady
 stream driven once per shard count (1 = the plain in-process service,
 >= 2 = the distrib router in front of shard processes), recording
-requests/sec and the speedup over the single-shard baseline.  The
-sweep runs at high client concurrency on purpose -- the router's win
-is admit-batch amortization, which only shows when many admits share
-a tick.
+requests/sec, the speedup over the single-shard baseline and the
+accepted / rejected / overload counts.  The sweep runs at high client
+concurrency on purpose, so passes coalesce many connections' admits.
+A sweep whose shard counts disagree on those verdict counts did
+different work and compares nothing: the run then fails too.
 
 Usage::
 
@@ -112,6 +113,8 @@ def run_shard_sweep(workload: str, shard_counts: List[int],
             "p50_ms": report.latency_ms.get("p50", 0.0),
             "p99_ms": report.latency_ms.get("p99", 0.0),
             "accepted": report.accepted,
+            "rejected": report.rejected,
+            "overload": report.overloaded,
             "errors": report.errors,
             "dropped": report.dropped,
             "speedup": speedup,
@@ -192,11 +195,17 @@ def main(argv=None) -> int:
     sharding = run_shard_sweep(
         args.workload, args.shards, args.shard_requests,
         args.shard_concurrency, args.shard_connections)
+    verdicts = {}
     for shards, point in sharding["counts"].items():
         if point["errors"] or point["dropped"]:
             failures.append(
                 f"shards={shards}: {point['errors']} errors, "
                 f"{point['dropped']} dropped")
+        verdicts[shards] = {key: point[key]
+                            for key in ("accepted", "rejected", "overload")}
+    if len({tuple(counts.values()) for counts in verdicts.values()}) > 1:
+        failures.append(f"verdict counts differ between shard counts: "
+                        f"{verdicts}")
 
     payload = {
         "benchmark": "service",

@@ -509,7 +509,6 @@ def _cmd_serve(args) -> int:
                 batch_limit=args.batch_limit,
                 request_timeout_s=args.timeout_ms / 1000.0,
                 reconcile_every=args.reconcile_every,
-                inflight_limit=args.inflight_limit,
                 max_restarts=args.max_restarts,
                 health_interval_s=args.health_interval))
         except ConfigurationError as error:
@@ -936,10 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "processes behind a routing "
                                    "front-end (default 1: run "
                                    "in-process, no router)")
-    serve_parser.add_argument("--inflight-limit", type=int, default=1024,
-                              help="per-shard in-flight request cap "
-                                   "before the router sheds load "
-                                   "(default 1024)")
     serve_parser.add_argument("--max-restarts", type=int, default=3,
                               help="restarts per shard before the "
                                    "router abandons it (default 3)")

@@ -4,11 +4,11 @@ Two pillars, one package:
 
 - **Sharded admission** (:mod:`repro.distrib.router`,
   :mod:`repro.distrib.shard`, :mod:`repro.distrib.hashing`): ``repro
-  serve --shards N`` puts a thin asyncio router in front of N shard
-  processes.  Rendezvous hashing on the channel id gives every channel
-  exactly one owner shard; the router coalesces same-tick admits into
-  one ``admit_batch`` line per shard and re-aggregates the pinned
-  ``stats`` contract.
+  serve --shards N`` puts a router -- the single-process service's own
+  front -- in front of N shard processes.  Rendezvous hashing on the
+  channel id gives every channel exactly one owner shard; each shard
+  runs the solo pass restricted to its channels, and the router
+  re-aggregates the pinned ``stats`` contract.
 - **Coordinated campaigns** (:mod:`repro.distrib.plan`,
   :mod:`repro.distrib.lease`, :mod:`repro.distrib.coordinator`):
   ``repro campaign --coordinate DIR`` lets any number of worker

@@ -2,36 +2,35 @@
 
 Topology::
 
-    clients --JSON lines--> router --admit_batch/forward--> shard 0..N-1
+    clients --JSON lines--> router --release/admit_batch--> shard 0..N-1
 
-The router owns no ledger.  It rendezvous-hashes every request's
-channel (:mod:`repro.distrib.hashing`), coalesces the admits that
-arrived in the same event-loop tick into ONE ``admit_batch`` line per
-target shard (so a shard pays one parse/future/encode per *batch*, not
-per request), splits client-sent ``admit_batch`` requests entry-wise
-across owning shards and reassembles the positional replies, forwards
-everything else individually, and answers ``ping`` locally.  ``stats``
-fans out to every live shard and the pinned ``STATUS_FIELDS`` payload
-is re-aggregated key-for-key (:func:`aggregate_stats`), so a sharded
-service is drop-in observable.
+The router is an :class:`~repro.service.server.AdmissionFront` -- the
+same connection handling, parser, bounded queue and batcher as the
+single-process service -- that runs each batch pass on its shards
+instead of on local ledgers.  It owns no ledger.  A pass's releases and
+admits are grouped by the rendezvous-hashed owner of their channel
+(:mod:`repro.distrib.hashing`); each owning shard gets its releases,
+then its admits as ``admit_batch`` lines (:func:`admit_chunks`), in
+pass order on its one link, and the router waits for every shard
+before the next pass.  Every shard therefore sees exactly the solo
+pass sequence restricted to its channels, and answers exactly as the
+single-process service would.  ``ping`` and ``plan_retransmission`` are answered by
+the front; ``stats`` fans out to every live shard and the pinned
+``STATUS_FIELDS`` payload is re-aggregated key-for-key
+(:func:`aggregate_stats`), so a sharded service is drop-in observable.
 
 Lifecycle: shards are spawned before the router accepts connections; a
 health loop pings each shard and restarts dead ones with bounded
-retries and exponential backoff.  While a shard is down (or its
-in-flight window is full) its requests get immediate
-``status: overload`` replies -- per-shard backpressure, nothing blocks,
-nothing is silently dropped.  SIGTERM drains: stop accepting, wait for
-every in-flight dispatch chunk to be answered (the shard connections
-stay open until then), SIGTERM every shard, exit.
+retries and exponential backoff.  While a shard is down its requests
+get immediate ``status: overload`` replies.  SIGTERM drains like the
+single-process service (stop accepting, answer the queue), then closes
+the shard links and SIGTERMs every shard.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
 import sys
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.distrib.hashing import shard_channels, shard_for
@@ -42,21 +41,21 @@ from repro.service.config import ServiceSetup, load_service_setup
 from repro.service.protocol import (
     MAX_BATCH_REQUESTS,
     MAX_LINE_BYTES,
-    ProtocolError,
+    Request,
     encode_response,
-    parse_request,
 )
-from repro.service.server import CHANNEL_STATUS_FIELDS, STATUS_FIELDS
+from repro.service.server import (
+    CHANNEL_STATUS_FIELDS,
+    STATUS_FIELDS,
+    AdmissionFront,
+    Sink,
+)
 
-__all__ = ["ShardRouter", "aggregate_stats", "serve_sharded"]
+__all__ = ["ShardRouter", "admit_chunks", "aggregate_stats",
+           "serve_sharded"]
 
-#: Upper bound on entries the router packs into one admit_batch line
-#: (stays well under MAX_LINE_BYTES for worst-case field widths).
-ROUTER_BATCH_LIMIT = 128
-
-#: Max request lines one connection contributes to a single dispatch
-#: chunk before the router flushes responses.
-CHUNK_LIMIT = 256
+#: Bytes of an ``admit_batch`` line that are not its entries.
+ENVELOPE_BYTES = 128
 
 
 def aggregate_stats(setup: ServiceSetup,
@@ -118,6 +117,31 @@ def aggregate_stats(setup: ServiceSetup,
     return {field: values[field] for field in STATUS_FIELDS}
 
 
+def admit_chunks(admits: List[Tuple[Request, Sink]]
+                 ) -> List[List[Tuple[Request, Sink]]]:
+    """Split pass-ordered admits into ``admit_batch``-sized runs.
+
+    A run holds at most :data:`MAX_BATCH_REQUESTS` entries and its
+    line stays under :data:`MAX_LINE_BYTES`, which the shard enforces
+    (a longer line would cost the link).  Consecutive runs of one
+    sorted pass are admitted exactly as the whole pass would be: every
+    admit advances its channel clock to its own arrival first.
+    """
+    chunks: List[List[Tuple[Request, Sink]]] = []
+    size = 0
+    for item in admits:
+        # The encoded entry plus its separator; ENVELOPE_BYTES covers
+        # the op, the link id and the brackets.
+        entry = len(encode_response(item[0].fields))
+        if (not chunks or len(chunks[-1]) == MAX_BATCH_REQUESTS
+                or size + entry > MAX_LINE_BYTES - ENVELOPE_BYTES):
+            chunks.append([])
+            size = 0
+        chunks[-1].append(item)
+        size += entry
+    return chunks
+
+
 class _ShardLink:
     """The router's live view of one shard: process + connection."""
 
@@ -125,7 +149,6 @@ class _ShardLink:
         self.spec = spec
         self.process = ShardProcess(spec)
         self.client: Optional[ServiceClient] = None
-        self.inflight = 0
         self.restarts_left = 0  # set by the router
         self.lock = asyncio.Lock()
 
@@ -138,7 +161,7 @@ class _ShardLink:
         return self.client is not None
 
 
-class ShardRouter:
+class ShardRouter(AdmissionFront):
     """Front process of a sharded admission deployment.
 
     Args:
@@ -148,23 +171,25 @@ class ShardRouter:
             :func:`~repro.service.config.load_service_setup`, shipped
             to every shard.
         shards: Shard process count (>= 1).
-        obs: Observability context for router counters.
-        inflight_limit: Per-shard in-flight request window; beyond it
-            the router answers ``overload`` immediately (backpressure).
+        obs: Observability context for the ``router.*`` counters.
         max_restarts: Restart budget per shard; exhausted -> the shard
             stays down and its requests get ``overload`` replies.
         restart_backoff_s: First restart delay; doubles per retry.
         health_interval_s: Seconds between health-check sweeps.
-        request_timeout_s: Router-side budget for one shard round trip.
-        queue_limit/batch_limit/reconcile_every: Forwarded to each
-            shard's ``AdmissionService``.
+        request_timeout_s: Per-request budget in the router's queue,
+            and the budget of one shard round trip or health ping.
+        queue_limit/batch_limit: The router front's queue and pass
+            size (see :class:`~repro.service.server.AdmissionFront`),
+            also forwarded to each shard's ``AdmissionService``.
+        reconcile_every: Forwarded to each shard's ``AdmissionService``.
     """
+
+    prefix = "router"
 
     def __init__(self, setup: ServiceSetup,
                  setup_kwargs: Dict[str, object],
                  shards: int,
                  obs: ObsLike = NULL_OBS,
-                 inflight_limit: int = 1024,
                  max_restarts: int = 3,
                  restart_backoff_s: float = 0.25,
                  health_interval_s: float = 1.0,
@@ -174,15 +199,12 @@ class ShardRouter:
                  reconcile_every: int = 64) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if inflight_limit < 1:
-            raise ValueError("inflight_limit must be >= 1")
-        self.setup = setup
-        self._obs = obs
-        self._inflight_limit = inflight_limit
+        super().__init__(setup, obs=obs, queue_limit=queue_limit,
+                         batch_limit=batch_limit,
+                         request_timeout_s=request_timeout_s)
         self._max_restarts = max_restarts
         self._restart_backoff_s = restart_backoff_s
         self._health_interval_s = health_interval_s
-        self._timeout = request_timeout_s
         self.shard_count = shards
         owned = shard_channels(setup.channels, shards)
         self.links: List[_ShardLink] = []
@@ -196,22 +218,7 @@ class ShardRouter:
             link = _ShardLink(spec)
             link.restarts_left = max_restarts
             self.links.append(link)
-        self._queue_limit = queue_limit
-        self.counters: Dict[str, int] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._drained = asyncio.Event()
-        self._active_chunks = 0
-        self._chunks_done = asyncio.Event()
-        self._chunks_done.set()
-
-    # -- counters ------------------------------------------------------
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-        if self._obs.enabled:
-            self._obs.inc(name, amount)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -227,57 +234,26 @@ class ShardRouter:
             assert link.process.port is not None
             link.client = await ServiceClient.connect(
                 "127.0.0.1", link.process.port)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port,
-            limit=MAX_LINE_BYTES + 2)
+        bound = await super().start(host=host, port=port)
         self._health_task = asyncio.create_task(self._health_loop())
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
+        return bound
 
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (POSIX event loops)."""
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, lambda: asyncio.ensure_future(self.stop()))
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-
-    async def stop(self) -> None:
-        """Graceful drain: refuse new work, stop shards, close."""
-        if self._draining:
-            await self._drained.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _finish_drain(self) -> None:
+        # Every queued request has been answered: the shard links and
+        # the shards can go.
         if self._health_task is not None:
             self._health_task.cancel()
             try:
                 await self._health_task
             except asyncio.CancelledError:
                 pass
-        # server.wait_closed() does not wait for active connection
-        # handlers on Python < 3.12; in-flight chunks must be answered
-        # before the shard links go away.  New requests already get
-        # "draining" replies, so this converges.
-        try:
-            await asyncio.wait_for(self._chunks_done.wait(), self._timeout)
-        except asyncio.TimeoutError:  # pragma: no cover - stuck shard
-            pass
         loop = asyncio.get_running_loop()
         for link in self.links:
             if link.client is not None:
                 await link.client.close()
                 link.client = None
             await loop.run_in_executor(None, link.process.terminate)
-        self._drained.set()
-
-    async def wait_closed(self) -> None:
-        """Block until a drain completes."""
-        await self._drained.wait()
+        await super()._finish_drain()
 
     # -- health / restart ----------------------------------------------
 
@@ -294,9 +270,11 @@ class ShardRouter:
     async def _healthy(self, link: _ShardLink) -> bool:
         if not link.process.is_alive() or link.client is None:
             return False
+        # The ping queues behind the pass on the link; a busy shard is
+        # not a dead one, so it gets a request's budget, not a sweep's.
         try:
             reply = await asyncio.wait_for(
-                link.client.ping(), self._health_interval_s)
+                link.client.ping(), self._timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return False
         return reply.get("status") == "ok"
@@ -338,26 +316,17 @@ class ShardRouter:
                   f"{self._max_restarts} restarts", file=sys.stderr,
                   flush=True)
 
-    # -- shard round trips ---------------------------------------------
+    # -- the pass, on the shards ---------------------------------------
 
     async def _shard_request(self, link: _ShardLink,
                              payload: Dict[str, object]
                              ) -> Dict[str, object]:
-        """One forwarded round trip, with backpressure and liveness."""
-        if not link.available:
+        """One round trip on a shard's link; a down shard is ``overload``."""
+        client = link.client
+        if client is None:
             self._count("router.overload")
             return {"status": "overload",
                     "reason": f"shard {link.index} unavailable"}
-        if link.inflight >= self._inflight_limit:
-            self._count("router.overload")
-            self._count("router.backpressure")
-            return {"status": "overload",
-                    "reason": f"shard {link.index} backpressure"}
-        client = link.client
-        assert client is not None
-        payload = dict(payload)
-        payload.pop("id", None)  # the link client correlates on its own ids
-        link.inflight += 1
         try:
             response = await asyncio.wait_for(
                 client.request(payload), self._timeout)
@@ -373,299 +342,52 @@ class ShardRouter:
                 link.client = None  # health loop restarts it
             return {"status": "overload",
                     "reason": f"shard {link.index} unavailable"}
-        finally:
-            link.inflight -= 1
-        response.pop("id", None)
+        response.pop("id", None)  # the link client's own id
         return response
 
-    # -- client connections --------------------------------------------
+    async def _process_batch(
+            self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
+        """Run the pass on the owning shards, all shards concurrently."""
+        releases, admits = self._split(batch)
+        work: Dict[int, Tuple[List[Tuple[Request, Sink]],
+                              List[Tuple[Request, Sink]]]] = {}
+        for part, items in enumerate((releases, admits)):
+            for request, sink in items:
+                shard = shard_for(str(request.fields["channel"]),
+                                  self.shard_count)
+                work.setdefault(shard, ([], []))[part].append(
+                    (request, sink))
+        await asyncio.gather(*(
+            self._shard_pass(self.links[shard], *work[shard])
+            for shard in sorted(work)))
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._count("router.connections")
-        lines: deque = deque()
-        arrived = asyncio.Event()
-        closed = False
-
-        async def read_loop() -> None:
-            nonlocal closed
-            try:
-                while True:
-                    try:
-                        line = await reader.readline()
-                    except (asyncio.LimitOverrunError, ValueError):
-                        lines.append(None)  # line-too-long marker
-                        arrived.set()
-                        continue
-                    if not line:
-                        break
-                    lines.append(line)
-                    arrived.set()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            finally:
-                closed = True
-                arrived.set()
-
-        reader_task = asyncio.create_task(read_loop())
-        try:
-            while True:
-                await arrived.wait()
-                arrived.clear()
-                # Yield once so every line of the same event-loop tick
-                # joins this chunk (mirrors the service batcher).
-                await asyncio.sleep(0)
-                chunk: List[Optional[bytes]] = []
-                while lines and len(chunk) < CHUNK_LIMIT:
-                    chunk.append(lines.popleft())
-                if chunk:
-                    responses = await self._dispatch_chunk(chunk)
-                    if responses:
-                        writer.writelines(responses)
-                        await writer.drain()
-                if closed and not lines:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            reader_task.cancel()
-            try:
-                await reader_task
-            except asyncio.CancelledError:
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch_chunk(self, chunk: List[Optional[bytes]]
-                              ) -> List[bytes]:
-        """Route one chunk of request lines; returns ordered replies."""
-        self._active_chunks += 1
-        self._chunks_done.clear()
-        try:
-            return await self._route_chunk(chunk)
-        finally:
-            self._active_chunks -= 1
-            if self._active_chunks == 0:
-                self._chunks_done.set()
-
-    async def _route_chunk(self, chunk: List[Optional[bytes]]
-                           ) -> List[bytes]:
-        results: List[Optional[bytes]] = [None] * len(chunk)
-        # shard index -> [(chunk position, original id, raw entry)]
-        groups: Dict[int, List[Tuple[int, Optional[str], Dict[str, object]]]] = {}
-        forwards: List[Tuple[int, Optional[str], int, Dict[str, object]]] = []
-        stats_positions: List[Tuple[int, Optional[str]]] = []
-        client_batches: List[Tuple[int, Optional[str], List[object]]] = []
-
-        for position, line in enumerate(chunk):
-            if line is None:
-                self._count("router.protocol_errors")
-                results[position] = encode_response(
-                    {"status": "error", "reason": "request line too long"})
-                continue
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue  # blank lines get no reply, like the service
-            self._count("router.requests")
-            payload: Optional[Dict[str, object]] = None
-            try:
-                decoded = json.loads(text)
-                if isinstance(decoded, dict):
-                    payload = decoded
-            except json.JSONDecodeError:
-                payload = None
-            if payload is None or not isinstance(payload.get("op"), str) \
-                    or payload["op"] not in (
-                        "admit", "admit_batch", "release",
-                        "plan_retransmission", "stats", "ping"):
-                # Let the canonical parser produce the canonical error.
-                try:
-                    parse_request(text)
-                    reason = "unroutable request"  # pragma: no cover
-                except ProtocolError as error:
-                    reason = str(error)
-                self._count("router.protocol_errors")
-                results[position] = encode_response(
-                    {"status": "error", "reason": reason})
-                continue
-            request_id = payload.get("id")
-            if request_id is not None and not isinstance(request_id, str):
-                self._count("router.protocol_errors")
-                results[position] = encode_response(
-                    {"status": "error",
-                     "reason": "'id' must be a string when present"})
-                continue
-            op = payload["op"]
-            if op == "ping":
-                results[position] = encode_response(
-                    self._with_id({"status": "ok"}, request_id))
-                continue
-            if self._draining:
-                self._count("router.overload")
-                results[position] = encode_response(self._with_id(
-                    {"status": "overload", "reason": "draining"},
-                    request_id))
-                continue
-            if op == "stats":
-                stats_positions.append((position, request_id))
-                continue
-            if op == "admit_batch":
-                entries = payload.get("requests")
-                if (not isinstance(entries, list) or not entries
-                        or len(entries) > MAX_BATCH_REQUESTS):
-                    # Let the canonical parser word the canonical error
-                    # (no id, exactly like the single-process service).
-                    try:
-                        parse_request(text)
-                        reason = "unroutable request"  # pragma: no cover
-                    except ProtocolError as error:
-                        reason = str(error)
-                    self._count("router.protocol_errors")
-                    results[position] = encode_response(
-                        {"status": "error", "reason": reason})
-                    continue
-                client_batches.append((position, request_id, entries))
-                continue
-            if op == "admit":
-                channel = payload.get("channel")
-                name = payload.get("name", request_id)
-                entry = {
-                    "channel": channel,
-                    "arrival": payload.get("arrival"),
-                    "execution": payload.get("execution"),
-                    "deadline": payload.get("deadline"),
-                }
-                if name is not None:
-                    entry["name"] = name
-                shard = (shard_for(channel, self.shard_count)
-                         if isinstance(channel, str) else 0)
-                groups.setdefault(shard, []).append(
-                    (position, request_id, entry))
-                continue
-            if op == "release":
-                channel = payload.get("channel")
-                shard = (shard_for(channel, self.shard_count)
-                         if isinstance(channel, str) else 0)
-            else:  # plan_retransmission: stateless, any shard works
-                shard = 0
-            forwards.append((position, request_id, shard, payload))
-
-        waiters = []
-        for shard, items in sorted(groups.items()):
-            link = self.links[shard]
-            for offset in range(0, len(items), ROUTER_BATCH_LIMIT):
-                waiters.append(self._run_group(
-                    link, items[offset:offset + ROUTER_BATCH_LIMIT],
-                    results))
-        for position, request_id, shard, payload in forwards:
-            waiters.append(self._run_forward(
-                self.links[shard], position, request_id, payload,
-                results))
-        for position, request_id, entries in client_batches:
-            waiters.append(self._run_client_batch(
-                position, request_id, entries, results))
-        for position, request_id in stats_positions:
-            waiters.append(self._run_stats(position, request_id, results))
-        if waiters:
-            await asyncio.gather(*waiters)
-        return [response for response in results if response is not None]
-
-    @staticmethod
-    def _with_id(response: Dict[str, object],
-                 request_id: Optional[str]) -> Dict[str, object]:
-        if request_id is not None:
-            response = dict(response)
-            response["id"] = request_id
-        return response
-
-    async def _run_group(self, link: _ShardLink,
-                         items: List[Tuple[int, Optional[str],
-                                           Dict[str, object]]],
-                         results: List[Optional[bytes]]) -> None:
-        """One admit_batch round trip; distribute positional replies."""
-        self._count("router.batches")
-        self._count("router.batched_admits", len(items))
-        entries = [entry for __, __, entry in items]
-        reply = await self._shard_request(
-            link, {"op": "admit_batch", "requests": entries})
-        responses = reply.get("responses")
-        if (reply.get("status") == "ok" and isinstance(responses, list)
-                and len(responses) == len(items)):
-            for (position, request_id, __), response in zip(items,
-                                                            responses):
-                results[position] = encode_response(
-                    self._with_id(response, request_id))
-        else:
-            # Shard-level failure (overload/timeout/down): every entry
-            # gets the same verdict.
-            for position, request_id, __ in items:
-                results[position] = encode_response(
-                    self._with_id(dict(reply), request_id))
-
-    async def _run_client_batch(self, position: int,
-                                request_id: Optional[str],
-                                entries: List[object],
-                                results: List[Optional[bytes]]) -> None:
-        """Split one client admit_batch across owning shards.
-
-        Each entry is routed to its channel's rendezvous shard (entries
-        the shard will reject as malformed go anywhere -- shard 0 words
-        the canonical positional error), the sub-batches run
-        concurrently, and the replies are reassembled in entry order so
-        the client sees exactly the single-process contract:
-        ``{"status": "ok", "responses": [...]}`` with ``responses[i]``
-        answering entry ``i``.  A sub-batch whose shard is down/
-        overloaded yields that shard's verdict for each of its entries
-        without poisoning the entries owned by healthy shards.
-        """
-        self._count("router.client_batches")
-        groups: Dict[int, List[Tuple[int, object]]] = {}
-        for index, entry in enumerate(entries):
-            channel = (entry.get("channel")
-                       if isinstance(entry, dict) else None)
-            shard = (shard_for(channel, self.shard_count)
-                     if isinstance(channel, str) else 0)
-            groups.setdefault(shard, []).append((index, entry))
-        responses: List[Optional[Dict[str, object]]] = [None] * len(entries)
-
-        async def run_sub(link: _ShardLink,
-                          items: List[Tuple[int, object]]) -> None:
-            reply = await self._shard_request(
-                link, {"op": "admit_batch",
-                       "requests": [entry for __, entry in items]})
-            sub = reply.get("responses")
-            if (reply.get("status") == "ok" and isinstance(sub, list)
-                    and len(sub) == len(items)):
-                for (index, __), response in zip(items, sub):
-                    responses[index] = response
+    async def _shard_pass(self, link: _ShardLink,
+                          releases: List[Tuple[Request, Sink]],
+                          admits: List[Tuple[Request, Sink]]) -> None:
+        """One shard's part of a pass, in pass order on its link."""
+        for request, sink in releases:
+            self._count("router.forwards")
+            sink(await self._shard_request(
+                link, {"op": "release", **request.fields}))
+        for chunk in admit_chunks(admits):
+            self._count("router.batches")
+            self._count("router.batched_admits", len(chunk))
+            reply = await self._shard_request(link, {
+                "op": "admit_batch",
+                "requests": [request.fields for request, __ in chunk]})
+            responses = reply.get("responses")
+            if (reply.get("status") == "ok"
+                    and isinstance(responses, list)
+                    and len(responses) == len(chunk)):
+                for (__, sink), response in zip(chunk, responses):
+                    sink(response)
             else:
-                for index, __ in items:
-                    responses[index] = dict(reply)
+                # Shard-level failure (overload/timeout/down): every
+                # entry gets the same verdict.
+                for __, sink in chunk:
+                    sink(dict(reply))
 
-        waiters = []
-        for shard, items in sorted(groups.items()):
-            link = self.links[shard]
-            for offset in range(0, len(items), ROUTER_BATCH_LIMIT):
-                waiters.append(run_sub(
-                    link, items[offset:offset + ROUTER_BATCH_LIMIT]))
-        await asyncio.gather(*waiters)
-        results[position] = encode_response(self._with_id(
-            {"status": "ok", "responses": responses}, request_id))
-
-    async def _run_forward(self, link: _ShardLink, position: int,
-                           request_id: Optional[str],
-                           payload: Dict[str, object],
-                           results: List[Optional[bytes]]) -> None:
-        self._count("router.forwards")
-        reply = await self._shard_request(link, payload)
-        results[position] = encode_response(
-            self._with_id(reply, request_id))
-
-    async def _run_stats(self, position: int, request_id: Optional[str],
-                         results: List[Optional[bytes]]) -> None:
+    async def _stats_response(self) -> Dict[str, object]:
         self._count("router.stats")
         payloads = []
         for link in self.links:
@@ -676,12 +398,10 @@ class ShardRouter:
             else:
                 # Missing channels in the merge are attributable.
                 self._count("router.stats_shards_down")
-        merged = aggregate_stats(
+        return aggregate_stats(
             self.setup, payloads, dict(self.counters),
             queue_limit_fallback=self.shard_count * self._queue_limit,
             draining=self._draining)
-        results[position] = encode_response(
-            self._with_id(merged, request_id))
 
 
 async def serve_sharded(setup_kwargs: Dict[str, object],
@@ -691,7 +411,6 @@ async def serve_sharded(setup_kwargs: Dict[str, object],
                         queue_limit: int = 1024, batch_limit: int = 256,
                         request_timeout_s: float = 5.0,
                         reconcile_every: int = 64,
-                        inflight_limit: int = 1024,
                         max_restarts: int = 3,
                         restart_backoff_s: float = 0.25,
                         health_interval_s: float = 1.0) -> ShardRouter:
@@ -707,7 +426,7 @@ async def serve_sharded(setup_kwargs: Dict[str, object],
     setup = load_service_setup(**setup_kwargs)  # type: ignore[arg-type]
     router = ShardRouter(
         setup, setup_kwargs, shards, obs=obs,
-        inflight_limit=inflight_limit, max_restarts=max_restarts,
+        max_restarts=max_restarts,
         restart_backoff_s=restart_backoff_s,
         health_interval_s=health_interval_s,
         request_timeout_s=request_timeout_s,

@@ -3,7 +3,11 @@
 Each shard is a full :class:`~repro.service.server.AdmissionService`
 restricted to the channels rendezvous hashing assigned to it: its own
 :class:`~repro.service.ledger.SlackLedger` per owned channel, its own
-request batcher, its own reconciliation loop.  Shards are spawned (not
+request batcher, its own reconciliation loop.  Its only client is the
+router, which sends each pass's releases and ``admit_batch`` lines in
+pass order on one connection; the shard answers a connection one line
+at a time, so its passes are the router's passes restricted to its
+channels.  Shards are spawned (not
 forked -- the router runs a live event loop) from a picklable kwargs
 spec, rebuild the verified setup themselves, bind an ephemeral port on
 loopback and report it back through a pipe.  Lifecycle is plain POSIX:

@@ -14,9 +14,14 @@ import asyncio
 import json
 from typing import Dict, List, Optional
 
-from repro.service.protocol import encode_response
+from repro.service.protocol import MAX_LINE_BYTES, encode_response
 
 __all__ = ["ServiceClient"]
+
+#: Longest reply line the client reads.  A reply echoes its request's
+#: fields and adds a verdict to each, so the reply to a full
+#: ``admit_batch`` line outgrows ``MAX_LINE_BYTES``; this bound does not.
+REPLY_LIMIT_BYTES = 16 * MAX_LINE_BYTES
 
 
 class ServiceClient:
@@ -35,7 +40,8 @@ class ServiceClient:
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
         """Open a connection to a running service."""
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=REPLY_LIMIT_BYTES)
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:

@@ -2,7 +2,14 @@
 
 Request lifecycle::
 
-    socket -> parse -> bounded queue -> batcher -> ledger -> response
+    socket -> parse -> bounded queue -> batcher -> pass -> response
+
+:class:`AdmissionFront` is everything up to the pass: connection
+handling, parsing, the bounded queue, the batcher, drain, ``ping`` and
+``plan_retransmission``.  :class:`AdmissionService` runs each pass on
+its own channel ledgers; the shard router
+(:class:`repro.distrib.router.ShardRouter`) runs the same pass on its
+shards instead, so both fronts answer alike by construction.
 
 - **Batching**: the batcher coroutine wakes on the first queued request,
   yields once to the event loop so every request that arrived in the
@@ -31,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.acceptance import AcceptanceTest
 from repro.core.retransmission import plan_retransmissions
@@ -46,8 +53,11 @@ from repro.service.protocol import (
     parse_request,
 )
 
-__all__ = ["AdmissionService", "CHANNEL_STATUS_FIELDS", "STATUS_FIELDS",
-           "serve_forever"]
+__all__ = ["AdmissionFront", "AdmissionService", "CHANNEL_STATUS_FIELDS",
+           "STATUS_FIELDS", "serve_forever"]
+
+#: Takes one request's response (see :meth:`AdmissionFront._split`).
+Sink = Callable[[Dict[str, object]], None]
 
 #: Exact top-level key set of the ``stats`` reply, in reply order.
 #: docs/service.md documents these one-for-one, and the round-trip test
@@ -64,36 +74,33 @@ CHANNEL_STATUS_FIELDS = ("live", "committed", "admitted_total",
                          "capacity_total", "capacity_remaining")
 
 
-class AdmissionService:
-    """One live admission-control service over a verified setup.
+class AdmissionFront:
+    """The JSON-lines front every admission server shares.
+
+    Connections are read one line at a time; ``admit``,
+    ``admit_batch`` and ``release`` go through ONE bounded queue into
+    ONE batcher, which coalesces every connection's pending requests
+    into a pass (:meth:`_split` fixes its order).  A subclass decides
+    where the pass runs (:meth:`_process_batch`) and what ``stats``
+    answers (:meth:`_stats_response`).  The front's own counters are
+    named ``<prefix>.*``.
 
     Args:
-        setup: The verified configuration (see
-            :func:`repro.service.config.load_service_setup`).
+        setup: The verified configuration.
         obs: Observability context; counters and profiler spans are
             mirrored into it when enabled.
         queue_limit: Bounded request-queue size (backpressure point).
         batch_limit: Max requests coalesced into one batch pass.
         request_timeout_s: Per-request wall-clock budget from enqueue
             to response; exceeded -> ``overload`` reply.
-        reconcile_every: Run the incremental-vs-recomputed slack
-            reconciliation every N batches (0 disables).
-        audit_every: Additionally trial-run every Nth *admitted*
-            request through a fresh offline
-            :class:`~repro.core.acceptance.AcceptanceTest` and count
-            agreement (0 disables; expensive, meant for tests and
-            canary deployments).
-        store: A :class:`repro.results.ResultStore` audit samples and
-            the final drain summary are persisted into (optional; the
-            samples become queryable under ``repro web`` /audits).
     """
+
+    #: Namespace of the front's counters.
+    prefix = "service"
 
     def __init__(self, setup: ServiceSetup, obs: ObsLike = NULL_OBS,
                  queue_limit: int = 1024, batch_limit: int = 256,
-                 request_timeout_s: float = 5.0,
-                 reconcile_every: int = 64,
-                 audit_every: int = 0,
-                 store=None) -> None:
+                 request_timeout_s: float = 5.0) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if batch_limit < 1:
@@ -103,28 +110,12 @@ class AdmissionService:
         self._queue_limit = queue_limit
         self._batch_limit = batch_limit
         self._timeout = request_timeout_s
-        self._reconcile_every = reconcile_every
-        self._audit_every = audit_every
-        self._store = store
-        self.ledgers: Dict[str, SlackLedger] = {
-            channel: SlackLedger(tasks, obs=obs, channel=channel)
-            for channel, tasks in sorted(setup.channel_tasks.items())
-        }
-        # The offline reference admission test, held live per channel
-        # for sampled audits of the incremental fast path.
-        self.acceptance: Dict[str, AcceptanceTest] = {
-            channel: AcceptanceTest(tasks)
-            for channel, tasks in sorted(setup.channel_tasks.items())
-            if len(tasks)
-        }
         self.counters: Dict[str, int] = {}
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
         self._server: Optional[asyncio.base_events.Server] = None
         self._batcher: Optional[asyncio.Task] = None
         self._draining = False
         self._drained = asyncio.Event()
-        self._batches = 0
-        self._batched_requests = 0
 
     # -- counters ------------------------------------------------------
 
@@ -170,13 +161,6 @@ class AdmissionService:
         # an empty queue.
         await self._queue.put(None)
         await self._drained.wait()
-        if self._store is not None:
-            self._store.record_service_audit(
-                self.setup.workload, self.setup.engine_mode, "drain",
-                ordinal=self._batches,
-                payload={"counters": dict(sorted(self.counters.items())),
-                         "batches": self._batches,
-                         "batched_requests": self._batched_requests})
 
     async def wait_closed(self) -> None:
         """Block until a drain completes."""
@@ -186,13 +170,13 @@ class AdmissionService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._count("service.connections")
+        self._count(f"{self.prefix}.connections")
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self._count("service.protocol_errors")
+                    self._count(f"{self.prefix}.protocol_errors")
                     writer.write(encode_response(
                         {"status": "error",
                          "reason": "request line too long"}))
@@ -216,43 +200,44 @@ class AdmissionService:
                 pass
 
     async def _dispatch(self, text: str) -> Dict[str, object]:
+        prefix = self.prefix
         try:
             request = parse_request(text)
         except ProtocolError as error:
-            self._count("service.protocol_errors")
+            self._count(f"{prefix}.protocol_errors")
             return {"status": "error", "reason": str(error)}
-        self._count("service.requests")
+        self._count(f"{prefix}.requests")
 
         if request.op == "ping":
             return self._reply(request, {"status": "ok"})
         if request.op == "stats":
-            return self._reply(request, self._stats_response())
+            return self._reply(request, await self._stats_response())
         if request.op == "plan_retransmission":
             return self._reply(request, self._plan_response(request))
 
         # admit / admit_batch / release are serialized through the
         # batcher.
         if self._draining:
-            self._count("service.overload")
+            self._count(f"{prefix}.overload")
             return self._reply(request,
                                {"status": "overload", "reason": "draining"})
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((request, future))
         except asyncio.QueueFull:
-            self._count("service.overload")
-            self._count("service.queue.rejected")
+            self._count(f"{prefix}.overload")
+            self._count(f"{prefix}.queue.rejected")
             return self._reply(request,
                                {"status": "overload",
                                 "reason": "queue full"})
         if self._obs.enabled:
-            self._obs.set_gauge("service.queue.depth",
+            self._obs.set_gauge(f"{prefix}.queue.depth",
                                 self._queue.qsize())
         try:
             response = await asyncio.wait_for(future, self._timeout)
         except asyncio.TimeoutError:
-            self._count("service.overload")
-            self._count("service.timeouts")
+            self._count(f"{prefix}.overload")
+            self._count(f"{prefix}.timeouts")
             return self._reply(request,
                                {"status": "overload",
                                 "reason": "timed out in queue"})
@@ -283,23 +268,191 @@ class AdmissionService:
                 if extra is not None:
                     batch.append(extra)
             if batch:
-                self._process_batch(batch)
+                await self._process_batch(batch)
             if self._draining and self._queue.empty():
-                self._finish_drain()
+                await self._finish_drain()
                 return
 
-    def _finish_drain(self) -> None:
-        if self._batcher is not None:
-            # Batcher exits right after this call; nothing to cancel.
-            self._batcher = None
+    async def _finish_drain(self) -> None:
+        # The batcher exits right after this call; nothing to cancel.
+        self._batcher = None
+        self._drained.set()
+
+    async def _process_batch(
+            self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
+        """Run one pass over a coalesced batch (see :meth:`_split`)."""
+        raise NotImplementedError
+
+    def _split(self, batch: List[Tuple[Request, asyncio.Future]]
+               ) -> Tuple[List[Tuple[Request, Sink]],
+                          List[Tuple[Request, Sink]]]:
+        """A batch's ``(releases, admits)`` in pass order.
+
+        Each is a list of ``(Request, sink)``; a sink takes the
+        request's response.  Releases keep queue order and run first
+        (they free slack).  Admits -- single ones and every
+        ``admit_batch`` entry -- are sorted by ``(arrival, deadline,
+        name)``; an invalid entry is answered here, positionally.
+        """
+        releases = []
+        admits = []
+        for request, future in batch:
+            if request.op == "release":
+                releases.append((request, self._future_sink(future)))
+            elif request.op == "admit":
+                admits.append((request, self._future_sink(future)))
+            else:  # admit_batch: entries join this pass as admits.
+                entries = request.fields["requests"]
+                assert isinstance(entries, list)
+                self._count(f"{self.prefix}.client_batches")
+                self._count(f"{self.prefix}.batch_admit.entries",
+                            len(entries))
+                slots: List[Optional[Dict[str, object]]] = (
+                    [None] * len(entries))
+                remaining = [len(entries)]
+                for position, entry in enumerate(entries):
+                    sink = self._batch_sink(future, slots,
+                                            remaining, position)
+                    if "invalid" in entry:
+                        self._count(f"{self.prefix}.protocol_errors")
+                        sink({"status": "error",
+                              "reason": str(entry["invalid"])})
+                        continue
+                    sub = Request(op="admit", id=None,
+                                  fields=dict(entry))
+                    admits.append((sub, sink))
+        admits.sort(key=lambda item: (
+            item[0].fields["arrival"], item[0].fields["deadline"],
+            str(item[0].fields["name"])))
+        return releases, admits
+
+    @staticmethod
+    def _resolve(future: asyncio.Future,
+                 response: Dict[str, object]) -> None:
+        # The connection side may have timed out (and answered
+        # overload) while this request waited; never double-resolve.
+        if not future.done():
+            future.set_result(response)
+
+    @classmethod
+    def _future_sink(cls, future: asyncio.Future) -> Sink:
+        """Response sink for a single-request queue item."""
+        def sink(response: Dict[str, object]) -> None:
+            cls._resolve(future, response)
+        return sink
+
+    @classmethod
+    def _batch_sink(cls, future: asyncio.Future,
+                    slots: List[Optional[Dict[str, object]]],
+                    remaining: List[int], position: int) -> Sink:
+        """Response sink for one ``admit_batch`` entry.
+
+        Entries are processed in the pass's deterministic sorted order
+        but answered positionally: ``responses[i]`` is entry ``i``'s
+        reply, byte-identical to what it would have received as an
+        individual ``admit`` in the same batch.
+        """
+        def sink(response: Dict[str, object]) -> None:
+            slots[position] = response
+            remaining[0] -= 1
+            if not remaining[0]:
+                cls._resolve(future,
+                             {"status": "ok", "responses": list(slots)})
+        return sink
+
+    # -- read-only ops -------------------------------------------------
+
+    async def _stats_response(self) -> Dict[str, object]:
+        """The ``stats`` payload: exactly :data:`STATUS_FIELDS`."""
+        raise NotImplementedError
+
+    def _plan_response(self, request: Request) -> Dict[str, object]:
+        messages = request.fields["messages"]
+        assert isinstance(messages, dict)
+        failure = {name: spec["failure_probability"]
+                   for name, spec in messages.items()}
+        instances = {name: spec["instances"]
+                     for name, spec in messages.items()}
+        costs = {name: spec["cost"] for name, spec in messages.items()
+                 if "cost" in spec}
+        with self._obs.section(f"{self.prefix}.plan"):
+            plan = plan_retransmissions(
+                failure, instances, float(request.fields["rho"]),  # type: ignore[arg-type]
+                bandwidth_cost=costs or None)
+        self._count(f"{self.prefix}.plans")
+        return {
+            "status": "ok",
+            "feasible": plan.feasible,
+            "achieved_probability": plan.achieved_probability,
+            "budgets": dict(sorted(plan.budgets.items())),
+        }
+
+
+class AdmissionService(AdmissionFront):
+    """One live admission-control service over a verified setup.
+
+    Each pass runs on this process's own per-channel
+    :class:`~repro.service.ledger.SlackLedger`\\ s.
+
+    Args:
+        setup: The verified configuration (see
+            :func:`repro.service.config.load_service_setup`).
+        obs/queue_limit/batch_limit/request_timeout_s: See
+            :class:`AdmissionFront`.
+        reconcile_every: Run the incremental-vs-recomputed slack
+            reconciliation every N batches (0 disables).
+        audit_every: Additionally trial-run every Nth *admitted*
+            request through a fresh offline
+            :class:`~repro.core.acceptance.AcceptanceTest` and count
+            agreement (0 disables; expensive, meant for tests and
+            canary deployments).
+        store: A :class:`repro.results.ResultStore` audit samples and
+            the final drain summary are persisted into (optional; the
+            samples become queryable under ``repro web`` /audits).
+    """
+
+    def __init__(self, setup: ServiceSetup, obs: ObsLike = NULL_OBS,
+                 queue_limit: int = 1024, batch_limit: int = 256,
+                 request_timeout_s: float = 5.0,
+                 reconcile_every: int = 64,
+                 audit_every: int = 0,
+                 store=None) -> None:
+        super().__init__(setup, obs=obs, queue_limit=queue_limit,
+                         batch_limit=batch_limit,
+                         request_timeout_s=request_timeout_s)
+        self._reconcile_every = reconcile_every
+        self._audit_every = audit_every
+        self._store = store
+        self.ledgers: Dict[str, SlackLedger] = {
+            channel: SlackLedger(tasks, obs=obs, channel=channel)
+            for channel, tasks in sorted(setup.channel_tasks.items())
+        }
+        # The offline reference admission test, held live per channel
+        # for sampled audits of the incremental fast path.
+        self.acceptance: Dict[str, AcceptanceTest] = {
+            channel: AcceptanceTest(tasks)
+            for channel, tasks in sorted(setup.channel_tasks.items())
+            if len(tasks)
+        }
+        self._batches = 0
+        self._batched_requests = 0
+
+    async def _finish_drain(self) -> None:
         if self._reconcile_every:
             # Final incremental-vs-recomputed agreement check: a drain
             # must leave provably consistent books behind.
             self.reconcile()
-        self._drained.set()
+        if self._store is not None:
+            self._store.record_service_audit(
+                self.setup.workload, self.setup.engine_mode, "drain",
+                ordinal=self._batches,
+                payload={"counters": dict(sorted(self.counters.items())),
+                         "batches": self._batches,
+                         "batched_requests": self._batched_requests})
+        await super()._finish_drain()
 
-    def _process_batch(self,
-                       batch: List[Tuple[Request, asyncio.Future]]) -> None:
+    async def _process_batch(
+            self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
         """One slack-accounting pass over a coalesced batch (no awaits)."""
         self._batches += 1
         self._batched_requests += len(batch)
@@ -308,37 +461,9 @@ class AdmissionService:
         if self._obs.enabled:
             self._obs.set_gauge("service.batch.size", len(batch))
         with self._obs.section("service.batch"):
-            releases = []
-            admits = []  # (Request, response sink)
-            for request, future in batch:
-                if request.op == "release":
-                    releases.append((request, self._future_sink(future)))
-                elif request.op == "admit":
-                    admits.append((request, self._future_sink(future)))
-                else:  # admit_batch: entries join this pass as admits.
-                    entries = request.fields["requests"]
-                    assert isinstance(entries, list)
-                    self._count("service.batch_admit.entries",
-                                len(entries))
-                    slots: List[Optional[Dict[str, object]]] = (
-                        [None] * len(entries))
-                    remaining = [len(entries)]
-                    for position, entry in enumerate(entries):
-                        sink = self._batch_sink(future, slots,
-                                                remaining, position)
-                        if "invalid" in entry:
-                            self._count("service.protocol_errors")
-                            sink({"status": "error",
-                                  "reason": str(entry["invalid"])})
-                            continue
-                        sub = Request(op="admit", id=None,
-                                      fields=dict(entry))
-                        admits.append((sub, sink))
+            releases, admits = self._split(batch)
             for request, sink in releases:
                 sink(self._release(request))
-            admits.sort(key=lambda item: (
-                item[0].fields["arrival"], item[0].fields["deadline"],
-                str(item[0].fields["name"])))
             # Advance each channel clock once per batch, to the
             # earliest arrival in the batch: expiry reclaims slack
             # before any admission is tested.
@@ -356,40 +481,6 @@ class AdmissionService:
         if (self._reconcile_every
                 and self._batches % self._reconcile_every == 0):
             self.reconcile()
-
-    @staticmethod
-    def _resolve(future: asyncio.Future,
-                 response: Dict[str, object]) -> None:
-        # The connection side may have timed out (and answered
-        # overload) while this request waited; never double-resolve.
-        if not future.done():
-            future.set_result(response)
-
-    @classmethod
-    def _future_sink(cls, future: asyncio.Future):
-        """Response sink for a single-request queue item."""
-        def sink(response: Dict[str, object]) -> None:
-            cls._resolve(future, response)
-        return sink
-
-    @classmethod
-    def _batch_sink(cls, future: asyncio.Future,
-                    slots: List[Optional[Dict[str, object]]],
-                    remaining: List[int], position: int):
-        """Response sink for one ``admit_batch`` entry.
-
-        Entries are processed in the pass's deterministic sorted order
-        but answered positionally: ``responses[i]`` is entry ``i``'s
-        reply, byte-identical to what it would have received as an
-        individual ``admit`` in the same batch.
-        """
-        def sink(response: Dict[str, object]) -> None:
-            slots[position] = response
-            remaining[0] -= 1
-            if not remaining[0]:
-                cls._resolve(future,
-                             {"status": "ok", "responses": list(slots)})
-        return sink
 
     def _admit(self, request: Request) -> Dict[str, object]:
         channel = str(request.fields["channel"])
@@ -500,7 +591,7 @@ class AdmissionService:
 
     # -- read-only ops -------------------------------------------------
 
-    def _stats_response(self) -> Dict[str, object]:
+    async def _stats_response(self) -> Dict[str, object]:
         # Built off the documented field tuples so the payload cannot
         # grow a key the contract (and docs/service.md) doesn't list.
         channels = {}
@@ -524,27 +615,6 @@ class AdmissionService:
             "draining": self._draining,
         }
         return {field: values[field] for field in STATUS_FIELDS}
-
-    def _plan_response(self, request: Request) -> Dict[str, object]:
-        messages = request.fields["messages"]
-        assert isinstance(messages, dict)
-        failure = {name: spec["failure_probability"]
-                   for name, spec in messages.items()}
-        instances = {name: spec["instances"]
-                     for name, spec in messages.items()}
-        costs = {name: spec["cost"] for name, spec in messages.items()
-                 if "cost" in spec}
-        with self._obs.section("service.plan"):
-            plan = plan_retransmissions(
-                failure, instances, float(request.fields["rho"]),  # type: ignore[arg-type]
-                bandwidth_cost=costs or None)
-        self._count("service.plans")
-        return {
-            "status": "ok",
-            "feasible": plan.feasible,
-            "achieved_probability": plan.achieved_probability,
-            "budgets": dict(sorted(plan.budgets.items())),
-        }
 
 
 async def serve_forever(setup: ServiceSetup, host: str = "127.0.0.1",

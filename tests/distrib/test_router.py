@@ -13,9 +13,16 @@ import signal
 import pytest
 
 from repro.distrib.hashing import shard_for
-from repro.distrib.router import ShardRouter, aggregate_stats
+from repro.distrib.router import ShardRouter, admit_chunks, aggregate_stats
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
+from repro.service.loadgen import LoadgenSpec, generate_requests
+from repro.service.protocol import (
+    MAX_BATCH_REQUESTS,
+    MAX_LINE_BYTES,
+    Request,
+    encode_response,
+)
 from repro.service.server import (
     CHANNEL_STATUS_FIELDS,
     STATUS_FIELDS,
@@ -41,6 +48,154 @@ async def with_router(body, shards=2, **router_kwargs):
         await client.close()
         await router.stop()
     return router, result
+
+
+async def with_service(body):
+    """``body(service, client)`` against the single-process service."""
+    service = AdmissionService(load_service_setup(**SETUP_KWARGS))
+    host, port = await service.start(port=0)
+    client = await ServiceClient.connect(host, port)
+    try:
+        result = await body(service, client)
+    finally:
+        await client.close()
+        await service.stop()
+    return service, result
+
+
+async def connect(server, count):
+    """``count`` more client connections to a running front."""
+    host, port = server._server.sockets[0].getsockname()[:2]
+    return [await ServiceClient.connect(host, port)
+            for __ in range(count)]
+
+
+def stream_verdicts(stream, connections):
+    """A body sending ``stream`` pipelined over ``connections``.
+
+    Every admit is in flight at once, spread round-robin over the
+    connections like ``repro loadgen``; the result maps request name
+    to reply status.
+    """
+    async def body(server, client):
+        clients = [client] + await connect(server, connections - 1)
+        try:
+            replies = await asyncio.gather(*(
+                clients[index % connections].admit(
+                    item.channel, item.arrival, item.execution,
+                    item.deadline, name=item.name)
+                for index, item in enumerate(stream)))
+        finally:
+            for other in clients[1:]:
+                await other.close()
+        return {item.name: reply["status"]
+                for item, reply in zip(stream, replies)}
+    return body
+
+
+class TestDifferential:
+    """A shard pass is the solo pass restricted to the shard's channels.
+
+    So a pipelined multi-connection stream gets the same verdict per
+    request name from 2 shards as from the single-process service.
+    """
+
+    def test_pipelined_stream_matches_solo(self):
+        # Seed 7, 400 requests, 8 connections: a router that coalesced
+        # per connection accepted 109 of these where solo accepts 400.
+        stream = generate_requests(LoadgenSpec(requests=400, seed=7))
+        __, solo = run(with_service(stream_verdicts(stream, 8)))
+        assert list(solo.values()) == ["accepted"] * 400
+        __, sharded = run(with_router(stream_verdicts(stream, 8)))
+        assert sharded == solo
+
+    def test_contended_stream_matches_solo(self):
+        stream = generate_requests(LoadgenSpec(
+            requests=300, seed=7, mean_interarrival_ticks=1.0))
+        __, solo = run(with_service(stream_verdicts(stream, 8)))
+        # A reference whose verdicts depend on timing proves nothing.
+        __, again = run(with_service(stream_verdicts(stream, 8)))
+        assert again == solo
+        assert "rejected" in solo.values()
+        __, sharded = run(with_router(stream_verdicts(stream, 8)))
+        assert sharded == solo
+
+    def test_front_replies_match_solo(self):
+        # plan_retransmission, malformed lines and an oversize line are
+        # the front's business: byte-identical replies, and the router
+        # counts them under router.*, never service.*.
+        malformed = [b"not json\n", b'{"op": "warp"}\n', b"[]\n",
+                     b'{"op": "admit", "id": 5}\n',
+                     b'{"op": "admit_batch", "requests": []}\n']
+
+        async def body(server, client):
+            plan = await client.plan_retransmission(
+                {"m1": {"failure_probability": 1e-3, "instances": 20.0},
+                 "m2": {"failure_probability": 1e-4, "instances": 10.0}},
+                rho=0.9999)
+            for line in malformed:
+                await client.send_raw(line)
+            await client.ping()  # fence: every error line is answered
+            host, port = server._server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            huge = b'{"op": "ping", "id": "' + b"x" * (70 * 1024) + b'"}'
+            writer.write(huge + b"\n")
+            too_long = await reader.readline()
+            closed = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return plan, list(client.unmatched), too_long, closed
+
+        router, sharded = run(with_router(body))
+        service, solo = run(with_service(body))
+        assert sharded == solo
+        plan, errors, too_long, closed = solo
+        assert plan["status"] == "ok" and set(plan["budgets"]) == {"m1", "m2"}
+        assert [e["status"] for e in errors] == ["error"] * len(malformed)
+        assert b"request line too long" in too_long and closed == b""
+        assert router.counters["router.plans"] == 1
+        assert router.counters["router.protocol_errors"] \
+            == service.counters["service.protocol_errors"] \
+            == len(malformed) + 1
+        assert not any(name.startswith("service.")
+                       for name in router.counters)
+
+
+class TestAdmitChunks:
+    def admits(self, count, name_length):
+        return [(Request(op="admit", id=None, fields={
+                    "channel": "A", "arrival": index, "execution": 1,
+                    "deadline": 500,
+                    "name": f"{index:06d}".ljust(name_length, "x")}),
+                 None)
+                for index in range(count)]
+
+    def test_chunks_keep_order_and_entry_cap(self):
+        admits = self.admits(1100, 8)
+        chunks = admit_chunks(admits)
+        assert [len(chunk) for chunk in chunks] \
+            == [MAX_BATCH_REQUESTS, MAX_BATCH_REQUESTS, 76]
+        assert [item for chunk in chunks for item in chunk] == admits
+
+    def test_long_names_stay_under_the_shard_line_limit(self):
+        # 512 entries with 100-character names exceed a shard's line
+        # limit; a pass this large forms from several connections'
+        # admit_batch lines, each within the limit on its own.
+        def line(chunk):
+            return encode_response({
+                "id": "c" + "9" * 20, "op": "admit_batch",
+                "requests": [request.fields for request, __ in chunk]})
+
+        admits = self.admits(600, 100)
+        assert len(line(admits[:MAX_BATCH_REQUESTS])) > MAX_LINE_BYTES
+        chunks = admit_chunks(admits)
+        assert len(chunks[0]) < MAX_BATCH_REQUESTS
+        assert [item for chunk in chunks for item in chunk] == admits
+        for chunk in chunks:
+            assert len(line(chunk)) - 1 <= MAX_LINE_BYTES
+
+    def test_no_admits_no_chunks(self):
+        assert admit_chunks([]) == []
 
 
 class TestRouting:
@@ -98,10 +253,18 @@ class TestRouting:
         run(with_router(body))
 
     def test_same_tick_admits_coalesce_into_batches(self):
+        # The front reads each connection one line at a time, like the
+        # solo service, so admits coalesce across connections.
         async def body(router, client):
-            replies = await asyncio.gather(*(
-                client.admit("A", index, 1, 300, name=f"c{index}")
-                for index in range(32)))
+            clients = [client] + await connect(router, 7)
+            try:
+                replies = await asyncio.gather(*(
+                    clients[index % 8].admit("A", index, 1, 300,
+                                             name=f"c{index}")
+                    for index in range(32)))
+            finally:
+                for other in clients[1:]:
+                    await other.close()
             assert all(r["status"] in ("accepted", "rejected")
                        for r in replies)
 
@@ -139,6 +302,25 @@ class TestRouting:
         assert "unknown channel" in responses[2]["reason"]
         assert responses[3]["status"] == "error"
         assert router.counters["router.client_batches"] == 1
+
+    def test_full_client_batch_keeps_the_shard_link(self):
+        # A full admit_batch reaches its shard as one admit_batch line
+        # whose reply outgrows the request line limit, and the shard
+        # takes longer over it than a health sweep: the link must read
+        # the reply, and the health loop wait for it, rather than drop
+        # the shard.
+        entries = [{"channel": "A", "arrival": index, "execution": 1,
+                    "deadline": 300, "name": f"big-batch-entry-{index:05d}"}
+                   for index in range(MAX_BATCH_REQUESTS)]
+
+        async def body(router, client):
+            return await client.admit_batch(entries)
+
+        router, reply = run(with_router(body))
+        assert {r["status"] for r in reply["responses"]} \
+            <= {"accepted", "rejected"}
+        assert router.counters["router.batches"] == 1
+        assert "router.shard_errors" not in router.counters
 
     def test_client_admit_batch_down_shard_does_not_poison(self):
         # Entries owned by a dead shard get that shard's overload
@@ -295,18 +477,39 @@ class TestResilience:
         assert reply["status"] == "accepted"
 
     def test_backpressure_answers_overload(self):
+        # The router's bounded queue is the backpressure point, as in
+        # the solo service: with one slow pass in flight and one admit
+        # queued behind it, the next admit is bounced at once.
         async def body(router, client):
-            link = router.links[shard_for("A", 2)]
-            link.inflight = router._inflight_limit  # saturate
-            reply = await client.admit("A", 0, 1, 300, name="bp1")
-            assert reply["status"] == "overload"
-            assert "backpressure" in reply["reason"]
-            link.inflight = 0
-            recovered = await client.admit("A", 0, 1, 300, name="bp2")
-            assert recovered["status"] == "accepted"
+            real = router._shard_request
 
-        router, __ = run(with_router(body))
-        assert router.counters["router.backpressure"] == 1
+            async def slow(link, payload):
+                await asyncio.sleep(0.3)
+                return await real(link, payload)
+
+            router._shard_request = slow
+            second, third = await connect(router, 2)
+            try:
+                first = asyncio.create_task(client.admit(
+                    "A", 0, 1, 300, name="bp1"))
+                await asyncio.sleep(0.05)  # bp1's pass is in flight
+                queued = asyncio.create_task(second.admit(
+                    "A", 0, 1, 300, name="bp2"))
+                await asyncio.sleep(0.05)  # bp2 fills the queue
+                reply = await third.admit("A", 0, 1, 300, name="bp3")
+                assert reply["status"] == "overload"
+                assert reply["reason"] == "queue full"
+                assert (await first)["status"] == "accepted"
+                assert (await queued)["status"] == "accepted"
+                recovered = await third.admit("A", 0, 1, 300, name="bp4")
+                assert recovered["status"] == "accepted"
+            finally:
+                await second.close()
+                await third.close()
+
+        router, __ = run(with_router(body, queue_limit=1))
+        assert router.counters["router.queue.rejected"] == 1
+        assert router.counters["router.overload"] == 1
 
     def test_stop_answers_inflight_chunks_before_closing_shards(self):
         # A drain must wait for in-flight dispatch chunks: the admit

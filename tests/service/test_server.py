@@ -13,6 +13,7 @@ import pytest
 from repro.obs import Observability
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
+from repro.service.protocol import MAX_LINE_BYTES, encode_response
 from repro.service.server import AdmissionService
 
 
@@ -302,6 +303,21 @@ class TestAdmitBatch:
         service, __ = run(with_service(setup, body))
         assert service.counters["service.batches"] == 1
         assert service.counters["service.batch_admit.entries"] == 12
+
+    def test_full_batch_reply_is_readable(self, setup):
+        # The reply echoes every entry and adds its verdict, so it is
+        # longer than the request line limit the batch itself keeps.
+        entries = [dict(entry, name=f"big-batch-entry-{index:05d}")
+                   for index, entry in enumerate(self.entries(512))]
+
+        async def body(service, client):
+            return await client.admit_batch(entries)
+
+        __, reply = run(with_service(setup, body))
+        assert len(encode_response(reply)) > MAX_LINE_BYTES
+        assert len(reply["responses"]) == 512
+        assert {r["status"] for r in reply["responses"]} \
+            <= {"accepted", "rejected"}
 
     def test_invalid_entry_isolated_with_position_kept(self, setup):
         entries = self.entries(3)
