@@ -11,11 +11,9 @@ Run:
     python examples/custom_cluster.py
 """
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import TransientFaultInjector
-from repro.protocol.channel import Channel
 from repro.protocol.cluster import Cluster
 from repro.flexray.params import FlexRayParams
 from repro.protocol.signal import Signal, SignalSet
@@ -78,9 +76,9 @@ def main() -> None:
     # --- 5. Inspect what the offline planner decided. -------------------
     print("\nretransmission plan (k_z > 0):",
           policy.plan.selected_messages() or "none needed")
-    idle = IdleSlotTable(policy.table, [Channel.A, Channel.B])
+    compiled = policy.compiled_round()
     print(f"structural static utilization: "
-          f"{idle.structural_utilization():.2%} "
+          f"{compiled.structural_utilization():.2%} "
           f"(the rest is the slack pool)")
     print(f"slack planner stats: {policy.slack_planner.stats}")
 

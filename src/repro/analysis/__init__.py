@@ -4,10 +4,11 @@ The classical real-time analysis toolkit the paper's scheduling theory
 (Section III) builds on:
 
 - :mod:`repro.analysis.response_time` -- worst-case response-time
-  analysis for hard periodic tasks;
-- :mod:`repro.analysis.slack_table` -- the static idle-slot table the
-  FlexRay-level slack stealer consults (the table-driven counterpart of
-  the processor-model slack stealer in :mod:`repro.core.slack_stealing`).
+  analysis for hard periodic tasks.
+
+The static idle-slot table the FlexRay-level slack stealer consults is
+the compiled round's own (:class:`~repro.timeline.compiler.CompiledRound`
+``idle_slots``/``idle_slots_between``).
 """
 
 from repro.analysis.dynamic_response import (
@@ -25,12 +26,10 @@ from repro.analysis.sensitivity import (
     bisect_breakdown,
     scale_aperiodic_load,
 )
-from repro.analysis.slack_table import IdleSlotTable
 from repro.analysis.validator import MessageValidation, validate_schedule
 
 __all__ = [
     "DynamicMessageSpec",
-    "IdleSlotTable",
     "MessageValidation",
     "aperiodic_breakdown_factor",
     "bisect_breakdown",

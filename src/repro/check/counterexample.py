@@ -34,8 +34,10 @@ __all__ = [
     "encode_payload",
 ]
 
-#: Format tag of the serialized counterexample.
-PAYLOAD_FORMAT = "repro.check.counterexample/v1"
+#: Format tag of the serialized counterexample.  ``v2`` rounds span one
+#: repetition pattern; ``v1`` payloads also carried the 64-cycle
+#: matrix length and are refused.
+PAYLOAD_FORMAT = "repro.check.counterexample/v2"
 
 #: How many generator seeds the geometry scan tries.
 _SCENARIO_SEED_SCAN = 200
@@ -54,7 +56,6 @@ def _rebuild(compiled: CompiledRound,
     try:
         return CompiledRound(
             params=compiled.params, channels=compiled.channels,
-            cycle_count=compiled.cycle_count,
             pattern_length=compiled.pattern_length,
             **arrays,
         )
@@ -151,7 +152,6 @@ def round_to_payload(compiled: CompiledRound,
         "rules": sorted(set(failing_rules)),
         "params": dataclasses.asdict(compiled.params),
         "channels": [channel.name for channel in compiled.channels],
-        "cycle_count": compiled.cycle_count,
         "pattern_length": compiled.pattern_length,
         "arrays": {name: list(getattr(compiled, name))
                    for name in _ARRAY_FIELDS},
@@ -173,7 +173,6 @@ def payload_to_round(payload: Dict[str, object]) -> CompiledRound:
     arrays: Dict[str, List[int]] = payload["arrays"]  # type: ignore[assignment]
     return CompiledRound(
         params=params, channels=channels,
-        cycle_count=int(payload["cycle_count"]),  # type: ignore[arg-type]
         pattern_length=int(payload["pattern_length"]),  # type: ignore[arg-type]
         **{name: arrays[name] for name in _ARRAY_FIELDS},
     )

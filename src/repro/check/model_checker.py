@@ -1,33 +1,36 @@
 """Symbolic hyperperiod model checker over ``CompiledRound`` (``MDL4xx``).
 
-This module proves a compiled round's array invariants over the **full
-hyperperiod** (``cycle_count`` cycles,
-i.e. ``lcm(pattern, 64)``) by pure interval arithmetic on the flat
-integer arrays -- no cycle is ever simulated:
+This module proves a compiled round's array invariants over the
+**hyperperiod** -- the round's ``pattern_length`` cycles, the schedule's
+only period -- by pure interval arithmetic on the flat integer arrays;
+no cycle is ever simulated:
 
-- **MDL401** -- window geometry: every static row sits exactly on its
+- **MDL401** -- window geometry: every row lies inside the round
+  ``[0, pattern_length)`` cycles; every static row sits exactly on its
   (cycle, slot) grid position with a one-slot extent and an in-window
-  action point; per channel, no two windows overlap anywhere in the
-  hyperperiod; and in every cycle the non-static rows (dynamic segment,
-  symbol window, NIT) tile the remainder ``[static end, cycle end)``
-  contiguously, in kind order, with the parameterized lengths.
+  action point; per channel, no two windows overlap; and in every
+  cycle the non-static rows (dynamic segment, symbol window, NIT) tile
+  the remainder ``[static end, cycle end)`` contiguously, in kind
+  order, with the parameterized lengths.
 - **MDL402** -- owner agreement: the O(1) owner maps and the flat
   arrays tell the same story in both directions over every cycle -- no
   static row the owner view drops, no owned (channel, cycle, slot)
   without a backing row, and matching owner nodes.
 - **MDL403** -- slack conservation: the idle tables equal the
-  owner-complement *derived from the flat arrays* in **every
-  hyperperiod cycle** (the tables are indexed modulo
-  ``pattern_length``, so a wrong pattern length is only observable
-  beyond the first pattern -- exactly what this rule sweeps), and the
-  prefix-sum window query agrees with per-cycle totals over single
-  cycles, prefixes, pattern-*crossing* windows, and every window
+  owner-complement *derived from the flat arrays* in every cycle of
+  the round, and the prefix-sum window query agrees with per-cycle
+  totals over single cycles, prefixes, one-pattern windows *crossing*
+  the pattern boundary from every base, and every window
   ``[start, pattern_length)`` from a base the acceptance test can
   start at.
 - **MDL404** -- Theorem-1 fundability: the planned budgets, clipped to
   the retransmissions the structural idle-slot supply plus the reserved
   dynamic capacity can fund in the worst-aligned period window over the
-  hyperperiod tiling just proved, still clear the reliability goal.
+  pattern tiling just proved, still clear the reliability goal.
+
+Whether the pattern is the schedule's true period is FRS110's
+(:mod:`repro.verify.round_checks`), which compares the round with its
+source table over every cycle-counter value.
   Whether the unclipped plan clears it is ``ANA204``'s
   (:func:`~repro.verify.analysis_checks.check_retransmission_plan`),
   proved once per report: :func:`~repro.check.runner.check_workload`
@@ -217,37 +220,36 @@ def _check_window_geometry(compiled: CompiledRound,
     cycle_mt = params.gd_cycle_mt
     slot_mt = params.gd_static_slot_mt
     offset = params.gd_action_point_offset_mt
-    horizon = compiled.cycle_count * cycle_mt
+    horizon = compiled.pattern_length * cycle_mt
     total_slots = params.g_number_of_static_slots
     per_channel: Dict[int, List[Tuple[int, int, int, int]]] = {}
     non_static: List[List[Tuple[int, int, int, int]]] = [
-        [] for __ in range(compiled.cycle_count)
+        [] for __ in range(compiled.pattern_length)
     ]
     for i, kind in enumerate(compiled.segment_kinds):
         start = compiled.starts[i]
         end = compiled.ends[i]
+        if not 0 <= start < horizon:
+            budget.add(Diagnostic(
+                rule_id="MDL401", severity=Severity.ERROR,
+                location=f"round.entry {i}",
+                message=f"{_KIND_NAMES.get(kind, kind)} row starts at "
+                        f"{start}, outside the round [0, {horizon}) of "
+                        f"pattern_length {compiled.pattern_length}",
+                fix_hint="recompile the round; it spans exactly one "
+                         "repetition pattern",
+            ))
+            continue
+        cycle, phase = divmod(start, cycle_mt)
         if kind != SEGMENT_STATIC:
-            cycle = start // cycle_mt if cycle_mt else 0
-            if 0 <= cycle < compiled.cycle_count:
-                non_static[cycle].append((start, end, i, kind))
-            else:
-                budget.add(Diagnostic(
-                    rule_id="MDL401", severity=Severity.ERROR,
-                    location=f"round.entry {i}",
-                    message=f"{_KIND_NAMES.get(kind, kind)} row starts at "
-                            f"{start}, outside the hyperperiod "
-                            f"[0, {horizon})",
-                    fix_hint="recompile the round",
-                ))
+            non_static[cycle].append((start, end, i, kind))
             continue
         slot_id = compiled.slot_ids[i]
-        cycle, phase = divmod(start, cycle_mt)
         expected_phase = (slot_id - 1) * slot_mt
         if (not 1 <= slot_id <= total_slots
                 or end - start != slot_mt
                 or phase != expected_phase
-                or compiled.actions[i] != start + offset
-                or not 0 <= start < horizon):
+                or compiled.actions[i] != start + offset):
             budget.add(Diagnostic(
                 rule_id="MDL401", severity=Severity.ERROR,
                 location=f"round.entry {i} (slot {slot_id})",
@@ -263,7 +265,7 @@ def _check_window_geometry(compiled: CompiledRound,
             continue
         per_channel.setdefault(compiled.channel_codes[i], []).append(
             (start, end, i, slot_id))
-    # Per-channel disjointness over the whole hyperperiod.
+    # Per-channel disjointness over the whole round.
     for code in sorted(per_channel):
         windows = sorted(per_channel[code])
         for (s1, e1, i1, slot1), (s2, e2, i2, slot2) in zip(windows,
@@ -273,7 +275,7 @@ def _check_window_geometry(compiled: CompiledRound,
                     rule_id="MDL401", severity=Severity.ERROR,
                     location=f"round.entry {i1}/{i2} "
                              f"(channel code {code})",
-                    message=f"static windows overlap in the hyperperiod: "
+                    message=f"static windows overlap in the round: "
                             f"slot {slot1} [{s1}, {e1}) and slot {slot2} "
                             f"[{s2}, {e2})",
                     fix_hint="two frames compiled into the same "
@@ -290,7 +292,7 @@ def _check_window_geometry(compiled: CompiledRound,
               - params.dynamic_segment_mt - params.gd_symbol_window_mt)
     if nit_mt > 0:
         expected_kinds.append((SEGMENT_NIT, nit_mt))
-    for cycle in range(compiled.cycle_count):
+    for cycle in range(compiled.pattern_length):
         rows = sorted(non_static[cycle])
         cursor = cycle * cycle_mt + params.static_segment_mt
         ok = len(rows) == len(expected_kinds)
@@ -325,7 +327,7 @@ def _check_window_geometry(compiled: CompiledRound,
 
 def _flat_owners(compiled: CompiledRound) -> Dict[Tuple[int, int],
                                                  Dict[int, int]]:
-    """Flat-array truth for EVERY hyperperiod cycle:
+    """Flat-array truth for every cycle of the round:
     ``(channel code, cycle) -> {slot_id: owner_node}``."""
     cycle_mt = compiled.params.gd_cycle_mt
     flat: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -336,7 +338,7 @@ def _flat_owners(compiled: CompiledRound) -> Dict[Tuple[int, int],
         if code not in (0, 1):
             continue
         cycle = compiled.starts[i] // cycle_mt
-        if 0 <= cycle < compiled.cycle_count:
+        if 0 <= cycle < compiled.pattern_length:
             flat.setdefault((code, cycle), {})[compiled.slot_ids[i]] = \
                 compiled.owner_nodes[i]
     return flat
@@ -346,7 +348,7 @@ def _check_owner_agreement(compiled: CompiledRound,
                            budget: DiagnosticBudget) -> None:
     flat = _flat_owners(compiled)
     by_code = {CHANNEL_CODES[c]: c for c in (Channel.A, Channel.B)}
-    for cycle in range(compiled.cycle_count):
+    for cycle in range(compiled.pattern_length):
         for code in (0, 1):
             channel = by_code[code]
             expected = flat.get((code, cycle), {})
@@ -392,13 +394,11 @@ def _check_slack_conservation(compiled: CompiledRound,
                               budget: DiagnosticBudget) -> None:
     total_slots = compiled.params.g_number_of_static_slots
     pattern = compiled.pattern_length
-    # Owned sets straight from the flat arrays, for EVERY hyperperiod
-    # cycle -- the idle tables only span one pattern, so comparing each
-    # hyperperiod cycle against its table entry is what catches a
-    # pattern_length that lies about the true repetition.
+    # Owned sets straight from the flat arrays, for every cycle of the
+    # round.
     owned = _flat_owners(compiled)
     per_cycle_total: List[int] = []
-    for cycle in range(compiled.cycle_count):
+    for cycle in range(pattern):
         cycle_total = 0
         for channel in compiled.channels:
             code = CHANNEL_CODES.get(channel)
@@ -413,28 +413,24 @@ def _check_slack_conservation(compiled: CompiledRound,
                 budget.add(Diagnostic(
                     rule_id="MDL403", severity=Severity.ERROR,
                     location=f"round.slack.{channel.name}.cycle {cycle}",
-                    message=f"idle table (pattern index "
-                            f"{cycle % pattern}) says "
-                            f"{list(actual)} but the flat arrays' "
-                            f"complement in hyperperiod cycle {cycle} is "
-                            f"{list(expected)}",
-                    fix_hint="the pattern does not actually repeat at "
-                             "pattern_length (or an override lies); the "
-                             "slack supply the planner measures is "
-                             "wrong",
+                    message=f"idle table says {list(actual)} but the "
+                            f"flat arrays' complement in cycle {cycle} "
+                            f"is {list(expected)}",
+                    fix_hint="an idle-table override lies; the slack "
+                             "supply the planner measures is wrong",
                 ))
         per_cycle_total.append(cycle_total)
-    # Window-sum conservation: single cycles, prefixes, pattern-crossing
-    # windows and the suffixes [start, pattern) of the first pattern
-    # ((0, pattern) is already a prefix) must all agree with the
-    # per-cycle truth.
-    windows = [(c, c + 1) for c in range(compiled.cycle_count)]
-    windows += [(0, c) for c in range(compiled.cycle_count + 1)]
-    windows += [(c, c + pattern)
-                for c in range(compiled.cycle_count - pattern + 1)]
+    # Window-sum conservation: single cycles, prefixes, one-pattern
+    # windows crossing the pattern boundary and the suffixes
+    # [start, pattern) ((0, pattern) is already a prefix) must all
+    # agree with the per-cycle truth, which repeats every pattern.
+    windows = [(c, c + 1) for c in range(pattern)]
+    windows += [(0, c) for c in range(pattern + 1)]
+    windows += [(c, c + pattern) for c in range(1, pattern)]
     windows += [(c, pattern) for c in range(1, pattern)]
     for start, end in windows:
-        expected_sum = sum(per_cycle_total[start:end])
+        expected_sum = sum(per_cycle_total[cycle % pattern]
+                           for cycle in range(start, end))
         actual_sum = compiled.idle_slots_between(start, end)
         if actual_sum != expected_sum:
             budget.add(Diagnostic(
@@ -500,15 +496,10 @@ def _check_theorem1(
             else:
                 per_cycle = dynamic_retransmission_slots_per_cycle
             reserved = per_cycle * window_cycles
-            if window_cycles >= compiled.cycle_count:
-                available = compiled.idle_slots_between(
-                    0, compiled.cycle_count) + reserved
-            else:
-                available = min(
-                    compiled.idle_slots_between(base,
-                                                base + window_cycles)
-                    for base in range(compiled.pattern_length)
-                ) + reserved
+            available = min(
+                compiled.idle_slots_between(base, base + window_cycles)
+                for base in range(compiled.pattern_length)
+            ) + reserved
             k_eff = min(k_z, available)
             if k_eff < k_z:
                 clipped.append(f"{message}: k={k_z} fundable={k_eff}")

@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.core.queueing import QueueingPolicyBase
 from repro.core.retransmission import (
     RetransmissionPlan,
@@ -164,7 +163,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
             )
         compiled = self.compiled_round()
         assert compiled is not None
-        idle_table = IdleSlotTable.from_compiled(compiled)
         dynamic_share = 0.0
         if self.retransmission_slot_id is not None:
             serving = sum(
@@ -173,7 +171,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
             )
             dynamic_share = float(serving)
         self._planner = SelectiveSlackPlanner(
-            idle_table, self.params,
+            compiled, self.params,
             dynamic_retransmission_share=dynamic_share,
             obs=self.obs,
         )

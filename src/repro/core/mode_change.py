@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.analysis.validator import MessageValidation, validate_schedule
 from repro.core.retransmission import RetransmissionPlan, plan_retransmissions
 from repro.faults.ber import BitErrorRateModel
@@ -40,6 +39,7 @@ from repro.protocol.schedule import (
 )
 from repro.protocol.signal import Signal, SignalSet
 from repro.packing.frame_packing import PackingResult, pack_signals
+from repro.timeline.compiler import compile_round
 
 __all__ = ["AdmissionDecision", "ModeChangeController"]
 
@@ -174,10 +174,11 @@ class ModeChangeController:
                     validations=validations,
                 )
             # Slack demand vs structural supply over the time unit.
-            idle = IdleSlotTable(table, [Channel.A, Channel.B])
+            compiled = compile_round(table, table.params,
+                                     [Channel.A, Channel.B])
             unit_cycles = max(1, int(self._time_unit_ms
                                      / self._params.cycle_ms))
-            supply = idle.idle_slots_between(0, unit_cycles)
+            supply = compiled.idle_slots_between(0, unit_cycles)
             demand = sum(
                 budget * instances[message]
                 for message, budget in plan.budgets.items()

@@ -97,11 +97,11 @@ class QueueingPolicyBase(SchedulerPolicy):
         self._placements: Dict[Tuple[str, int], List[Tuple[Channel, int]]] = {}
         # (message_id, chunk, channel) -> StaticBuffer
         self._buffers: Dict[Tuple[str, int, Channel], StaticBuffer] = {}
-        # channel -> per matrix cycle {slot_id: StaticBuffer} of the
+        # channel -> per pattern cycle {slot_id: StaticBuffer} of the
         # compiled round's owned static steps
         self._slot_buffers: Dict[Channel,
                                  Tuple[Dict[int, StaticBuffer], ...]] = {}
-        self._matrix_cycles = 1
+        self._pattern_length = 1
         # (message_id, chunk) -> the distinct buffers an arrival writes
         self._arrival_buffers: Dict[Tuple[str, int],
                                     Tuple[StaticBuffer, ...]] = {}
@@ -229,12 +229,12 @@ class QueueingPolicyBase(SchedulerPolicy):
         # of resolving the owner frame first.
         compiled = self._round
         assert compiled is not None
-        self._matrix_cycles = compiled.cycle_count
+        self._pattern_length = compiled.pattern_length
         self._slot_buffers = {
-            channel: tuple({} for __ in range(compiled.cycle_count))
+            channel: tuple({} for __ in range(compiled.pattern_length))
             for channel in (Channel.A, Channel.B)
         }
-        for cycle in range(compiled.cycle_count):
+        for cycle in range(compiled.pattern_length):
             for slot_id, __, entries in compiled.static_steps(cycle):
                 for channel, frame in entries:
                     if frame is not None:
@@ -334,7 +334,7 @@ class QueueingPolicyBase(SchedulerPolicy):
                          action_point_mt: int) -> Optional[PendingFrame]:
         self._now_mt = action_point_mt
         buffer = self._slot_buffers[channel][
-            cycle % self._matrix_cycles].get(slot_id)
+            cycle % self._pattern_length].get(slot_id)
         if buffer is not None:
             head = buffer.peek()
             if head is not None and head.generation_time_mt <= action_point_mt:

@@ -24,11 +24,11 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.core.slack_stealing import SlackStealer
 from repro.protocol.frame import PendingFrame
 from repro.protocol.geometry import SegmentGeometry
 from repro.obs import NULL_OBS, ObsLike
+from repro.timeline.compiler import CompiledRound
 
 __all__ = ["max_level_slack", "SelectiveSlackPlanner"]
 
@@ -78,7 +78,8 @@ class SelectiveSlackPlanner:
     promised to earlier retransmissions?*
 
     Args:
-        idle_table: Precomputed structural idle slots of the schedule.
+        compiled: The schedule's compiled round, whose idle tables are
+            the structural slack supply.
         params: Cluster parameters (slot capacity, cycle length).
         dynamic_retransmission_share: Guaranteed retransmission capacity
             in the dynamic segment, in frames per cycle (CoEfficient
@@ -89,16 +90,16 @@ class SelectiveSlackPlanner:
             events when enabled.
     """
 
-    def __init__(self, idle_table: IdleSlotTable, params: SegmentGeometry,
+    def __init__(self, compiled: CompiledRound, params: SegmentGeometry,
                  dynamic_retransmission_share: float = 0.0,
                  obs: ObsLike = NULL_OBS) -> None:
         if dynamic_retransmission_share < 0:
             raise ValueError("dynamic share must be >= 0")
-        self._idle_table = idle_table
-        # The channel list is immutable for the table's lifetime; the
+        self._round = compiled
+        # The channel list is immutable for the round's lifetime; the
         # per-promise window scan is hot enough that re-materializing it
         # through the property on every call shows up in profiles.
-        self._channels = list(idle_table.channels)
+        self._channels = list(compiled.channels)
         # SegmentGeometry is frozen: read the derived capacity once
         # instead of re-deriving it on every selective-filter check.
         self._slot_capacity_bits = params.static_slot_capacity_bits
@@ -106,7 +107,7 @@ class SelectiveSlackPlanner:
         # The idle pattern repeats every ``pattern_length`` cycles, so
         # the supply of a window depends on its start only modulo that
         # period (see :meth:`supply_between`).
-        self._pattern_mt = idle_table.pattern_length * params.gd_cycle_mt
+        self._pattern_mt = compiled.pattern_length * params.gd_cycle_mt
         self._supply_memo: Dict[Tuple[int, int, bool], Tuple[int, int]] = {}
         self._dynamic_share = dynamic_retransmission_share
         self._obs = obs
@@ -190,7 +191,7 @@ class SelectiveSlackPlanner:
         structural = 0
         if include_structural:
             if last_full > first_full:
-                structural = self._idle_table.idle_slots_between(
+                structural = self._round.idle_slots_between(
                     first_full, last_full
                 )
             # Partial leading cycle: idle slots whose whole slot window
@@ -223,8 +224,8 @@ class SelectiveSlackPlanner:
         cycle_start = cycle * self._cycle_mt
         count = 0
         for channel in self._channels:
-            for start, end in self._idle_table.idle_slot_windows(channel,
-                                                                 cycle):
+            for start, end in self._round.idle_slot_windows(channel,
+                                                            cycle):
                 if (cycle_start + start >= from_mt
                         and cycle_start + end <= to_mt):
                     count += 1

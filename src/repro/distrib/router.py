@@ -61,7 +61,7 @@ ENVELOPE_BYTES = 128
 def aggregate_stats(setup: ServiceSetup,
                     shard_payloads: Sequence[Dict[str, object]],
                     router_counters: Dict[str, int],
-                    queue_limit_fallback: int = 0,
+                    queue_depth: int = 0, queue_limit: int = 0,
                     draining: bool = False) -> Dict[str, object]:
     """Merge per-shard ``stats`` payloads into one service payload.
 
@@ -73,16 +73,16 @@ def aggregate_stats(setup: ServiceSetup,
       construction -- each channel has one owner shard).
     - ``counters``: key-wise sum across shards, plus the router's own
       ``router.*`` counters.
-    - ``batches`` / ``queue_depth`` / ``queue_limit``: sums.
+    - ``batches``: sum.
     - ``mean_batch_size``: batch-weighted mean across shards.
+    - ``queue_depth`` / ``queue_limit``: the router's own bounded queue
+      (passed in), the one that answers "queue full".
     - ``draining``: true if the router or any shard is draining.
     """
     channels: Dict[str, Dict[str, object]] = {}
     counters: Dict[str, int] = {}
     batches = 0
     weighted_batch_requests = 0.0
-    queue_depth = 0
-    queue_limit = 0
     any_draining = draining
     for payload in shard_payloads:
         for channel, entry in sorted(payload.get("channels", {}).items()):  # type: ignore[union-attr]
@@ -94,8 +94,6 @@ def aggregate_stats(setup: ServiceSetup,
         batches += shard_batches
         weighted_batch_requests += (
             float(payload.get("mean_batch_size", 0.0)) * shard_batches)  # type: ignore[arg-type]
-        queue_depth += int(payload.get("queue_depth", 0))  # type: ignore[arg-type]
-        queue_limit += int(payload.get("queue_limit", 0))  # type: ignore[arg-type]
         any_draining = any_draining or bool(payload.get("draining"))
     for key, value in router_counters.items():
         counters[key] = counters.get(key, 0) + value
@@ -111,7 +109,7 @@ def aggregate_stats(setup: ServiceSetup,
         "mean_batch_size": (round(weighted_batch_requests / batches, 3)
                             if batches else 0.0),
         "queue_depth": queue_depth,
-        "queue_limit": queue_limit or queue_limit_fallback,
+        "queue_limit": queue_limit,
         "draining": any_draining,
     }
     return {field: values[field] for field in STATUS_FIELDS}
@@ -400,7 +398,7 @@ class ShardRouter(AdmissionFront):
                 self._count("router.stats_shards_down")
         return aggregate_stats(
             self.setup, payloads, dict(self.counters),
-            queue_limit_fallback=self.shard_count * self._queue_limit,
+            queue_depth=self._queue.qsize(), queue_limit=self._queue_limit,
             draining=self._draining)
 
 

@@ -25,14 +25,18 @@ from typing import NamedTuple, Optional
 
 from repro.protocol.geometry import SegmentGeometry
 
-__all__ = ["HARD_MAX_PAYLOAD_BITS", "FrameKind", "Frame", "PendingFrame",
-           "frame_duration_mt"]
+__all__ = ["HARD_MAX_PAYLOAD_BITS", "CYCLE_REPETITIONS", "FrameKind",
+           "Frame", "PendingFrame", "frame_duration_mt"]
 
 #: Structural upper bound on any backend's frame payload (a maximal
 #: 1518-byte Ethernet frame).  The *protocol* limit is the geometry's
 #: ``max_payload_bits``, enforced wherever a parameter set is in hand
 #: (:func:`frame_duration_mt`, the packer, the verifier).
 HARD_MAX_PAYLOAD_BITS = 1518 * 8
+
+#: The cycle repetitions a frame may use: powers of two up to the 64
+#: values of the FlexRay cycle counter.
+CYCLE_REPETITIONS = (1, 2, 4, 8, 16, 32, 64)
 
 _pending_sequence = itertools.count()
 _tuple_new = tuple.__new__
@@ -134,7 +138,7 @@ class Frame:
             raise ValueError(
                 f"overhead_bits must be >= 0, got {self.overhead_bits}"
             )
-        if self.cycle_repetition not in (1, 2, 4, 8, 16, 32, 64):
+        if self.cycle_repetition not in CYCLE_REPETITIONS:
             raise ValueError(
                 f"cycle_repetition must be a power of two <= 64, "
                 f"got {self.cycle_repetition}"

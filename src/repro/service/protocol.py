@@ -37,6 +37,10 @@ Operations:
 ``ping``
     Liveness probe.
 
+A ``name`` or ``channel`` longer than :data:`MAX_NAME_LENGTH`
+characters is a protocol error (an entry error inside ``admit_batch``),
+so any single admit still fits one ``admit_batch`` line to a shard.
+
 Malformed lines never kill the connection: the server answers
 ``{"status": "error", "reason": ...}`` and keeps reading (malformed-
 request isolation).  :exc:`ProtocolError` is the single parse-failure
@@ -49,14 +53,19 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-__all__ = ["MAX_BATCH_REQUESTS", "MAX_LINE_BYTES", "OPS", "ProtocolError",
-           "Request", "encode_response", "parse_request"]
+__all__ = ["MAX_BATCH_REQUESTS", "MAX_LINE_BYTES", "MAX_NAME_LENGTH", "OPS",
+           "ProtocolError", "Request", "encode_response", "parse_request"]
 
 #: Upper bound on one request line; longer lines are a protocol error.
 MAX_LINE_BYTES = 64 * 1024
 
 #: Upper bound on entries in one ``admit_batch`` request.
 MAX_BATCH_REQUESTS = 512
+
+#: Upper bound, in characters, on a task ``name`` and a ``channel``.
+#: Even JSON-escaped (at most 12 bytes a character), one admit then
+#: fits a shard's ``admit_batch`` line with room to spare.
+MAX_NAME_LENGTH = 1024
 
 #: Every operation the server understands.
 OPS = ("admit", "admit_batch", "release", "plan_retransmission", "stats",
@@ -91,6 +100,13 @@ def _require_str(payload: Mapping[str, object], key: str) -> str:
     value = payload.get(key)
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"{key!r} must be a non-empty string")
+    return _bounded(value, key)
+
+
+def _bounded(value: str, key: str) -> str:
+    if len(value) > MAX_NAME_LENGTH:
+        raise ProtocolError(
+            f"{key!r} exceeds {MAX_NAME_LENGTH} characters")
     return value
 
 
@@ -137,7 +153,7 @@ def parse_request(line: str) -> Request:
         if not isinstance(name, str) or not name:
             raise ProtocolError(
                 "'name' (or a string 'id' to default from) is required")
-        fields["name"] = name
+        fields["name"] = _bounded(name, "name")
     elif op == "admit_batch":
         entries = payload.get("requests")
         if not isinstance(entries, list) or not entries:

@@ -1,9 +1,10 @@
 """Compiled communication-round timeline.
 
 The static segment of a FlexRay cluster is strictly periodic: the
-64-cycle communication matrix repeats exactly.  This package compiles a
-verified schedule into one immutable :class:`~repro.timeline.compiler.CompiledRound`
--- flat integer-macrotick arrays over the full matrix plus derived
+schedule repeats every ``pattern_length`` cycles, the LCM of its cycle
+repetitions.  This package compiles a verified schedule into one
+immutable :class:`~repro.timeline.compiler.CompiledRound` -- flat
+integer-macrotick arrays over one repetition pattern plus derived
 idle/slack interval tables -- and provides the engine that advances the
 simulation cycle-by-cycle over those arrays:
 :class:`~repro.timeline.vectorized.VectorizedStepper` settles each

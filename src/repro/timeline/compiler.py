@@ -1,10 +1,12 @@
 """Round compiler: schedule table -> flat integer timeline arrays.
 
-The 64-cycle FlexRay communication matrix is strictly periodic, so it can
-be compiled once instead of re-derived slot by slot at runtime (the
-hypercycle-level-reservation idea applied to our simulator).  The
-compiler walks one full matrix of a :class:`~repro.protocol.schedule.ScheduleTable`
-and emits a :class:`CompiledRound`: parallel tuples of
+A static schedule repeats every ``pattern_length`` cycles, the LCM of
+its frames' cycle repetitions, so it can be compiled once instead of
+re-derived slot by slot at runtime (the hypercycle view of Wang et al.,
+arXiv:2506.11745: the repeating unit is the pattern, not the 64-cycle
+FlexRay matrix).  The compiler walks one pattern of a
+:class:`~repro.protocol.schedule.ScheduleTable` and emits a
+:class:`CompiledRound`: parallel tuples of
 
     (start, end, action, slot id, channel, owner node, frame id, kind)
 
@@ -38,16 +40,13 @@ from repro.obs import NULL_OBS, ObsLike
 
 __all__ = ["CompiledRound", "StaticStep", "RoundEntry", "compile_round",
            "SEGMENT_STATIC", "SEGMENT_DYNAMIC", "SEGMENT_SYMBOL",
-           "SEGMENT_NIT", "CYCLES_PER_MATRIX"]
+           "SEGMENT_NIT"]
 
 #: Segment-kind codes used in the flat arrays.
 SEGMENT_STATIC = 0
 SEGMENT_DYNAMIC = 1
 SEGMENT_SYMBOL = 2
 SEGMENT_NIT = 3
-
-#: The FlexRay communication matrix spans 64 cycles.
-CYCLES_PER_MATRIX = 64
 
 #: Channel <-> integer code mapping used in the flat arrays.
 CHANNEL_CODES: Dict[Channel, int] = {Channel.A: 0, Channel.B: 1}
@@ -83,7 +82,7 @@ class RoundEntry(NamedTuple):
 
 
 class CompiledRound:
-    """Immutable compiled form of one full communication matrix.
+    """Immutable compiled form of one repetition pattern of a schedule.
 
     All array arguments are parallel sequences with one element per
     timeline entry; they are copied into tuples so the round cannot be
@@ -92,11 +91,15 @@ class CompiledRound:
     segment, symbol window and NIT appear once per cycle with
     ``slot_id = 0``, ``channel_code = -1`` and ``frame_id = -1``.
 
+    The rows span cycles ``[0, pattern_length)`` and every query reduces
+    its cycle modulo ``pattern_length``.  That is exact because each
+    frame's cycle repetition divides the pattern.
+
     Args:
-        params: Cluster configuration the matrix was compiled against.
+        params: Cluster configuration the round was compiled against.
         channels: Channels included (defines slack-table scope).
-        cycle_count: Matrix length in cycles (``lcm(pattern, 64)``).
-        pattern_length: Cycles after which the static pattern repeats.
+        pattern_length: Cycles after which the static pattern repeats
+            (the round's only period).
         starts, ends, actions, slot_ids, channel_codes, owner_nodes,
             frame_ids, segment_kinds: The flat arrays.
         frames: Per-entry :class:`Frame` references (``None`` for
@@ -113,7 +116,6 @@ class CompiledRound:
         self,
         params: SegmentGeometry,
         channels: Sequence[Channel],
-        cycle_count: int,
         pattern_length: int,
         starts: Sequence[int],
         ends: Sequence[int],
@@ -127,13 +129,9 @@ class CompiledRound:
         idle_slots_override: Optional[
             Dict[Channel, List[Tuple[int, ...]]]] = None,
     ) -> None:
-        if cycle_count <= 0:
-            raise ValueError(f"cycle_count must be > 0, got {cycle_count}")
-        if pattern_length <= 0 or cycle_count % pattern_length != 0:
+        if pattern_length <= 0:
             raise ValueError(
-                f"pattern_length {pattern_length} must divide "
-                f"cycle_count {cycle_count}"
-            )
+                f"pattern_length must be > 0, got {pattern_length}")
         lengths = {len(starts), len(ends), len(actions), len(slot_ids),
                    len(channel_codes), len(owner_nodes), len(frame_ids),
                    len(segment_kinds)}
@@ -141,7 +139,6 @@ class CompiledRound:
             raise ValueError(f"parallel arrays disagree in length: {lengths}")
         self.params = params
         self._channels = tuple(channels)
-        self._cycle_count = cycle_count
         self._pattern_length = pattern_length
         self.starts = tuple(int(v) for v in starts)
         self.ends = tuple(int(v) for v in ends)
@@ -169,7 +166,7 @@ class CompiledRound:
         cycle_mt = self.params.gd_cycle_mt
         # owner[channel_code][cycle] -> {slot_id: (frame, owner_node)}
         owners: List[List[Dict[int, Tuple[Optional[Frame], int]]]] = [
-            [dict() for __ in range(self._cycle_count)] for __ in range(2)
+            [dict() for __ in range(self._pattern_length)] for __ in range(2)
         ]
         for i, kind in enumerate(self.segment_kinds):
             if kind != SEGMENT_STATIC:
@@ -178,7 +175,7 @@ class CompiledRound:
             if code not in (0, 1):
                 continue
             cycle = self.starts[i] // cycle_mt
-            if not 0 <= cycle < self._cycle_count:
+            if not 0 <= cycle < self._pattern_length:
                 continue
             owners[code][cycle][self.slot_ids[i]] = (
                 self.frames[i], self.owner_nodes[i]
@@ -187,7 +184,7 @@ class CompiledRound:
 
     def _build_static_steps(self) -> None:
         steps: List[Tuple[StaticStep, ...]] = []
-        for cycle in range(self._cycle_count):
+        for cycle in range(self._pattern_length):
             per_slot: Dict[int, List[Tuple[Channel, Optional[Frame]]]] = {}
             for code in (0, 1):
                 for slot_id, (frame, __) in self._owners[code][cycle].items():
@@ -262,11 +259,6 @@ class CompiledRound:
         return self._channels
 
     @property
-    def cycle_count(self) -> int:
-        """Matrix length in cycles."""
-        return self._cycle_count
-
-    @property
     def pattern_length(self) -> int:
         """Cycles after which the static pattern repeats."""
         return self._pattern_length
@@ -290,21 +282,21 @@ class CompiledRound:
 
     def static_steps(self, cycle: int) -> Tuple[StaticStep, ...]:
         """Owned static-slot steps of ``cycle``, in execution order."""
-        return self._static_steps[cycle % self._cycle_count]
+        return self._static_steps[cycle % self._pattern_length]
 
     def owner(self, channel: Channel, cycle: int,
               slot_id: int) -> Optional[Frame]:
         """Frame owning (channel, cycle, slot), or ``None`` (idle).
 
         Semantically identical to ``ScheduleTable.lookup`` on the source
-        schedule: the repetition patterns divide the matrix length, so
-        reducing the cycle modulo the matrix preserves every
-        ``fires_in`` decision.
+        schedule: every cycle repetition divides the pattern, so
+        reducing the cycle modulo the pattern preserves every
+        ``sends_in_cycle`` decision.
         """
         code = CHANNEL_CODES.get(channel)
         if code is None:
             return None
-        entry = self._owners[code][cycle % self._cycle_count].get(slot_id)
+        entry = self._owners[code][cycle % self._pattern_length].get(slot_id)
         return entry[0] if entry is not None else None
 
     def owner_node(self, channel: Channel, cycle: int, slot_id: int) -> int:
@@ -312,7 +304,7 @@ class CompiledRound:
         code = CHANNEL_CODES.get(channel)
         if code is None:
             return -1
-        entry = self._owners[code][cycle % self._cycle_count].get(slot_id)
+        entry = self._owners[code][cycle % self._pattern_length].get(slot_id)
         return entry[1] if entry is not None else -1
 
     def owned_slots(self, channel: Channel, cycle: int) -> Tuple[int, ...]:
@@ -320,7 +312,7 @@ class CompiledRound:
         code = CHANNEL_CODES.get(channel)
         if code is None:
             return ()
-        return tuple(sorted(self._owners[code][cycle % self._cycle_count]))
+        return tuple(sorted(self._owners[code][cycle % self._pattern_length]))
 
     # ------------------------------------------------------------------
     # Slack-interval queries (the analysis contract)
@@ -383,7 +375,7 @@ def _pattern_length_of(table: ScheduleTable) -> int:
 def compile_round(table: ScheduleTable, params: SegmentGeometry,
                   channels: Sequence[Channel],
                   obs: ObsLike = NULL_OBS) -> CompiledRound:
-    """Compile one full communication matrix of a schedule table.
+    """Compile one repetition pattern of a schedule table.
 
     Args:
         table: The static schedule (must belong to ``params``).
@@ -398,8 +390,6 @@ def compile_round(table: ScheduleTable, params: SegmentGeometry,
     """
     with obs.section("timeline.compile"):
         pattern = _pattern_length_of(table)
-        cycle_count = (pattern * CYCLES_PER_MATRIX
-                       // math.gcd(pattern, CYCLES_PER_MATRIX))
         cycle_mt = params.gd_cycle_mt
         slot_mt = params.gd_static_slot_mt
         action_offset = params.gd_action_point_offset_mt
@@ -431,7 +421,7 @@ def compile_round(table: ScheduleTable, params: SegmentGeometry,
             channel: table.assignments(channel)
             for channel in (Channel.A, Channel.B)
         }
-        for cycle in range(cycle_count):
+        for cycle in range(pattern):
             cycle_start = cycle * cycle_mt
             for channel in (Channel.A, Channel.B):
                 code = CHANNEL_CODES[channel]
@@ -467,8 +457,7 @@ def compile_round(table: ScheduleTable, params: SegmentGeometry,
                       SEGMENT_NIT, None)
 
         compiled = CompiledRound(
-            params=params, channels=channels, cycle_count=cycle_count,
-            pattern_length=pattern, starts=starts, ends=ends,
+            params=params, channels=channels, pattern_length=pattern, starts=starts, ends=ends,
             actions=actions, slot_ids=slot_ids, channel_codes=channel_codes,
             owner_nodes=owner_nodes, frame_ids=frame_ids,
             segment_kinds=segment_kinds, frames=frames,

@@ -171,13 +171,13 @@ class VectorizedStepper(TimelineStepper):
                                  for channel in self._lane_channels)
         lane_of = {channel: lane
                    for lane, channel in enumerate(self._lane_channels)}
-        #: The compiled round's owned static steps, per matrix cycle.
+        #: The compiled round's owned static steps, per pattern cycle.
         self._owned_steps = [
             tuple(_OwnedStep(step.slot_id, step.action_offset_mt,
                              tuple((channel, lane_of[channel])
                                    for channel, __ in step.entries))
                   for step in compiled.static_steps(cycle))
-            for cycle in range(compiled.cycle_count)
+            for cycle in range(compiled.pattern_length)
         ]
         #: Segment batches settled through the phase-split path.
         self.vectorized_batches = 0

@@ -9,9 +9,9 @@ the repo rests on.
 A "slack table" here is the generic shape both slack providers reduce
 to: per priority level, the cumulative guaranteed slack at increasing
 horizons (``slack[level][h]`` = slack available in ``[0, horizon_h]``).
-The :class:`~repro.analysis.slack_table.IdleSlotTable` and the
-:class:`~repro.core.slack_stealing.SlackStealer` level-idle tables are
-both projected onto it by :mod:`repro.verify.verifier`.
+The idle tables of a :class:`~repro.timeline.compiler.CompiledRound`
+and the :class:`~repro.core.slack_stealing.SlackStealer` level-idle
+tables are both projected onto it by :mod:`repro.verify.verifier`.
 """
 
 from __future__ import annotations

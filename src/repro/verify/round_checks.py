@@ -10,8 +10,11 @@ proves the arrays' window geometry, owner maps and slack tables; the
 two rules here check what it does not look at:
 
 - **FRS110** -- the round must agree with its source schedule: every
-  ``ScheduleTable.lookup`` answer over one full matrix is reproduced by
-  ``CompiledRound.owner`` (full static coverage, no phantom owners).
+  ``ScheduleTable.lookup`` answer over all 64 values of the cycle
+  counter is reproduced by ``CompiledRound.owner`` (full static
+  coverage, no phantom owners).  The round spans one pattern and
+  ``owner()`` wraps modulo ``pattern_length``, so this sweep is also
+  the periodicity check: a pattern that is too short is reported here.
 - **FRS113** -- the static-step view must re-derive from the flat
   arrays: this is the batch geometry the engines execute, so a step
   out of slot order, a wrong action offset, entries out of channel
@@ -24,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.protocol.channel import Channel
+from repro.protocol.frame import CYCLE_REPETITIONS
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.schedule import ScheduleTable
 from repro.timeline.compiler import CHANNEL_CODES, SEGMENT_STATIC, CompiledRound
@@ -44,9 +48,9 @@ def check_compiled_round(compiled: CompiledRound,
     Args:
         compiled: The round to verify.
         table: The source schedule; when given, FRS110 cross-checks the
-            round's owner view against ``table.lookup`` over one full
-            matrix (omit for rounds rebuilt from raw arrays with no
-            surviving table).
+            round's owner view against ``table.lookup`` over every
+            cycle-counter value (omit for rounds rebuilt from raw arrays
+            with no surviving table).
 
     Returns:
         A :class:`Report`; empty when the round is sound.
@@ -67,8 +71,10 @@ def _check_owner_agreement(compiled: CompiledRound,
     if table is None:
         return
     total_slots = params.g_number_of_static_slots
+    # Every repetition divides the largest, so the cycle counter's 64
+    # values cover every frame's firing pattern.
     for channel in (Channel.A, Channel.B):
-        for cycle in range(compiled.cycle_count):
+        for cycle in range(max(CYCLE_REPETITIONS)):
             for slot_id in range(1, total_slots + 1):
                 expected = table.lookup(channel, cycle, slot_id)
                 actual = compiled.owner(channel, cycle, slot_id)
@@ -109,7 +115,7 @@ def _check_static_steps(compiled: CompiledRound, params: SegmentGeometry,
            "from the flat arrays")
     # (channel code, slot_id) -> frame_id, per cycle, from the raw rows.
     expected: List[Dict[Tuple[int, int], int]] = [
-        dict() for __ in range(compiled.cycle_count)
+        dict() for __ in range(compiled.pattern_length)
     ]
     for i, kind in enumerate(compiled.segment_kinds):
         if kind != SEGMENT_STATIC:
@@ -118,10 +124,10 @@ def _check_static_steps(compiled: CompiledRound, params: SegmentGeometry,
         if code not in (0, 1):
             continue
         cycle = compiled.starts[i] // cycle_mt
-        if 0 <= cycle < compiled.cycle_count:
+        if 0 <= cycle < compiled.pattern_length:
             expected[cycle][(code, compiled.slot_ids[i])] = \
                 compiled.frame_ids[i]
-    for cycle in range(compiled.cycle_count):
+    for cycle in range(compiled.pattern_length):
         covered: set = set()
         last_slot = 0
         for step in compiled.static_steps(cycle):

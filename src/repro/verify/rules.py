@@ -87,8 +87,9 @@ VERIFY_RULES: Dict[str, Rule] = catalogue(
          "allocator or packer failed outright)."),
     Rule("FRS110", "round-owner-mismatch", Severity.ERROR,
          "A compiled round's owner view disagrees with its source "
-         "schedule's lookup over the communication matrix (missing "
-         "coverage or a phantom owner)."),
+         "schedule's lookup over the 64 cycle-counter values (missing "
+         "coverage, a phantom owner, or a pattern_length shorter than "
+         "the schedule's true period)."),
     Rule("FRS113", "round-steps-inconsistent", Severity.ERROR,
          "A compiled round's static-step view (the batch geometry the "
          "stepper and the vectorized engine execute) disagrees with the "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.protocol.channel import Channel
+from repro.protocol.frame import CYCLE_REPETITIONS
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.schedule import (
     ScheduleTable,
@@ -22,8 +23,6 @@ from repro.protocol.schedule import (
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["check_schedule"]
-
-_VALID_REPETITIONS = (1, 2, 4, 8, 16, 32, 64)
 
 ScheduleLike = Union[ScheduleTable, Mapping[Channel, Sequence[SlotAssignment]]]
 
@@ -100,7 +99,7 @@ def check_schedule(schedule: ScheduleLike, params: SegmentGeometry) -> Report:
 
             # FRS106: cycle-multiplexing pattern validity.
             repetition = frame.cycle_repetition
-            if repetition not in _VALID_REPETITIONS \
+            if repetition not in CYCLE_REPETITIONS \
                     or not 0 <= frame.base_cycle < repetition:
                 report.add(Diagnostic(
                     rule_id="FRS106", severity=Severity.ERROR,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.core.retransmission import RetransmissionPlan
 from repro.protocol.channel import Channel
 from repro.protocol.frame import frame_duration_mt
@@ -56,18 +55,13 @@ class ConfigurationError(ValueError):
         self.report = report
 
 
-def _slack_levels(slack_table: Union[IdleSlotTable,
+def _slack_levels(slack_table: Union[CompiledRound,
                                      Sequence[Sequence[float]]]) \
         -> Sequence[Sequence[float]]:
     """Project a slack provider onto the generic cumulative-table shape."""
-    if isinstance(slack_table, IdleSlotTable):
-        cumulative = []
-        total = 0
-        for cycle in range(slack_table.pattern_length):
-            total += sum(slack_table.idle_count(channel, cycle)
-                         for channel in slack_table.channels)
-            cumulative.append(float(total))
-        return [cumulative]
+    if isinstance(slack_table, CompiledRound):
+        return [[float(slack_table.idle_slots_between(0, cycle + 1))
+                 for cycle in range(slack_table.pattern_length)]]
     return slack_table
 
 
@@ -76,7 +70,7 @@ def verify_configuration(
     schedule: Optional[ScheduleLike] = None,
     workload: Optional[Sequence[Tuple[str, float, float]]] = None,
     tasks: Optional[Sequence[Tuple[float, float]]] = None,
-    slack_table: Optional[Union[IdleSlotTable,
+    slack_table: Optional[Union[CompiledRound,
                                 Sequence[Sequence[float]]]] = None,
     plan: Optional[Union[RetransmissionPlan, Mapping[str, int]]] = None,
     failure_probabilities: Optional[Mapping[str, float]] = None,
@@ -96,8 +90,9 @@ def verify_configuration(
         workload: ``(name, deadline_ms, period_ms)`` triples of hard
             periodic messages (``ANA205``).
         tasks: ``(C, T)`` pairs in priority order (``ANA203``).
-        slack_table: An :class:`IdleSlotTable` or a raw
-            ``levels x horizons`` cumulative table (``ANA201/202``).
+        slack_table: A :class:`~repro.timeline.compiler.CompiledRound`
+            (its idle tables) or a raw ``levels x horizons`` cumulative
+            table (``ANA201/202``).
         plan: Retransmission budgets -- a :class:`RetransmissionPlan`
             or a plain ``message -> k_z`` mapping (``ANA204/206/207``);
             needs ``failure_probabilities``, ``instances`` and
@@ -122,7 +117,7 @@ def verify_configuration(
         source = schedule if isinstance(schedule, ScheduleTable) else None
         report.merge(check_compiled_round(compiled, table=source))
         # The hyperperiod model checker proves the round's window,
-        # owner and slack invariants over the full matrix (MDL4xx) --
+        # owner and slack invariants over its pattern (MDL4xx) --
         # structural rules only at this altitude; verify_experiment
         # supplies the Theorem-1 inputs.
         from repro.check.model_checker import check_hyperperiod_model
@@ -243,8 +238,7 @@ def verify_experiment(
     # same compiled tables the online scheduler will.
     compiled = compile_round(table, params, channels)
     report.merge(check_compiled_round(compiled, table=table))
-    report.merge(check_slack_table(
-        _slack_levels(IdleSlotTable.from_compiled(compiled))))
+    report.merge(check_slack_table(_slack_levels(compiled)))
 
     # Busy-period precondition, projected onto the static segment as a
     # server: average wire demand per cycle must stay below the static
@@ -263,7 +257,7 @@ def verify_experiment(
     # Theorem-1 plan, derived exactly as CoEfficientPolicy.on_bound does,
     # then the hyperperiod model check with full Theorem-1 inputs: the
     # structural MDL rules plus the log-space goal and the fundability
-    # of the planned budgets, extrapolated over the whole matrix.
+    # of the planned budgets, extrapolated over every pattern.
     from repro.check.model_checker import (
         check_hyperperiod_model,
         theorem1_inputs,

@@ -33,7 +33,7 @@ def nit_params() -> FlexRayParams:
 
 def build_tiny_round(params: FlexRayParams, cycles: int = 2,
                      bump_first_end: bool = False) -> CompiledRound:
-    """A fully owned 2-slot round: every cycle identical (pattern 1)."""
+    """A fully owned 2-slot round of ``cycles`` identical cycles."""
     rows = []
     for cycle in range(cycles):
         base = cycle * params.gd_cycle_mt
@@ -47,33 +47,37 @@ def build_tiny_round(params: FlexRayParams, cycles: int = 2,
                          slot, 0, slot - 1, slot, SEGMENT_STATIC))
         rows.append((base + 80, base + 120, base + 80,
                      0, 0, -1, -1, SEGMENT_NIT))
-    return _from_rows(params, rows, cycles)
+    return _from_rows(params, rows, pattern_length=cycles)
 
 
 def build_liar_round(params: FlexRayParams) -> CompiledRound:
     """Slot 1 owned only in even cycles, but pattern_length claims 1.
 
-    The per-pattern idle tables (indexed mod 1) say "slot 1 is owned
-    every cycle"; the flat arrays disagree on odd cycles -- the exact
-    steady-state-extrapolation lie MDL403 exists to catch.
+    The rows span four cycles while the round claims a one-cycle
+    period, so every row past cycle 0 lies outside the round -- the
+    steady-state-extrapolation lie MDL401 reports.  A NIT row closes
+    each cycle whose static segment leaves a remainder.
     """
     rows = []
+    static_end = params.static_segment_mt
     for cycle in range(4):
         base = cycle * params.gd_cycle_mt
         if cycle % 2 == 0:
             rows.append((base, base + params.gd_static_slot_mt,
                          base + params.gd_action_point_offset_mt,
                          1, 0, 0, 7, SEGMENT_STATIC))
-        rows.append((base + 80, base + 120, base + 80,
-                     0, 0, -1, -1, SEGMENT_NIT))
-    return _from_rows(params, rows, cycles=4)
+        if static_end < params.gd_cycle_mt:
+            rows.append((base + static_end, base + params.gd_cycle_mt,
+                         base + static_end, 0, 0, -1, -1, SEGMENT_NIT))
+    return _from_rows(params, rows, pattern_length=1)
 
 
-def _from_rows(params: FlexRayParams, rows, cycles: int) -> CompiledRound:
+def _from_rows(params: FlexRayParams, rows,
+               pattern_length: int) -> CompiledRound:
     cols = list(zip(*rows))
     return CompiledRound(
         params=params, channels=[Channel.A],
-        cycle_count=cycles, pattern_length=1,
+        pattern_length=pattern_length,
         starts=list(cols[0]), ends=list(cols[1]), actions=list(cols[2]),
         slot_ids=list(cols[3]), channel_codes=list(cols[4]),
         owner_nodes=list(cols[5]), frame_ids=list(cols[6]),

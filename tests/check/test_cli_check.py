@@ -38,7 +38,7 @@ class TestCheckCli:
             gd_cycle_mt=120, gd_static_slot_mt=40,
             g_number_of_static_slots=2, gd_minislot_mt=8,
             g_number_of_minislots=0, channel_count=1)
-        payload = round_to_payload(build_liar_round(params), ["MDL403"])
+        payload = round_to_payload(build_liar_round(params), ["MDL401"])
         round_path = tmp_path / "liar.json"
         round_path.write_text(json.dumps(payload))
         code = cli.main(["check", "--round-json", str(round_path),
@@ -47,7 +47,7 @@ class TestCheckCli:
         assert code == 1
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["errors"] > 0
-        assert "MDL403" in document["summary"]["rules"]
+        assert "MDL401" in document["summary"]["rules"]
         assert (tmp_path / "cex").exists()
 
     def test_unreadable_round_json_exits_two(self, tmp_path, capsys):

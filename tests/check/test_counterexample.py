@@ -1,6 +1,9 @@
 """Counterexample synthesis: shrink, serialize, reproduce."""
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.check import check_round
 from repro.check.counterexample import (
@@ -18,14 +21,18 @@ from tests.check.conftest import build_liar_round, build_tiny_round
 
 class TestShrink:
     def test_liar_round_shrinks_to_one_row(self, nit_params):
-        liar = build_liar_round(nit_params)
+        # A static-only cycle: no NIT row is needed to tile cycle 0, so
+        # the one row outside the claimed round is the whole story.
+        params = dataclasses.replace(nit_params, gd_cycle_mt=80)
+        liar = build_liar_round(params)
         shrunk = shrink_round(
-            liar, ["MDL403"],
+            liar, ["MDL401"],
             lambda candidate: check_hyperperiod_model(candidate))
         assert len(shrunk) == 1
+        assert shrunk.starts[0] >= params.gd_cycle_mt
         # The minimal round still violates the original rule.
         report = check_hyperperiod_model(shrunk)
-        assert "MDL403" in report.rule_ids()
+        assert "MDL401" in report.rule_ids()
 
     def test_clean_round_is_returned_unchanged(self, nit_params):
         clean = build_tiny_round(nit_params)
@@ -38,17 +45,28 @@ class TestShrink:
 class TestPayloadRoundTrip:
     def test_payload_reconstructs_the_round(self, nit_params):
         liar = build_liar_round(nit_params)
-        payload = round_to_payload(liar, ["MDL403"])
+        payload = round_to_payload(liar, ["MDL401"])
         assert payload["format"] == PAYLOAD_FORMAT
+        assert "cycle_count" not in payload
         rebuilt = payload_to_round(payload)
         assert list(rebuilt.starts) == list(liar.starts)
         assert rebuilt.pattern_length == liar.pattern_length
-        assert "MDL403" in check_hyperperiod_model(rebuilt).rule_ids()
+        assert "MDL401" in check_hyperperiod_model(rebuilt).rule_ids()
+
+    def test_v1_payload_is_refused(self, nit_params):
+        payload = round_to_payload(build_liar_round(nit_params), ["MDL401"])
+        payload["format"] = "repro.check.counterexample/v1"
+        payload["cycle_count"] = 64
+        with pytest.raises(ValueError, match="expected .*v2"):
+            payload_to_round(payload)
+        report = check_round(payload)
+        assert report.rule_ids() == ["MDL401"]
+        assert "cannot reconstruct" in report.diagnostics[0].message
 
     def test_encoding_is_deterministic(self, nit_params):
         liar = build_liar_round(nit_params)
-        first = encode_payload(round_to_payload(liar, ["MDL403"]))
-        second = encode_payload(round_to_payload(liar, ["MDL403"]))
+        first = encode_payload(round_to_payload(liar, ["MDL401"]))
+        second = encode_payload(round_to_payload(liar, ["MDL401"]))
         assert first == second
         assert first.endswith(b"\n")
 
@@ -71,7 +89,7 @@ class TestSynthesisPipeline:
 
         path = tmp_path / "counterexample-liar.json"
         payload = json.loads(path.read_text())
-        assert payload["rules"] == ["MDL403"]
+        assert payload["rules"] == ["MDL401"]
         # The serialized minimal round is runnable and still failing.
         replay = check_round(payload)
         assert replay.has_errors

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.slack_table import IdleSlotTable
 from repro.core.selective_slack import SelectiveSlackPlanner, max_level_slack
 from repro.core.slack_stealing import SlackStealer
 from repro.core.tasks import PeriodicTask, TaskSet
 from repro.protocol.channel import Channel
 from repro.protocol.schedule import ScheduleTable, SlotAssignment
 from repro.obs import Observability
+from repro.timeline.compiler import compile_round
 
 from tests.flexray.test_frame import make_frame, make_pending
 
@@ -47,8 +47,8 @@ def planner(small_params):
     table.assign(Channel.A, SlotAssignment(slot_id=1, frame=make_frame()))
     table.assign(Channel.A, SlotAssignment(
         slot_id=2, frame=make_frame(message_id="m2")))
-    idle = IdleSlotTable(table, [Channel.A, Channel.B])
-    return SelectiveSlackPlanner(idle, small_params)
+    compiled = compile_round(table, table.params, [Channel.A, Channel.B])
+    return SelectiveSlackPlanner(compiled, small_params)
 
 
 class TestSelectiveSlackPlanner:
@@ -105,8 +105,8 @@ class TestSelectiveSlackPlanner:
 
     def test_oversized_frame_uses_dynamic_share(self, small_params):
         table = ScheduleTable(small_params)
-        idle = IdleSlotTable(table, [Channel.A, Channel.B])
-        planner = SelectiveSlackPlanner(idle, small_params,
+        compiled = compile_round(table, table.params, [Channel.A, Channel.B])
+        planner = SelectiveSlackPlanner(compiled, small_params,
                                         dynamic_retransmission_share=2.0)
         big = make_pending(
             frame=make_frame(
@@ -137,9 +137,9 @@ class TestSelectiveSlackPlanner:
 
     def test_rejects_negative_share(self, planner, small_params):
         table = ScheduleTable(small_params)
-        idle = IdleSlotTable(table, [Channel.A])
+        compiled = compile_round(table, table.params, [Channel.A])
         with pytest.raises(ValueError):
-            SelectiveSlackPlanner(idle, small_params,
+            SelectiveSlackPlanner(compiled, small_params,
                                   dynamic_retransmission_share=-1.0)
 
 
@@ -156,10 +156,10 @@ def _multiplexed_planner(params, obs=None):
         table.assign(channel, SlotAssignment(slot_id=slot_id, frame=make_frame(
             message_id=message_id, frame_id=slot_id, base_cycle=base,
             cycle_repetition=repetition)))
-    idle = IdleSlotTable(table, [Channel.A, Channel.B])
-    assert idle.pattern_length == 4
+    compiled = compile_round(table, table.params, [Channel.A, Channel.B])
+    assert compiled.pattern_length == 4
     kwargs = {} if obs is None else {"obs": obs}
-    return SelectiveSlackPlanner(idle, params,
+    return SelectiveSlackPlanner(compiled, params,
                                  dynamic_retransmission_share=1.5, **kwargs)
 
 

@@ -123,12 +123,20 @@ class TestDifferential:
     def test_front_replies_match_solo(self):
         # plan_retransmission, malformed lines and an oversize line are
         # the front's business: byte-identical replies, and the router
-        # counts them under router.*, never service.*.
+        # counts them under router.*, never service.*.  The last
+        # malformed line is an admit whose name fits the front's line
+        # limit but would not fit a shard's admit_batch line.
+        long_admit = (b'{"op":"admit","channel":"A","arrival":1,'
+                      b'"execution":1,"deadline":300,"name":"')
+        long_admit += b"n" * (MAX_LINE_BYTES - len(long_admit) - 10)
+        long_admit += b'"}\n'
         malformed = [b"not json\n", b'{"op": "warp"}\n', b"[]\n",
                      b'{"op": "admit", "id": 5}\n',
-                     b'{"op": "admit_batch", "requests": []}\n']
+                     b'{"op": "admit_batch", "requests": []}\n',
+                     long_admit]
 
         async def body(server, client):
+            early = await client.admit("A", 0, 1, 300, name="early")
             plan = await client.plan_retransmission(
                 {"m1": {"failure_probability": 1e-3, "instances": 20.0},
                  "m2": {"failure_probability": 1e-4, "instances": 10.0}},
@@ -136,6 +144,8 @@ class TestDifferential:
             for line in malformed:
                 await client.send_raw(line)
             await client.ping()  # fence: every error line is answered
+            # The shard kept its ledger: the earlier admit is there.
+            released = await client.release("A", "early")
             host, port = server._server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
             huge = b'{"op": "ping", "id": "' + b"x" * (70 * 1024) + b'"}'
@@ -144,14 +154,19 @@ class TestDifferential:
             closed = await reader.read()
             writer.close()
             await writer.wait_closed()
-            return plan, list(client.unmatched), too_long, closed
+            return (early, released, plan, list(client.unmatched),
+                    too_long, closed)
 
         router, sharded = run(with_router(body))
         service, solo = run(with_service(body))
         assert sharded == solo
-        plan, errors, too_long, closed = solo
+        early, released, plan, errors, too_long, closed = solo
+        assert early["status"] == "accepted"
+        assert released["status"] == "released"
+        assert router.counters.get("router.shard_restarts", 0) == 0
         assert plan["status"] == "ok" and set(plan["budgets"]) == {"m1", "m2"}
         assert [e["status"] for e in errors] == ["error"] * len(malformed)
+        assert "'name' exceeds" in errors[-1]["reason"]
         assert b"request line too long" in too_long and closed == b""
         assert router.counters["router.plans"] == 1
         assert router.counters["router.protocol_errors"] \
@@ -405,8 +420,8 @@ class TestStats:
 
     def test_stats_with_all_shards_down_keeps_queue_limit(self):
         # With every shard unreachable the pinned payload must still
-        # report the deployment's configured capacity, not 0, and the
-        # missing channels must be attributable to a router counter.
+        # report the router's queue capacity, not 0, and the missing
+        # channels must be attributable to a router counter.
         async def body(router, client):
             for link in router.links:
                 if link.client is not None:
@@ -416,9 +431,20 @@ class TestStats:
 
         router, stats = run(with_router(body, health_interval_s=30.0))
         assert set(stats) - {"id"} == set(STATUS_FIELDS)
-        assert stats["queue_limit"] == 2 * 1024
+        assert stats["queue_limit"] == 1024
         assert stats["channels"] == {}
         assert stats["counters"]["router.stats_shards_down"] == 2
+
+    def test_stats_report_the_routers_queue(self):
+        # The router's queue answers "queue full", so its capacity is
+        # the one reported, not the sum over the shards' queues.
+        async def body(router, client):
+            return await client.stats()
+
+        __, stats = run(with_router(body, queue_limit=1))
+        assert len(stats["channels"]) == 2
+        assert stats["queue_limit"] == 1
+        assert stats["queue_depth"] == 0
 
     def test_aggregate_sums_and_weights(self):
         setup = load_service_setup(**SETUP_KWARGS)
@@ -440,15 +466,17 @@ class TestStats:
              "mean_batch_size": 4.0, "queue_depth": 2,
              "queue_limit": 10, "draining": True},
         ]
-        merged = aggregate_stats(setup, payloads, {"router.batches": 7})
+        merged = aggregate_stats(setup, payloads, {"router.batches": 7},
+                                 queue_depth=4, queue_limit=1)
         assert set(merged) == set(STATUS_FIELDS)
         assert merged["counters"]["service.admits"] == 8
         assert merged["counters"]["router.batches"] == 7
         assert merged["batches"] == 8
         # Batch-weighted mean: (2*2 + 6*4) / 8.
         assert merged["mean_batch_size"] == pytest.approx(3.5)
-        assert merged["queue_depth"] == 3
-        assert merged["queue_limit"] == 20
+        # The queue fields are the router's own, not the shards' sums.
+        assert merged["queue_depth"] == 4
+        assert merged["queue_limit"] == 1
         assert merged["draining"] is True
         assert sorted(merged["channels"]) == ["A", "B"]
 

@@ -7,6 +7,7 @@ import pytest
 from repro.service.protocol import (
     MAX_BATCH_REQUESTS,
     MAX_LINE_BYTES,
+    MAX_NAME_LENGTH,
     ProtocolError,
     encode_response,
     parse_request,
@@ -183,3 +184,43 @@ class TestParseAdmitBatch:
                    for i in range(MAX_BATCH_REQUESTS + 1)]
         with pytest.raises(ProtocolError, match="exceeds"):
             parse_request(line(op="admit_batch", requests=entries))
+
+
+class TestNameLength:
+    """``name`` and ``channel`` are bounded so one admit always fits a
+    shard's ``admit_batch`` line."""
+
+    long = "n" * (MAX_NAME_LENGTH + 1)
+
+    def admit(self, **overrides):
+        payload = {"op": "admit", "id": "r1", "channel": "A",
+                   "arrival": 0, "execution": 1, "deadline": 10}
+        payload.update(overrides)
+        return json.dumps(payload)
+
+    def test_longest_name_accepted(self):
+        name = "n" * MAX_NAME_LENGTH
+        assert parse_request(self.admit(name=name)).fields["name"] == name
+
+    @pytest.mark.parametrize("field", ["name", "id", "channel"])
+    def test_admit_rejects_long_name_or_channel(self, field):
+        # A long id is the defaulted name.
+        with pytest.raises(ProtocolError, match="exceeds"):
+            parse_request(self.admit(**{field: self.long}))
+
+    def test_release_rejects_long_name_and_channel(self):
+        for field in ("name", "channel"):
+            payload = {"op": "release", "channel": "A", "name": "j",
+                       field: self.long}
+            with pytest.raises(ProtocolError, match=field):
+                parse_request(json.dumps(payload))
+
+    def test_batch_entry_error_stays_isolated(self):
+        entries = [{"channel": "A", "name": name, "arrival": 0,
+                    "execution": 1, "deadline": 10}
+                   for name in ("t1", self.long, "t3")]
+        parsed = parse_request(line(op="admit_batch",
+                                    requests=entries)).fields["requests"]
+        assert "invalid" not in parsed[0]
+        assert "exceeds" in parsed[1]["invalid"]
+        assert "invalid" not in parsed[2]

@@ -9,19 +9,26 @@ read from it instead of the table.
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.protocol.channel import Channel
-from repro.protocol.schedule import build_dual_schedule
+from repro.protocol.frame import CYCLE_REPETITIONS, Frame
+from repro.protocol.schedule import (
+    ScheduleTable,
+    SlotAssignment,
+    build_dual_schedule,
+)
 from repro.obs import Observability
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import (
-    CYCLES_PER_MATRIX,
     SEGMENT_DYNAMIC,
     SEGMENT_NIT,
     SEGMENT_STATIC,
     CompiledRound,
     compile_round,
 )
+from repro.verify import check_compiled_round
 
 
 @pytest.fixture
@@ -46,14 +53,16 @@ class TestCompileRound:
         for repetition in repetitions:
             expected = math.lcm(expected, repetition)
         assert compiled.pattern_length == expected
-        assert compiled.cycle_count == math.lcm(expected, CYCLES_PER_MATRIX)
-        assert compiled.cycle_count % compiled.pattern_length == 0
+        # One period: the rows span exactly the pattern's cycles.
+        cycle_mt = compiled.params.gd_cycle_mt
+        assert {start // cycle_mt for start in compiled.starts} \
+            == set(range(expected))
 
     def test_owner_agrees_with_table_lookup(self, table, compiled,
                                             small_params):
         """The O(1) owner map is `ScheduleTable.lookup`, precomputed."""
         for channel in (Channel.A, Channel.B):
-            for cycle in range(compiled.cycle_count):
+            for cycle in range(max(CYCLE_REPETITIONS)):
                 for slot in range(
                         1, small_params.g_number_of_static_slots + 1):
                     assert (compiled.owner(channel, cycle, slot)
@@ -62,7 +71,8 @@ class TestCompileRound:
     def test_owner_reduces_cycle_modulo_matrix(self, compiled):
         for channel in (Channel.A, Channel.B):
             for slot in compiled.owned_slots(channel, 0):
-                assert (compiled.owner(channel, compiled.cycle_count, slot)
+                assert (compiled.owner(channel, compiled.pattern_length,
+                                       slot)
                         is compiled.owner(channel, 0, slot))
 
     def test_idle_slots_are_the_ownership_complement(self, compiled,
@@ -102,7 +112,7 @@ class TestCompileRound:
                                                            compiled):
         expected = sum(
             1
-            for cycle in range(compiled.cycle_count)
+            for cycle in range(compiled.pattern_length)
             for channel in (Channel.A, Channel.B)
             for a in table.assignments(channel)
             if a.frame.sends_in_cycle(cycle)
@@ -141,7 +151,7 @@ class TestCompileRound:
                    for e in round_.entries())
 
     def test_static_steps_sorted_with_channel_a_first(self, compiled):
-        for cycle in range(compiled.cycle_count):
+        for cycle in range(compiled.pattern_length):
             steps = compiled.static_steps(cycle)
             assert [s.slot_id for s in steps] == sorted(
                 s.slot_id for s in steps)
@@ -169,28 +179,106 @@ class TestCompiledRoundValidation:
                     owner_nodes=[0] * n, frame_ids=[0] * n,
                     segment_kinds=[SEGMENT_STATIC] * n)
 
-    def test_rejects_nonpositive_cycle_count(self, small_params):
-        with pytest.raises(ValueError, match="cycle_count"):
-            CompiledRound(small_params, [Channel.A], cycle_count=0,
-                          pattern_length=1, **self._arrays(1))
-
-    def test_rejects_nondividing_pattern(self, small_params):
+    def test_rejects_nonpositive_pattern_length(self, small_params):
         with pytest.raises(ValueError, match="pattern_length"):
-            CompiledRound(small_params, [Channel.A], cycle_count=64,
-                          pattern_length=3, **self._arrays(1))
+            CompiledRound(small_params, [Channel.A], pattern_length=0,
+                          **self._arrays(1))
 
     def test_rejects_ragged_arrays(self, small_params):
         arrays = self._arrays(2)
         arrays["ends"] = [1]
         with pytest.raises(ValueError, match="disagree in length"):
-            CompiledRound(small_params, [Channel.A], cycle_count=64,
-                          pattern_length=1, **arrays)
+            CompiledRound(small_params, [Channel.A], pattern_length=1,
+                          **arrays)
 
     def test_rejects_ragged_frames(self, small_params):
         with pytest.raises(ValueError, match="frames length"):
-            CompiledRound(small_params, [Channel.A], cycle_count=64,
-                          pattern_length=1, frames=[None, None],
-                          **self._arrays(1))
+            CompiledRound(small_params, [Channel.A], pattern_length=1,
+                          frames=[None, None], **self._arrays(1))
+
+
+# ----------------------------------------------------------------------
+# One period: random schedules agree with ScheduleTable.lookup
+# ----------------------------------------------------------------------
+
+#: Up to four frames per channel on distinct slots: (slot, repetition,
+#: base seed), the base reduced modulo the repetition.
+_channel_frames = st.lists(
+    st.tuples(st.integers(1, 10), st.sampled_from(CYCLE_REPETITIONS),
+              st.integers(0, 63)),
+    max_size=4, unique_by=lambda frame: frame[0])
+
+
+def _random_table(params, frames_a, frames_b):
+    table = ScheduleTable(params)
+    for channel, frames in ((Channel.A, frames_a), (Channel.B, frames_b)):
+        for slot_id, repetition, base in frames:
+            table.assign(channel, SlotAssignment(slot_id=slot_id, frame=Frame(
+                frame_id=slot_id, message_id=f"{channel.name}{slot_id}",
+                payload_bits=64, producer_ecu=slot_id,
+                base_cycle=base % repetition,
+                cycle_repetition=repetition)))
+    return table
+
+
+class TestOnePeriod:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frames_a=_channel_frames, frames_b=_channel_frames,
+           channels=st.sampled_from([[Channel.A], [Channel.B],
+                                     [Channel.A, Channel.B]]))
+    def test_queries_agree_with_lookup_over_two_matrices(
+            self, small_params, frames_a, frames_b, channels):
+        table = _random_table(small_params, frames_a, frames_b)
+        compiled = compile_round(table, small_params, channels)
+        pattern = math.lcm(1, *(rep for __, rep, ___ in frames_a + frames_b))
+        assert compiled.pattern_length == pattern
+        cycle_mt = small_params.gd_cycle_mt
+        assert {start // cycle_mt for start in compiled.starts} \
+            == set(range(pattern))
+        slots = range(1, small_params.g_number_of_static_slots + 1)
+        for cycle in range(2 * max(CYCLE_REPETITIONS)):
+            steps = {}
+            for channel in (Channel.A, Channel.B):
+                for slot in slots:
+                    expected = table.lookup(channel, cycle, slot)
+                    assert compiled.owner(channel, cycle, slot) is expected
+                    assert compiled.owner_node(channel, cycle, slot) == (
+                        -1 if expected is None else expected.producer_ecu)
+                    if expected is not None:
+                        steps.setdefault(slot, []).append(
+                            (channel, expected))
+                if channel in channels:
+                    assert compiled.idle_slots(channel, cycle) == tuple(
+                        slot for slot in slots
+                        if table.lookup(channel, cycle, slot) is None)
+                else:
+                    assert compiled.idle_slots(channel, cycle) == ()
+            assert [(step.slot_id, list(step.entries))
+                    for step in compiled.static_steps(cycle)] \
+                == sorted(steps.items())
+
+    def test_half_pattern_is_caught_by_frs110(self, small_params):
+        """A round that claims half its true period agrees with the
+        table over its own cycles; only the sweep over every
+        cycle-counter value sees the frame it lost."""
+        table = _random_table(small_params, [(1, 64, 40)], [])
+        full = compile_round(table, small_params, [Channel.A])
+        assert full.pattern_length == 64
+        assert len(check_compiled_round(full, table=table)) == 0
+        half = full.pattern_length // 2
+        keep = [i for i, start in enumerate(full.starts)
+                if start < half * small_params.gd_cycle_mt]
+        names = ("starts", "ends", "actions", "slot_ids", "channel_codes",
+                 "owner_nodes", "frame_ids", "segment_kinds", "frames")
+        short = CompiledRound(
+            small_params, full.channels, pattern_length=half,
+            **{name: [getattr(full, name)[i] for i in keep]
+               for name in names})
+        report = check_compiled_round(short, table=table)
+        assert report.rule_ids() == ["FRS110"]
+        assert [d.location for d in report.diagnostics] \
+            == ["round.A.cycle 40.slot 1"]
 
 
 class TestCompileObservability:
