@@ -17,7 +17,8 @@ end-to-end pipeline, not just the serialized arrays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+import re
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.protocol.channel import Channel
 from repro.protocol.geometry import SegmentGeometry
@@ -41,6 +42,10 @@ PAYLOAD_FORMAT = "repro.check.counterexample/v2"
 
 #: How many generator seeds the geometry scan tries.
 _SCENARIO_SEED_SCAN = 200
+
+#: Row indices in a finding's location (``round.entry 3``, ``round.entry
+#: 1/4 (channel code 0)``); they shift as rows are dropped.
+_ENTRY_ROWS = re.compile(r"(?<=^round\.entry )\d+(/\d+)?")
 
 _ARRAY_FIELDS = ("starts", "ends", "actions", "slot_ids", "channel_codes",
                  "owner_nodes", "frame_ids", "segment_kinds")
@@ -69,9 +74,13 @@ def shrink_round(compiled: CompiledRound, failing_rules: Sequence[str],
 
     Delta debugging over the row indices: repeatedly try dropping
     chunks (halving the chunk size down to single rows) while the
-    predicate -- *at least one of the originally failing rules still
-    errors* -- holds.  The result is 1-minimal in rows: removing any
-    single remaining row makes every original failure disappear.
+    predicate -- *at least one of the original findings still errors*
+    -- holds.  A finding is its rule id and location, with the row
+    indices of a ``round.entry`` location read as rows of the original
+    round, so a candidate must keep a violation it started from, not
+    one its own dropped rows created.  The result is 1-minimal in
+    rows: removing any single remaining row makes every original
+    finding disappear.
 
     Args:
         compiled: The violating round.
@@ -84,15 +93,20 @@ def shrink_round(compiled: CompiledRound, failing_rules: Sequence[str],
     """
     wanted = set(failing_rules)
 
-    def still_fails(candidate: Optional[CompiledRound]) -> bool:
+    def findings(rows: Sequence[int]) -> Set[Tuple[str, str]]:
+        """Wanted error findings on ``rows``, located in original rows."""
+        candidate = _rebuild(compiled, rows)
         if candidate is None:
-            return False
-        report = check(candidate)
-        return any(d.rule_id in wanted
-                   for d in report if d.severity.value == "error")
+            return set()
+        return {(d.rule_id, _ENTRY_ROWS.sub(lambda match: "/".join(
+                    str(rows[int(i)]) for i in match.group().split("/")),
+                    d.location))
+                for d in check(candidate)
+                if d.severity.value == "error" and d.rule_id in wanted}
 
     keep = list(range(len(compiled.starts)))
-    if not still_fails(_rebuild(compiled, keep)):
+    original_findings = findings(keep)
+    if not original_findings:
         # The violation does not survive an array-only rebuild (e.g. it
         # lives in an idle_slots_override the arrays cannot carry):
         # return the round as-is rather than shrinking toward a
@@ -104,8 +118,7 @@ def shrink_round(compiled: CompiledRound, failing_rules: Sequence[str],
         start = 0
         while start < len(keep):
             candidate_keep = keep[:start] + keep[start + chunk:]
-            candidate = _rebuild(compiled, candidate_keep)
-            if still_fails(candidate):
+            if original_findings & findings(candidate_keep):
                 keep = candidate_keep
                 shrunk = True
             else:

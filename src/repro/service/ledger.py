@@ -31,18 +31,17 @@ candidate's arrival and deadlines >= the candidate's deadline -- the
 state invariant ("the live set satisfies the criterion") carries the
 rest.
 
-The ledger maintains three incremental aggregates next to the
-authoritative live-set map -- total committed demand, per-deadline
-demand, per-arrival demand -- and :meth:`reconcile` rebuilds all of
-them from scratch, asserting agreement (and self-healing plus counting
-any divergence, which tests and the service's periodic reconciliation
-pass require to be zero).
+The ledger's one structure is the live set as a list in EDF order,
+which admission, window slack, expiry and stats all read;
+:meth:`reconcile` rebuilds it from the by-name map and compares
+(self-healing plus counting any divergence, which tests and the
+service's periodic reconciliation pass require to be zero).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.slack_stealing import CapacityProfile, SlackStealer
@@ -88,7 +87,6 @@ class ReconcileResult:
     """Outcome of one full-recompute reconciliation pass."""
 
     divergences: Tuple[str, ...]
-    live: int
     committed: int
 
     @property
@@ -97,40 +95,9 @@ class ReconcileResult:
         return not self.divergences
 
 
-@dataclass(frozen=True)
-class _Admitted:
-    """One live (admitted, not yet released/expired) task."""
-
-    name: str
-    arrival: int
-    deadline: int  # absolute
-    execution: int
-
-
-@dataclass
-class _Aggregates:
-    """The incrementally maintained bookkeeping (reconciliation target)."""
-
-    committed: int = 0
-    demand_by_deadline: Dict[int, int] = field(default_factory=dict)
-    demand_by_arrival: Dict[int, int] = field(default_factory=dict)
-
-    def add(self, task: _Admitted) -> None:
-        self.committed += task.execution
-        self.demand_by_deadline[task.deadline] = (
-            self.demand_by_deadline.get(task.deadline, 0) + task.execution)
-        self.demand_by_arrival[task.arrival] = (
-            self.demand_by_arrival.get(task.arrival, 0) + task.execution)
-
-    def remove(self, task: _Admitted) -> None:
-        self.committed -= task.execution
-        for table, key in ((self.demand_by_deadline, task.deadline),
-                           (self.demand_by_arrival, task.arrival)):
-            remaining = table[key] - task.execution
-            if remaining:
-                table[key] = remaining
-            else:
-                del table[key]
+#: ``(absolute deadline, arrival, name, execution)``; names are unique
+#: among live tasks, so tuple order is EDF ``(deadline, arrival, name)``.
+_Live = Tuple[int, int, str, int]
 
 
 class SlackLedger:
@@ -165,10 +132,9 @@ class SlackLedger:
                 tasks, horizon=horizon).capacity_profile()
         self._horizon = self._profile.horizon
         self._now = 0
-        self._live: Dict[str, _Admitted] = {}
-        # (deadline, arrival, name) kept sorted for window scans.
-        self._order: List[Tuple[int, int, str]] = []
-        self._agg = _Aggregates()
+        self._live: Dict[str, _Live] = {}
+        # The same tuples, sorted: the order capacity is consumed in.
+        self._order: List[_Live] = []
         self._admitted_total = 0
         self._rejected_total = 0
         self._released_total = 0
@@ -186,25 +152,14 @@ class SlackLedger:
         """Current logical time (ticks)."""
         return self._now
 
-    @property
-    def live_names(self) -> List[str]:
-        """Names of currently guaranteed tasks (sorted)."""
-        return sorted(self._live)
-
     def live_tasks(self) -> List[Tuple[str, int, int, int]]:
         """Live tasks as ``(name, arrival, absolute_deadline, execution)``.
 
         Sorted by (deadline, arrival, name): the order the capacity is
         consumed under EDF service.
         """
-        return [(name, self._live[name].arrival, deadline,
-                 self._live[name].execution)
-                for deadline, __, name in self._order]
-
-    @property
-    def profile(self) -> CapacityProfile:
-        """The compiled capacity function the ledger accounts against."""
-        return self._profile
+        return [(name, arrival, deadline, execution)
+                for deadline, arrival, name, execution in self._order]
 
     @property
     def extrapolates(self) -> bool:
@@ -226,25 +181,25 @@ class SlackLedger:
     def advance(self, now: int) -> List[str]:
         """Advance the logical clock (monotone) and expire the past.
 
-        A task whose absolute deadline is ``<= now`` is over -- either
-        it was served in time (its slot consumption is behind us) or it
-        is unsalvageable; either way its window no longer constrains
-        new admissions, so its demand is reclaimed.  Exact-boundary
-        semantics match :meth:`AcceptanceTest.expire`: ``deadline ==
-        now`` expires.
+        A task whose absolute deadline is ``<= now`` leaves the live set
+        (boundary as :meth:`AcceptanceTest.expire`).  This is not sound:
+        the capacity it used is forgotten, but a live task that arrived
+        before its deadline is still checked against windows from its
+        own arrival, which it shared -- so the ledger can over-admit
+        (``tests/service/test_ledger.py::TestSoundness``).
 
         Returns:
             Names of expired tasks (deadline order).
         """
         if now > self._now:
             self._now = now
-        expired: List[str] = []
-        while self._order and self._order[0][0] <= self._now:
-            deadline, arrival, name = self._order.pop(0)
-            task = self._live.pop(name)
-            self._agg.remove(task)
-            expired.append(name)
+        # (now + 1,) sorts before every tuple whose deadline is now + 1.
+        cut = bisect.bisect_left(self._order, (self._now + 1,))
+        expired = [name for __, __, name, __ in self._order[:cut]]
         if expired:
+            del self._order[:cut]
+            for name in expired:
+                del self._live[name]
             self._expired_total += len(expired)
             if self._obs.enabled:
                 self._obs.inc(f"service.{self._channel}.expired",
@@ -265,7 +220,7 @@ class SlackLedger:
 
         Returns:
             An :class:`AdmitOutcome`; on admission the task joins the
-            live set and its demand the incremental aggregates.
+            live set.
         """
         if execution < 1:
             return self._reject("execution must be >= 1", 0, 0)
@@ -300,11 +255,9 @@ class SlackLedger:
             return self._reject("committed demand exceeds window slack",
                                 effective, absolute, margin)
 
-        task = _Admitted(name=name, arrival=effective, deadline=absolute,
-                         execution=execution)
+        task = (absolute, effective, name, execution)
         self._live[name] = task
-        bisect.insort(self._order, (absolute, effective, name))
-        self._agg.add(task)
+        bisect.insort(self._order, task)
         self._admitted_total += 1
         if self._obs.enabled:
             self._obs.inc(f"service.{self._channel}.admitted")
@@ -323,8 +276,8 @@ class SlackLedger:
 
     def _window_demand(self, start: int, end: int) -> int:
         """Committed demand of live tasks contained in ``[start, end]``."""
-        return sum(t.execution for t in self._live.values()
-                   if t.arrival >= start and t.deadline <= end)
+        return sum(execution for deadline, arrival, __, execution
+                   in self._order if arrival >= start and deadline <= end)
 
     def _demand_criterion_margin(self, arrival: int, deadline: int,
                                  execution: int) -> int:
@@ -336,24 +289,21 @@ class SlackLedger:
         those pairs, where ``demand'`` includes the candidate -- the
         admission is safe iff the margin is >= 0.
         """
-        starts = sorted({t.arrival for t in self._live.values()
-                         if t.arrival <= arrival} | {arrival})
-        ends = sorted({t.deadline for t in self._live.values()
-                       if t.deadline >= deadline} | {deadline})
-        # Tasks sorted by deadline once; each start then accumulates
-        # demand in one sweep over the relevant ends.
-        by_deadline = sorted(self._live.values(),
-                             key=lambda t: (t.deadline, t.arrival, t.name))
+        order = self._order
+        starts = sorted({task[1] for task in order
+                         if task[1] <= arrival} | {arrival})
+        ends = sorted({task[0] for task in order
+                       if task[0] >= deadline} | {deadline})
+        live = len(order)
         margin: Optional[int] = None
         for a in starts:
             cumulative = execution  # the candidate sits in every pair
             index = 0
             for d in ends:
-                while (index < len(by_deadline)
-                       and by_deadline[index].deadline <= d):
-                    task = by_deadline[index]
-                    if task.arrival >= a:
-                        cumulative += task.execution
+                while index < live and order[index][0] <= d:
+                    task = order[index]
+                    if task[1] >= a:  # arrival
+                        cumulative += task[3]  # execution
                     index += 1
                 slack = self.capacity(d) - self.capacity(a) - cumulative
                 if margin is None or slack < margin:
@@ -371,8 +321,7 @@ class SlackLedger:
         task = self._live.pop(name, None)
         if task is None:
             return False
-        self._order.remove((task.deadline, task.arrival, name))
-        self._agg.remove(task)
+        self._order.remove(task)
         self._released_total += 1
         if self._obs.enabled:
             self._obs.inc(f"service.{self._channel}.released")
@@ -381,38 +330,22 @@ class SlackLedger:
     # -- reconciliation ------------------------------------------------
 
     def reconcile(self) -> ReconcileResult:
-        """Recompute every incremental aggregate and assert agreement.
+        """Rebuild the EDF order from the live set and assert agreement.
 
-        Rebuilds the committed total, the per-deadline and per-arrival
-        demand tables and the deadline-sorted order from the live-set
-        map, compares field by field with the incrementally maintained
-        copies, and -- if anything diverged -- adopts the recomputed
-        truth (self-heal) so one bug cannot silently poison every later
-        admission.
+        Sorts the by-name live map afresh, compares it with the
+        incrementally maintained order every decision reads, and -- if
+        they differ -- adopts the rebuilt order (self-heal) so one bug
+        cannot silently poison every later admission.
         """
-        recomputed = _Aggregates()
-        for task in sorted(self._live.values(), key=lambda t: t.name):
-            recomputed.add(task)
-        order = sorted((t.deadline, t.arrival, t.name)
-                       for t in self._live.values())
-
+        order = sorted(self._live.values())
         divergences: List[str] = []
-        if recomputed.committed != self._agg.committed:
-            divergences.append(
-                f"committed: incremental {self._agg.committed} "
-                f"!= recomputed {recomputed.committed}")
-        if recomputed.demand_by_deadline != self._agg.demand_by_deadline:
-            divergences.append("demand_by_deadline tables differ")
-        if recomputed.demand_by_arrival != self._agg.demand_by_arrival:
-            divergences.append("demand_by_arrival tables differ")
         if order != self._order:
-            divergences.append("deadline order index differs")
-        if divergences:
-            self._agg = recomputed
+            rebuilt, kept = set(order), set(self._order)
+            divergences.append(f"deadline order: {len(rebuilt - kept)} "
+                               f"missing, {len(kept - rebuilt)} phantom")
             self._order = order
         return ReconcileResult(divergences=tuple(divergences),
-                               live=len(self._live),
-                               committed=recomputed.committed)
+                               committed=sum(task[3] for task in order))
 
     # -- stats ---------------------------------------------------------
 
@@ -430,9 +363,10 @@ class SlackLedger:
             window = self._horizon - min(self._now, self._horizon)
         upcoming = (self.capacity(self._now + window)
                     - self.capacity(self._now))
+        committed = sum(task[3] for task in self._order)
         return LedgerStats(
             live=len(self._live),
-            committed=self._agg.committed,
+            committed=committed,
             admitted_total=self._admitted_total,
             rejected_total=self._rejected_total,
             released_total=self._released_total,
@@ -440,5 +374,5 @@ class SlackLedger:
             now=self._now,
             horizon=self._horizon,
             capacity_total=self.capacity(self._horizon),
-            capacity_remaining=upcoming - self._agg.committed,
+            capacity_remaining=upcoming - committed,
         )

@@ -427,15 +427,6 @@ class AdmissionService(AdmissionFront):
             channel: SlackLedger(tasks, obs=obs, channel=channel)
             for channel, tasks in sorted(setup.channel_tasks.items())
         }
-        # The offline reference admission test, held live per channel
-        # for sampled audits of the incremental fast path.
-        self.acceptance: Dict[str, AcceptanceTest] = {
-            channel: AcceptanceTest(tasks)
-            for channel, tasks in sorted(setup.channel_tasks.items())
-            if len(tasks)
-        }
-        self._batches = 0
-        self._batched_requests = 0
 
     async def _finish_drain(self) -> None:
         if self._reconcile_every:
@@ -443,19 +434,19 @@ class AdmissionService(AdmissionFront):
             # must leave provably consistent books behind.
             self.reconcile()
         if self._store is not None:
+            counters = dict(sorted(self.counters.items()))
+            batches = counters.get("service.batches", 0)
             self._store.record_service_audit(
                 self.setup.workload, self.setup.engine_mode, "drain",
-                ordinal=self._batches,
-                payload={"counters": dict(sorted(self.counters.items())),
-                         "batches": self._batches,
-                         "batched_requests": self._batched_requests})
+                ordinal=batches,
+                payload={"counters": counters, "batches": batches,
+                         "batched_requests": counters.get(
+                             "service.batch.requests", 0)})
         await super()._finish_drain()
 
     async def _process_batch(
             self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
         """One slack-accounting pass over a coalesced batch (no awaits)."""
-        self._batches += 1
-        self._batched_requests += len(batch)
         self._count("service.batches")
         self._count("service.batch.requests", len(batch))
         if self._obs.enabled:
@@ -464,22 +455,13 @@ class AdmissionService(AdmissionFront):
             releases, admits = self._split(batch)
             for request, sink in releases:
                 sink(self._release(request))
-            # Advance each channel clock once per batch, to the
-            # earliest arrival in the batch: expiry reclaims slack
-            # before any admission is tested.
-            arrivals: Dict[str, int] = {}
-            for request, __ in admits:
-                channel = str(request.fields["channel"])
-                arrival = int(request.fields["arrival"])  # type: ignore[arg-type]
-                if channel in self.ledgers:
-                    arrivals[channel] = min(
-                        arrivals.get(channel, arrival), arrival)
-            for channel in sorted(arrivals):
-                self.ledgers[channel].advance(arrivals[channel])
+            # Each admit first advances its channel's clock to its own
+            # arrival (see _admit): expiry precedes every test.
             for request, sink in admits:
                 sink(self._admit(request))
         if (self._reconcile_every
-                and self._batches % self._reconcile_every == 0):
+                and self.counters["service.batches"]
+                % self._reconcile_every == 0):
             self.reconcile()
 
     def _admit(self, request: Request) -> Dict[str, object]:
@@ -550,10 +532,9 @@ class AdmissionService(AdmissionFront):
 
             reference = AcceptanceTest(tasks)
             agreed = True
-            live = 0
-            for name, arrival, deadline, execution in ledger.live_tasks():
+            live = ledger.live_tasks()
+            for name, arrival, deadline, execution in live:
                 # Rebuild the live set as offline aperiodic tasks.
-                live += 1
                 result = reference.admit(AperiodicTask(
                     name=name, arrival=arrival, execution=execution,
                     deadline=deadline - arrival))
@@ -566,7 +547,7 @@ class AdmissionService(AdmissionFront):
                 self.setup.workload, self.setup.engine_mode, "audit",
                 ordinal=self.counters.get("service.audit.runs", 0),
                 payload={"channel": channel, "agreed": agreed,
-                         "live": live, "admitted_total": admitted})
+                         "live": len(live), "admitted_total": admitted})
 
     # -- reconciliation ------------------------------------------------
 
@@ -599,8 +580,9 @@ class AdmissionService(AdmissionFront):
             stats = self.ledgers[channel].stats()
             channels[channel] = {field: getattr(stats, field)
                                  for field in CHANNEL_STATUS_FIELDS}
-        mean_batch = (self._batched_requests / self._batches
-                      if self._batches else 0.0)
+        batches = self.counters.get("service.batches", 0)
+        mean_batch = (self.counters.get("service.batch.requests", 0)
+                      / batches if batches else 0.0)
         values = {
             "status": "ok",
             "workload": self.setup.workload,
@@ -608,7 +590,7 @@ class AdmissionService(AdmissionFront):
             "engine_mode": self.setup.engine_mode,
             "channels": channels,
             "counters": dict(sorted(self.counters.items())),
-            "batches": self._batches,
+            "batches": batches,
             "mean_batch_size": round(mean_batch, 3),
             "queue_depth": self._queue.qsize(),
             "queue_limit": self._queue_limit,

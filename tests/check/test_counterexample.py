@@ -34,6 +34,19 @@ class TestShrink:
         report = check_hyperperiod_model(shrunk)
         assert "MDL401" in report.rule_ids()
 
+    def test_shrinking_keeps_an_original_violation(self, nit_params):
+        # With a NIT in every cycle, dropping rows creates a different
+        # MDL401 (cycle 0 no longer tiled); the shrinker must not trade
+        # the original "outside the round" rows for it.
+        liar = build_liar_round(nit_params)
+        shrunk = shrink_round(
+            liar, ["MDL401"],
+            lambda candidate: check_hyperperiod_model(candidate))
+        assert len(shrunk) >= 1
+        messages = [d.message for d in check_hyperperiod_model(shrunk)
+                    if d.rule_id == "MDL401"]
+        assert any("outside the round" in m for m in messages)
+
     def test_clean_round_is_returned_unchanged(self, nit_params):
         clean = build_tiny_round(nit_params)
         shrunk = shrink_round(
