@@ -279,9 +279,8 @@ def _cmd_campaign_coordinated(args) -> int:
     try:
         campaign, report = coordinate_campaign(
             args.coordinate, plan=plan, join=args.join,
-            worker_id=args.worker_id, heartbeat_s=args.heartbeat_s,
-            stale_after_s=args.stale_after_s,
-            timeout_s=args.coordinate_timeout_s, obs=obs)
+            worker_id=args.worker_id, timeout_s=args.coordinate_timeout_s,
+            obs=obs)
     except (ConfigurationError, ValueError, TimeoutError,
             FileNotFoundError) as error:
         print(f"repro campaign: coordination failed: {error}",
@@ -820,13 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--worker-id", default=None,
         help="stable lease identity (default: host-pid)")
-    campaign_parser.add_argument(
-        "--heartbeat-s", type=float, default=1.0,
-        help="lease heartbeat interval in seconds (default 1.0)")
-    campaign_parser.add_argument(
-        "--stale-after-s", type=float, default=6.0,
-        help="age after which an untouched lease may be taken over "
-             "(default 6.0; must be >= 3x the heartbeat)")
     campaign_parser.add_argument(
         "--coordinate-timeout-s", type=float, default=None,
         help="give up after this many seconds without claimable work "

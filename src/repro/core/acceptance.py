@@ -59,7 +59,7 @@ class AcceptanceTest:
 
     @property
     def guaranteed(self) -> List[AperiodicTask]:
-        """Previously admitted, not-yet-expired hard aperiodics."""
+        """Every hard aperiodic admitted so far."""
         return list(self._guaranteed)
 
     def quick_reject(self, task: AperiodicTask) -> bool:
@@ -135,17 +135,3 @@ class AcceptanceTest:
             reason="trial schedule meets all deadlines",
             projected_completion=outcome.aperiodic_completions[task.name],
         )
-
-    def expire(self, now: int) -> int:
-        """Drop guaranteed tasks whose deadline already passed.
-
-        Returns:
-            Number of entries removed.  Called as time advances so the
-            guaranteed set (and trial-schedule cost) stays small.
-        """
-        before = len(self._guaranteed)
-        self._guaranteed = [
-            g for g in self._guaranteed
-            if (g.absolute_deadline or now) > now
-        ]
-        return before - len(self._guaranteed)

@@ -2,16 +2,17 @@
 
 Protocol (everything under one coordination directory)::
 
-    plan.json      the agreed spec (plan.py; O_EXCL first-writer-wins)
-    leases/        per-range lease files (lease.py; heartbeat mtimes)
+    plan.json      the agreed spec (plan.py; first link wins)
+    leases/        per-range lease files (lease.py; held by flock)
     cache/         content-addressed seed cache (experiments/cache.py)
     done/          per-range done markers (atomic temp+replace)
     results.db     shared SQLite result store (idempotent ingest)
 
 Workers scan the plan's seed ranges in order: a range with a done
-marker is finished, a range with a fresh foreign lease is someone
-else's, anything else gets claimed (taking over stale leases of
-crashed workers).  A claimed range runs seed by seed through the exact
+marker is finished, a range whose lease is locked is someone else's,
+anything else gets claimed -- including the lease a crashed worker
+left behind, whose lock the kernel dropped when it died.  A claimed
+range runs seed by seed through the exact
 :func:`repro.experiments.campaign._execute_seed` path the in-process
 pool uses, publishing each completed seed into the shared cache (and
 its run row into the shared store) *before* the range's done marker is
@@ -76,7 +77,6 @@ class WorkerReport:
     seeds_simulated: int = 0
     cache_hits: int = 0
     takeovers: int = 0
-    leases_lost: int = 0
 
     def row(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -107,7 +107,6 @@ def _write_done(directory: str, claim: str, index: int,
 
 
 def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
-               heartbeat_s: float = 1.0, stale_after_s: float = 6.0,
                poll_s: float = 0.25, timeout_s: Optional[float] = None,
                obs: ObsLike = NULL_OBS,
                record_runs: bool = True) -> WorkerReport:
@@ -115,8 +114,8 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
 
     Returns when every range of the plan has a done marker.  Raises
     :class:`TimeoutError` when ``timeout_s`` elapses with unfinished
-    ranges this worker cannot claim (held fresh by someone else who
-    never finishes).
+    ranges this worker cannot claim (held by someone else who never
+    finishes).
     """
     kwargs = plan.experiment_kwargs()
     cache = CampaignCache(os.path.join(directory, CACHE_DIRNAME), obs=obs)
@@ -135,70 +134,62 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
 
         store = ResultStore(os.path.join(directory, RESULTS_DBNAME),
                             obs=obs)
-    leases = LeaseDirectory(
-        os.path.join(directory, LEASES_DIRNAME), worker_id,
-        heartbeat_s=heartbeat_s, stale_after_s=stale_after_s)
+    leases = LeaseDirectory(os.path.join(directory, LEASES_DIRNAME),
+                            worker_id)
     try:
-        with leases:
-            while True:
-                progress = False
-                remaining = 0
-                for claim, index, seeds in claims:
-                    if os.path.exists(_done_path(directory, claim)):
-                        continue
-                    remaining += 1
-                    if not leases.acquire(claim):
-                        continue
-                    if os.path.exists(_done_path(directory, claim)):
-                        # Finished by a presumed-dead worker that was
-                        # merely slow; nothing left to do here.
-                        leases.release(claim)
-                        continue
-                    progress = True
-                    try:
-                        for seed in seeds:
-                            key = cache.key_for(plan.scheduler, seed,
-                                                kwargs)
-                            entry = cache.load(key, need_obs=True)
-                            if entry is None:
-                                result, snapshot = _execute_seed(
-                                    _SeedTask(
-                                        index=index, seed=seed,
-                                        attempt=0,
-                                        scheduler=plan.scheduler,
-                                        collect_obs=True,
-                                        crash_attempts=0,
-                                        experiment_kwargs=dict(kwargs)))
-                                cache.store(key, result, snapshot)
-                                report.seeds_simulated += 1
-                            else:
-                                result = entry.result
-                                report.cache_hits += 1
-                            if store is not None:
-                                store.record_run(result, seed, kwargs)
-                            seeds_done += 1
-                            if (kill_after is not None
-                                    and seeds_done >= kill_after):
-                                os.kill(os.getpid(), signal.SIGKILL)
-                        _write_done(directory, claim, index, seeds,
-                                    worker_id)
-                        report.ranges_completed += 1
-                    finally:
-                        leases.release(claim)
-                if remaining == 0:
-                    break
-                if not progress:
-                    if (deadline is not None
-                            and time.monotonic() > deadline):
-                        raise TimeoutError(
-                            f"worker {worker_id}: {remaining} ranges "
-                            f"still unfinished after {timeout_s}s")
-                    time.sleep(poll_s)
+        while True:
+            progress = False
+            remaining = 0
+            for claim, index, seeds in claims:
+                if os.path.exists(_done_path(directory, claim)):
+                    continue
+                remaining += 1
+                if not leases.acquire(claim):
+                    continue
+                if os.path.exists(_done_path(directory, claim)):
+                    # Finished and released by another worker since
+                    # the check above; nothing left to do here.
+                    leases.release(claim)
+                    continue
+                progress = True
+                try:
+                    for seed in seeds:
+                        key = cache.key_for(plan.scheduler, seed, kwargs)
+                        entry = cache.load(key, need_obs=True)
+                        if entry is None:
+                            result, snapshot = _execute_seed(
+                                _SeedTask(
+                                    index=index, seed=seed, attempt=0,
+                                    scheduler=plan.scheduler,
+                                    collect_obs=True, crash_attempts=0,
+                                    experiment_kwargs=dict(kwargs)))
+                            cache.store(key, result, snapshot)
+                            report.seeds_simulated += 1
+                        else:
+                            result = entry.result
+                            report.cache_hits += 1
+                        if store is not None:
+                            store.record_run(result, seed, kwargs)
+                        seeds_done += 1
+                        if (kill_after is not None
+                                and seeds_done >= kill_after):
+                            os.kill(os.getpid(), signal.SIGKILL)
+                    _write_done(directory, claim, index, seeds, worker_id)
+                    report.ranges_completed += 1
+                finally:
+                    leases.release(claim)
+            if remaining == 0:
+                break
+            if not progress:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"worker {worker_id}: {remaining} ranges still "
+                        f"unfinished after {timeout_s}s")
+                time.sleep(poll_s)
     finally:
         if store is not None:
             store.close()
     report.takeovers = leases.takeovers
-    report.leases_lost = leases.lost
     return report
 
 
@@ -228,8 +219,6 @@ def coordinate_campaign(directory: str,
                         plan: Optional[CampaignPlan] = None,
                         join: bool = False,
                         worker_id: Optional[str] = None,
-                        heartbeat_s: float = 1.0,
-                        stale_after_s: float = 6.0,
                         poll_s: float = 0.25,
                         timeout_s: Optional[float] = None,
                         plan_wait_s: float = 30.0,
@@ -246,8 +235,7 @@ def coordinate_campaign(directory: str,
             until no ranges remain, then return *without* reducing
             (the coordinating process reduces).
         worker_id: Stable identity for leases (default: host-pid).
-        heartbeat_s/stale_after_s/poll_s/timeout_s: Lease/scan knobs,
-            see :func:`run_worker`.
+        poll_s/timeout_s: Scan knobs, see :func:`run_worker`.
         plan_wait_s: How long a plan-less joiner waits for plan.json.
         obs: Observability context (reducer side).
 
@@ -278,10 +266,8 @@ def coordinate_campaign(directory: str,
         raise ValueError("coordinate_campaign needs a plan unless "
                          "joining an existing campaign")
 
-    report = run_worker(
-        plan, directory, worker_id, heartbeat_s=heartbeat_s,
-        stale_after_s=stale_after_s, poll_s=poll_s, timeout_s=timeout_s,
-        obs=obs)
+    report = run_worker(plan, directory, worker_id, poll_s=poll_s,
+                        timeout_s=timeout_s, obs=obs)
     if join:
         return None, report
     return reduce_campaign(plan, directory, obs=obs), report

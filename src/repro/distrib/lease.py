@@ -1,35 +1,34 @@
-"""Lease files: atomic work claims over a shared directory.
+"""Lease files: exclusive work claims over a shared directory.
 
 The campaign coordinator needs exactly one primitive: *at most one
-live worker believes it owns a work item*.  POSIX gives it to us
-without a server:
+live worker owns a work item*.  A lease is an exclusive ``flock`` on
+``<name>.lease``, held for as long as the claim is:
 
-- **Claim** = ``O_CREAT | O_EXCL`` creation of ``<name>.lease`` --
-  atomic on every local filesystem and on NFSv3+.
-- **Heartbeat** = a background thread touching every held lease's
-  mtime; a worker that dies (even via SIGKILL) simply stops touching.
-- **Stale takeover** = a lease whose mtime is older than
-  ``stale_after_s`` may be stolen: the thief ``rename``\\ s it to a
-  unique tombstone (two racing thieves cannot both win a rename of the
-  same inode -- the loser gets ENOENT), unlinks the tombstone, then
-  claims fresh via ``O_EXCL`` again.  A live owner's lease is never
-  unlinked: release verifies ownership first.
+- **Claim** = open (creating if missing) the file, then
+  ``flock(LOCK_EX | LOCK_NB)``, then write the claimer's identity into
+  it.  A lock is held per open file description, so a second claim of
+  a held name fails even inside the holding process.
+- **Death** = the kernel drops the lock when its holder exits, SIGKILL
+  included.  An unlocked lease file that carries an identity was left
+  by a dead worker; claiming it counts as a takeover.  Nothing guesses
+  liveness from time: a dead worker's range can be claimed at once,
+  and a live worker that is slow or stopped never loses its range.
+- **Release** = unlink the file while still holding the lock, then
+  close it.  A claimer that opened the path just before the unlink
+  locks an orphaned inode; it sees that the path no longer names that
+  inode and gives up.
 
-The protocol is safe but not lock-perfect: a worker paused longer than
-``stale_after_s`` (not dead, just slow) can lose its lease and both
-workers then run the same seeds.  The substrate makes that benign --
-cache writes are atomic last-write-wins of identical content and store
-ingest is idempotent -- so a double claim costs wasted work, never
-wrong results.
+On a local filesystem this is exact.  On NFS, the Linux client maps
+``flock`` to NFS byte-range locks, and a crashed client's locks clear
+when the server's lock lease expires.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
-import threading
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["LeaseDirectory"]
 
@@ -46,171 +45,58 @@ class LeaseDirectory:
         root: Lease directory (created if missing); every cooperating
             worker must use the same path (a shared filesystem is the
             only coordination substrate).
-        worker_id: This worker's identity, written into claimed leases
-            and verified before release.
-        heartbeat_s: Interval of the mtime-touch thread.
-        stale_after_s: Age beyond which an untouched lease is presumed
-            dead and may be taken over.  Must comfortably exceed
-            ``heartbeat_s`` (a 3x margin is enforced).
+        worker_id: This worker's identity, written into claimed leases.
 
-    Use as a context manager to run the heartbeat thread::
+    Usage::
 
-        with LeaseDirectory(root, "worker-1") as leases:
-            if leases.acquire("range-0003"):
-                ...
-                leases.release("range-0003")
+        leases = LeaseDirectory(root, "worker-1")
+        if leases.acquire("range-0003"):
+            ...
+            leases.release("range-0003")
     """
 
-    def __init__(self, root: str, worker_id: str,
-                 heartbeat_s: float = 1.0,
-                 stale_after_s: float = 6.0) -> None:
-        if heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive")
-        if stale_after_s < 3 * heartbeat_s:
-            raise ValueError(
-                f"stale_after_s ({stale_after_s}) must be >= 3x "
-                f"heartbeat_s ({heartbeat_s}); a slow heartbeat would "
-                f"look dead")
+    def __init__(self, root: str, worker_id: str) -> None:
         self.root = root
         self.worker_id = worker_id
-        self.heartbeat_s = heartbeat_s
-        self.stale_after_s = stale_after_s
         os.makedirs(root, exist_ok=True)
-        self._held: Dict[str, str] = {}  # name -> path
-        self._mutex = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        #: Takeovers this worker performed (observability for tests).
+        self._held: Dict[str, int] = {}  # name -> locked fd
+        #: Leases of dead workers this worker claimed.
         self.takeovers = 0
-        #: Held leases that vanished underneath us (we were presumed
-        #: dead and taken over); work continues, results stay correct.
-        self.lost = 0
-
-    # -- paths ---------------------------------------------------------
 
     def path_for(self, name: str) -> str:
         return os.path.join(self.root, f"{_sanitize(name)}.lease")
 
-    # -- claim / release -----------------------------------------------
-
     def acquire(self, name: str) -> bool:
-        """Claim ``name``; takes over a stale lease.  True on success."""
+        """Claim ``name``; True on success, False if someone holds it."""
         path = self.path_for(name)
-        if self._try_create(name, path):
-            return True
+        fd = os.open(path, os.O_CREAT | os.O_RDWR)
         try:
-            stat = os.stat(path)
-        except FileNotFoundError:
-            # Released between our O_EXCL failure and the stat: retry.
-            return self._try_create(name, path)
-        if time.time() - stat.st_mtime < self.stale_after_s:
-            return False  # held and fresh elsewhere
-        # Stale: rename to a unique tombstone.  Exactly one racing
-        # thief wins the rename; losers get FileNotFoundError.
-        tombstone = (f"{path}.tomb.{_sanitize(self.worker_id)}."
-                     f"{os.urandom(4).hex()}")
-        try:
-            # Re-check staleness immediately before the rename: a rival
-            # thief may have completed its takeover (tombstone + fresh
-            # O_EXCL recreate) since our first stat, and renaming that
-            # *live* lease would hand the same range to two workers.
-            if time.time() - os.stat(path).st_mtime < self.stale_after_s:
-                return False  # revived underneath us
-            os.rename(path, tombstone)
-        except FileNotFoundError:
-            return False  # somebody else took it over (or released it)
-        try:
-            os.unlink(tombstone)
-        except FileNotFoundError:  # pragma: no cover - nothing shares it
-            pass
-        claimed = self._try_create(name, path)
-        if claimed:
-            self.takeovers += 1
-        return claimed
-
-    def _try_create(self, name: str, path: str) -> bool:
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            stat = os.fstat(fd)
+            # The holder may have released (unlinked) between our open
+            # and our lock: then we locked an inode nobody else sees.
+            if stat.st_ino != os.stat(path).st_ino:
+                raise FileNotFoundError(path)
+        except (BlockingIOError, FileNotFoundError):
+            os.close(fd)
             return False
-        with os.fdopen(fd, "w") as handle:
-            json.dump({"worker": self.worker_id, "pid": os.getpid()},
-                      handle)
-        with self._mutex:
-            self._held[name] = path
+        if stat.st_size:
+            # A holder wrote its identity and died without releasing.
+            self.takeovers += 1
+            os.ftruncate(fd, 0)
+        os.write(fd, json.dumps({"worker": self.worker_id,
+                                 "pid": os.getpid()}).encode())
+        self._held[name] = fd
         return True
 
     def release(self, name: str) -> None:
-        """Drop a held lease -- only if it is still ours.
-
-        If the lease was taken over while we were presumed dead, the
-        file now belongs to the thief and is left untouched.
-        """
-        with self._mutex:
-            path = self._held.pop(name, None)
-        if path is None:
+        """Drop a held lease: unlink under the lock, then unlock."""
+        fd = self._held.pop(name, None)
+        if fd is None:
             return
-        if self.owner(name) == self.worker_id:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-
-    def owner(self, name: str) -> Optional[str]:
-        """Worker id currently holding ``name`` (None when unheld)."""
-        try:
-            with open(self.path_for(name), "r") as handle:
-                payload = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-        worker = payload.get("worker") if isinstance(payload, dict) \
-            else None
-        return worker if isinstance(worker, str) else None
+        os.unlink(self.path_for(name))
+        os.close(fd)
 
     def held(self) -> List[str]:
-        """Names this worker currently believes it holds."""
-        with self._mutex:
-            return sorted(self._held)
-
-    # -- heartbeat -----------------------------------------------------
-
-    def refresh(self) -> None:
-        """Touch every held lease's mtime (one heartbeat)."""
-        with self._mutex:
-            held = list(self._held.items())
-        for name, path in held:
-            try:
-                os.utime(path)
-            except FileNotFoundError:
-                # Taken over while we were slow; note it and move on.
-                self.lost += 1
-                with self._mutex:
-                    self._held.pop(name, None)
-
-    def start_heartbeat(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def beat() -> None:
-            while not self._stop.wait(self.heartbeat_s):
-                self.refresh()
-
-        self._thread = threading.Thread(
-            target=beat, name=f"lease-heartbeat-{self.worker_id}",
-            daemon=True)
-        self._thread.start()
-
-    def stop_heartbeat(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "LeaseDirectory":
-        self.start_heartbeat()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop_heartbeat()
+        """Names this worker currently holds."""
+        return sorted(self._held)

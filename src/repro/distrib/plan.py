@@ -4,8 +4,9 @@ A coordinated campaign is parameterized by a *spec* -- the same scalar
 knobs the ``repro campaign`` CLI takes -- rather than by live Python
 objects, so any process (or host) sharing the coordination directory
 can rebuild the exact experiment configuration from
-``<dir>/plan.json`` alone.  The starter writes the plan atomically
-(``O_EXCL``); joiners load it and, if they were launched with their own
+``<dir>/plan.json`` alone.  The starter writes the plan to a
+temporary file and hard-links it into place, so the plan appears whole
+or not at all and the first link wins; joiners load it and, if they were launched with their own
 spec, verify it matches byte-for-byte -- two plans in one directory is
 a configuration error, not a race to resolve.
 
@@ -21,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 from typing import Dict, List, Tuple
 
 from repro.experiments.cache import run_key
@@ -185,15 +187,20 @@ class CampaignPlan:
     def publish(self, directory: str) -> "CampaignPlan":
         """Write this plan into ``directory`` (or adopt the one there).
 
-        The first worker's ``O_EXCL`` write wins; everybody else must
+        The plan is written to a temporary file first and then
+        hard-linked to ``plan.json``: a reader never sees a partial
+        plan, and the first worker's link wins.  Everybody else must
         match it (modulo ``engine_mode``) or the campaign directory is
         misconfigured.  Returns the plan to coordinate under -- the
         published one, with *this* worker's engine mode kept.
         """
         os.makedirs(directory, exist_ok=True)
         path = self.path_in(directory)
+        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(self.to_json())
+            os.link(temp_path, path)
         except FileExistsError:
             published = self.load(directory)
             if not self.matches(published):
@@ -202,8 +209,8 @@ class CampaignPlan:
                     f"to mix configurations in one directory")
             return dataclasses.replace(published,
                                        engine_mode=self.engine_mode)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(self.to_json())
+        finally:
+            os.unlink(temp_path)
         return self
 
     @classmethod

@@ -181,8 +181,8 @@ class SlackLedger:
     def advance(self, now: int) -> List[str]:
         """Advance the logical clock (monotone) and expire the past.
 
-        A task whose absolute deadline is ``<= now`` leaves the live set
-        (boundary as :meth:`AcceptanceTest.expire`).  This is not sound:
+        A task whose absolute deadline is ``<= now`` leaves the live
+        set.  This is not sound:
         the capacity it used is forgotten, but a live task that arrived
         before its deadline is still checked against windows from its
         own arrival, which it shared -- so the ledger can over-admit

@@ -106,18 +106,3 @@ class TestQuickReject:
         crowded = AperiodicTask(name="c", arrival=0, execution=8,
                                 deadline=20)
         assert light_test.quick_reject(crowded)
-
-
-class TestExpiry:
-    def test_expire_removes_past_deadlines(self, light_test):
-        light_test.admit(AperiodicTask(name="j", arrival=0, execution=2,
-                                       deadline=10))
-        removed = light_test.expire(now=11)
-        assert removed == 1
-        assert light_test.guaranteed == []
-
-    def test_expire_keeps_live(self, light_test):
-        light_test.admit(AperiodicTask(name="j", arrival=0, execution=2,
-                                       deadline=10))
-        assert light_test.expire(now=5) == 0
-        assert len(light_test.guaranteed) == 1

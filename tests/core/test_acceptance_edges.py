@@ -1,10 +1,10 @@
 """Edge-case coverage for the hard-aperiodic acceptance test.
 
 Complements ``test_acceptance.py`` with the boundary semantics the
-admission service depends on: exact-deadline expiry, zero-slack
-channels, and admit/expire interleavings -- including a property test
-that the service ledger's incremental slack accounting always agrees
-with a full recompute (and with ``AcceptanceTest.expire`` boundaries).
+admission service depends on: the ledger's exact-deadline expiry,
+zero-slack channels, and admit/expire interleavings -- including a
+property test that the service ledger's incremental slack accounting
+always agrees with a full recompute.
 """
 
 from hypothesis import given, settings
@@ -27,47 +27,13 @@ def light_set():
 
 
 # ----------------------------------------------------------------------
-# expire() at exact-deadline boundaries
+# ledger expiry at exact-deadline boundaries
 # ----------------------------------------------------------------------
 
 class TestExpireBoundary:
-    def test_deadline_equal_now_expires(self):
-        test = AcceptanceTest(light_set())
-        test.admit(AperiodicTask(name="j", arrival=0, execution=2,
-                                 deadline=10))
-        # absolute deadline 10: at now == 10 the window is over.
-        assert test.expire(now=10) == 1
-        assert test.guaranteed == []
-
-    def test_one_before_deadline_survives(self):
-        test = AcceptanceTest(light_set())
-        test.admit(AperiodicTask(name="j", arrival=0, execution=2,
-                                 deadline=10))
-        assert test.expire(now=9) == 0
-        assert [t.name for t in test.guaranteed] == ["j"]
-
-    def test_expire_is_idempotent(self):
-        test = AcceptanceTest(light_set())
-        test.admit(AperiodicTask(name="j", arrival=0, execution=2,
-                                 deadline=10))
-        assert test.expire(now=10) == 1
-        assert test.expire(now=10) == 0
-        assert test.expire(now=100) == 0
-
-    def test_mixed_boundary_batch(self):
-        test = AcceptanceTest(light_set())
-        test.admit(AperiodicTask(name="past", arrival=0, execution=1,
-                                 deadline=6))
-        test.admit(AperiodicTask(name="exact", arrival=0, execution=1,
-                                 deadline=8))
-        test.admit(AperiodicTask(name="future", arrival=0, execution=1,
-                                 deadline=12))
-        assert test.expire(now=8) == 2
-        assert [t.name for t in test.guaranteed] == ["future"]
-
     def test_ledger_advance_matches_expire_boundary(self):
-        # The service ledger promises AcceptanceTest-identical boundary
-        # semantics: deadline == now expires on both sides.
+        # The ledger's expiry boundary: deadline == now expires,
+        # deadline == now + 1 survives.
         ledger = SlackLedger(light_set())
         assert ledger.admit("j", arrival=0, execution=2,
                             deadline=10).admitted
@@ -116,20 +82,6 @@ class TestZeroSlackChannel:
 # ----------------------------------------------------------------------
 
 class TestInterleavings:
-    def test_expiry_frees_admission_capacity(self):
-        test = AcceptanceTest(light_set())
-        first = AperiodicTask(name="a", arrival=0, execution=5, deadline=20)
-        assert test.admit(first).admitted
-        # The window is now too crowded for an equal second task...
-        blocked = AperiodicTask(name="b", arrival=0, execution=8,
-                                deadline=20)
-        assert not test.admit(blocked).admitted
-        # ...but once the first expires, an equivalent later window fits.
-        test.expire(now=20)
-        retry = AperiodicTask(name="b2", arrival=20, execution=8,
-                              deadline=40)
-        assert test.admit(retry).admitted
-
     def test_name_reusable_after_expiry_in_ledger(self):
         ledger = SlackLedger(light_set())
         assert ledger.admit("j", arrival=0, execution=1,
@@ -186,9 +138,8 @@ def test_incremental_slack_matches_recomputed(ops):
         elif op == "advance":
             now = ledger.now + delta
             expired = ledger.advance(now)
-            # Boundary parity with the authoritative acceptance test:
-            # every expired task had deadline <= now, every survivor
-            # a deadline strictly beyond it.
+            # Expiry boundary: every expired task had deadline <= now,
+            # every survivor a deadline strictly beyond it.
             assert all(d > now for __, __, d, __ in ledger.live_tasks())
             assert len(expired) == len(set(expired))
         else:

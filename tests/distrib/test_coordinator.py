@@ -2,11 +2,15 @@
 
 The crash tests launch real worker processes through ``repro campaign
 --coordinate`` (never from a heredoc/stdin ``__main__`` -- spawn must
-be able to re-import the entry point) and SIGKILL one mid-run via the
-``REPRO_COORD_KILL_AFTER_SEEDS`` hook.
+be able to re-import the entry point).  A kamikaze worker SIGKILLs
+itself via the ``REPRO_COORD_KILL_AFTER_SEEDS`` hook, and only after
+it is dead do the survivors start, so they must take over the lease it
+left behind.
 """
 
+import json
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -14,6 +18,7 @@ import sys
 import pytest
 
 from repro.distrib.coordinator import (
+    KILL_AFTER_SEEDS_ENV,
     coordinate_campaign,
     reduce_campaign,
     run_worker,
@@ -67,11 +72,39 @@ def spawn_cli_worker(directory, *extra, env_overrides=None,
         "--workload", "synthetic", "--count", "6", "--seed", "42",
         "--seeds", str(seeds), "--duration-ms", "30.0",
         "--aperiodic", "0", "--scheduler", "coefficient",
-        "--chunk", str(chunk), "--heartbeat-s", "0.2",
-        "--stale-after-s", "1.0", "--coordinate", directory, *extra]
-    return subprocess.Popen(command, env=env,
-                            stdout=subprocess.DEVNULL,
+        "--chunk", str(chunk), "--coordinate", directory, *extra]
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
+
+
+def kill_a_worker_mid_campaign(directory, chunk):
+    """Publish the plan and let a kamikaze die holding its first range.
+
+    The kamikaze SIGKILLs itself after publishing one seed: with
+    ``chunk=1`` that seed finished its range (done marker unwritten),
+    with ``chunk=2`` it dies mid-range.  Either way one lease file is
+    left behind, unlocked.
+    """
+    plan = small_plan(chunk=chunk)
+    plan.publish(directory)
+    kamikaze = spawn_cli_worker(
+        directory, "--join", "--worker-id", "kamikaze", chunk=chunk,
+        env_overrides={KILL_AFTER_SEEDS_ENV: "1"})
+    try:
+        kamikaze.communicate(timeout=120)
+    finally:
+        kamikaze.kill()
+    assert kamikaze.returncode == -signal.SIGKILL  # died by its own hook
+    assert len(os.listdir(os.path.join(directory, "leases"))) == 1
+    return plan
+
+
+def assert_one_takeover(reports):
+    """The survivors took the dead range over and resumed from cache."""
+    total = {key: sum(report[key] for report in reports)
+             for key in ("takeovers", "seeds_simulated", "cache_hits")}
+    assert total == {"takeovers": 1, "seeds_simulated": 2,
+                     "cache_hits": 1}
 
 
 class TestSingleWorker:
@@ -128,57 +161,47 @@ class TestEngineDivergentJoiner:
 
 
 class TestMultiWorkerCrash:
-    def test_sigkilled_worker_is_reclaimed(self, tmp_path):
-        directory = str(tmp_path)
-        plan = small_plan()
-        plan.publish(directory)
-        # One worker kills itself -- hard -- after its first completed
-        # seed; a healthy joiner and this process finish the campaign.
-        kamikaze = spawn_cli_worker(
-            directory, "--join", "--worker-id", "kamikaze",
-            env_overrides={"REPRO_COORD_KILL_AFTER_SEEDS": "1"})
-        helper = spawn_cli_worker(
-            directory, "--join", "--worker-id", "helper")
+    def check_reclaimed(self, directory, chunk):
+        plan = kill_a_worker_mid_campaign(directory, chunk)
+        helper = spawn_cli_worker(directory, "--join", "--worker-id",
+                                  "helper", "--json", chunk=chunk)
         try:
             campaign, report = coordinate_campaign(
-                directory, plan=plan, worker_id="boss",
-                heartbeat_s=0.2, stale_after_s=1.0, timeout_s=120.0)
+                directory, plan=plan, worker_id="boss", timeout_s=120.0)
+            helper_out, helper_err = helper.communicate(timeout=120)
         finally:
-            kamikaze.kill()
-            helper_err = ""
-            try:
-                __, helper_err = helper.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                helper.kill()
-        assert kamikaze.wait(timeout=60) == -9  # died by SIGKILL
-        assert "coordination failed" not in (helper_err or "")
+            helper.kill()
+        assert helper.returncode == 0, helper_err
+        assert_one_takeover([report.row(), json.loads(helper_out)[0]])
         assert_campaigns_identical(campaign, serial_reference(plan))
         done = os.listdir(os.path.join(directory, "done"))
-        assert len(done) == 3
-        # The kamikaze's lease was reclaimed by somebody (it held the
-        # range it was killed inside); no lease files survive.
+        assert len(done) == len(plan.ranges())
         assert os.listdir(os.path.join(directory, "leases")) == []
 
-    def test_store_converges_despite_crash(self, tmp_path):
+    def check_store_converges(self, tmp_path, chunk):
         directory = str(tmp_path / "coord")
-        os.makedirs(directory)
-        plan = small_plan()
-        plan.publish(directory)
-        kamikaze = spawn_cli_worker(
-            directory, "--join", "--worker-id", "kamikaze",
-            env_overrides={"REPRO_COORD_KILL_AFTER_SEEDS": "1"})
-        try:
-            coordinate_campaign(directory, plan=plan, worker_id="boss",
-                                heartbeat_s=0.2, stale_after_s=1.0,
-                                timeout_s=120.0)
-        finally:
-            kamikaze.kill()
+        plan = kill_a_worker_mid_campaign(directory, chunk)
+        __, report = coordinate_campaign(directory, plan=plan,
+                                         worker_id="boss", timeout_s=120.0)
+        assert_one_takeover([report.row()])
         serial_db = str(tmp_path / "serial.db")
         run_campaign(plan.scheduler, list(plan.seeds), store=serial_db,
                      store_workload=plan.workload,
                      **plan.experiment_kwargs())
         assert run_rows(os.path.join(directory, "results.db")) \
             == run_rows(serial_db)
+
+    def test_sigkilled_worker_is_reclaimed(self, tmp_path):
+        self.check_reclaimed(str(tmp_path), chunk=1)
+
+    def test_worker_sigkilled_mid_range_is_resumed(self, tmp_path):
+        self.check_reclaimed(str(tmp_path), chunk=2)
+
+    def test_store_converges_despite_crash(self, tmp_path):
+        self.check_store_converges(tmp_path, chunk=1)
+
+    def test_store_converges_despite_crash_mid_range(self, tmp_path):
+        self.check_store_converges(tmp_path, chunk=2)
 
 
 class TestReducer:

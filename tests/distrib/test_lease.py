@@ -1,18 +1,53 @@
-"""Lease-file claims: exclusivity, takeover, heartbeat loss."""
+"""Lease-file claims: exclusivity, takeover from dead holders, races."""
 
+import fcntl
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.distrib.lease import LeaseDirectory
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
-def make(tmp_path, worker, **kwargs):
-    kwargs.setdefault("heartbeat_s", 0.05)
-    kwargs.setdefault("stale_after_s", 0.2)
-    return LeaseDirectory(str(tmp_path / "leases"), worker, **kwargs)
+# A child process that claims one lease, reports, and then sleeps
+# holding it until it is stopped or killed.
+HOLDER = """
+import sys
+from repro.distrib.lease import LeaseDirectory
+leases = LeaseDirectory(sys.argv[1], "child")
+assert leases.acquire("range-0")
+print("held", flush=True)
+sys.stdin.read()
+"""
+
+
+def make(tmp_path, worker):
+    return LeaseDirectory(str(tmp_path / "leases"), worker)
+
+
+def worker_of(leases, name):
+    with open(leases.path_for(name)) as handle:
+        return json.load(handle)["worker"]
+
+
+@pytest.fixture
+def holder(tmp_path):
+    """A live child process holding ``range-0`` in ``tmp_path/leases``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    child = subprocess.Popen(
+        [sys.executable, "-c", HOLDER, str(tmp_path / "leases")],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "held\n"
+        yield child
+    finally:
+        child.kill()
+        child.wait(timeout=30)
 
 
 class TestClaim:
@@ -21,7 +56,7 @@ class TestClaim:
         second = make(tmp_path, "w2")
         assert first.acquire("range-0")
         assert not second.acquire("range-0")
-        assert first.owner("range-0") == "w1"
+        assert worker_of(first, "range-0") == "w1"
         assert first.held() == ["range-0"]
         assert second.held() == []
 
@@ -32,14 +67,16 @@ class TestClaim:
         first.release("range-0")
         assert first.held() == []
         assert second.acquire("range-0")
-        assert second.owner("range-0") == "w2"
+        assert worker_of(second, "range-0") == "w2"
+        assert second.takeovers == 0
 
     def test_reacquire_own_lease_fails(self, tmp_path):
         leases = make(tmp_path, "w1")
         assert leases.acquire("range-0")
-        # The file exists and is fresh; even the owner cannot double-
-        # acquire (acquire == fresh claim, not reentrant lock).
+        # A lock belongs to one open file description: even the owner
+        # cannot double-acquire (acquire == fresh claim, not reentrant).
         assert not leases.acquire("range-0")
+        assert leases.held() == ["range-0"]
 
     def test_lease_file_carries_worker_identity(self, tmp_path):
         leases = make(tmp_path, "worker-7")
@@ -58,18 +95,6 @@ class TestClaim:
 
 
 class TestTakeover:
-    def test_stale_lease_is_taken_over(self, tmp_path):
-        dead = make(tmp_path, "dead")
-        thief = make(tmp_path, "thief")
-        assert dead.acquire("range-0")
-        # Backdate the mtime past staleness instead of sleeping.
-        path = dead.path_for("range-0")
-        old = time.time() - 10.0
-        os.utime(path, (old, old))
-        assert thief.acquire("range-0")
-        assert thief.takeovers == 1
-        assert thief.owner("range-0") == "thief"
-
     def test_fresh_lease_is_not_taken_over(self, tmp_path):
         holder = make(tmp_path, "holder")
         thief = make(tmp_path, "thief")
@@ -77,89 +102,48 @@ class TestTakeover:
         assert not thief.acquire("range-0")
         assert thief.takeovers == 0
 
-    def test_presumed_dead_owner_does_not_unlink_thief(self, tmp_path):
-        slow = make(tmp_path, "slow")
+    def test_stopped_holder_keeps_its_lease(self, tmp_path, holder):
         thief = make(tmp_path, "thief")
-        assert slow.acquire("range-0")
-        path = slow.path_for("range-0")
-        old = time.time() - 10.0
-        os.utime(path, (old, old))
-        assert thief.acquire("range-0")
-        # The slow worker wakes up and releases: the thief's lease
-        # file must survive (ownership is verified before unlink).
-        slow.release("range-0")
-        assert thief.owner("range-0") == "thief"
-        assert os.path.exists(path)
+        holder.send_signal(signal.SIGSTOP)
+        try:
+            # A stopped holder is alive: its lease holds however long
+            # it stays stopped.
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                assert not thief.acquire("range-0")
+                time.sleep(0.05)
+        finally:
+            holder.send_signal(signal.SIGCONT)
+        assert thief.takeovers == 0
+        assert thief.held() == []
 
-    def test_takeover_aborts_if_lease_revives_before_rename(
-            self, tmp_path, monkeypatch):
-        # TOCTOU guard: the lease looks stale at the first stat, but a
-        # rival completes its takeover (fresh recreate) before our
-        # rename.  The re-stat right before the rename must abort the
-        # theft instead of tombstoning the rival's live lease.
+    def test_killed_holder_is_taken_over_at_once(self, tmp_path, holder):
+        thief = make(tmp_path, "thief")
+        assert not thief.acquire("range-0")
+        holder.kill()
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+        assert thief.acquire("range-0")
+        assert thief.takeovers == 1
+        assert worker_of(thief, "range-0") == "thief"
+        thief.release("range-0")
+        assert os.listdir(thief.root) == []
+
+    def test_claim_of_a_just_released_lease_fails(self, tmp_path,
+                                                  monkeypatch):
+        # The holder releases (unlink, then unlock) between the thief's
+        # open and its lock: the thief locks an inode that no longer
+        # has a name and must give it up.
         holder = make(tmp_path, "holder")
         thief = make(tmp_path, "thief")
         assert holder.acquire("range-0")
-        path = holder.path_for("range-0")
-        old = time.time() - 10.0
-        os.utime(path, (old, old))
-        real_stat = os.stat
-        calls = {"count": 0}
+        real_flock = fcntl.flock
 
-        def stat_spy(target, *args, **kwargs):
-            result = real_stat(target, *args, **kwargs)
-            if target == path:
-                calls["count"] += 1
-                if calls["count"] == 2:
-                    # The rival's fresh lease lands between the
-                    # staleness check and the re-stat.
-                    os.utime(path)
-                    result = real_stat(target, *args, **kwargs)
-            return result
+        def flock_after_release(fd, operation):
+            holder.release("range-0")
+            return real_flock(fd, operation)
 
-        monkeypatch.setattr("repro.distrib.lease.os.stat", stat_spy)
+        monkeypatch.setattr(fcntl, "flock", flock_after_release)
         assert not thief.acquire("range-0")
+        assert thief.held() == []
         assert thief.takeovers == 0
-        assert thief.owner("range-0") == "holder"
-        assert os.path.exists(path)
-        assert os.listdir(holder.root) == [os.path.basename(path)]
-
-    def test_refresh_detects_lost_lease(self, tmp_path):
-        slow = make(tmp_path, "slow")
-        assert slow.acquire("range-0")
-        os.unlink(slow.path_for("range-0"))  # stolen + released
-        slow.refresh()
-        assert slow.lost == 1
-        assert slow.held() == []
-
-
-class TestHeartbeat:
-    def test_heartbeat_keeps_lease_fresh(self, tmp_path):
-        with make(tmp_path, "w1") as leases:
-            assert leases.acquire("range-0")
-            path = leases.path_for("range-0")
-            old = time.time() - 10.0
-            os.utime(path, (old, old))
-            deadline = time.time() + 2.0
-            while time.time() < deadline:
-                if os.stat(path).st_mtime > time.time() - 1.0:
-                    break
-                time.sleep(0.02)
-            assert os.stat(path).st_mtime > time.time() - 1.0
-
-    def test_context_manager_stops_thread(self, tmp_path):
-        leases = make(tmp_path, "w1")
-        with leases:
-            assert leases._thread is not None
-        assert leases._thread is None
-
-
-class TestValidation:
-    def test_stale_must_exceed_heartbeat_margin(self, tmp_path):
-        with pytest.raises(ValueError, match="3x"):
-            LeaseDirectory(str(tmp_path), "w1", heartbeat_s=1.0,
-                           stale_after_s=2.0)
-
-    def test_heartbeat_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            LeaseDirectory(str(tmp_path), "w1", heartbeat_s=0.0)
+        assert os.listdir(thief.root) == []

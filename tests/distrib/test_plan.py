@@ -1,6 +1,7 @@
 """Campaign plans: round trips, publish/join, claim identity."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -100,6 +101,25 @@ class TestPublish:
         assert joined.matches(plan())
         # The file on disk still holds the first writer's plan.
         assert CampaignPlan.load(directory).engine_mode == "interpreter"
+
+    def test_publish_never_exposes_a_partial_plan(self, tmp_path,
+                                                  monkeypatch):
+        # A joiner polls for plan.json and loads it at once: the file
+        # must not exist before its content does.
+        directory = str(tmp_path)
+        path = CampaignPlan.path_in(directory)
+        seen = []
+        real_to_json = CampaignPlan.to_json
+
+        def spy(self):
+            seen.append(os.path.exists(path))
+            return real_to_json(self)
+
+        monkeypatch.setattr(CampaignPlan, "to_json", spy)
+        plan().publish(directory)
+        assert seen == [False]
+        assert CampaignPlan.load(directory) == plan()
+        assert os.listdir(directory) == ["plan.json"]
 
     def test_mismatched_joiner_refused(self, tmp_path):
         directory = str(tmp_path)
