@@ -6,9 +6,9 @@
    EDF-queued) but wastes queue occupancy and dynamic-segment slots.
 2. Differentiated vs uniform retransmission -- the uniform plan pays
    for every message equally.
-3. Dual-channel cooperation vs duplication -- CoEfficient run with the
-   replicate-style duplication (via FSPEC's strategy) loses the slack
-   pool the cooperation creates.
+3. Channel cooperation ladder -- CoEfficient's unified pool and slack
+   stealing against the dynamic-priority baseline's per-ID dual-channel
+   queues and FSPEC's single-channel separate scheduling.
 4. Open-loop planned copies vs reactive feedback (extension) -- the
    feedback extension uses less bandwidth at equal delivered fraction
    on a lossy bus, quantifying what FlexRay's missing acknowledgements

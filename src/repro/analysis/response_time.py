@@ -9,9 +9,10 @@ callers that model non-preemptive sections (a FlexRay slot in progress
 cannot be preempted, so the largest lower-priority slot length is the
 blocking bound).
 
-Used by CoEfficient's admission reasoning and by tests that check the
-simulated latencies never exceed the analytical worst case for
-fault-free runs.
+No simulation or service module imports it: it is the analytical
+oracle the tests check against (``tests/analysis/test_response_time.py``
+and ``tests/service/test_config.py``, which asserts that the service's
+per-channel task sets are fixed-priority schedulable).
 """
 
 from __future__ import annotations

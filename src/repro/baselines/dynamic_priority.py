@@ -30,11 +30,9 @@ class DynamicPriorityPolicy(QueueingPolicyBase):
     name = "DynamicPriority"
 
     def __init__(self, packing: PackingResult,
-                 drop_expired_dynamic: bool = True,
-                 optimize_iterations: int = 0) -> None:
+                 drop_expired_dynamic: bool = True) -> None:
         super().__init__(packing, reserve_retransmission_slot=False,
-                         drop_expired_dynamic=drop_expired_dynamic,
-                         optimize_iterations=optimize_iterations)
+                         drop_expired_dynamic=drop_expired_dynamic)
 
     def channel_strategy(self) -> str:
         return ChannelStrategy.DISTRIBUTE

@@ -38,9 +38,6 @@ class FspecPolicy(QueueingPolicyBase):
 
     Args:
         packing: The packed workload.
-        duplicate_static: Whether to attempt best-effort duplication of
-            static frames on the second channel (the spec's redundancy);
-            disable to model a single-copy spec deployment.
         retransmission_copies: Open-loop best-effort copies queued per
             instance for every message not already covered by a
             channel-B duplicate -- "best-effort retransmission for all
@@ -52,24 +49,18 @@ class FspecPolicy(QueueingPolicyBase):
     name = "FSPEC"
 
     def __init__(self, packing: PackingResult,
-                 duplicate_static: bool = True,
                  retransmission_copies: int = 1,
                  feedback: bool = False,
-                 drop_expired_dynamic: bool = True,
-                 optimize_iterations: int = 0) -> None:
+                 drop_expired_dynamic: bool = True) -> None:
         super().__init__(packing, reserve_retransmission_slot=True,
                          feedback=feedback,
-                         drop_expired_dynamic=drop_expired_dynamic,
-                         optimize_iterations=optimize_iterations)
-        self._duplicate_static = duplicate_static
+                         drop_expired_dynamic=drop_expired_dynamic)
         if retransmission_copies < 0:
             raise ValueError("retransmission_copies must be >= 0")
         self._retransmission_copies = retransmission_copies
 
     def channel_strategy(self) -> str:
-        if self._duplicate_static:
-            return ChannelStrategy.DUPLICATE_BEST_EFFORT
-        return ChannelStrategy.DISTRIBUTE
+        return ChannelStrategy.DUPLICATE_BEST_EFFORT
 
     def serves_dynamic(self, channel: Channel) -> bool:
         # Separate scheduling: the dynamic segment is configured on one

@@ -30,13 +30,11 @@ class StaticOnlyPolicy(QueueingPolicyBase):
     name = "StaticOnly"
 
     def __init__(self, packing: PackingResult,
-                 drop_expired_dynamic: bool = True,
-                 optimize_iterations: int = 0) -> None:
+                 drop_expired_dynamic: bool = True) -> None:
         # No retransmissions -> no reserved dynamic slot; the dynamic
         # messages keep their natural frame IDs.
         super().__init__(packing, reserve_retransmission_slot=False,
-                         drop_expired_dynamic=drop_expired_dynamic,
-                         optimize_iterations=optimize_iterations)
+                         drop_expired_dynamic=drop_expired_dynamic)
 
     def channel_strategy(self) -> str:
         return ChannelStrategy.DUPLICATE_BEST_EFFORT

@@ -74,8 +74,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
         reliability_goal: rho in (0, 1].
         time_unit_ms: Theorem 1's time unit u.
         max_budget: Cap on per-message retransmission budgets.
-        steal_for_dynamic: Whether soft aperiodics may ride static slack
-            (disabled by the ablation benchmark).
         selective: Whether the slack planner gates retransmissions
             (disabled by the ablation benchmark: every retry is queued).
         feedback: Reactive-ARQ extension: retransmit only on observed
@@ -91,16 +89,13 @@ class CoEfficientPolicy(QueueingPolicyBase):
                  reliability_goal: float = 0.999999,
                  time_unit_ms: float = 1000.0,
                  max_budget: int = 8,
-                 steal_for_dynamic: bool = True,
                  selective: bool = True,
                  feedback: bool = False,
                  uniform_budget: bool = False,
-                 drop_expired_dynamic: bool = True,
-                 optimize_iterations: int = 0) -> None:
+                 drop_expired_dynamic: bool = True) -> None:
         super().__init__(packing, reserve_retransmission_slot=True,
                          feedback=feedback,
-                         drop_expired_dynamic=drop_expired_dynamic,
-                         optimize_iterations=optimize_iterations)
+                         drop_expired_dynamic=drop_expired_dynamic)
         self._uniform_budget = uniform_budget
         if not 0.0 < reliability_goal <= 1.0:
             raise ValueError(
@@ -112,7 +107,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
         self._rho = reliability_goal
         self._time_unit_ms = time_unit_ms
         self._max_budget = max_budget
-        self._steal_for_dynamic = steal_for_dynamic
         self._selective = selective
         self.plan: Optional[RetransmissionPlan] = None
         self._planner: Optional[SelectiveSlackPlanner] = None
@@ -360,14 +354,11 @@ class CoEfficientPolicy(QueueingPolicyBase):
 
         ``slack_frame_for`` below has exactly two sources: the
         retransmission heap (empty => the pop is a side-effect-free
-        ``None``) and, when cooperation is on, the soft pool
-        (``_dynamic_backlog`` counts it incrementally).  With both dry
-        the query provably answers ``None`` without mutating state, so
-        the stepper may skip it.
+        ``None``) and the soft pool (``_dynamic_backlog`` counts it
+        incrementally).  With both dry the query provably answers
+        ``None`` without mutating state, so the stepper may skip it.
         """
-        return (not self._retx_heap
-                and (not self._steal_for_dynamic
-                     or self._dynamic_backlog == 0))
+        return not self._retx_heap and self._dynamic_backlog == 0
 
     def slack_frame_for(self, channel: Channel, cycle: int, slot_id: int,
                         action_point_mt: int) -> Optional[PendingFrame]:
@@ -382,7 +373,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
             self._consume_promise()
             return retry
 
-        # Then soft aperiodics (dynamic messages), if cooperation is on.
-        if not self._steal_for_dynamic or self._dynamic_backlog == 0:
+        # Then soft aperiodics (dynamic messages).
+        if self._dynamic_backlog == 0:
             return None
         return self._pop_soft(capacity, action_point_mt)

@@ -67,11 +67,6 @@ class AdmissionDecision:
     plan: Optional[RetransmissionPlan] = None
     validations: Sequence[MessageValidation] = ()
 
-    def violating_messages(self) -> List[str]:
-        """Messages failing the analytical deadline check."""
-        return [v.message_id for v in self.validations
-                if not v.meets_deadline]
-
 
 class ModeChangeController:
     """Transactional admission control over a running configuration.

@@ -68,9 +68,6 @@ class QueueingPolicyBase(SchedulerPolicy):
             metrics count them missed either way).  Completion-mode
             experiments disable this so every instance eventually
             delivers and "running time" is well defined.
-        optimize_iterations: Hill-climbing proposals applied to the
-            greedy static schedule at bind time (0 = greedy only); see
-            :class:`repro.packing.optimizer.ScheduleOptimizer`.
     """
 
     name = "queueing-base"
@@ -78,15 +75,11 @@ class QueueingPolicyBase(SchedulerPolicy):
     def __init__(self, packing: PackingResult,
                  reserve_retransmission_slot: bool = True,
                  feedback: bool = False,
-                 drop_expired_dynamic: bool = True,
-                 optimize_iterations: int = 0) -> None:
-        if optimize_iterations < 0:
-            raise ValueError("optimize_iterations must be >= 0")
+                 drop_expired_dynamic: bool = True) -> None:
         self._packing = packing
         self._reserve_retx = reserve_retransmission_slot
         self.feedback = feedback
         self.drop_expired_dynamic = drop_expired_dynamic
-        self._optimize_iterations = optimize_iterations
         self.params: Optional[SegmentGeometry] = None
         # The bound cluster's channels; the policy keeps no reference
         # to the cluster itself (see SchedulerPolicy.bind).
@@ -175,15 +168,6 @@ class QueueingPolicyBase(SchedulerPolicy):
         self._table = self.params.build_schedule(
             frames, strategy=self.channel_strategy()
         )
-        if self._optimize_iterations > 0:
-            from repro.packing.optimizer import ScheduleOptimizer
-            from repro.sim.rng import RngStream
-            optimizer = ScheduleOptimizer(
-                self.params,
-                rng=RngStream(0, f"schedule-optimizer/{self.name}"),
-            )
-            self._table = optimizer.optimize_table(
-                self._table, iterations=self._optimize_iterations)
         self._round = compile_round(
             self._table, self.params, list(self._channels), obs=self.obs
         )
@@ -544,7 +528,3 @@ class QueueingPolicyBase(SchedulerPolicy):
         else:
             retx = len(self._retx_heap)
         return queued + buffered + retx
-
-    def dynamic_backlog(self) -> int:
-        """Messages waiting in dynamic queues (for tests/diagnostics)."""
-        return sum(len(q) for q in self._dynamic_queues.values())

@@ -20,8 +20,6 @@ Two views of the same idea, at the two levels the paper moves between:
 from __future__ import annotations
 
 import bisect
-
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.slack_stealing import SlackStealer
@@ -59,13 +57,6 @@ def max_level_slack(stealer: SlackStealer, level: int,
     end = start + relative_deadline
     return (stealer.available_aperiodic_processing(level, end)
             - stealer.available_aperiodic_processing(level, start))
-
-
-@dataclass
-class _SlackDemand:
-    """Outstanding demand against the structural slack supply."""
-
-    count: int = 0
 
 
 class SelectiveSlackPlanner:

@@ -24,17 +24,16 @@ The tests and the fault-injection example quantify the difference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.protocol.channel import Channel
+from repro.protocol.contracts import FaultOracle
 from repro.protocol.cycle import CycleLayout
 from repro.flexray.params import FlexRayParams
 from repro.protocol.schedule import ScheduleTable
 from repro.sim.rng import RngStream
 
 __all__ = ["BabblingIdiotScenario"]
-
-FaultOracle = Callable[[Channel, int, int], bool]
 
 
 def _clean_medium(channel: Channel, bits: int, time_mt: int) -> bool:

@@ -19,18 +19,10 @@ from repro.packing.frame_packing import (
     derive_params_for,
     pack_signals,
 )
-from repro.packing.optimizer import (
-    ScheduleObjective,
-    ScheduleOptimizer,
-    schedule_cost,
-)
 
 __all__ = [
     "PackedMessage",
     "PackingResult",
-    "ScheduleObjective",
-    "ScheduleOptimizer",
     "derive_params_for",
     "pack_signals",
-    "schedule_cost",
 ]

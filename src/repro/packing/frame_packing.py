@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.protocol.arrivals import MessageSource, PeriodicSource, SporadicSource
@@ -82,13 +82,10 @@ class PackingResult:
     Attributes:
         messages: All packed messages (periodic groups and aperiodics).
         params: The cluster parameters packing was performed against.
-        unpackable: Signals that could not be packed (empty on success;
-            populated only when ``strict=False``).
     """
 
     messages: List[PackedMessage]
     params: SegmentGeometry
-    unpackable: List[str] = field(default_factory=list)
 
     def periodic_messages(self) -> List[PackedMessage]:
         """Time-triggered messages, deadline-monotonic order."""
@@ -125,15 +122,16 @@ class PackingResult:
         self,
         rng: RngStream,
         instance_limit: Optional[int] = None,
-        aperiodic_jitter: float = 0.2,
     ) -> List[MessageSource]:
         """Instantiate host sources for every packed message.
+
+        Sporadic inter-arrivals carry :class:`SporadicSource`'s default
+        relative jitter of 0.2.
 
         Args:
             rng: Experiment stream (sporadic jitter draws split from it).
             instance_limit: Per-message instance cap (running-time
                 experiments); ``None`` = unbounded.
-            aperiodic_jitter: Relative jitter on sporadic inter-arrivals.
         """
         params = self.params
         sources: List[MessageSource] = []
@@ -152,7 +150,6 @@ class PackingResult:
                     deadline_mt=params.ms_to_mt(message.deadline_ms),
                     priority=message.priority,
                     rng=rng.split(f"sporadic/{message.message_id}"),
-                    jitter=aperiodic_jitter,
                     limit=instance_limit,
                 ))
             else:
@@ -237,26 +234,19 @@ def _select_repetition(period_ms: float, deadline_ms: float,
 def pack_signals(
     signals: SignalSet,
     params: SegmentGeometry,
-    merge: bool = True,
-    strict: bool = True,
 ) -> PackingResult:
     """Pack a signal set into schedulable messages.
 
     Args:
         signals: The workload.
         params: Cluster configuration (slot capacity, cycle length).
-        merge: Whether to bin-pack small same-ECU same-period signals
-            together; disabling gives one message per signal (used by the
-            packing ablation).
-        strict: Raise on unpackable aperiodic signals instead of
-            reporting them in ``PackingResult.unpackable``.
 
     Returns:
         A :class:`PackingResult`.
 
     Raises:
-        ValueError: If a signal cannot be packed and ``strict`` is set,
-            or if the static slot capacity is zero.
+        ValueError: If an aperiodic signal exceeds the protocol payload
+            maximum, or if the static slot capacity is zero.
     """
     capacity = params.static_slot_capacity_bits
     if capacity <= 0:
@@ -266,7 +256,6 @@ def pack_signals(
         )
     cycle_ms = params.cycle_ms
     messages: List[PackedMessage] = []
-    unpackable: List[str] = []
 
     # ------------------------------------------------------------------
     # Periodic signals: merge + split + group-expand.
@@ -284,9 +273,7 @@ def pack_signals(
     # Each entry: (message_id, ecu, __, period, offset, deadline, members, chunk_sizes)
 
     for (ecu, period_ms), members in sorted(partitions.items()):
-        groups = _bin_pack_signals(members, capacity) if merge \
-            else [[signal] for signal in members]
-        for index, group in enumerate(groups):
+        for index, group in enumerate(_bin_pack_signals(members, capacity)):
             payload = sum(s.size_bits for s in group)
             offset = max(s.offset_ms for s in group)
             deadline = min(s.deadline_ms for s in group)
@@ -360,14 +347,11 @@ def pack_signals(
     # ------------------------------------------------------------------
     for signal in signals.aperiodic().signals:
         if signal.size_bits > params.max_payload_bits:
-            if strict:
-                raise ValueError(
-                    f"aperiodic signal {signal.name} "
-                    f"({signal.size_bits} bits) exceeds the protocol "
-                    f"payload maximum {params.max_payload_bits}"
-                )
-            unpackable.append(signal.name)
-            continue
+            raise ValueError(
+                f"aperiodic signal {signal.name} "
+                f"({signal.size_bits} bits) exceeds the protocol "
+                f"payload maximum {params.max_payload_bits}"
+            )
         interarrival = signal.min_interarrival_ms or signal.period_ms
         chunk = Frame(
             frame_id=params.first_dynamic_slot_id,  # final ID set later
@@ -388,8 +372,7 @@ def pack_signals(
             member_signals=(signal.name,),
         ))
 
-    return PackingResult(messages=messages, params=params,
-                         unpackable=unpackable)
+    return PackingResult(messages=messages, params=params)
 
 
 def derive_params_for(

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import abc
 import importlib
-from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.protocol.geometry import SegmentGeometry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.protocol.signal import SignalSet
 
 __all__ = [
     "ProtocolBackend",
@@ -144,14 +141,6 @@ class ProtocolBackend(abc.ABC):
         if workload in CASE_STUDIES:
             return self.case_study_params(workload, minislots=minislots)
         return self.dynamic_preset(minislots)
-
-    def derive_params(self, signals: "SignalSet",
-                      **kwargs: object) -> SegmentGeometry:
-        """Derive a feasible parameter set of this backend for a workload."""
-        from repro.packing.frame_packing import derive_params_for
-
-        kwargs.setdefault("template", self.geometry_template())
-        return derive_params_for(signals, **kwargs)
 
 
 #: name -> "module.path:ClassName"; resolved lazily so core modules can

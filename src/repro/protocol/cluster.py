@@ -20,10 +20,11 @@ clocks, controller state and the interconnect shape are not modelled.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.protocol.arrivals import ArrivalMultiplexer, MessageSource
 from repro.protocol.channel import Channel, ChannelSet
+from repro.protocol.contracts import FaultOracle
 from repro.protocol.cycle import CycleLayout
 from repro.protocol.dynamic_segment import DynamicSegmentEngine
 from repro.protocol.geometry import SegmentGeometry
@@ -37,7 +38,9 @@ from repro.timeline.vectorized import VectorizedStepper
 
 __all__ = ["Cluster"]
 
-FaultOracle = Callable[[Channel, int, int], bool]
+#: Cycles ``run_until_complete`` allows with no progress before it
+#: declares a stall.
+_SETTLE_CYCLES = 8
 
 
 def _never_corrupts(channel: Channel, bits: int, time_mt: int) -> bool:
@@ -175,8 +178,7 @@ class Cluster:
         self.run_cycles(cycles)
         return cycles
 
-    def run_until_complete(self, max_cycles: int = 200_000,
-                           settle_cycles: int = 8) -> int:
+    def run_until_complete(self, max_cycles: int = 200_000) -> int:
         """Run until the whole transmission workload completes (or stalls).
 
         Used by the running-time experiments: sources are instance-
@@ -186,11 +188,12 @@ class Cluster:
         message transmission" includes the transmissions its reliability
         scheme requires, not just first deliveries.
 
+        A run that makes no progress (neither deliveries nor pending-
+        work reduction) for more than ``_SETTLE_CYCLES`` cycles is
+        declared stalled and stops.
+
         Args:
             max_cycles: Hard cap on executed cycles.
-            settle_cycles: Extra cycles allowed with no progress (neither
-                deliveries nor pending-work reduction) before declaring a
-                stall and stopping.
 
         Returns:
             The number of cycles executed.
@@ -209,7 +212,7 @@ class Cluster:
                 progress = (delivered, pending)
                 if progress == last_progress:
                     stagnant += 1
-                    if stagnant > settle_cycles:
+                    if stagnant > _SETTLE_CYCLES:
                         break
                 else:
                     stagnant = 0

@@ -466,10 +466,6 @@ class TraceRecorder:
         """All attempts in one segment (``"static"`` or ``"dynamic"``)."""
         return [r for r in self if r.segment == segment]
 
-    def canonical_bytes(self) -> bytes:
-        """Canonical serialization (:func:`canonical_trace_bytes`)."""
-        return canonical_trace_bytes(self)
-
     def digest(self) -> str:
         """Canonical SHA-256 digest (:func:`trace_digest`)."""
         return trace_digest(self)

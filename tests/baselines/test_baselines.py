@@ -29,11 +29,6 @@ class TestFspec:
         messages_b = {f.message_id for f in policy.table.frames(Channel.B)}
         assert messages_a & messages_b  # duplicated copies exist
 
-    def test_single_copy_mode(self, small_params, tiny_packing):
-        policy, __ = bound(FspecPolicy, small_params, tiny_packing,
-                           duplicate_static=False)
-        assert policy.channel_strategy() == ChannelStrategy.DISTRIBUTE
-
     def test_dynamic_on_channel_a_only(self, small_params, tiny_packing):
         policy, cluster = bound(FspecPolicy, small_params, tiny_packing)
         assert policy.serves_dynamic(Channel.A)

@@ -116,17 +116,6 @@ class TestSchedulingBehaviour:
         }
         assert dynamic_ids <= delivered
 
-    def test_ablation_no_steal_for_dynamic(self, small_params,
-                                           tiny_packing):
-        policy, cluster = bound_policy(small_params, tiny_packing,
-                                       steal_for_dynamic=False)
-        cluster.run_cycles(20)
-        # Dynamic frames only ever appear in the dynamic segment.
-        for record in cluster.trace.records_for_segment("static"):
-            assert not record.message_id.startswith("a"), (
-                "dynamic message rode a static slot despite the ablation"
-            )
-
     def test_uniform_budget_ablation(self, small_params, tiny_packing):
         policy, __ = bound_policy(
             small_params, tiny_packing,

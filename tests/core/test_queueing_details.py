@@ -40,10 +40,6 @@ class TestBaseDefaults:
         cluster.run_cycles(10)
         assert policy.counters["slack_steals"] == 0
 
-    def test_rejects_negative_optimize_iterations(self, tiny_packing):
-        with pytest.raises(ValueError):
-            MinimalPolicy(tiny_packing, optimize_iterations=-1)
-
     def test_counters_present(self, small_params, tiny_packing):
         policy, __ = bound_minimal(small_params, tiny_packing)
         for key in ("primary_tx", "retx_tx", "dynamic_tx", "slack_steals",

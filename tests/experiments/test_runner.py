@@ -113,9 +113,9 @@ class TestRunExperiment:
         result = run_experiment(
             params=small_params, scheduler="coefficient",
             periodic=tiny_periodic_signals, duration_ms=5.0,
-            steal_for_dynamic=False,
+            selective=False,
         )
-        assert result.cluster.policy._steal_for_dynamic is False
+        assert result.cluster.policy._selective is False
 
     def test_row_format(self, small_params, tiny_periodic_signals):
         result = run_experiment(

@@ -56,14 +56,6 @@ class TestMerging:
         for message in result.periodic_messages():
             assert message.payload_bits <= capacity
 
-    def test_merge_disabled(self, small_params):
-        signals = SignalSet([
-            signal(name="a", size=50),
-            signal(name="b", size=50),
-        ])
-        result = pack_signals(signals, small_params, merge=False)
-        assert len(result.periodic_messages()) == 2
-
     def test_merged_frame_conservative_timing(self, small_params):
         signals = SignalSet([
             signal(name="a", size=50, offset=0.1, deadline=0.7),
@@ -157,13 +149,6 @@ class TestAperiodics:
                                     size=MAX_PAYLOAD_BITS + 1)])
         with pytest.raises(ValueError):
             pack_signals(signals, small_params)
-
-    def test_oversized_aperiodic_lenient(self, small_params):
-        signals = SignalSet([signal(name="huge", aperiodic=True,
-                                    size=MAX_PAYLOAD_BITS + 1)])
-        result = pack_signals(signals, small_params, strict=False)
-        assert result.unpackable == ["huge"]
-        assert result.messages == []
 
 
 class TestSources:

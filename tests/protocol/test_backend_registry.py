@@ -10,6 +10,7 @@ from repro.protocol.backend import (
     get_backend,
     register_backend,
 )
+from repro.protocol.contracts import GeometryContract, TraceIdentity
 from repro.protocol.geometry import SegmentGeometry
 from repro.ttethernet.backend import TTEthernetBackend
 from repro.ttethernet.params import TTEthernetParams
@@ -89,6 +90,14 @@ class TestBackendContract:
 
     def test_every_backend_is_a_protocol_backend(self, backend):
         assert isinstance(backend, ProtocolBackend)
+
+
+@pytest.mark.parametrize("geometry", [FlexRayParams(), TTEthernetParams()],
+                         ids=["flexray", "ttethernet"])
+def test_geometries_satisfy_the_structural_contracts(geometry):
+    """The runtime-checkable contracts hold for both backends' geometry."""
+    assert isinstance(geometry, GeometryContract)
+    assert isinstance(geometry, TraceIdentity)
 
 
 class TestGeometryVocabulary:

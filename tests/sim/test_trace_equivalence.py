@@ -19,9 +19,10 @@ workloads that together cover every behavioural regime the engine has:
 
 Every scenario runs on both protocol backends (FlexRay and
 TTEthernet): the equivalence contract is a property of the neutral
-engine, so it must hold for any registered geometry.  Three seeded
-TTEthernet scenarios are additionally pinned to golden trace digests,
-so a silent change to TTEthernet trace identity fails loudly.
+engine, so it must hold for any registered geometry.  Five seeded
+scenarios per backend, one or more per scheduler, are additionally
+pinned to golden trace digests, so a silent change to trace identity
+fails loudly.
 
 Equivalence is asserted on :func:`canonical_trace_bytes` -- deliberately
 stricter than metric equality -- plus the SHA-256 digest convenience.
@@ -235,21 +236,26 @@ class TestFastPathEngagement:
         assert not oracle.cluster.vectorized_active
 
 
-#: Golden SHA-256 trace digests for three seeded generated scenarios
-#: per backend, pinned so trace identity (geometry realization,
-#: schedule placement, fault interleaving, the ``protocol=`` header)
-#: cannot drift silently.  Regenerate deliberately with
+#: Golden SHA-256 trace digests for five seeded generated scenarios
+#: per backend, covering every scheduler's default path: static-only
+#: (seed 1), coefficient (3, 42), fspec (10) and dynamic-priority (11).
+#: Trace identity (geometry realization, schedule placement, fault
+#: interleaving, the ``protocol=`` header) cannot drift silently.  Regenerate deliberately with
 #: ``trace_digest(run_experiment(engine_mode=mode,
 #: **generate_scenario(seed, backend).experiment_kwargs())
 #: .cluster.trace)`` after an intentional trace-identity change.
 GOLDEN_DIGESTS = {
     "flexray": {
+        1: "bd32eab8f9ffda70cb4078dde8cb301d0b9f066221005246f427f1247d2a9359",
         3: "69ed078ca86c2d04456da40b8c92807d65a7344d3f3238f6bbd4862b9f959e74",
+        10: "96e5f15872eb7a6f0fc169cef3becc482e9b8d35aa032564c2fd2c0e80466fd3",
         11: "d5b6fe4699effd256619a0216001118272591fdc871157ae755ad0f5aa7591b8",
         42: "7422e74e830167f4b63c8cbdd16e2b77b5885285ca342cc1b0e3b84f1c6bba7b",
     },
     "ttethernet": {
+        1: "5bb18d1b2870039b72476a1edede40c80db30b030b5c0a31b4c60dda8288f902",
         3: "9f265c23d172224ca4a036457a3c30bd4a474d2c67451f6aa654277bc33f361b",
+        10: "78da43e5777057f9befa097dd3644468b4a52fc02ab656b4ef5e18dae75db947",
         11: "a0f9dbf157b1a31cf00de3add18931eecd1941149c347ed7ec2e0d7b97d5758c",
         42: "bcd78bd5a99858cd7e215839cd6fa0e96be20e37bcd3316acc33fd4ea9725d3b",
     },
