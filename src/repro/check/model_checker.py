@@ -102,8 +102,7 @@ def dynamic_retransmission_capacity(
 
 
 def theorem1_inputs(packing, params, ber: float, reliability_goal: float,
-                    time_unit_ms: float, max_budget: int,
-                    uniform_budget: bool = False):
+                    time_unit_ms: float, uniform_budget: bool = False):
     """The Theorem-1 plan of a packed workload and the
     :func:`check_hyperperiod_model` keyword inputs that prove it.
 
@@ -140,11 +139,11 @@ def theorem1_inputs(packing, params, ber: float, reliability_goal: float,
         periods[message.message_id] = message.period_ms
     if uniform_budget:
         plan = uniform_retransmission_plan(
-            failure, instances, reliability_goal, max_budget=max_budget)
+            failure, instances, reliability_goal)
     else:
         plan = plan_retransmissions(
             failure, instances, reliability_goal,
-            bandwidth_cost=cost, max_budget=max_budget)
+            bandwidth_cost=cost)
     return plan, dict(
         budgets=plan.budgets,
         failure_probabilities=failure,

@@ -117,7 +117,6 @@ def check_workload(
     ber: float = 1e-7,
     reliability_goal: float = 0.99999,
     time_unit_ms: float = 1000.0,
-    max_budget: int = 8,
     counterexample_dir: Optional[Path] = None,
     label: str = "round",
 ) -> Report:
@@ -162,7 +161,7 @@ def check_workload(
         channels.append(Channel.B)
     compiled = compile_round(table, params, channels)
     __, inputs = theorem1_inputs(packing, params, ber, reliability_goal,
-                                 time_unit_ms, max_budget)
+                                 time_unit_ms)
     result = check_hyperperiod_model(compiled, **inputs)
     _synthesize_counterexample(compiled, result, counterexample_dir,
                                label)

@@ -484,46 +484,14 @@ def _cmd_serve(args) -> int:
     from repro.service import load_service_setup, serve_forever
     from repro.verify import ConfigurationError
 
-    if args.shards < 1:
-        print("repro serve: --shards must be >= 1", file=sys.stderr)
-        return 1
     obs, events = _make_observability(args)
-    setup_kwargs = dict(
-        workload=args.workload, count=args.count, seed=args.seed,
-        minislots=args.minislots, ber=args.ber,
-        reliability_goal=args.rho, tick_us=args.tick_us,
-        verify=not args.no_verify, engine_mode=args.engine_mode,
-        backend=args.backend)
-    if args.shards > 1:
-        from repro.distrib import serve_sharded
-
-        if args.store:
-            print("repro serve: --store is not supported with --shards "
-                  "(audit sampling runs per shard)", file=sys.stderr)
-            return 1
-        try:
-            router = asyncio.run(serve_sharded(
-                setup_kwargs, args.shards, host=args.host,
-                port=args.port, obs=obs, queue_limit=args.queue_limit,
-                batch_limit=args.batch_limit,
-                request_timeout_s=args.timeout_ms / 1000.0,
-                reconcile_every=args.reconcile_every,
-                max_restarts=args.max_restarts,
-                health_interval_s=args.health_interval))
-        except ConfigurationError as error:
-            print("repro serve: configuration failed static "
-                  "verification:", file=sys.stderr)
-            print(error.report.format(), file=sys.stderr)
-            return 1
-        rows = [dict(sorted(router.counters.items()))] \
-            if router.counters else []
-        _emit(rows, args.json)
-        _finish_observability(args, obs, events, command="serve",
-                              workload=args.workload, seed=args.seed)
-        return 1 if router.counters.get("router.shard_abandoned", 0) \
-            else 0
     try:
-        setup = load_service_setup(**setup_kwargs)
+        setup = load_service_setup(
+            workload=args.workload, count=args.count, seed=args.seed,
+            minislots=args.minislots, ber=args.ber,
+            reliability_goal=args.rho, tick_us=args.tick_us,
+            verify=not args.no_verify, engine_mode=args.engine_mode,
+            backend=args.backend)
     except ConfigurationError as error:
         print("repro serve: configuration failed static verification:",
               file=sys.stderr)
@@ -922,18 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine_option(serve_parser, "engine offline replays of the served "
                                 "configuration use, advertised in the "
                                 "status payload")
-    serve_parser.add_argument("--shards", type=int, default=1,
-                              help="shard the service across N worker "
-                                   "processes behind a routing "
-                                   "front-end (default 1: run "
-                                   "in-process, no router)")
-    serve_parser.add_argument("--max-restarts", type=int, default=3,
-                              help="restarts per shard before the "
-                                   "router abandons it (default 3)")
-    serve_parser.add_argument("--health-interval", type=float,
-                              default=1.0,
-                              help="seconds between shard health "
-                                   "probes (default 1.0)")
     serve_parser.add_argument("--no-verify", action="store_true",
                               help="skip the static verification gate "
                                    "(tests only)")

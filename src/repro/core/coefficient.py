@@ -73,7 +73,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
             tests probe).
         reliability_goal: rho in (0, 1].
         time_unit_ms: Theorem 1's time unit u.
-        max_budget: Cap on per-message retransmission budgets.
         selective: Whether the slack planner gates retransmissions
             (disabled by the ablation benchmark: every retry is queued).
         feedback: Reactive-ARQ extension: retransmit only on observed
@@ -88,7 +87,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
     def __init__(self, packing: PackingResult, ber_model: BitErrorRateModel,
                  reliability_goal: float = 0.999999,
                  time_unit_ms: float = 1000.0,
-                 max_budget: int = 8,
                  selective: bool = True,
                  feedback: bool = False,
                  uniform_budget: bool = False,
@@ -106,7 +104,6 @@ class CoEfficientPolicy(QueueingPolicyBase):
         self._ber_model = ber_model
         self._rho = reliability_goal
         self._time_unit_ms = time_unit_ms
-        self._max_budget = max_budget
         self._selective = selective
         self.plan: Optional[RetransmissionPlan] = None
         self._planner: Optional[SelectiveSlackPlanner] = None
@@ -148,13 +145,11 @@ class CoEfficientPolicy(QueueingPolicyBase):
             cost[message.message_id] = worst_bits / message.period_ms
         if self._uniform_budget:
             self.plan = uniform_retransmission_plan(
-                failure, instances, self._rho, max_budget=self._max_budget,
-            )
+                failure, instances, self._rho)
         else:
             self.plan = plan_retransmissions(
                 failure, instances, self._rho,
-                bandwidth_cost=cost, max_budget=self._max_budget,
-            )
+                bandwidth_cost=cost)
         compiled = self.compiled_round()
         assert compiled is not None
         dynamic_share = 0.0

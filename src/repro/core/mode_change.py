@@ -78,7 +78,6 @@ class ModeChangeController:
         reliability_goal: rho; ``None`` disables the reliability check.
         time_unit_ms: Theorem-1 time unit.
         strategy: Channel strategy for rebuilt schedules.
-        max_budget: Per-message retransmission cap.
         require_deadlines: Reject when any periodic message fails the
             analytical deadline check (set ``False`` for soft systems
             that tolerate documented violations).
@@ -92,7 +91,6 @@ class ModeChangeController:
         reliability_goal: Optional[float] = None,
         time_unit_ms: float = 1000.0,
         strategy: str = ChannelStrategy.DISTRIBUTE,
-        max_budget: int = 8,
         require_deadlines: bool = True,
     ) -> None:
         self._params = params
@@ -101,7 +99,6 @@ class ModeChangeController:
         self._rho = reliability_goal
         self._time_unit_ms = time_unit_ms
         self._strategy = strategy
-        self._max_budget = max_budget
         self._require_deadlines = require_deadlines
         self.history: List[AdmissionDecision] = []
         # The baseline must itself be admissible.
@@ -160,7 +157,7 @@ class ModeChangeController:
                 cost[message.message_id] = worst / message.period_ms
             plan = plan_retransmissions(
                 failure, instances, self._rho,
-                bandwidth_cost=cost, max_budget=self._max_budget)
+                bandwidth_cost=cost)
             if not plan.feasible:
                 return AdmissionDecision(
                     admitted=False,

@@ -31,9 +31,11 @@ from repro.faults.analysis import log_message_success_probability
 __all__ = ["RetransmissionPlan", "plan_retransmissions",
            "uniform_retransmission_plan"]
 
-#: Practical ceiling on per-message retransmissions: past this, either
-#: the goal is unreachable at this BER or the inputs are degenerate.
-MAX_RETRANSMISSIONS = 64
+#: Cap on one message's retransmission budget k_z: the planner never
+#: buys more, the verifier's ANA206 flags more, and the service's
+#: ``plan_retransmission`` op answers within it.  No bundled workload
+#: needs more than 5 (``examples/reliability_tuning.py`` at SIL4).
+MAX_RETRANSMISSIONS = 8
 
 
 @dataclass(frozen=True)

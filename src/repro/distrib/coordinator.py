@@ -108,8 +108,7 @@ def _write_done(directory: str, claim: str, index: int,
 
 def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
                poll_s: float = 0.25, timeout_s: Optional[float] = None,
-               obs: ObsLike = NULL_OBS,
-               record_runs: bool = True) -> WorkerReport:
+               obs: ObsLike = NULL_OBS) -> WorkerReport:
     """Claim, run and publish seed ranges until none remain.
 
     Returns when every range of the plan has a done marker.  Raises
@@ -128,12 +127,9 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
     deadline = (time.monotonic() + timeout_s
                 if timeout_s is not None else None)
 
-    store = None
-    if record_runs:
-        from repro.results import ResultStore
+    from repro.results import ResultStore
 
-        store = ResultStore(os.path.join(directory, RESULTS_DBNAME),
-                            obs=obs)
+    store = ResultStore(os.path.join(directory, RESULTS_DBNAME), obs=obs)
     leases = LeaseDirectory(os.path.join(directory, LEASES_DIRNAME),
                             worker_id)
     try:
@@ -168,8 +164,7 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
                         else:
                             result = entry.result
                             report.cache_hits += 1
-                        if store is not None:
-                            store.record_run(result, seed, kwargs)
+                        store.record_run(result, seed, kwargs)
                         seeds_done += 1
                         if (kill_after is not None
                                 and seeds_done >= kill_after):
@@ -187,8 +182,7 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
                         f"unfinished after {timeout_s}s")
                 time.sleep(poll_s)
     finally:
-        if store is not None:
-            store.close()
+        store.close()
     report.takeovers = leases.takeovers
     return report
 

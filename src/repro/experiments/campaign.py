@@ -20,8 +20,8 @@ exports are identical to a serial run over the same seeds regardless of
 worker count or completion order.  Timers and profiler sections are
 wall clock and therefore excluded from that guarantee.
 
-A seed whose worker raises is retried once (``retries=1``); a seed that
-fails again is surfaced in :attr:`CampaignResult.failures` instead of
+A seed whose worker raises is retried once (:data:`SEED_ATTEMPTS`); a
+seed that fails again is surfaced in :attr:`CampaignResult.failures` instead of
 killing the campaign, and summaries cover the seeds that completed.
 
 With ``cache_dir=`` set, completed seed runs persist in a
@@ -55,6 +55,9 @@ from repro.obs import NULL_OBS, Observability, ObsSnapshot, \
 
 __all__ = ["CAMPAIGN_METRICS", "MetricSummary", "CampaignFailure",
            "CampaignResult", "run_campaign", "compare_campaigns"]
+
+#: Attempts per seed: a seed whose run raises is retried once.
+SEED_ATTEMPTS = 2
 
 #: Two-sided 95 % Student-t critical values for df = 1..29; from df >= 30
 #: the normal approximation (1.96) applies.
@@ -347,7 +350,6 @@ def run_campaign(
     obs=NULL_OBS,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    retries: int = 1,
     validate: bool = False,
     store=None,
     store_workload: str = "",
@@ -374,9 +376,6 @@ def run_campaign(
             summaries, counters, and deterministic exports.
         cache_dir: Content-addressed on-disk cache for completed seed
             runs; hits skip the simulation entirely.
-        retries: Extra attempts for a seed whose run raises (default 1;
-            a seed failing every attempt lands in
-            :attr:`CampaignResult.failures`).
         store: A :class:`repro.results.ResultStore` (or a path to one)
             the finished campaign is ingested into -- campaign row,
             per-seed runs, trace digests under the campaign's engine
@@ -436,12 +435,11 @@ def run_campaign(
             experiment_kwargs=dict(experiment_kwargs),
         ))
 
-    max_attempts = max(1, retries + 1)
     if tasks:
         if workers and workers > 1 and len(tasks) > 1:
-            _run_parallel(tasks, workers, max_attempts, outcomes)
+            _run_parallel(tasks, workers, SEED_ATTEMPTS, outcomes)
         else:
-            _run_serial(tasks, max_attempts, outcomes)
+            _run_serial(tasks, SEED_ATTEMPTS, outcomes)
 
     # Deterministic merge: walk the *input* seed order, never the
     # completion order.

@@ -13,8 +13,8 @@ Operations:
     ticks; ``name`` defaults to the id).  Reply ``status`` is
     ``accepted`` / ``rejected`` / ``overload``.
 ``admit_batch``
-    Admission-test many tasks in one line (the shard router's
-    aggregation op): ``{"op": "admit_batch", "id": "b1", "requests":
+    Admission-test many tasks in one line and read one reply:
+    ``{"op": "admit_batch", "id": "b1", "requests":
     [{"channel": "A", "name": "r1", "arrival": 120, "execution": 3,
     "deadline": 500}, ...]}``.  The reply is ``{"status": "ok",
     "responses": [...]}`` where ``responses[i]`` is exactly the reply
@@ -39,7 +39,7 @@ Operations:
 
 A ``name`` or ``channel`` longer than :data:`MAX_NAME_LENGTH`
 characters is a protocol error (an entry error inside ``admit_batch``),
-so any single admit still fits one ``admit_batch`` line to a shard.
+so what the ledger keeps and every reply echoes stays bounded.
 
 Malformed lines never kill the connection: the server answers
 ``{"status": "error", "reason": ...}`` and keeps reading (malformed-
@@ -63,8 +63,9 @@ MAX_LINE_BYTES = 64 * 1024
 MAX_BATCH_REQUESTS = 512
 
 #: Upper bound, in characters, on a task ``name`` and a ``channel``.
-#: Even JSON-escaped (at most 12 bytes a character), one admit then
-#: fits a shard's ``admit_batch`` line with room to spare.
+#: The ledger keeps a live task's name until release or expiry, and
+#: every reply about the task echoes both, so neither grows with what
+#: a client sends.
 MAX_NAME_LENGTH = 1024
 
 #: Every operation the server understands.
@@ -164,9 +165,8 @@ def parse_request(line: str) -> Request:
         parsed_entries = []
         for entry in entries:
             # Entries are error-isolated, not batch-fatal: a bad entry
-            # becomes a positional error reply (the sharding router
-            # coalesces many clients' admits into one batch; one
-            # client's malformed request must not poison the others).
+            # becomes a positional error reply, and its neighbours are
+            # still admission-tested.
             if not isinstance(entry, dict):
                 parsed_entries.append(
                     {"invalid": "entry must be an object"})

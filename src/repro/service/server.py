@@ -4,12 +4,11 @@ Request lifecycle::
 
     socket -> parse -> bounded queue -> batcher -> pass -> response
 
-:class:`AdmissionFront` is everything up to the pass: connection
-handling, parsing, the bounded queue, the batcher, drain, ``ping`` and
-``plan_retransmission``.  :class:`AdmissionService` runs each pass on
-its own channel ledgers; the shard router
-(:class:`repro.distrib.router.ShardRouter`) runs the same pass on its
-shards instead, so both fronts answer alike by construction.
+One process holds one front (connection handling, parsing, the bounded
+queue, the batcher, drain, ``ping`` and ``plan_retransmission``) and
+runs every pass on its own per-channel ledgers.  A FlexRay cluster has
+at most two channels, so two independent ledgers are all the
+parallelism admission has.
 
 - **Batching**: the batcher coroutine wakes on the first queued request,
   yields once to the event loop so every request that arrived in the
@@ -53,10 +52,10 @@ from repro.service.protocol import (
     parse_request,
 )
 
-__all__ = ["AdmissionFront", "AdmissionService", "CHANNEL_STATUS_FIELDS",
-           "STATUS_FIELDS", "serve_forever"]
+__all__ = ["AdmissionService", "CHANNEL_STATUS_FIELDS", "STATUS_FIELDS",
+           "serve_forever"]
 
-#: Takes one request's response (see :meth:`AdmissionFront._split`).
+#: Takes one request's response (see :meth:`AdmissionService._split`).
 Sink = Callable[[Dict[str, object]], None]
 
 #: Exact top-level key set of the ``stats`` reply, in reply order.
@@ -74,33 +73,42 @@ CHANNEL_STATUS_FIELDS = ("live", "committed", "admitted_total",
                          "capacity_total", "capacity_remaining")
 
 
-class AdmissionFront:
-    """The JSON-lines front every admission server shares.
+class AdmissionService:
+    """One live admission-control service over a verified setup.
 
     Connections are read one line at a time; ``admit``,
     ``admit_batch`` and ``release`` go through ONE bounded queue into
     ONE batcher, which coalesces every connection's pending requests
-    into a pass (:meth:`_split` fixes its order).  A subclass decides
-    where the pass runs (:meth:`_process_batch`) and what ``stats``
-    answers (:meth:`_stats_response`).  The front's own counters are
-    named ``<prefix>.*``.
+    into a pass (:meth:`_split` fixes its order) on this process's own
+    per-channel :class:`~repro.service.ledger.SlackLedger`\\ s.
 
     Args:
-        setup: The verified configuration.
+        setup: The verified configuration (see
+            :func:`repro.service.config.load_service_setup`).
         obs: Observability context; counters and profiler spans are
             mirrored into it when enabled.
         queue_limit: Bounded request-queue size (backpressure point).
         batch_limit: Max requests coalesced into one batch pass.
         request_timeout_s: Per-request wall-clock budget from enqueue
             to response; exceeded -> ``overload`` reply.
+        reconcile_every: Run the incremental-vs-recomputed slack
+            reconciliation every N batches (0 disables).
+        audit_every: Additionally trial-run every Nth *admitted*
+            request through a fresh offline
+            :class:`~repro.core.acceptance.AcceptanceTest` and count
+            agreement (0 disables; expensive, meant for tests and
+            canary deployments).
+        store: A :class:`repro.results.ResultStore` audit samples and
+            the final drain summary are persisted into (optional; the
+            samples become queryable under ``repro web`` /audits).
     """
-
-    #: Namespace of the front's counters.
-    prefix = "service"
 
     def __init__(self, setup: ServiceSetup, obs: ObsLike = NULL_OBS,
                  queue_limit: int = 1024, batch_limit: int = 256,
-                 request_timeout_s: float = 5.0) -> None:
+                 request_timeout_s: float = 5.0,
+                 reconcile_every: int = 64,
+                 audit_every: int = 0,
+                 store=None) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if batch_limit < 1:
@@ -110,7 +118,14 @@ class AdmissionFront:
         self._queue_limit = queue_limit
         self._batch_limit = batch_limit
         self._timeout = request_timeout_s
+        self._reconcile_every = reconcile_every
+        self._audit_every = audit_every
+        self._store = store
         self.counters: Dict[str, int] = {}
+        self.ledgers: Dict[str, SlackLedger] = {
+            channel: SlackLedger(tasks, obs=obs, channel=channel)
+            for channel, tasks in sorted(setup.channel_tasks.items())
+        }
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
         self._server: Optional[asyncio.base_events.Server] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -170,13 +185,13 @@ class AdmissionFront:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._count(f"{self.prefix}.connections")
+        self._count("service.connections")
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self._count(f"{self.prefix}.protocol_errors")
+                    self._count("service.protocol_errors")
                     writer.write(encode_response(
                         {"status": "error",
                          "reason": "request line too long"}))
@@ -200,44 +215,43 @@ class AdmissionFront:
                 pass
 
     async def _dispatch(self, text: str) -> Dict[str, object]:
-        prefix = self.prefix
         try:
             request = parse_request(text)
         except ProtocolError as error:
-            self._count(f"{prefix}.protocol_errors")
+            self._count("service.protocol_errors")
             return {"status": "error", "reason": str(error)}
-        self._count(f"{prefix}.requests")
+        self._count("service.requests")
 
         if request.op == "ping":
             return self._reply(request, {"status": "ok"})
         if request.op == "stats":
-            return self._reply(request, await self._stats_response())
+            return self._reply(request, self._stats_response())
         if request.op == "plan_retransmission":
             return self._reply(request, self._plan_response(request))
 
         # admit / admit_batch / release are serialized through the
         # batcher.
         if self._draining:
-            self._count(f"{prefix}.overload")
+            self._count("service.overload")
             return self._reply(request,
                                {"status": "overload", "reason": "draining"})
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((request, future))
         except asyncio.QueueFull:
-            self._count(f"{prefix}.overload")
-            self._count(f"{prefix}.queue.rejected")
+            self._count("service.overload")
+            self._count("service.queue.rejected")
             return self._reply(request,
                                {"status": "overload",
                                 "reason": "queue full"})
         if self._obs.enabled:
-            self._obs.set_gauge(f"{prefix}.queue.depth",
+            self._obs.set_gauge("service.queue.depth",
                                 self._queue.qsize())
         try:
             response = await asyncio.wait_for(future, self._timeout)
         except asyncio.TimeoutError:
-            self._count(f"{prefix}.overload")
-            self._count(f"{prefix}.timeouts")
+            self._count("service.overload")
+            self._count("service.timeouts")
             return self._reply(request,
                                {"status": "overload",
                                 "reason": "timed out in queue"})
@@ -268,20 +282,48 @@ class AdmissionFront:
                 if extra is not None:
                     batch.append(extra)
             if batch:
-                await self._process_batch(batch)
+                self._process_batch(batch)
             if self._draining and self._queue.empty():
-                await self._finish_drain()
+                self._finish_drain()
                 return
 
-    async def _finish_drain(self) -> None:
+    def _finish_drain(self) -> None:
+        if self._reconcile_every:
+            # Final incremental-vs-recomputed agreement check: a drain
+            # must leave provably consistent books behind.
+            self.reconcile()
+        if self._store is not None:
+            counters = dict(sorted(self.counters.items()))
+            batches = counters.get("service.batches", 0)
+            self._store.record_service_audit(
+                self.setup.workload, self.setup.engine_mode, "drain",
+                ordinal=batches,
+                payload={"counters": counters, "batches": batches,
+                         "batched_requests": counters.get(
+                             "service.batch.requests", 0)})
         # The batcher exits right after this call; nothing to cancel.
         self._batcher = None
         self._drained.set()
 
-    async def _process_batch(
+    def _process_batch(
             self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
-        """Run one pass over a coalesced batch (see :meth:`_split`)."""
-        raise NotImplementedError
+        """One slack-accounting pass over a coalesced batch (no awaits)."""
+        self._count("service.batches")
+        self._count("service.batch.requests", len(batch))
+        if self._obs.enabled:
+            self._obs.set_gauge("service.batch.size", len(batch))
+        with self._obs.section("service.batch"):
+            releases, admits = self._split(batch)
+            for request, sink in releases:
+                sink(self._release(request))
+            # Each admit first advances its channel's clock to its own
+            # arrival (see _admit): expiry precedes every test.
+            for request, sink in admits:
+                sink(self._admit(request))
+        if (self._reconcile_every
+                and self.counters["service.batches"]
+                % self._reconcile_every == 0):
+            self.reconcile()
 
     def _split(self, batch: List[Tuple[Request, asyncio.Future]]
                ) -> Tuple[List[Tuple[Request, Sink]],
@@ -304,8 +346,8 @@ class AdmissionFront:
             else:  # admit_batch: entries join this pass as admits.
                 entries = request.fields["requests"]
                 assert isinstance(entries, list)
-                self._count(f"{self.prefix}.client_batches")
-                self._count(f"{self.prefix}.batch_admit.entries",
+                self._count("service.client_batches")
+                self._count("service.batch_admit.entries",
                             len(entries))
                 slots: List[Optional[Dict[str, object]]] = (
                     [None] * len(entries))
@@ -314,7 +356,7 @@ class AdmissionFront:
                     sink = self._batch_sink(future, slots,
                                             remaining, position)
                     if "invalid" in entry:
-                        self._count(f"{self.prefix}.protocol_errors")
+                        self._count("service.protocol_errors")
                         sink({"status": "error",
                               "reason": str(entry["invalid"])})
                         continue
@@ -359,110 +401,6 @@ class AdmissionFront:
                 cls._resolve(future,
                              {"status": "ok", "responses": list(slots)})
         return sink
-
-    # -- read-only ops -------------------------------------------------
-
-    async def _stats_response(self) -> Dict[str, object]:
-        """The ``stats`` payload: exactly :data:`STATUS_FIELDS`."""
-        raise NotImplementedError
-
-    def _plan_response(self, request: Request) -> Dict[str, object]:
-        messages = request.fields["messages"]
-        assert isinstance(messages, dict)
-        failure = {name: spec["failure_probability"]
-                   for name, spec in messages.items()}
-        instances = {name: spec["instances"]
-                     for name, spec in messages.items()}
-        costs = {name: spec["cost"] for name, spec in messages.items()
-                 if "cost" in spec}
-        with self._obs.section(f"{self.prefix}.plan"):
-            plan = plan_retransmissions(
-                failure, instances, float(request.fields["rho"]),  # type: ignore[arg-type]
-                bandwidth_cost=costs or None)
-        self._count(f"{self.prefix}.plans")
-        return {
-            "status": "ok",
-            "feasible": plan.feasible,
-            "achieved_probability": plan.achieved_probability,
-            "budgets": dict(sorted(plan.budgets.items())),
-        }
-
-
-class AdmissionService(AdmissionFront):
-    """One live admission-control service over a verified setup.
-
-    Each pass runs on this process's own per-channel
-    :class:`~repro.service.ledger.SlackLedger`\\ s.
-
-    Args:
-        setup: The verified configuration (see
-            :func:`repro.service.config.load_service_setup`).
-        obs/queue_limit/batch_limit/request_timeout_s: See
-            :class:`AdmissionFront`.
-        reconcile_every: Run the incremental-vs-recomputed slack
-            reconciliation every N batches (0 disables).
-        audit_every: Additionally trial-run every Nth *admitted*
-            request through a fresh offline
-            :class:`~repro.core.acceptance.AcceptanceTest` and count
-            agreement (0 disables; expensive, meant for tests and
-            canary deployments).
-        store: A :class:`repro.results.ResultStore` audit samples and
-            the final drain summary are persisted into (optional; the
-            samples become queryable under ``repro web`` /audits).
-    """
-
-    def __init__(self, setup: ServiceSetup, obs: ObsLike = NULL_OBS,
-                 queue_limit: int = 1024, batch_limit: int = 256,
-                 request_timeout_s: float = 5.0,
-                 reconcile_every: int = 64,
-                 audit_every: int = 0,
-                 store=None) -> None:
-        super().__init__(setup, obs=obs, queue_limit=queue_limit,
-                         batch_limit=batch_limit,
-                         request_timeout_s=request_timeout_s)
-        self._reconcile_every = reconcile_every
-        self._audit_every = audit_every
-        self._store = store
-        self.ledgers: Dict[str, SlackLedger] = {
-            channel: SlackLedger(tasks, obs=obs, channel=channel)
-            for channel, tasks in sorted(setup.channel_tasks.items())
-        }
-
-    async def _finish_drain(self) -> None:
-        if self._reconcile_every:
-            # Final incremental-vs-recomputed agreement check: a drain
-            # must leave provably consistent books behind.
-            self.reconcile()
-        if self._store is not None:
-            counters = dict(sorted(self.counters.items()))
-            batches = counters.get("service.batches", 0)
-            self._store.record_service_audit(
-                self.setup.workload, self.setup.engine_mode, "drain",
-                ordinal=batches,
-                payload={"counters": counters, "batches": batches,
-                         "batched_requests": counters.get(
-                             "service.batch.requests", 0)})
-        await super()._finish_drain()
-
-    async def _process_batch(
-            self, batch: List[Tuple[Request, asyncio.Future]]) -> None:
-        """One slack-accounting pass over a coalesced batch (no awaits)."""
-        self._count("service.batches")
-        self._count("service.batch.requests", len(batch))
-        if self._obs.enabled:
-            self._obs.set_gauge("service.batch.size", len(batch))
-        with self._obs.section("service.batch"):
-            releases, admits = self._split(batch)
-            for request, sink in releases:
-                sink(self._release(request))
-            # Each admit first advances its channel's clock to its own
-            # arrival (see _admit): expiry precedes every test.
-            for request, sink in admits:
-                sink(self._admit(request))
-        if (self._reconcile_every
-                and self.counters["service.batches"]
-                % self._reconcile_every == 0):
-            self.reconcile()
 
     def _admit(self, request: Request) -> Dict[str, object]:
         channel = str(request.fields["channel"])
@@ -572,7 +510,8 @@ class AdmissionService(AdmissionFront):
 
     # -- read-only ops -------------------------------------------------
 
-    async def _stats_response(self) -> Dict[str, object]:
+    def _stats_response(self) -> Dict[str, object]:
+        """The ``stats`` payload: exactly :data:`STATUS_FIELDS`."""
         # Built off the documented field tuples so the payload cannot
         # grow a key the contract (and docs/service.md) doesn't list.
         channels = {}
@@ -597,6 +536,27 @@ class AdmissionService(AdmissionFront):
             "draining": self._draining,
         }
         return {field: values[field] for field in STATUS_FIELDS}
+
+    def _plan_response(self, request: Request) -> Dict[str, object]:
+        messages = request.fields["messages"]
+        assert isinstance(messages, dict)
+        failure = {name: spec["failure_probability"]
+                   for name, spec in messages.items()}
+        instances = {name: spec["instances"]
+                     for name, spec in messages.items()}
+        costs = {name: spec["cost"] for name, spec in messages.items()
+                 if "cost" in spec}
+        with self._obs.section("service.plan"):
+            plan = plan_retransmissions(
+                failure, instances, float(request.fields["rho"]),  # type: ignore[arg-type]
+                bandwidth_cost=costs or None)
+        self._count("service.plans")
+        return {
+            "status": "ok",
+            "feasible": plan.feasible,
+            "achieved_probability": plan.achieved_probability,
+            "budgets": dict(sorted(plan.budgets.items())),
+        }
 
 
 async def serve_forever(setup: ServiceSetup, host: str = "127.0.0.1",

@@ -162,7 +162,6 @@ def verify_experiment(
     ber: float = 1e-7,
     reliability_goal: float = 0.99999,
     time_unit_ms: float = 1000.0,
-    max_budget: int = 8,
     uniform_budget: bool = False,
     strategy: str = ChannelStrategy.DISTRIBUTE,
 ) -> Report:
@@ -180,7 +179,6 @@ def verify_experiment(
         ber: Bit error rate (Theorem-1 failure probabilities).
         reliability_goal: rho the plan must reach.
         time_unit_ms: Theorem-1 time unit u.
-        max_budget: Per-message retransmission cap.
         uniform_budget: Verify the uniform-k ablation plan instead of
             the differentiated plan.
         strategy: Channel strategy for the schedule build.
@@ -263,7 +261,7 @@ def verify_experiment(
         theorem1_inputs,
     )
     plan, inputs = theorem1_inputs(packing, params, ber, reliability_goal,
-                                   time_unit_ms, max_budget,
+                                   time_unit_ms,
                                    uniform_budget=uniform_budget)
     report.merge(verify_configuration(
         plan=plan,

@@ -187,8 +187,8 @@ class TestParseAdmitBatch:
 
 
 class TestNameLength:
-    """``name`` and ``channel`` are bounded so one admit always fits a
-    shard's ``admit_batch`` line."""
+    """``name`` and ``channel`` are bounded: the ledger keeps a name and
+    every reply echoes it."""
 
     long = "n" * (MAX_NAME_LENGTH + 1)
 

@@ -10,10 +10,16 @@ import json
 
 import pytest
 
+from repro.core.retransmission import MAX_RETRANSMISSIONS
 from repro.obs import Observability
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
-from repro.service.protocol import MAX_LINE_BYTES, encode_response
+from repro.service.loadgen import LoadgenSpec, generate_requests
+from repro.service.protocol import (
+    MAX_BATCH_REQUESTS,
+    MAX_LINE_BYTES,
+    encode_response,
+)
 from repro.service.server import AdmissionService
 
 
@@ -37,6 +43,12 @@ async def with_service(setup, body, **service_kwargs):
         await client.close()
         await service.stop()
     return service, result
+
+
+def admit_line(name, arrival=0, deadline=100):
+    return json.dumps({"op": "admit", "id": name, "channel": "A",
+                       "arrival": arrival, "execution": 1,
+                       "deadline": deadline})
 
 
 class TestBasicOps:
@@ -93,6 +105,19 @@ class TestBasicOps:
         run(with_service(setup, body))
 
 
+    def test_plan_retransmission_caps_budgets(self, setup):
+        # The simulator funds at most MAX_RETRANSMISSIONS copies per
+        # message, so the service plans within the same cap.
+        async def body(service, client):
+            return await client.plan_retransmission(
+                {"m1": {"failure_probability": 0.5, "instances": 1000.0}},
+                rho=0.9999)
+
+        __, reply = run(with_service(setup, body))
+        assert reply["feasible"] is False
+        assert reply["budgets"] == {"m1": MAX_RETRANSMISSIONS}
+
+
 class TestBatching:
     def test_concurrent_admits_coalesce(self, setup):
         # Concurrency is per-connection (one line at a time each), so
@@ -139,6 +164,35 @@ class TestBatching:
         service, __ = run(with_service(setup, body))
         assert service.counters["service.batch.requests"] == 24
 
+    def test_contended_stream_verdicts_repeat(self, setup):
+        # A pipelined stream over 8 connections coalesces into passes
+        # whose make-up follows socket timing; the verdict per request
+        # name must not.  A stream that rejects nothing would prove
+        # nothing, so this one contends for slack.
+        stream = generate_requests(LoadgenSpec(
+            requests=300, seed=7, mean_interarrival_ticks=1.0))
+
+        async def body(service, client):
+            host, port = service._server.sockets[0].getsockname()[:2]
+            clients = [client] + [await ServiceClient.connect(host, port)
+                                  for __ in range(7)]
+            try:
+                replies = await asyncio.gather(*(
+                    clients[index % 8].admit(
+                        item.channel, item.arrival, item.execution,
+                        item.deadline, name=item.name)
+                    for index, item in enumerate(stream)))
+            finally:
+                for other in clients[1:]:
+                    await other.close()
+            return {item.name: reply["status"]
+                    for item, reply in zip(stream, replies)}
+
+        first = run(with_service(setup, body))[1]
+        again = run(with_service(setup, body))[1]
+        assert again == first
+        assert set(first.values()) == {"accepted", "rejected"}
+
     def test_batch_order_is_deterministic(self, setup):
         async def offered(service, client):
             # Fire in reverse arrival order; admission happens in
@@ -182,6 +236,41 @@ class TestRobustness:
 
         run(with_service(setup, body))
 
+    def test_front_errors_are_canonical(self, setup):
+        # Every malformed line is answered with the parser's reason and
+        # no id; an oversize line is answered, then the connection
+        # closes.  The long-name admit fits the line limit but not
+        # MAX_NAME_LENGTH.
+        long_admit = (b'{"op":"admit","channel":"A","arrival":1,'
+                      b'"execution":1,"deadline":300,"name":"')
+        long_admit += b"n" * (MAX_LINE_BYTES - len(long_admit) - 10)
+        long_admit += b'"}\n'
+        malformed = [b'{"op": "admit", "id": 5}\n',
+                     b'{"op": "admit_batch", "requests": []}\n',
+                     long_admit]
+
+        async def body(service, client):
+            for line in malformed:
+                await client.send_raw(line)
+            await client.ping()  # fence: every error line is answered
+            host, port = service._server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            huge = b'{"op": "ping", "id": "' + b"x" * (70 * 1024) + b'"}'
+            writer.write(huge + b"\n")
+            too_long = await reader.readline()
+            closed = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return list(client.unmatched), too_long, closed
+
+        service, (errors, too_long, closed) = run(with_service(setup, body))
+        assert [e["status"] for e in errors] == ["error"] * len(malformed)
+        assert not any("id" in error for error in errors)
+        assert "'name' exceeds" in errors[-1]["reason"]
+        assert b"request line too long" in too_long and closed == b""
+        assert service.counters["service.protocol_errors"] \
+            == len(malformed) + 1
+
     def test_queue_full_answers_overload(self, setup):
         async def body():
             service = AdmissionService(setup, queue_limit=1,
@@ -201,6 +290,38 @@ class TestRobustness:
         assert service.counters["service.queue.rejected"] == 3
         assert service.counters["service.timeouts"] == 1
 
+    def test_overload_clears_once_the_queue_drains(self, setup):
+        async def body():
+            service = AdmissionService(setup, queue_limit=1)
+            queued = asyncio.create_task(service._dispatch(
+                admit_line("bp1")))
+            await asyncio.sleep(0)  # bp1 now fills the queue
+            bounced = await service._dispatch(admit_line("bp2"))
+            service._batcher = asyncio.create_task(service._batch_loop())
+            first = await queued
+            recovered = await service._dispatch(admit_line("bp3"))
+            service._batcher.cancel()
+            return service, [reply["status"] for reply in
+                             (first, bounced, recovered)]
+
+        service, statuses = run(body())
+        assert statuses == ["accepted", "overload", "accepted"]
+        assert service.counters["service.queue.rejected"] == 1
+
+    def test_stop_answers_queued_requests(self, setup):
+        # A drain begun while an admit waits in the queue still gives
+        # it a ledger verdict.
+        async def body(service, client):
+            admit = asyncio.create_task(client.admit(
+                "A", arrival=0, execution=1, deadline=100, name="drain1"))
+            while not service._queue.qsize():
+                await asyncio.sleep(0)
+            await service.stop()
+            return await admit
+
+        __, reply = run(with_service(setup, body))
+        assert reply["status"] == "accepted"
+
     def test_drain_refuses_new_work_but_answers(self, setup):
         async def body(service, client):
             accepted = await client.admit("A", arrival=0, execution=1,
@@ -214,6 +335,30 @@ class TestRobustness:
             assert reply["reason"] == "draining"
 
         run(with_service(setup, body))
+
+
+class TestStats:
+    def test_stats_report_the_queue_under_load(self, setup):
+        # queue_depth counts requests waiting for a pass; queue_limit
+        # is the bound that answers "queue full".
+        async def body():
+            service = AdmissionService(setup, queue_limit=4)
+            waiting = [asyncio.create_task(service._dispatch(
+                admit_line(f"w{index}", arrival=index)))
+                for index in range(3)]
+            await asyncio.sleep(0)  # all three are queued
+            loaded = service._stats_response()
+            service._batcher = asyncio.create_task(service._batch_loop())
+            replies = await asyncio.gather(*waiting)
+            idle = service._stats_response()
+            service._batcher.cancel()
+            return loaded, idle, replies
+
+        loaded, idle, replies = run(body())
+        assert (loaded["queue_depth"], loaded["queue_limit"]) == (3, 4)
+        assert (idle["queue_depth"], idle["queue_limit"]) == (0, 4)
+        assert idle["batches"] == 1
+        assert [r["status"] for r in replies] == ["accepted"] * 3
 
 
 class TestReconciliation:
@@ -367,3 +512,39 @@ class TestAdmitBatch:
 
         service, __ = run(with_service(setup, body))
         assert service.counters["service.admits"] >= 1
+
+    def test_batch_spans_channels(self, setup):
+        # One batch reaches both ledgers; an unknown channel and an
+        # invalid entry are answered in place.
+        entries = self.entries(1) + self.entries(1, channel="B")
+        entries += [dict(entries[0], channel="Zebra", name="bz1"),
+                    dict(entries[0], channel=7, name="bad1")]
+
+        async def body(service, client):
+            return await client.admit_batch(entries)
+
+        service, reply = run(with_service(setup, body))
+        statuses = [r["status"] for r in reply["responses"]]
+        assert statuses == ["accepted", "accepted", "rejected", "error"]
+        assert "unknown channel" in reply["responses"][2]["reason"]
+        assert [r["channel"] for r in reply["responses"][:2]] == ["A", "B"]
+        assert service.counters["service.client_batches"] == 1
+
+    def test_shape_errors_are_canonical(self, setup):
+        # A batch whose shape is wrong is one protocol error, worded
+        # by the parser, with no id.
+        oversized = json.dumps({"op": "admit_batch", "requests":
+                                self.entries(MAX_BATCH_REQUESTS + 1)})
+
+        async def body(service, client):
+            await client.send_raw(
+                b'{"op": "admit_batch", "requests": []}\n')
+            await client.send_raw(oversized.encode("utf-8") + b"\n")
+            await client.ping()  # fence: both error lines are answered
+            return list(client.unmatched)
+
+        service, errors = run(with_service(setup, body))
+        assert [e["status"] for e in errors] == ["error", "error"]
+        assert "non-empty array" in errors[0]["reason"]
+        assert f"exceeds {MAX_BATCH_REQUESTS}" in errors[1]["reason"]
+        assert "service.client_batches" not in service.counters

@@ -125,6 +125,17 @@ class TestRetransmissionPlan:
         )
         assert "ANA206" in report.rule_ids()
 
+    def test_ana206_budget_past_the_planner_cap(self):
+        # The planner buys at most 8 retransmissions per message, so a
+        # k_z of 9 cannot come from it and must not pass the check.
+        args = dict(failure_probabilities={"a": 1e-4, "b": 1e-4},
+                    instances={"a": 1.0, "b": 1.0}, rho=0.999)
+        assert not check_retransmission_plan(
+            budgets={"a": 8, "b": 1}, **args).has_errors
+        report = check_retransmission_plan(budgets={"a": 9, "b": 1}, **args)
+        assert report.rule_ids() == ["ANA206"]
+        assert report.diagnostics[0].location == "plan.budgets[a]"
+
     def test_budget_cap_is_configurable(self):
         report = check_retransmission_plan(
             failure_probabilities={"a": 1e-4},
