@@ -481,7 +481,7 @@ def _cmd_verify_config(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.service import load_service_setup, serve_forever
+    from repro.service import AdmissionService, load_service_setup
     from repro.verify import ConfigurationError
 
     obs, events = _make_observability(args)
@@ -490,7 +490,6 @@ def _cmd_serve(args) -> int:
             workload=args.workload, count=args.count, seed=args.seed,
             minislots=args.minislots, ber=args.ber,
             reliability_goal=args.rho, tick_us=args.tick_us,
-            verify=not args.no_verify, engine_mode=args.engine_mode,
             backend=args.backend)
     except ConfigurationError as error:
         print("repro serve: configuration failed static verification:",
@@ -498,13 +497,25 @@ def _cmd_serve(args) -> int:
         print(error.report.format(), file=sys.stderr)
         return 1
     store = _open_store(args, obs)
-    try:
-        service = asyncio.run(serve_forever(
-            setup, host=args.host, port=args.port, obs=obs,
-            queue_limit=args.queue_limit, batch_limit=args.batch_limit,
+
+    async def serve() -> AdmissionService:
+        # Runs until SIGTERM/SIGINT drains the service.
+        service = AdmissionService(
+            setup, obs=obs, queue_limit=args.queue_limit,
+            batch_limit=args.batch_limit,
             request_timeout_s=args.timeout_ms / 1000.0,
-            reconcile_every=args.reconcile_every,
-            audit_every=args.audit_every, store=store))
+            reconcile_every=args.reconcile_every, store=store)
+        host, port = await service.start(host=args.host, port=args.port)
+        service.install_signal_handlers()
+        horizons = [service.ledgers[c].horizon for c in setup.channels]
+        print(f"repro serve: listening on {host}:{port} (workload "
+              f"{setup.workload}, channels {','.join(setup.channels)}, "
+              f"horizons {horizons} ticks)", file=sys.stderr, flush=True)
+        await service.wait_closed()
+        return service
+
+    try:
+        service = asyncio.run(serve())
     finally:
         if store is not None:
             store.close()
@@ -884,18 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--reconcile-every", type=int, default=64,
                               help="full slack reconciliation every N "
                                    "batches (default: 64; 0 = off)")
-    serve_parser.add_argument("--audit-every", type=int, default=0,
-                              help="trial-run audit every Nth admission "
-                                   "(default: 0 = off)")
-    engine_option(serve_parser, "engine offline replays of the served "
-                                "configuration use, advertised in the "
-                                "status payload")
-    serve_parser.add_argument("--no-verify", action="store_true",
-                              help="skip the static verification gate "
-                                   "(tests only)")
     serve_parser.add_argument("--json", action="store_true",
                               help="emit final counters as JSON")
-    store_option(serve_parser, "audit samples and the drain summary")
+    store_option(serve_parser, "the final counters at drain")
     observability(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 

@@ -6,9 +6,9 @@ Three layers, bottom up:
   persisted artifact and every HTTP response uses (content addressing,
   byte-stable ETags, loud failures instead of silent ``str()``);
 - :mod:`repro.results.store` -- :class:`ResultStore`, the WAL-mode
-  SQLite database campaigns, runs, trace digests, verify reports, obs
-  snapshots and service audits are ingested into atomically and
-  idempotently;
+  SQLite database campaigns, runs, trace digests, verify reports and
+  obs snapshots (the admission service's drain counters among them)
+  are ingested into atomically and idempotently;
 - :mod:`repro.results.web` -- ``repro web``, the read-only paginated
   HTTP explorer over a store.
 """

@@ -2,7 +2,8 @@
 
 Every artifact the reproduction produces -- campaign summaries,
 per-seed runs, trace digests per engine mode, verify reports, obs
-counter snapshots, service audit samples -- lands in one WAL-mode
+counter snapshots (among them the admission service's counters at
+drain, scope ``serve``) -- lands in one WAL-mode
 SQLite database behind the :class:`ResultStore` API, instead of the
 ad-hoc JSON/JSONL files each subsystem used to scatter.
 
@@ -65,7 +66,7 @@ __all__ = ["SCHEMA_VERSION", "RUN_METRIC_COLUMNS", "ResultStore"]
 
 #: Bump on any table/column change; old stores are rejected loudly
 #: instead of being half-understood.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Numeric per-run metric columns (also the ``/metrics/<name>`` facets
 #: of the web API).  Extracted from the run payload into real columns
@@ -152,20 +153,11 @@ CREATE TABLE IF NOT EXISTS obs_snapshots (
     counters TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_obs_scope ON obs_snapshots (scope, scope_id);
-CREATE TABLE IF NOT EXISTS service_audits (
-    id          TEXT PRIMARY KEY,
-    workload    TEXT NOT NULL,
-    engine_mode TEXT NOT NULL,
-    kind        TEXT NOT NULL,
-    ordinal     INTEGER NOT NULL,
-    payload     TEXT NOT NULL
-);
 """
 
 #: Tables the web index page reports row counts for, in display order.
 _TABLES = ("campaigns", "runs", "campaign_runs", "trace_digests",
-           "verify_reports", "verify_diagnostics", "obs_snapshots",
-           "service_audits")
+           "verify_reports", "verify_diagnostics", "obs_snapshots")
 
 
 def _placeholders(row: Mapping[str, object]) -> Tuple[str, str, list]:
@@ -505,25 +497,6 @@ class ResultStore:
         with self.transaction():
             return self._ingest_snapshot(scope, scope_id, seed, counters)
 
-    def record_service_audit(self, workload: str, engine_mode: str,
-                             kind: str, ordinal: int,
-                             payload: Mapping[str, object]) -> str:
-        """Persist one service audit sample (or drain summary)."""
-        full = {"workload": workload, "engine_mode": engine_mode,
-                "kind": kind, "ordinal": ordinal,
-                "payload": dict(payload)}
-        audit_id = content_digest(full)
-        with self.transaction():
-            if self._insert_ignore("service_audits", {
-                "id": audit_id, "workload": workload,
-                "engine_mode": engine_mode, "kind": kind,
-                "ordinal": ordinal,
-                "payload": canonical_json_bytes(
-                    full["payload"]).decode("ascii"),
-            }):
-                self._count("results.audits_recorded")
-        return audit_id
-
     # -- read side -----------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
@@ -787,25 +760,3 @@ class ResultStore:
             out.append(entry)
         return out, total
 
-    def service_audits_rows(self, workload: Optional[str] = None,
-                            kind: Optional[str] = None,
-                            limit: int = 50,
-                            offset: int = 0,
-                            ) -> Tuple[List[Dict[str, object]], int]:
-        """Service audit samples; payloads come back parsed."""
-        import json
-
-        clauses: List[str] = []
-        values: List[object] = []
-        self._facet(clauses, values, "workload", workload)
-        self._facet(clauses, values, "kind", kind)
-        rows, total = self._paged(
-            "SELECT id, workload, engine_mode, kind, ordinal, payload "
-            "FROM service_audits",
-            "workload, kind, ordinal, id", clauses, values, limit, offset)
-        out = []
-        for row in rows:
-            entry = dict(row)
-            entry["payload"] = json.loads(entry["payload"])
-            out.append(entry)
-        return out, total

@@ -4,8 +4,8 @@ A minimal asyncio HTTP/1.1 layer (stdlib only, same style as the
 JSON-lines admission service in :mod:`repro.service.server`) that
 serves the datasette-pattern read path over :class:`ResultStore`:
 paginated, filterable JSON endpoints for campaigns, per-seed runs,
-cross-engine-mode trace-digest diffs, metric tables, verify reports,
-obs snapshots and service audits.
+cross-engine-mode trace-digest diffs, metric tables, verify reports
+and obs snapshots.
 
 The response contract every endpoint honours:
 
@@ -270,7 +270,6 @@ class ResultsWebService:
             "metrics": self._metrics,
             "verify": self._verify,
             "snapshots": self._snapshots,
-            "audits": self._audits,
         }
         handler = handlers.get(head)
         if handler is None:
@@ -285,7 +284,7 @@ class ResultsWebService:
                 "/campaigns", "/campaigns/<id>", "/campaigns/<id>/runs",
                 "/runs/<id>", "/digests", "/digests/diff",
                 "/metrics/<name>", "/verify/reports",
-                "/verify/reports/<id>", "/snapshots", "/audits",
+                "/verify/reports/<id>", "/snapshots",
             ],
             "metrics": list(RUN_METRIC_COLUMNS),
         }
@@ -379,16 +378,6 @@ class ResultsWebService:
         limit, offset = _page_params(params)
         rows, total = self.store.snapshots(
             scope=params.get("scope"), scope_id=params.get("scope_id"),
-            limit=limit, offset=offset)
-        return _envelope(rows, total, limit, offset)
-
-    def _audits(self, rest: List[str],
-                params: Mapping[str, str]) -> Optional[object]:
-        if rest:
-            return None
-        limit, offset = _page_params(params)
-        rows, total = self.store.service_audits_rows(
-            workload=params.get("workload"), kind=params.get("kind"),
             limit=limit, offset=offset)
         return _envelope(rows, total, limit, offset)
 

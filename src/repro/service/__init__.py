@@ -5,8 +5,9 @@ retransmissions against the static schedule's precomputed slack
 (Section III-C) -- packaged as a long-running, observable network
 service instead of an offline library call:
 
-- :mod:`repro.service.config` -- load and statically verify a cluster
-  configuration, derive per-channel periodic task sets;
+- :mod:`repro.service.config` -- load a cluster configuration through
+  the static verification gate (which always runs) and derive
+  per-channel periodic task sets;
 - :mod:`repro.service.ledger` -- the incremental slack accountant: a
   guaranteed-capacity table from the slack stealer plus demand-criterion
   admission, updated on admit/release/expire instead of recomputed,
@@ -15,7 +16,8 @@ service instead of an offline library call:
   wire format;
 - :mod:`repro.service.server` -- the asyncio TCP server: per-tick
   request batching, bounded queue with explicit overload replies,
-  per-request timeouts, graceful drain on SIGTERM;
+  per-request timeouts, graceful drain on SIGTERM (recording the final
+  counters into a result store when given one);
 - :mod:`repro.service.client` -- a pipelining asyncio client;
 - :mod:`repro.service.loadgen` -- deterministic seeded Poisson load
   generator with latency/throughput/acceptance-ratio reports.
@@ -53,7 +55,7 @@ from repro.service.protocol import (
     encode_response,
     parse_request,
 )
-from repro.service.server import AdmissionService, serve_forever
+from repro.service.server import AdmissionService
 
 __all__ = [
     "SERVICE_WORKLOADS",
@@ -71,7 +73,6 @@ __all__ = [
     "encode_response",
     "parse_request",
     "AdmissionService",
-    "serve_forever",
     "ServiceClient",
     "AdmitRequestSpec",
     "LoadgenReport",

@@ -6,10 +6,11 @@ frames become a deadline-monotonic :class:`~repro.core.tasks.TaskSet`
 in integer service ticks, and a :class:`~repro.service.ledger.SlackLedger`
 precomputes the guaranteed aperiodic capacity from it.
 
-Loading is gated through :mod:`repro.verify`: the same simulation-free
-checks the campaign gate runs (``FRC*`` geometry, ``ANA*`` analysis
-rules) must pass before the service will hold the configuration live --
-a service should fail at startup, not on request 40,000.
+Loading is always gated through :mod:`repro.verify`: the same
+simulation-free checks the campaign gate runs (``FRC*`` geometry,
+``ANA*`` analysis rules) must pass before the service will hold the
+configuration live -- a service should fail at startup, not on request
+40,000.
 
 Quantization: one service tick is ``tick_us`` microseconds (default
 100 us = 0.1 ms).  A signal's execution demand is its wire size (payload
@@ -28,7 +29,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.tasks import PeriodicTask, TaskSet
 from repro.protocol.backend import get_backend
 from repro.protocol.channel import Channel
-from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.signal import Signal, SignalSet
 from repro.timeline.compiler import CompiledRound
 from repro.verify import ConfigurationError, verify_experiment
@@ -59,32 +59,18 @@ class ServiceSetup:
 
     Attributes:
         workload: Workload name the setup was built from.
-        params: The verified cluster configuration.
         tick_us: Service tick length in microseconds.
         channel_tasks: Per-channel hard periodic task sets (ticks).
-        verified: Whether the configuration passed the static gate
-            (``False`` only when loading with ``verify=False``).
-        engine_mode: Simulation engine (``"vectorized"`` or
-            ``"interpreter"``) any offline replay or spot-check of
-            this configuration runs under; advertised in the service's
-            status payload so audits reproduce the served setup exactly.
     """
 
     workload: str
-    params: SegmentGeometry
     tick_us: int
     channel_tasks: Dict[str, TaskSet]
-    verified: bool
-    engine_mode: str = "vectorized"
 
     @property
     def channels(self) -> Tuple[str, ...]:
         """Channel labels, sorted."""
         return tuple(sorted(self.channel_tasks))
-
-    def ticks_per_ms(self) -> float:
-        """Service ticks per millisecond."""
-        return 1000.0 / self.tick_us
 
 
 def signal_to_task(signal: Signal, tick_us: int = 100,
@@ -208,9 +194,7 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
                        ber: float = 1e-7,
                        reliability_goal: float = 1 - 1e-4,
                        tick_us: int = 100,
-                       verify: bool = True,
                        mapping: str = "signals",
-                       engine_mode: str = "vectorized",
                        backend: str = "flexray") -> ServiceSetup:
     """Build and statically verify one service configuration.
 
@@ -223,42 +207,35 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
         ber: Bit error rate for the verification gate.
         reliability_goal: rho for the verification gate.
         tick_us: Service tick length in microseconds.
-        verify: Run the :func:`repro.verify.verify_experiment` gate
-            (raises :class:`~repro.verify.ConfigurationError` on
-            errors).  Disable only in tests.
         mapping: ``"signals"`` (default) balances the raw signals over
             channels by load; ``"round"`` packs and schedules the
             signals exactly as the simulator does and reads the task
             sets from the resulting compiled round
             (:func:`round_task_sets`), so the service accounts against
             the *placed* schedule rather than an idealized partition.
-        engine_mode: Engine any offline replay of this configuration
-            runs under (``"vectorized"`` or ``"interpreter"``);
-            validated here so a typo fails at startup, and advertised
-            via the status payload.
         backend: Protocol backend name (``repro.protocol.get_backend``);
             selects the geometry the workload is packed against.
 
     Returns:
         A :class:`ServiceSetup` ready to hand to the server.
-    """
-    from repro.sim.engine import EngineMode
 
+    Raises:
+        ConfigurationError: The :func:`repro.verify.verify_experiment`
+            gate found errors.
+    """
     if mapping not in ("signals", "round"):
         raise ValueError(f"unknown task mapping {mapping!r}; "
                          f"expected 'signals' or 'round'")
-    engine_mode = EngineMode.parse(engine_mode).value
     protocol = get_backend(backend)
     periodic = _workload_signals(workload, count, seed)
     params = protocol.workload_params(workload, minislots)
 
-    if verify:
-        aperiodic = sae_aperiodic_signals() if workload == "sae" else None
-        report = verify_experiment(params=params, periodic=periodic,
-                                   aperiodic=aperiodic, ber=ber,
-                                   reliability_goal=reliability_goal)
-        if report.has_errors:
-            raise ConfigurationError(report)
+    aperiodic = sae_aperiodic_signals() if workload == "sae" else None
+    report = verify_experiment(params=params, periodic=periodic,
+                               aperiodic=aperiodic, ber=ber,
+                               reliability_goal=reliability_goal)
+    if report.has_errors:
+        raise ConfigurationError(report)
 
     if mapping == "round":
         from repro.packing.frame_packing import pack_signals
@@ -276,6 +253,5 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
             bit_rate_bps=int(params.bit_rate_mbps * 1_000_000),
             overhead_bits=params.frame_overhead_bits,
         )
-    return ServiceSetup(workload=workload, params=params, tick_us=tick_us,
-                        channel_tasks=channel_tasks, verified=verify,
-                        engine_mode=engine_mode)
+    return ServiceSetup(workload=workload, tick_us=tick_us,
+                        channel_tasks=channel_tasks)

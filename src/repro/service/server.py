@@ -26,7 +26,8 @@ parallelism admission has.
   (``service.reconcile.divergence`` must stay 0).
 - **Drain**: SIGTERM/SIGINT (or :meth:`AdmissionService.stop`) stops
   accepting new work -- late requests get ``overload`` with reason
-  ``draining`` -- finishes every queued request, then closes.
+  ``draining`` -- finishes every queued request, records the final
+  counters into the result store if one was given, then closes.
 - **Isolation**: malformed lines get ``status: error`` replies and the
   connection stays open; one broken client cannot take the service
   down.
@@ -39,7 +40,6 @@ import signal
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.acceptance import AcceptanceTest
 from repro.core.retransmission import plan_retransmissions
 from repro.obs import NULL_OBS, ObsLike
 from repro.service.config import ServiceSetup
@@ -52,8 +52,7 @@ from repro.service.protocol import (
     parse_request,
 )
 
-__all__ = ["AdmissionService", "CHANNEL_STATUS_FIELDS", "STATUS_FIELDS",
-           "serve_forever"]
+__all__ = ["AdmissionService", "CHANNEL_STATUS_FIELDS", "STATUS_FIELDS"]
 
 #: Takes one request's response (see :meth:`AdmissionService._split`).
 Sink = Callable[[Dict[str, object]], None]
@@ -62,9 +61,9 @@ Sink = Callable[[Dict[str, object]], None]
 #: docs/service.md documents these one-for-one, and the round-trip test
 #: (tests/service/test_status_contract.py) pins payload, this tuple and
 #: the docs together so they cannot drift apart again.
-STATUS_FIELDS = ("status", "workload", "tick_us", "engine_mode",
-                 "channels", "counters", "batches", "mean_batch_size",
-                 "queue_depth", "queue_limit", "draining")
+STATUS_FIELDS = ("status", "workload", "tick_us", "channels", "counters",
+                 "batches", "mean_batch_size", "queue_depth",
+                 "queue_limit", "draining")
 
 #: Exact key set of each per-channel entry under ``channels``.
 CHANNEL_STATUS_FIELDS = ("live", "committed", "admitted_total",
@@ -93,21 +92,16 @@ class AdmissionService:
             to response; exceeded -> ``overload`` reply.
         reconcile_every: Run the incremental-vs-recomputed slack
             reconciliation every N batches (0 disables).
-        audit_every: Additionally trial-run every Nth *admitted*
-            request through a fresh offline
-            :class:`~repro.core.acceptance.AcceptanceTest` and count
-            agreement (0 disables; expensive, meant for tests and
-            canary deployments).
-        store: A :class:`repro.results.ResultStore` audit samples and
-            the final drain summary are persisted into (optional; the
-            samples become queryable under ``repro web`` /audits).
+        store: A :class:`repro.results.ResultStore` the final counters
+            are recorded into at drain, as one ``obs_snapshots`` row of
+            scope ``serve`` (optional; ``repro web`` serves it under
+            ``/snapshots?scope=serve``).
     """
 
     def __init__(self, setup: ServiceSetup, obs: ObsLike = NULL_OBS,
                  queue_limit: int = 1024, batch_limit: int = 256,
                  request_timeout_s: float = 5.0,
                  reconcile_every: int = 64,
-                 audit_every: int = 0,
                  store=None) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -119,7 +113,6 @@ class AdmissionService:
         self._batch_limit = batch_limit
         self._timeout = request_timeout_s
         self._reconcile_every = reconcile_every
-        self._audit_every = audit_every
         self._store = store
         self.counters: Dict[str, int] = {}
         self.ledgers: Dict[str, SlackLedger] = {
@@ -281,6 +274,9 @@ class AdmissionService:
                 extra = self._queue.get_nowait()
                 if extra is not None:
                     batch.append(extra)
+            if self._obs.enabled:
+                self._obs.set_gauge("service.queue.depth",
+                                    self._queue.qsize())
             if batch:
                 self._process_batch(batch)
             if self._draining and self._queue.empty():
@@ -293,14 +289,8 @@ class AdmissionService:
             # must leave provably consistent books behind.
             self.reconcile()
         if self._store is not None:
-            counters = dict(sorted(self.counters.items()))
-            batches = counters.get("service.batches", 0)
-            self._store.record_service_audit(
-                self.setup.workload, self.setup.engine_mode, "drain",
-                ordinal=batches,
-                payload={"counters": counters, "batches": batches,
-                         "batched_requests": counters.get(
-                             "service.batch.requests", 0)})
+            self._store.record_obs_snapshot("serve", self.setup.workload,
+                                            self.counters)
         # The batcher exits right after this call; nothing to cancel.
         self._batcher = None
         self._drained.set()
@@ -417,7 +407,6 @@ class AdmissionService:
         outcome = ledger.admit(name, arrival, execution, deadline)
         if outcome.admitted:
             self._count("service.admits")
-            self._maybe_audit(channel, ledger)
         else:
             self._count("service.rejects")
         return {
@@ -443,49 +432,6 @@ class AdmissionService:
             self._count("service.releases")
         return {"status": "released" if released else "not_found",
                 "channel": channel, "name": name}
-
-    def _maybe_audit(self, channel: str, ledger: SlackLedger) -> None:
-        """Sampled cross-check against the offline acceptance test.
-
-        Every ``audit_every``-th admission replays the channel's whole
-        live set through a fresh trial-run
-        :class:`~repro.core.acceptance.AcceptanceTest`.  The two tests
-        share the capacity model but not the service discipline (the
-        ledger serves EDF over guaranteed capacity, the trial runs
-        FIFO with exact online slack), so disagreement is *recorded*,
-        not asserted -- the counters make the fast path's fidelity
-        observable.
-        """
-        if not self._audit_every:
-            return
-        admitted = self.counters.get("service.admits", 0)
-        if admitted % self._audit_every:
-            return
-        tasks = self.setup.channel_tasks.get(channel)
-        if tasks is None or not len(tasks):
-            return
-        self._count("service.audit.runs")
-        with self._obs.section("service.audit"):
-            from repro.core.tasks import AperiodicTask
-
-            reference = AcceptanceTest(tasks)
-            agreed = True
-            live = ledger.live_tasks()
-            for name, arrival, deadline, execution in live:
-                # Rebuild the live set as offline aperiodic tasks.
-                result = reference.admit(AperiodicTask(
-                    name=name, arrival=arrival, execution=execution,
-                    deadline=deadline - arrival))
-                if not result.admitted:
-                    agreed = False
-        self._count("service.audit.agreements" if agreed
-                    else "service.audit.disagreements")
-        if self._store is not None:
-            self._store.record_service_audit(
-                self.setup.workload, self.setup.engine_mode, "audit",
-                ordinal=self.counters.get("service.audit.runs", 0),
-                payload={"channel": channel, "agreed": agreed,
-                         "live": len(live), "admitted_total": admitted})
 
     # -- reconciliation ------------------------------------------------
 
@@ -526,7 +472,6 @@ class AdmissionService:
             "status": "ok",
             "workload": self.setup.workload,
             "tick_us": self.setup.tick_us,
-            "engine_mode": self.setup.engine_mode,
             "channels": channels,
             "counters": dict(sorted(self.counters.items())),
             "batches": batches,
@@ -558,30 +503,3 @@ class AdmissionService:
             "budgets": dict(sorted(plan.budgets.items())),
         }
 
-
-async def serve_forever(setup: ServiceSetup, host: str = "127.0.0.1",
-                        port: int = 8471, obs: ObsLike = NULL_OBS,
-                        queue_limit: int = 1024, batch_limit: int = 256,
-                        request_timeout_s: float = 5.0,
-                        reconcile_every: int = 64,
-                        audit_every: int = 0,
-                        store=None) -> AdmissionService:
-    """Run an admission service until SIGTERM/SIGINT drains it.
-
-    Returns:
-        The drained service (its counters are still readable).
-    """
-    service = AdmissionService(
-        setup, obs=obs, queue_limit=queue_limit, batch_limit=batch_limit,
-        request_timeout_s=request_timeout_s,
-        reconcile_every=reconcile_every, audit_every=audit_every,
-        store=store)
-    bound_host, bound_port = await service.start(host=host, port=port)
-    service.install_signal_handlers()
-    print(f"repro serve: listening on {bound_host}:{bound_port} "
-          f"(workload {setup.workload}, channels "
-          f"{','.join(setup.channels)}, "
-          f"horizons {[service.ledgers[c].horizon for c in sorted(service.ledgers)]} ticks)",
-          file=sys.stderr, flush=True)
-    await service.wait_closed()
-    return service

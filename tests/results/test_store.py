@@ -1,5 +1,7 @@
 """ResultStore: idempotent ingest, round-trips, queries, digests."""
 
+import asyncio
+import sqlite3
 import warnings
 
 import pytest
@@ -10,6 +12,9 @@ from repro.experiments.cache import run_key
 from repro.experiments.campaign import CampaignResult, MetricSummary
 from repro.obs import Observability
 from repro.results import RUN_METRIC_COLUMNS, ResultStore
+from repro.service.client import ServiceClient
+from repro.service.config import load_service_setup
+from repro.service.server import AdmissionService
 from repro.sim.trace import trace_digest
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
@@ -228,14 +233,27 @@ class TestSnapshotsAndAudits:
         assert rows[0]["counters"] == {"cache.hits": 1,
                                        "engine.cycles": 12}
 
-    def test_audit_round_trips(self, store):
-        store.record_service_audit("bbw", "vectorized", "audit", 1,
-                                   {"channel": "A", "agreed": True})
-        store.record_service_audit("bbw", "vectorized", "drain", 9,
-                                   {"batches": 9})
-        rows, total = store.service_audits_rows(kind="audit")
+    def test_drained_service_records_one_serve_snapshot(self, store):
+        async def serve():
+            service = AdmissionService(load_service_setup("bbw"),
+                                       store=store)
+            host, port = await service.start(port=0)
+            client = await ServiceClient.connect(host, port)
+            try:
+                for index in range(3):
+                    await client.admit("A", arrival=index, execution=1,
+                                       deadline=100, name=f"s{index}")
+            finally:
+                await client.close()
+                await service.stop()
+            return service
+
+        service = asyncio.run(serve())
+        rows, total = store.snapshots(scope="serve")
         assert total == 1
-        assert rows[0]["payload"]["agreed"] is True
+        assert rows[0]["scope_id"] == "bbw"
+        assert rows[0]["counters"] == service.counters
+        assert store.counts()["obs_snapshots"] == 1
 
 
 class TestQueries:
@@ -284,6 +302,17 @@ class TestStoreLifecycle:
             with pytest.raises(ValueError, match="read-only"):
                 with ro.transaction():
                     pass
+
+    def test_older_schema_rejected(self, tmp_path):
+        path = str(tmp_path / "v1.db")
+        ResultStore(path).close()
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE store_meta SET value = '1' "
+                               "WHERE key = 'schema_version'")
+        connection.close()
+        with pytest.raises(ValueError, match="schema '1' is not supported"):
+            ResultStore(path)
 
     def test_non_store_file_rejected(self, tmp_path):
         bogus = tmp_path / "not_a_store.db"

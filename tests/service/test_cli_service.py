@@ -26,8 +26,17 @@ class TestParser:
         assert args.queue_limit == 1024
         assert args.batch_limit == 256
         assert args.reconcile_every == 64
-        assert args.audit_every == 0
-        assert args.no_verify is False
+        assert args.tick_us == 100
+        assert args.timeout_ms == 5000.0
+        assert args.store is None
+        assert not hasattr(args, "engine_mode")
+
+    @pytest.mark.parametrize("flags", (
+        ["--engine-mode", "interpreter"], ["--audit-every", "2"],
+        ["--no-verify"]))
+    def test_serve_rejects_deleted_flags(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", *flags])
 
     def test_serve_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):

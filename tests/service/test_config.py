@@ -70,7 +70,6 @@ class TestChannelBalancing:
 class TestLoadServiceSetup:
     def test_bbw_loads_verified(self):
         setup = load_service_setup("bbw")
-        assert setup.verified
         assert setup.channels == ("A", "B")
         assert all(len(ts) > 0 for ts in setup.channel_tasks.values())
 
@@ -87,7 +86,3 @@ class TestLoadServiceSetup:
         # the service up.
         with pytest.raises(ConfigurationError):
             load_service_setup("bbw", ber=1e-3)
-
-    def test_verify_false_skips_gate(self):
-        setup = load_service_setup("bbw", ber=1e-3, verify=False)
-        assert not setup.verified

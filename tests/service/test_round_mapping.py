@@ -83,7 +83,7 @@ class TestRoundTaskSets:
 class TestLoadServiceSetupMapping:
     def test_round_mapping_happy_path(self):
         setup = load_service_setup(workload="synthetic", count=8,
-                                   mapping="round", verify=False)
+                                   mapping="round")
         assert set(setup.channel_tasks) == {"A", "B"}
         assert any(len(ts) > 0 for ts in setup.channel_tasks.values())
         for task_set in setup.channel_tasks.values():
@@ -92,11 +92,11 @@ class TestLoadServiceSetupMapping:
 
     def test_signals_mapping_unchanged(self):
         setup = load_service_setup(workload="synthetic", count=8,
-                                   mapping="signals", verify=False)
+                                   mapping="signals")
         for task_set in setup.channel_tasks.values():
             for task in task_set:
                 assert "@" not in task.name
 
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ValueError, match="unknown task mapping"):
-            load_service_setup(mapping="frames", verify=False)
+            load_service_setup(mapping="frames")

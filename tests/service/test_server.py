@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from repro.core.acceptance import AcceptanceTest
 from repro.core.retransmission import MAX_RETRANSMISSIONS
+from repro.core.tasks import AperiodicTask
 from repro.obs import Observability
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
@@ -382,15 +384,26 @@ class TestReconciliation:
         service, __ = run(with_service(setup, body, reconcile_every=64))
         assert service.counters["service.reconcile.runs"] == 1
 
-    def test_sampled_audit_agrees(self, setup):
+    def test_live_set_passes_the_acceptance_test(self, setup):
+        # After every admission, the channel's whole live set replays
+        # through a fresh trial-run acceptance test (Section III-C):
+        # each task the ledger holds must be admitted there too.
         async def body(service, client):
             for index in range(8):
-                await client.admit("A", arrival=index * 10, execution=1,
-                                   deadline=400, name=f"a{index}")
+                reply = await client.admit(
+                    "A", arrival=index * 10, execution=1, deadline=400,
+                    name=f"a{index}")
+                assert reply["status"] == "accepted"
+                reference = AcceptanceTest(setup.channel_tasks["A"])
+                live = service.ledgers["A"].live_tasks()
+                assert len(live) == index + 1
+                for name, arrival, deadline, execution in live:
+                    result = reference.admit(AperiodicTask(
+                        name=name, arrival=arrival, execution=execution,
+                        deadline=deadline - arrival))
+                    assert result.admitted, (index, name)
 
-        service, __ = run(with_service(setup, body, audit_every=2))
-        assert service.counters["service.audit.runs"] >= 1
-        assert "service.audit.disagreements" not in service.counters
+        run(with_service(setup, body))
 
 
 class TestObservability:
@@ -408,6 +421,18 @@ class TestObservability:
         assert value("service.admits") == 1
         assert value("service.batches") >= 1
         assert value("service.A.admitted") == 1
+
+    def test_queue_depth_gauge_matches_stats_after_drain(self, setup):
+        obs = Observability()
+
+        async def body(service, client):
+            for index in range(5):
+                await client.admit("A", arrival=index, execution=1,
+                                   deadline=100, name=f"q{index}")
+
+        service, __ = run(with_service(setup, body, obs=obs))
+        depth = obs.registry.gauge("service.queue.depth").value
+        assert depth == service._stats_response()["queue_depth"] == 0
 
 
 class TestAdmitBatch:

@@ -22,7 +22,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheduler", "bogus"])
 
-    @pytest.mark.parametrize("command", ("run", "campaign", "serve"))
+    @pytest.mark.parametrize("command", ("run", "campaign"))
     def test_engine_mode_defaults_to_vectorized(self, command):
         parser = build_parser()
         assert parser.parse_args([command]).engine_mode == "vectorized"
