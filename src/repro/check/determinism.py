@@ -6,7 +6,7 @@ This family *statically* enforces the coding rules the promise rests on
 (see :data:`repro.check.rules.CHECK_RULES` for the ``DET*`` catalogue).
 It runs over the trees of the checker's one parse
 (:mod:`repro.check.frontend`): ``repro check`` runs it next to the
-``EFF3xx`` proofs, and ``repro lint`` runs it alone.
+``EFF3xx`` proofs.
 
 One :class:`FileChecker` checks one module.  It is a plain
 :class:`ast.NodeVisitor`: every rule is a method over syntax, no imports
@@ -35,7 +35,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.check.effects import (
     EFFECT_RNG,
@@ -46,13 +46,12 @@ from repro.check.frontend import (
     SourceFile,
     dotted_name,
     parse_module,
-    read_sources,
 )
 from repro.check.rules import KNOWN_RULE_IDS
-from repro.verify.diagnostics import Diagnostic, Report, Severity
+from repro.verify.diagnostics import Diagnostic, Severity
 
 __all__ = ["FileChecker", "LintScope", "scope_for_path", "check_file",
-           "lint_source", "lint_paths"]
+           "lint_source"]
 
 #: Sub-packages of ``repro`` in which simulated time and randomness are
 #: load-bearing: wall-clock and unseeded-RNG rules apply here.
@@ -357,12 +356,3 @@ def lint_source(source: str, path: str = "<string>",
     is the display path and decides the scope unless ``scope`` is given.
     """
     return check_file(parse_module(path, "", source), scope)
-
-
-def lint_paths(paths: Sequence[str]) -> Report:
-    """Run the ``DET*`` rules alone over every ``.py`` file under the
-    given files/directories, in walk order (the ``repro lint`` CLI)."""
-    report = Report()
-    for source in read_sources(paths):
-        report.extend(check_file(source))
-    return report

@@ -31,11 +31,11 @@ no cycle is ever simulated:
 Whether the pattern is the schedule's true period is FRS110's
 (:mod:`repro.verify.round_checks`), which compares the round with its
 source table over every cycle-counter value.
-  Whether the unclipped plan clears it is ``ANA204``'s
-  (:func:`~repro.verify.analysis_checks.check_retransmission_plan`),
-  proved once per report: :func:`~repro.check.runner.check_workload`
-  and :func:`~repro.verify.verifier.verify_experiment` run it beside
-  this rule.
+Whether the unclipped plan clears it is ``ANA204``'s
+(:func:`~repro.verify.analysis_checks.check_retransmission_plan`),
+proved once per report: :func:`~repro.verify.verifier.verify_experiment`
+runs it beside this rule, on inputs from
+:func:`~repro.core.retransmission.derive_theorem1_plan`.
 
 On violation, :mod:`repro.check.counterexample` shrinks the round to a
 minimal failing row set with a one-command repro (``MDL405``).
@@ -63,8 +63,7 @@ from repro.verify.diagnostics import (
     Severity,
 )
 
-__all__ = ["check_hyperperiod_model", "dynamic_retransmission_capacity",
-           "theorem1_inputs", "STRUCTURAL_RULES"]
+__all__ = ["check_hyperperiod_model", "STRUCTURAL_RULES"]
 
 _KIND_NAMES = {
     SEGMENT_STATIC: "static",
@@ -75,84 +74,6 @@ _KIND_NAMES = {
 
 #: The structural rules (no reliability inputs needed).
 STRUCTURAL_RULES = ("MDL401", "MDL402", "MDL403")
-
-
-def dynamic_retransmission_capacity(
-        params, worst_bits: Mapping[str, int]) -> Dict[str, int]:
-    """Per-message dynamic-segment retransmission capacity per cycle.
-
-    How many retransmission frames of each message's worst chunk fit
-    one cycle's dynamic segments (frame minislots plus the mandatory
-    idle phase, times the configured channel count -- each channel
-    runs its own minislot timeline).  This is the ``MDL404``
-    reserved-capacity input for clusters that fund retransmissions
-    from the dynamic segment.
-    """
-    capacity: Dict[str, int] = {}
-    for message, bits in worst_bits.items():
-        if params.g_number_of_minislots <= 0:
-            capacity[message] = 0
-            continue
-        per_frame = (params.minislots_for_bits(bits)
-                     + params.gd_dynamic_slot_idle_phase_minislots)
-        per_channel = (params.g_number_of_minislots // per_frame
-                       if per_frame > 0 else 0)
-        capacity[message] = per_channel * params.channel_count
-    return capacity
-
-
-def theorem1_inputs(packing, params, ber: float, reliability_goal: float,
-                    time_unit_ms: float, uniform_budget: bool = False):
-    """The Theorem-1 plan of a packed workload and the
-    :func:`check_hyperperiod_model` keyword inputs that prove it.
-
-    Derives every message's worst-chunk failure probability, instance
-    rate, bandwidth cost and period exactly as
-    :class:`~repro.core.coefficient.CoEfficientPolicy` does on bind,
-    then plans the budgets (differentiated, or the uniform-k ablation).
-
-    Returns:
-        ``(plan, inputs)``; ``inputs`` carries ``budgets``,
-        ``failure_probabilities``, ``instances``, ``reliability_goal``,
-        ``retransmission_periods_ms`` and
-        ``dynamic_retransmission_slots_per_cycle``.
-    """
-    from repro.core.retransmission import (
-        plan_retransmissions,
-        uniform_retransmission_plan,
-    )
-    from repro.faults.ber import BitErrorRateModel
-
-    ber_model = BitErrorRateModel(ber_channel_a=ber)
-    failure: Dict[str, float] = {}
-    instances: Dict[str, float] = {}
-    cost: Dict[str, float] = {}
-    periods: Dict[str, float] = {}
-    worst_bits: Dict[str, int] = {}
-    for message in packing.messages:
-        worst = max(chunk.payload_bits for chunk in message.chunks) + 64
-        worst_bits[message.message_id] = worst
-        failure[message.message_id] = ber_model.failure_probability(
-            "A", worst)
-        instances[message.message_id] = time_unit_ms / message.period_ms
-        cost[message.message_id] = worst / message.period_ms
-        periods[message.message_id] = message.period_ms
-    if uniform_budget:
-        plan = uniform_retransmission_plan(
-            failure, instances, reliability_goal)
-    else:
-        plan = plan_retransmissions(
-            failure, instances, reliability_goal,
-            bandwidth_cost=cost)
-    return plan, dict(
-        budgets=plan.budgets,
-        failure_probabilities=failure,
-        instances=instances,
-        reliability_goal=reliability_goal,
-        retransmission_periods_ms=periods,
-        dynamic_retransmission_slots_per_cycle=
-            dynamic_retransmission_capacity(params, worst_bits),
-    )
 
 
 def check_hyperperiod_model(

@@ -7,7 +7,7 @@ Three rule families check the promises the engines rest on:
   bypass the seeded :mod:`repro.sim.rng` streams, mutable default
   arguments, float equality on time values, and set iteration on paths
   that feed ordered output.  They run inside the same single parse as
-  ``EFF3xx``; ``repro lint`` runs this family alone.
+  ``EFF3xx``.
 
 - ``EFF3xx`` -- effect-inference rules over the repo's own source: a
   call graph over ``src/repro`` is built via AST, attribute read/write

@@ -1,26 +1,23 @@
 """Orchestration of the contract checker (the ``repro check`` engine).
 
-Three entry points compose the rule families:
+The per-workload pass of ``repro check`` is
+:func:`repro.verify.verifier.verify_experiment`; this module adds:
 
 - :func:`check_sources` -- parse the source roots once, run the
   per-file determinism rules (``DET1xx``) over every module, then
   build the AST call graph and prove/refute every policy's
   ``decisions_are_outcome_free()`` promise (``EFF3xx``).
-- :func:`check_workload` -- build the offline artifacts of one
-  workload exactly as :func:`repro.verify.verifier.verify_experiment`
-  does (same packer, schedule builder, round compiler, Theorem-1
-  planner inputs), then model-check the compiled round over the full
-  hyperperiod (``MDL4xx``).  On a structural violation the round is
-  shrunk to a minimal counterexample and serialized next to the
-  diagnostics (``MDL405``).
 - :func:`check_round` -- model-check a round deserialized from a
   counterexample payload (the ``--round-json`` repro path).
+- :func:`write_counterexample` -- on a structural ``MDL`` violation,
+  shrink the round to a minimal counterexample and serialize it next
+  to the diagnostics (``MDL405``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.check.callgraph import build_project
 from repro.check.counterexample import (
@@ -35,14 +32,12 @@ from repro.check.frontend import read_sources
 from repro.check.model_checker import (
     STRUCTURAL_RULES,
     check_hyperperiod_model,
-    theorem1_inputs,
 )
 from repro.check.policy_proofs import check_policy_promises
 from repro.timeline.compiler import CompiledRound
-from repro.verify.analysis_checks import check_retransmission_plan
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
-__all__ = ["check_sources", "check_workload", "check_round",
+__all__ = ["check_sources", "check_round", "write_counterexample",
            "default_source_roots"]
 
 
@@ -75,19 +70,25 @@ def check_sources(
     return report
 
 
-def _synthesize_counterexample(
-    compiled: CompiledRound,
+def write_counterexample(
     report: Report,
+    build_round: Callable[[], CompiledRound],
     counterexample_dir: Optional[Path],
     label: str,
 ) -> None:
-    """Shrink a structurally violating round and serialize the repro."""
+    """Shrink a structurally violating round and serialize the repro.
+
+    Does nothing unless ``report`` carries a structural ``MDL`` error;
+    only then is ``build_round`` called for the round to shrink.  The
+    ``MDL405`` finding naming the written file is added to ``report``.
+    """
     failing = sorted(
         {d.rule_id for d in report.errors
          if d.rule_id in STRUCTURAL_RULES}
     )
     if not failing or counterexample_dir is None:
         return
+    compiled = build_round()
     shrunk = shrink_round(
         compiled, failing,
         lambda candidate: check_hyperperiod_model(candidate),
@@ -110,69 +111,6 @@ def _synthesize_counterexample(
     ))
 
 
-def check_workload(
-    params,
-    periodic=None,
-    aperiodic=None,
-    ber: float = 1e-7,
-    reliability_goal: float = 0.99999,
-    time_unit_ms: float = 1000.0,
-    counterexample_dir: Optional[Path] = None,
-    label: str = "round",
-) -> Report:
-    """Model-check the compiled round of one workload configuration.
-
-    Builds the schedule, compiled round and Theorem-1 plan exactly the
-    way the verifier's pre-campaign gate does, then runs the
-    hyperperiod model checker with full reliability inputs.
-    """
-    from repro.protocol.channel import Channel
-    from repro.packing.frame_packing import pack_signals
-    from repro.timeline.compiler import compile_round
-
-    report = Report()
-    workload = None
-    if periodic is not None and aperiodic is not None:
-        workload = periodic.merged_with(aperiodic)
-    else:
-        workload = periodic or aperiodic
-    if workload is None:
-        report.add(Diagnostic(
-            rule_id="MDL401", severity=Severity.ERROR,
-            location=label,
-            message="workload has no signals; nothing to compile",
-            fix_hint="supply a periodic and/or aperiodic signal set",
-        ))
-        return report
-    try:
-        packing = pack_signals(workload, params)
-        table = params.build_schedule(packing.static_frames())
-    except (ValueError, RuntimeError) as error:
-        report.add(Diagnostic(
-            rule_id="MDL401", severity=Severity.ERROR,
-            location=label,
-            message=f"offline construction failed: {error}",
-            fix_hint="run `repro verify-config` for the FRC/FRS "
-                     "diagnosis",
-        ))
-        return report
-    channels = [Channel.A]
-    if params.channel_count == 2:
-        channels.append(Channel.B)
-    compiled = compile_round(table, params, channels)
-    __, inputs = theorem1_inputs(packing, params, ber, reliability_goal,
-                                 time_unit_ms)
-    result = check_hyperperiod_model(compiled, **inputs)
-    _synthesize_counterexample(compiled, result, counterexample_dir,
-                               label)
-    report.merge(result)
-    # MDL404 proves the plan fundable; the goal product is ANA204's.
-    report.merge(check_retransmission_plan(
-        inputs["failure_probabilities"], inputs["instances"],
-        inputs["budgets"], reliability_goal))
-    return report
-
-
 def check_round(
     payload: Dict[str, object],
     counterexample_dir: Optional[Path] = None,
@@ -193,6 +131,6 @@ def check_round(
         ))
         return report
     report = check_hyperperiod_model(compiled)
-    _synthesize_counterexample(compiled, report, counterexample_dir,
-                               label)
+    write_counterexample(report, lambda: compiled, counterexample_dir,
+                         label)
     return report

@@ -12,13 +12,10 @@ The subcommands mirror the library's main entry points:
   workload/goal without running a simulation;
 - ``report`` -- regenerate the whole evaluation as a markdown report;
 - ``breakdown`` -- breakdown-load search per scheduler (extension);
-- ``verify-config`` -- statically verify a cluster configuration,
-  schedule, and Theorem-1 plan without simulating (exit 1 on errors);
-- ``lint`` -- the ``DET*`` determinism rules of ``check`` alone, over
-  source paths (exit 1 on errors);
 - ``check`` -- the static-analysis gate: ``DET*`` rules and policy
-  effect proofs over the source tree, hyperperiod model checks of
-  every bundled workload's compiled round (exit 1 on errors);
+  effect proofs over the source tree, then every bundled workload's
+  configuration, schedule, compiled round and Theorem-1 plan through
+  the verifier without simulating (exit 1 on errors);
 - ``serve`` -- run the online admission-control service (JSON lines
   over TCP; see ``docs/service.md``);
 - ``loadgen`` -- fire a deterministic seeded Poisson request stream at
@@ -27,7 +24,7 @@ The subcommands mirror the library's main entry points:
   canonical-JSON endpoints with content-digest ETags; see
   ``docs/results.md``).
 
-``run``, ``campaign``, ``serve`` and ``verify-config`` accept
+``run``, ``campaign``, ``serve`` and ``check`` accept
 ``--store PATH`` to persist what they produce into the SQLite result
 store ``repro web`` reads.
 
@@ -45,8 +42,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments import figures as figures_module
 from repro.experiments.campaign import CAMPAIGN_METRICS, run_campaign
 from repro.experiments.runner import SCHEDULERS, run_experiment
-from repro.faults.ber import BitErrorRateModel
-from repro.core.retransmission import plan_retransmissions
+from repro.core.retransmission import derive_theorem1_plan
 from repro.obs import (
     NULL_OBS,
     Observability,
@@ -340,22 +336,19 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    periodic = bundled_periodic(args.workload, args.count, args.seed)
-    model = BitErrorRateModel(ber_channel_a=args.ber)
-    failure = {}
-    instances = {}
-    cost = {}
-    for signal in periodic:
-        wire = signal.size_bits + 64
-        failure[signal.name] = model.failure_probability("A", wire)
-        instances[signal.name] = args.time_unit_ms / signal.period_ms
-        cost[signal.name] = wire / signal.period_ms
-    plan = plan_retransmissions(failure, instances, args.rho,
-                                bandwidth_cost=cost)
+    from repro.packing.frame_packing import pack_signals
+
+    # The packing and geometry `repro run --workload X` binds by default.
+    params = _backend_of(args).workload_params(args.workload)
+    packing = pack_signals(
+        bundled_periodic(args.workload, args.count, args.seed), params)
+    derived = derive_theorem1_plan(packing, params, args.ber, args.rho,
+                                   args.time_unit_ms)
+    plan = derived.plan
     rows = [
         {"message": message, "k": budget,
-         "p_fail": failure[message],
-         "instances_per_unit": round(instances[message], 1)}
+         "p_fail": derived.failure_probabilities[message],
+         "instances_per_unit": round(derived.instances[message], 1)}
         for message, budget in sorted(plan.budgets.items())
     ]
     _emit(rows, args.json)
@@ -433,49 +426,6 @@ def _verify_target(workload: str, args) -> Dict[str, object]:
         "aperiodic": sae_aperiodic_signals(count=args.aperiodic)
         if args.aperiodic > 0 else None,
     }
-
-
-def _cmd_verify_config(args) -> int:
-    from repro.verify import verify_experiment
-
-    workloads = _VERIFY_WORKLOADS if args.workload == "all" \
-        else (args.workload,)
-    store = _open_store(args, NULL_OBS)
-    rows = []
-    failed = False
-    for workload in workloads:
-        try:
-            target = _verify_target(workload, args)
-        except ValueError as error:
-            # The cluster factory itself rejected the pairing (e.g. a
-            # case-study workload forced onto too many minislots).
-            print(f"{workload}: setup error: {error}", file=sys.stderr)
-            failed = True
-            rows.append({"workload": workload, "errors": 1,
-                         "warnings": 0, "rules": "(setup)"})
-            continue
-        report = verify_experiment(
-            ber=args.ber,
-            reliability_goal=args.rho,
-            **target,
-        )
-        failed = failed or report.has_errors
-        rows.append({
-            "workload": workload,
-            "errors": len(report.errors),
-            "warnings": len(report.warnings),
-            "rules": ",".join(report.rule_ids()) or "-",
-        })
-        for diagnostic in report:
-            print(f"{workload}: {diagnostic.format()}", file=sys.stderr)
-        if store is not None:
-            report_id = store.record_verify_report(report, target=workload)
-            print(f"repro verify-config: stored report {report_id[:12]} "
-                  f"for {workload} in {args.store}", file=sys.stderr)
-    if store is not None:
-        store.close()
-    _emit(rows, args.json)
-    return 1 if failed else 0
 
 
 def _cmd_serve(args) -> int:
@@ -580,29 +530,23 @@ def _cmd_web(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.check import lint_paths
-
-    report = lint_paths(args.paths)
-    if args.json:
-        print(json.dumps([d.to_row() for d in report], indent=2))
-    else:
-        print(report.format())
-    return 1 if report.has_errors else 0
-
-
 def _cmd_check(args) -> int:
+    from dataclasses import replace
     from pathlib import Path
 
-    from repro.check import check_round, check_sources, check_workload
+    from repro.check import check_round, check_sources, write_counterexample
+    from repro.verify import compile_experiment, verify_experiment
     from repro.verify.diagnostics import Diagnostic, Report, Severity
 
     combined = Report()
     store = _open_store(args, NULL_OBS)
     counterexample_dir = Path(args.counterexample_dir)
 
-    def record(report, target):
-        combined.merge(report)
+    def record(report, target, workload=None):
+        combined.extend(
+            diagnostic if workload is None else replace(
+                diagnostic, location=f"{workload}: {diagnostic.location}")
+            for diagnostic in report)
         if store is not None:
             report_id = store.record_verify_report(report, target=target)
             print(f"repro check: stored report {report_id[:12]} for "
@@ -627,20 +571,20 @@ def _cmd_check(args) -> int:
             try:
                 target = _verify_target(workload, args)
             except ValueError as error:
-                print(f"{workload}: setup error: {error}", file=sys.stderr)
-                setup = Report()
-                setup.add(Diagnostic(
+                report = Report()
+                report.add(Diagnostic(
                     rule_id="MDL401", severity=Severity.ERROR,
-                    location=workload,
+                    location="params",
                     message=f"setup error: {error}",
                     fix_hint="check the workload/minislot pairing"))
-                record(setup, f"check:{workload}")
-                continue
-            record(check_workload(
-                target["params"], target["periodic"], target["aperiodic"],
-                ber=args.ber, reliability_goal=args.rho,
-                counterexample_dir=counterexample_dir, label=workload),
-                f"check:{workload}")
+            else:
+                report = verify_experiment(ber=args.ber,
+                                           reliability_goal=args.rho,
+                                           **target)
+                write_counterexample(
+                    report, lambda: compile_experiment(**target)[2],
+                    counterexample_dir, workload)
+            record(report, f"check:{workload}", workload)
 
     if store is not None:
         store.close()
@@ -717,15 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--minislots", type=int, default=None,
                        help="minislot count (default: 50 for the case "
                             "studies, 100 otherwise)")
-
-    def target_options(p):
-        """The bundled-workload target flags of verify-config/check."""
-        scenario_options(p)
-        minislots_option(p)
-        p.add_argument("--aperiodic", type=int, default=0,
-                       help="SAE aperiodic message count to mix into "
-                            "periodic workloads (0 = none; the sae "
-                            "workload itself defaults to 30)")
 
     def engine_option(p, what):
         default = EngineMode.parse(None).value
@@ -845,21 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   default=400.0)
     breakdown_parser.set_defaults(handler=_cmd_breakdown)
 
-    verify_parser = sub.add_parser(
-        "verify-config",
-        help="statically verify configuration + schedule + plan "
-             "invariants without simulating")
-    verify_parser.add_argument("--workload",
-                               choices=_VERIFY_WORKLOADS + ("all",),
-                               default="all",
-                               help="workload to verify (default: all)")
-    target_options(verify_parser)
-    verify_parser.add_argument("--json", action="store_true",
-                               help="emit JSON instead of a table")
-    backend_option(verify_parser)
-    store_option(verify_parser, "each verification report")
-    verify_parser.set_defaults(handler=_cmd_verify_config)
-
     serve_parser = sub.add_parser(
         "serve",
         help="run the online admission-control service "
@@ -948,29 +868,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="emit JSON instead of a table")
     loadgen_parser.set_defaults(handler=_cmd_loadgen)
 
-    lint_parser = sub.add_parser(
-        "lint", help="the determinism rules (DET*) of `repro check` "
-                     "alone, over source paths")
-    lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
-                             help="files or directories "
-                                  "(default: src/repro)")
-    lint_parser.add_argument("--json", action="store_true",
-                             help="emit JSON instead of text")
-    lint_parser.set_defaults(handler=_cmd_lint)
-
     check_parser = sub.add_parser(
         "check",
-        help="prove the engine-equivalence contract: determinism "
-             "rules (DET*) and policy outcome-free promises (EFF*) over "
-             "the source tree + hyperperiod model check of compiled "
-             "rounds (MDL*)")
+        help="the static gate: determinism rules (DET*) and policy "
+             "outcome-free promises (EFF*) over the source tree, then "
+             "each workload's configuration, schedule, plan (FRC*/FRS*/"
+             "ANA*) and compiled round (MDL*), without simulating")
     check_parser.add_argument("--workload",
                               choices=_VERIFY_WORKLOADS + ("all", "none"),
                               default="all",
-                              help="workload rounds to model-check "
-                                   "(default: all; none = source "
-                                   "proofs only)")
-    target_options(check_parser)
+                              help="workloads to verify (default: all; "
+                                   "none = source proofs only)")
+    scenario_options(check_parser)
+    minislots_option(check_parser)
+    check_parser.add_argument("--aperiodic", type=int, default=0,
+                              help="SAE aperiodic message count to mix "
+                                   "into periodic workloads (0 = none; "
+                                   "the sae workload itself defaults "
+                                   "to 30)")
     check_parser.add_argument("--round-json", default=None, metavar="PATH",
                               help="model-check a serialized "
                                    "counterexample round instead of the "

@@ -9,9 +9,10 @@ CoEfficient's four moves, each mapped to a mechanism here:
    becomes structural slack on both channels.
 
 2. **Differentiated retransmission** -- at bind time the policy computes
-   per-message failure probabilities from the BER model and solves
-   Theorem 1 for the minimum retransmission budgets ``k_z`` meeting the
-   reliability goal rho (:func:`repro.core.retransmission.plan_retransmissions`).
+   per-message failure probabilities from the BER model at each
+   frame's wire length and solves Theorem 1 for the minimum
+   retransmission budgets ``k_z`` meeting the reliability goal rho
+   (:func:`repro.core.retransmission.derive_theorem1_plan`).
    A corrupted frame is retried only if its message was selected and its
    budget is not exhausted -- "it is unnecessary to retransmit all
    segments".
@@ -44,14 +45,10 @@ CoEfficient's four moves, each mapped to a mechanism here:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.queueing import QueueingPolicyBase
-from repro.core.retransmission import (
-    RetransmissionPlan,
-    plan_retransmissions,
-    uniform_retransmission_plan,
-)
+from repro.core.retransmission import RetransmissionPlan, derive_theorem1_plan
 from repro.core.selective_slack import SelectiveSlackPlanner
 from repro.faults.ber import BitErrorRateModel
 from repro.protocol.channel import Channel
@@ -126,30 +123,10 @@ class CoEfficientPolicy(QueueingPolicyBase):
     def on_bound(self) -> None:
         assert self.params is not None
         self._slot_capacity_bits = self.params.static_slot_capacity_bits
-        failure: Dict[str, float] = {}
-        instances: Dict[str, float] = {}
-        cost: Dict[str, float] = {}
-        for message in self._packing.messages:
-            # Worst chunk drives the per-attempt failure probability; the
-            # budget applies per chunk (conservative for multi-chunk
-            # messages, and exact for the common single-chunk case).
-            worst_bits = max(
-                chunk.payload_bits for chunk in message.chunks
-            ) + 64  # frame overhead
-            failure[message.message_id] = self._ber_model.failure_probability(
-                "A", worst_bits
-            )
-            instances[message.message_id] = (
-                self._time_unit_ms / message.period_ms
-            )
-            cost[message.message_id] = worst_bits / message.period_ms
-        if self._uniform_budget:
-            self.plan = uniform_retransmission_plan(
-                failure, instances, self._rho)
-        else:
-            self.plan = plan_retransmissions(
-                failure, instances, self._rho,
-                bandwidth_cost=cost)
+        self.plan = derive_theorem1_plan(
+            self._packing, self.params, self._ber_model.ber_for("A"),
+            self._rho, self._time_unit_ms,
+            uniform=self._uniform_budget).plan
         compiled = self.compiled_round()
         assert compiled is not None
         dynamic_share = 0.0

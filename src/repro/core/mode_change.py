@@ -28,7 +28,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.validator import MessageValidation, validate_schedule
-from repro.core.retransmission import RetransmissionPlan, plan_retransmissions
+from repro.core.retransmission import (
+    RetransmissionPlan,
+    derive_theorem1_plan,
+)
 from repro.faults.ber import BitErrorRateModel
 from repro.protocol.channel import Channel
 from repro.protocol.geometry import SegmentGeometry
@@ -147,17 +150,10 @@ class ModeChangeController:
 
         plan: Optional[RetransmissionPlan] = None
         if self._rho is not None and self._ber_model is not None:
-            failure, instances, cost = {}, {}, {}
-            for message in packing.messages:
-                worst = max(c.payload_bits for c in message.chunks) + 64
-                failure[message.message_id] = \
-                    self._ber_model.failure_probability("A", worst)
-                instances[message.message_id] = \
-                    self._time_unit_ms / message.period_ms
-                cost[message.message_id] = worst / message.period_ms
-            plan = plan_retransmissions(
-                failure, instances, self._rho,
-                bandwidth_cost=cost)
+            derived = derive_theorem1_plan(
+                packing, self._params, self._ber_model.ber_for("A"),
+                self._rho, self._time_unit_ms)
+            plan = derived.plan
             if not plan.feasible:
                 return AdmissionDecision(
                     admitted=False,
@@ -172,7 +168,7 @@ class ModeChangeController:
                                      / self._params.cycle_ms))
             supply = compiled.idle_slots_between(0, unit_cycles)
             demand = sum(
-                budget * instances[message]
+                budget * derived.instances[message]
                 for message, budget in plan.budgets.items()
             )
             if demand > supply:

@@ -24,12 +24,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.faults.analysis import log_message_success_probability
+from repro.faults.ber import frame_failure_probability
 
-__all__ = ["RetransmissionPlan", "plan_retransmissions",
-           "uniform_retransmission_plan"]
+if TYPE_CHECKING:
+    from repro.packing.frame_packing import PackingResult
+    from repro.protocol.geometry import SegmentGeometry
+
+__all__ = ["RetransmissionPlan", "Theorem1Plan", "derive_theorem1_plan",
+           "plan_retransmissions", "uniform_retransmission_plan"]
 
 #: Cap on one message's retransmission budget k_z: the planner never
 #: buys more, the verifier's ANA206 flags more, and the service's
@@ -197,3 +202,106 @@ def uniform_retransmission_plan(
         feasible=False,
         total_cost=float(max_budget * len(budgets)),
     )
+
+
+@dataclass(frozen=True)
+class Theorem1Plan:
+    """Theorem 1 solved for one packed workload on one geometry.
+
+    Every message is planned by its worst chunk: ``W_z`` is that
+    chunk's payload plus the geometry's ``frame_overhead_bits``, the
+    bits the fault injector draws against.
+
+    Attributes:
+        plan: The budgets ``k_z``.
+        failure_probabilities: ``message -> p_z = 1 - (1 - BER)^W_z``.
+        instances: ``message -> u / T_z``.
+        periods_ms: ``message -> T_z``.
+        reliability_goal: rho.
+        dynamic_slots_per_cycle: ``message -> `` retransmission frames
+            of its worst chunk that fit one cycle's dynamic segments.
+    """
+
+    plan: RetransmissionPlan
+    failure_probabilities: Dict[str, float]
+    instances: Dict[str, float]
+    periods_ms: Dict[str, float]
+    reliability_goal: float
+    dynamic_slots_per_cycle: Dict[str, int]
+
+    def model_inputs(self) -> Dict[str, object]:
+        """The Theorem-1 keyword inputs of
+        :func:`repro.check.model_checker.check_hyperperiod_model`."""
+        return dict(
+            budgets=self.plan.budgets,
+            failure_probabilities=self.failure_probabilities,
+            instances=self.instances,
+            reliability_goal=self.reliability_goal,
+            retransmission_periods_ms=self.periods_ms,
+            dynamic_retransmission_slots_per_cycle=(
+                self.dynamic_slots_per_cycle),
+        )
+
+
+def derive_theorem1_plan(packing: "PackingResult",
+                         params: "SegmentGeometry", ber: float,
+                         reliability_goal: float,
+                         time_unit_ms: float,
+                         uniform: bool = False) -> Theorem1Plan:
+    """Plan the retransmission budgets of a packed workload.
+
+    The one derivation of Theorem 1's inputs: the CoEfficient policy,
+    the mode-change controller, the static verifier and ``repro plan``
+    all call it.  The budget applies per chunk, which is conservative
+    for multi-chunk messages and exact for single-chunk ones.
+
+    Args:
+        packing: The packed workload.
+        params: The geometry it runs on (frame overhead, dynamic
+            segment).
+        ber: Bit error rate the plan is sized against.
+        reliability_goal: rho in (0, 1].
+        time_unit_ms: Theorem 1's time unit u.
+        uniform: Ablation: the smallest uniform k meeting rho instead
+            of the differentiated plan.
+    """
+    failure: Dict[str, float] = {}
+    instances: Dict[str, float] = {}
+    cost: Dict[str, float] = {}
+    periods: Dict[str, float] = {}
+    dynamic: Dict[str, int] = {}
+    for message in packing.messages:
+        name = message.message_id
+        wire = max(chunk.payload_bits for chunk in message.chunks) \
+            + params.frame_overhead_bits
+        failure[name] = frame_failure_probability(ber, wire)
+        instances[name] = time_unit_ms / message.period_ms
+        cost[name] = wire / message.period_ms
+        periods[name] = message.period_ms
+        dynamic[name] = dynamic_retransmission_capacity(params, wire)
+    if uniform:
+        plan = uniform_retransmission_plan(failure, instances,
+                                           reliability_goal)
+    else:
+        plan = plan_retransmissions(failure, instances, reliability_goal,
+                                    bandwidth_cost=cost)
+    return Theorem1Plan(plan=plan, failure_probabilities=failure,
+                        instances=instances, periods_ms=periods,
+                        reliability_goal=reliability_goal,
+                        dynamic_slots_per_cycle=dynamic)
+
+
+def dynamic_retransmission_capacity(params: "SegmentGeometry",
+                                    wire_bits: int) -> int:
+    """Retransmission frames of ``wire_bits`` one cycle's dynamic
+    segments hold: each channel runs its own minislot timeline.
+
+    Conservative: ``minislots_for_bits`` adds the frame overhead and
+    the idle phase to ``wire_bits``, and the idle phase is added once
+    more per frame.
+    """
+    if params.g_number_of_minislots <= 0:
+        return 0
+    per_frame = (params.minislots_for_bits(wire_bits)
+                 + params.gd_dynamic_slot_idle_phase_minislots)
+    return (params.g_number_of_minislots // per_frame) * params.channel_count

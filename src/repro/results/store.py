@@ -436,14 +436,6 @@ class ResultStore:
         })
         self._count("results.digests_recorded")
 
-    def record_trace_digest(self, run_id: str, engine_mode: str,
-                            digest: str, records: int,
-                            cycles: int) -> None:
-        """Record one (run, engine mode) trace digest."""
-        with self.transaction():
-            self._ingest_digest(run_id, engine_mode, digest, records,
-                                cycles)
-
     def record_verify_report(self, report: "Report", target: str) -> str:
         """Persist one :class:`repro.verify.Report`; returns its id."""
         payload = {

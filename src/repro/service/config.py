@@ -28,10 +28,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.tasks import PeriodicTask, TaskSet
 from repro.protocol.backend import get_backend
-from repro.protocol.channel import Channel
 from repro.protocol.signal import Signal, SignalSet
 from repro.timeline.compiler import CompiledRound
-from repro.verify import ConfigurationError, verify_experiment
+from repro.verify import (
+    ConfigurationError,
+    compile_experiment,
+    verify_experiment,
+)
 from repro.workloads import bundled_periodic
 from repro.workloads.sae import sae_aperiodic_signals
 
@@ -238,14 +241,7 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
         raise ConfigurationError(report)
 
     if mapping == "round":
-        from repro.packing.frame_packing import pack_signals
-        from repro.timeline.compiler import compile_round
-
-        packing = pack_signals(periodic, params)
-        table = params.build_schedule(packing.static_frames())
-        channels = [Channel.A] + ([Channel.B]
-                                  if params.channel_count == 2 else [])
-        compiled = compile_round(table, params, channels)
+        __, __, compiled = compile_experiment(params, periodic)
         channel_tasks = round_task_sets(compiled, tick_us=tick_us)
     else:
         channel_tasks = build_channel_task_sets(

@@ -58,12 +58,12 @@ class AdmitOutcome:
     admitted: bool
     reason: str
     #: Effective (clamped-to-now) arrival the test used.
-    arrival: int = 0
+    arrival: int
     #: Absolute deadline the test used.
-    deadline: int = 0
+    deadline: int
     #: F(deadline) - F(arrival) - demand in the window after the
     #: decision: the guaranteed slack still unclaimed in the window.
-    window_slack: int = 0
+    window_slack: int
 
 
 @dataclass(frozen=True)

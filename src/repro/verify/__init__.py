@@ -9,10 +9,10 @@ records (stable rule id, severity, location, fix hint).
 
 Entry points:
 
-- :func:`verify_configuration` -- check the artifacts you already have;
 - :func:`verify_experiment` -- build-and-check everything one
-  experiment configuration implies (the ``repro verify-config`` CLI and
-  the ``run_campaign(validate=True)`` gate);
+  experiment configuration implies (the per-workload pass of
+  ``repro check`` and the ``run_campaign(validate=True)`` gate);
+- the ``check_*`` rule groups -- check the artifacts you already have;
 - :data:`VERIFY_RULES` -- the rule catalogue behind
   ``docs/static_analysis.md``.
 
@@ -35,7 +35,7 @@ from repro.verify.rules import VERIFY_RULES, Rule
 from repro.verify.schedule_checks import check_schedule
 from repro.verify.verifier import (
     ConfigurationError,
-    verify_configuration,
+    compile_experiment,
     verify_experiment,
 )
 
@@ -53,7 +53,7 @@ __all__ = [
     "check_utilization",
     "check_retransmission_plan",
     "check_deadlines",
-    "verify_configuration",
+    "compile_experiment",
     "verify_experiment",
     "ConfigurationError",
 ]

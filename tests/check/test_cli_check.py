@@ -5,8 +5,10 @@ import json
 from repro import cli
 
 from tests.check.conftest import build_liar_round
+from tests.verify.test_round_checks import rebuild, static_indices
 from repro.check.counterexample import round_to_payload
 from repro.flexray.params import FlexRayParams
+from repro.verify import verifier
 
 
 class TestCheckCli:
@@ -32,6 +34,30 @@ class TestCheckCli:
     def test_single_workload_model_check(self, capsys):
         assert cli.main(["check", "--workload", "sae"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_workload_violation_writes_a_counterexample(
+            self, capsys, tmp_path, monkeypatch):
+        """A structural MDL error in a workload's compiled round shrinks
+        to a counterexample named after the workload."""
+        compile_round = verifier.compile_round
+
+        def misaligned(table, params, channels):
+            compiled = compile_round(table, params, channels)
+            ends = list(compiled.ends)
+            ends[static_indices(compiled)[0]] += 1
+            return rebuild(compiled, ends=ends)
+
+        monkeypatch.setattr(verifier, "compile_round", misaligned)
+        code = cli.main(["check", "--workload", "bbw",
+                         "--counterexample-dir", str(tmp_path),
+                         "--format", "json"])
+        assert code == 1
+        document = json.loads(capsys.readouterr().out)
+        assert {"MDL401", "MDL405"} <= set(document["summary"]["rules"])
+        assert all(row["location"].startswith("bbw: ")
+                   for row in document["diagnostics"]
+                   if row["rule"].startswith("MDL"))
+        assert (tmp_path / "counterexample-bbw.json").exists()
 
     def test_broken_round_json_fails_and_shrinks(self, capsys, tmp_path):
         params = FlexRayParams(

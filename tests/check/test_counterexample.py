@@ -14,7 +14,7 @@ from repro.check.counterexample import (
     shrink_round,
 )
 from repro.check.model_checker import check_hyperperiod_model
-from repro.check.runner import _synthesize_counterexample
+from repro.check.runner import write_counterexample
 
 from tests.check.conftest import build_liar_round, build_tiny_round
 
@@ -95,7 +95,7 @@ class TestSynthesisPipeline:
         liar = build_liar_round(nit_params)
         report = check_hyperperiod_model(liar)
         assert report.has_errors
-        _synthesize_counterexample(liar, report, tmp_path, "liar")
+        write_counterexample(report, lambda: liar, tmp_path, "liar")
         notes = [d for d in report.diagnostics if d.rule_id == "MDL405"]
         assert len(notes) == 1
         assert "--round-json" in notes[0].message
@@ -110,6 +110,8 @@ class TestSynthesisPipeline:
     def test_clean_round_writes_nothing(self, nit_params, tmp_path):
         clean = build_tiny_round(nit_params)
         report = check_hyperperiod_model(clean)
-        _synthesize_counterexample(clean, report, tmp_path, "clean")
+        # A clean report never asks for the round.
+        write_counterexample(report, lambda: pytest.fail("round built"),
+                             tmp_path, "clean")
         assert not list(tmp_path.iterdir())
         assert len(report) == 0

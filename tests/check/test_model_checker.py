@@ -2,15 +2,13 @@
 
 from collections import Counter
 
-from repro.check import check_workload
-from repro.check.model_checker import (
-    check_hyperperiod_model,
-    dynamic_retransmission_capacity,
-)
+from repro.check.model_checker import check_hyperperiod_model
+from repro.core.retransmission import dynamic_retransmission_capacity
 from repro.protocol.channel import Channel
 from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import compile_round
+from repro.verify import verify_experiment
 
 from tests.check.conftest import build_liar_round, build_tiny_round
 
@@ -36,7 +34,7 @@ class TestCleanRounds:
 
     def test_golden_workload_end_to_end(self, tiny_workload,
                                         small_params):
-        report = check_workload(small_params, periodic=tiny_workload)
+        report = verify_experiment(small_params, periodic=tiny_workload)
         assert not report.has_errors, report.format()
 
 
@@ -122,12 +120,12 @@ class TestTheorem1OverTheHyperperiod:
         assert capacity, "the fundability clause must fire"
         assert "fundable=0" in capacity[0].message
 
-    def test_missed_goal_is_caught_once_by_check_workload(
-            self, tiny_workload, small_params):
+    def test_missed_goal_is_caught_once(self, tiny_workload,
+                                        small_params):
         """`repro check` proves the goal product once, as ANA204, and
         keeps MDL404 for the fundability clip alone."""
-        report = check_workload(small_params, periodic=tiny_workload,
-                                reliability_goal=1.0)
+        report = verify_experiment(small_params, periodic=tiny_workload,
+                                   reliability_goal=1.0)
         assert report.has_errors
         counts = rule_counts(report)
         assert counts["ANA204"] == 1
@@ -139,9 +137,8 @@ class TestTheorem1OverTheHyperperiod:
     def test_dynamic_capacity_scales_with_channels(self, small_params):
         import dataclasses
 
-        capacity = dynamic_retransmission_capacity(
-            small_params, {"m": 100})
-        assert capacity["m"] > 0
+        capacity = dynamic_retransmission_capacity(small_params, 100)
+        assert capacity > 0
         single = dataclasses.replace(small_params, channel_count=1)
-        assert dynamic_retransmission_capacity(single, {"m": 100})["m"] \
-            == capacity["m"] // 2
+        assert dynamic_retransmission_capacity(single, 100) \
+            == capacity // 2

@@ -1,14 +1,19 @@
 """Unit tests for the queueing base and the CoEfficient policy."""
 
+import math
+
 import pytest
 
 from repro.core.coefficient import CoEfficientPolicy
-from repro.faults.ber import BitErrorRateModel
+from repro.faults.analysis import log_message_success_probability
+from repro.faults.ber import BitErrorRateModel, frame_failure_probability
+from repro.protocol.backend import get_backend
 from repro.protocol.cluster import Cluster
 from repro.protocol.schedule import ChannelStrategy
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace import TransmissionOutcome
+from repro.workloads import bundled_periodic
 
 
 def bound_policy(params, packing, **kwargs):
@@ -61,6 +66,36 @@ class TestBinding:
             CoEfficientPolicy(tiny_packing,
                               BitErrorRateModel(ber_channel_a=0.0),
                               time_unit_ms=0.0)
+
+
+class TestTheorem1AtTheWire:
+    """The bound plan reaches rho at the rates the injector draws.
+
+    The fault injector corrupts a frame of ``Frame.total_bits`` (payload
+    plus the backend's framing), so Theorem 1 holds only if the plan
+    sizes p_z from those bits; a plan that assumes FlexRay's 64-bit
+    overhead on the 304-bit Ethernet framing misses the goal.
+    """
+
+    @pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+    @pytest.mark.parametrize("workload", ("bbw", "acc", "synthetic"))
+    @pytest.mark.parametrize("ber", (1e-7, 1e-5))
+    def test_plan_reaches_rho_at_wire_bits(self, backend, workload, ber):
+        rho = 1 - 1e-4
+        params = get_backend(backend).workload_params(workload)
+        packing = pack_signals(bundled_periodic(workload, 20, 42), params)
+        policy, __ = bound_policy(
+            params, packing, ber_model=BitErrorRateModel(ber_channel_a=ber),
+            reliability_goal=rho)
+        assert policy.plan.feasible
+        achieved = sum(
+            log_message_success_probability(
+                frame_failure_probability(
+                    ber, max(chunk.total_bits for chunk in message.chunks)),
+                policy.plan.budget_for(message.message_id),
+                1000.0 / message.period_ms)
+            for message in packing.messages)
+        assert achieved >= math.log(rho)
 
 
 class TestArrivalRouting:

@@ -6,14 +6,20 @@ from repro.check import (
     CHECK_RULES,
     KNOWN_RULE_IDS,
     check_sources,
-    lint_paths,
 )
-from repro.check.determinism import scope_for_path
+from repro.check.determinism import check_file, scope_for_path
+from repro.check.frontend import read_sources
 from repro.verify import VERIFY_RULES
 
 REPO = Path(__file__).resolve().parents[2]
 DET_RULES = {rule_id: rule for rule_id, rule in CHECK_RULES.items()
              if rule_id.startswith("DET")}
+
+
+def det_findings(*roots):
+    """The ``DET*`` findings of `repro check`'s source pass."""
+    return [d for d in check_sources(list(roots))
+            if d.rule_id.startswith("DET")]
 
 
 class TestScopeForPath:
@@ -45,24 +51,24 @@ class TestScopeForPath:
 
 class TestLintPaths:
     def test_repository_source_tree_is_clean(self):
-        """The acceptance gate: `repro lint src/repro` finds nothing."""
-        report = lint_paths([str(REPO / "src" / "repro")])
-        assert report.rule_ids() == []
-        assert len(report) == 0
+        """The acceptance gate: `repro check` finds no DET rule in
+        src/repro."""
+        assert det_findings(REPO / "src" / "repro") == []
 
     def test_findings_from_a_file_on_disk(self, tmp_path):
         offender = tmp_path / "sim" / "model.py"
         offender.parent.mkdir()
         offender.write_text("import time\nt = time.time()\n")
-        report = lint_paths([str(tmp_path)])
-        assert report.rule_ids() == ["DET101"]
-        assert report.has_errors
+        findings = det_findings(tmp_path)
+        assert [d.rule_id for d in findings] == ["DET101"]
+        assert findings[0].severity.value == "error"
 
     def test_walk_order_is_deterministic(self, tmp_path):
         for name in ("b.py", "a.py", "c.py"):
             (tmp_path / name).write_text("def f(x=[]):\n    return x\n")
-        report = lint_paths([str(tmp_path)])
-        files = [d.location.rsplit(":", 2)[0] for d in report]
+        files = [d.location.rsplit(":", 2)[0]
+                 for d in det_findings(tmp_path)]
+        assert len(files) == 3
         assert files == sorted(files)
 
 
@@ -75,10 +81,11 @@ class TestOneParse:
         (root / "sim" / "model.py").write_text(
             "import time\nt = time.time()\n")
         (root / "broken.py").write_text("def broken(:\n")
-        det = [d for d in check_sources([root])
-               if d.rule_id.startswith("DET")]
+        det = det_findings(root)
         assert [d.rule_id for d in det] == ["DET999", "DET101"]
-        assert det == list(lint_paths([str(root.resolve())]))
+        per_file = [d for source in read_sources([str(root.resolve())])
+                    for d in check_file(source)]
+        assert det == per_file
 
 
 class TestSourceEncodings:
@@ -90,11 +97,9 @@ class TestSourceEncodings:
         module.write_bytes(b"# -*- coding: latin-1 -*-\n"
                            b"NAME = 'caf\xe9'\n"
                            b"import time\nt = time.time()\n")
-        report = lint_paths([str(tmp_path)])
-        assert report.rule_ids() == ["DET101"]
-        det = [d for d in check_sources([tmp_path / "sim"])
-               if d.rule_id.startswith("DET")]
-        assert [d.rule_id for d in det] == ["DET101"]
+        assert [d.rule_id for d in det_findings(tmp_path)] == ["DET101"]
+        assert [d.rule_id for d in det_findings(tmp_path / "sim")] \
+            == ["DET101"]
 
     def test_undecodable_file_is_one_det999(self, tmp_path):
         (tmp_path / "a_latin1_without_cookie.py").write_bytes(
@@ -104,15 +109,12 @@ class TestSourceEncodings:
         (tmp_path / "c_unknown_cookie.py").write_bytes(
             b"# coding: no-such-codec\nx = 1\n")
         (tmp_path / "d_clean.py").write_text("x = 1\n")
-        report = lint_paths([str(tmp_path)])
-        assert report.rule_ids() == ["DET999"]
-        files = [Path(d.location.rsplit(":", 2)[0]).name for d in report]
+        findings = det_findings(tmp_path)
+        assert {d.rule_id for d in findings} == {"DET999"}
+        files = [Path(d.location.rsplit(":", 2)[0]).name for d in findings]
         assert files == ["a_latin1_without_cookie.py",
                          "b_late_bad_byte.py", "c_unknown_cookie.py"]
-        assert all("cannot be decoded" in d.message for d in report)
-        checked = [d for d in check_sources([tmp_path])
-                   if d.rule_id.startswith("DET")]
-        assert checked == list(lint_paths([str(tmp_path.resolve())]))
+        assert all("cannot be decoded" in d.message for d in findings)
 
 
 class TestRuleCatalogues:

@@ -1,6 +1,7 @@
 """ResultStore: idempotent ingest, round-trips, queries, digests."""
 
 import asyncio
+import dataclasses
 import sqlite3
 import warnings
 
@@ -152,34 +153,48 @@ class TestSummaryRoundTripProperty:
                 assert stored[field] == getattr(summary, field), field
 
 
+def _swapped(campaign):
+    """The campaign with its two seeds' results exchanged: each run id
+    then arrives with the other seed's trace digest."""
+    return dataclasses.replace(campaign, results=campaign.results[::-1])
+
+
 class TestDigests:
-    def test_conflicting_digest_warns_and_keeps_first(self, populated):
+    """Digests arrive only through campaign and run ingest."""
+
+    def test_conflicting_digest_warns_and_keeps_first(
+            self, populated, tiny_campaign, experiment_kwargs):
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
         original = store.run(run_id)["digests"]["vectorized"]["digest"]
         with pytest.warns(RuntimeWarning, match="digest conflict"):
-            store.record_trace_digest(run_id, "vectorized", "0" * 64,
-                                      records=1, cycles=1)
+            store.record_campaign(_swapped(tiny_campaign),
+                                  experiment_kwargs, workload="tiny")
         assert store.run(run_id)["digests"]["vectorized"]["digest"] \
             == original
 
-    def test_same_digest_reingest_is_silent(self, populated):
+    def test_same_digest_reingest_is_silent(
+            self, populated, tiny_campaign, experiment_kwargs):
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
-        run_id = rows[0]["id"]
-        entry = store.run(run_id)["digests"]["vectorized"]
+        entry = store.run(rows[0]["id"])["digests"]["vectorized"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            store.record_trace_digest(run_id, "vectorized", entry["digest"],
-                                      entry["records"], entry["cycles"])
+            assert store.record_campaign(
+                tiny_campaign, experiment_kwargs,
+                workload="tiny") == campaign_id
+        assert store.run(rows[0]["id"])["digests"]["vectorized"] == entry
 
-    def test_diff_flags_disagreement(self, populated):
+    def test_diff_flags_disagreement(self, populated, tiny_campaign,
+                                     experiment_kwargs):
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
-        store.record_trace_digest(run_id, "interpreter", "f" * 64,
-                                  records=1, cycles=1)
+        store.record_campaign(
+            _swapped(tiny_campaign),
+            dict(experiment_kwargs, engine_mode="interpreter"),
+            workload="tiny")
         diff, _ = store.digest_diff()
         by_run = {row["run_id"]: row for row in diff}
         assert by_run[run_id]["equal"] is False
@@ -188,12 +203,15 @@ class TestDigests:
     def test_retired_engine_rows_stay_readable(self, populated):
         # Stores written before the stepper engine mode was retired
         # hold rows that name it; they read back as plain strings.
+        # No ingest path writes that mode any more, so the old row is
+        # planted directly.
         store, campaign_id = populated
         rows, _ = store.campaign_runs(campaign_id)
         run_id = rows[0]["id"]
         entry = store.run(run_id)["digests"]["vectorized"]
-        store.record_trace_digest(run_id, "stepper", entry["digest"],
-                                  entry["records"], entry["cycles"])
+        with store.transaction():
+            store._insert_ignore("trace_digests", {
+                "run_id": run_id, "engine_mode": "stepper", **entry})
         assert store.run(run_id)["digests"]["stepper"] == entry
         diff, _ = store.digest_diff()
         by_run = {row["run_id"]: row for row in diff}

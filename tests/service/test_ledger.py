@@ -152,7 +152,26 @@ class TestReleaseAndCounters:
         assert stats.admitted_total == 1
         assert stats.rejected_total == 1
         assert stats.committed == 1
-        assert stats.capacity_remaining >= 0
+        # One 20-tick pattern of hi (1 per 4) and lo (2 per 10) leaves
+        # 20 - 5 - 4 = 11 idle ticks; "a" holds one of them.
+        assert ledger.extrapolates
+        assert stats.capacity_remaining == 11 - 1
+        # The window slides with now and is still one pattern long.
+        ledger.advance(5)
+        assert ledger.stats().capacity_remaining == (
+            ledger.capacity(25) - ledger.capacity(5) - 1) == 10
+
+    def test_capacity_remaining_reads_the_table_tail(self):
+        """A horizon short of one pattern does not extrapolate; the
+        lookahead window is what is left of the table."""
+        ledger = light_ledger(horizon=15)
+        assert not ledger.extrapolates
+        ledger.admit("a", arrival=0, execution=1, deadline=10)
+        assert ledger.capacity(15) == 7
+        assert ledger.stats().capacity_remaining == 7 - 1
+        ledger.advance(5)
+        assert ledger.stats().capacity_remaining == (
+            ledger.capacity(15) - ledger.capacity(5) - 1) == 5
 
 
 class TestReconcile:

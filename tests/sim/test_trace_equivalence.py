@@ -254,10 +254,10 @@ GOLDEN_DIGESTS = {
     },
     "ttethernet": {
         1: "5bb18d1b2870039b72476a1edede40c80db30b030b5c0a31b4c60dda8288f902",
-        3: "9f265c23d172224ca4a036457a3c30bd4a474d2c67451f6aa654277bc33f361b",
+        3: "ca83fdda9692c888783bfe4302c2265a7da9bd0edfea202f783b43d69d7b835b",
         10: "78da43e5777057f9befa097dd3644468b4a52fc02ab656b4ef5e18dae75db947",
         11: "a0f9dbf157b1a31cf00de3add18931eecd1941149c347ed7ec2e0d7b97d5758c",
-        42: "bcd78bd5a99858cd7e215839cd6fa0e96be20e37bcd3316acc33fd4ea9725d3b",
+        42: "139dd362b781c7177c87e7e18a27bf1d811e49910fc2e81931a4ea569f780076",
     },
 }
 

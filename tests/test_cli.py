@@ -5,6 +5,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.coefficient import CoEfficientPolicy
+from repro.faults.ber import BitErrorRateModel
+from repro.packing.frame_packing import pack_signals
+from repro.protocol.backend import get_backend
+from repro.protocol.cluster import Cluster
+from repro.sim.rng import RngStream
+from repro.workloads import bundled_periodic
 
 
 class TestParser:
@@ -78,7 +85,30 @@ class TestPlan:
         main(["plan", "--workload", "acc", "--json"])
         out = capsys.readouterr().out
         rows = json.loads(out[:out.rindex("]") + 1])
-        assert len(rows) == 20
+        # One row per packed message: 19 frames carry acc's 20 signals.
+        params = get_backend("flexray").workload_params("acc")
+        packing = pack_signals(bundled_periodic("acc", 20, 42), params)
+        assert [row["message"] for row in rows] \
+            == sorted(m.message_id for m in packing.messages)
+        assert len(rows) == 19
+
+    def test_plan_matches_the_bound_policy(self, capsys):
+        """`repro plan` shows the budgets CoEfficient binds on the
+        default `repro run --workload bbw` cluster."""
+        main(["plan", "--workload", "bbw", "--json"])
+        out = capsys.readouterr().out
+        rows = json.loads(out[:out.rindex("]") + 1])
+        params = get_backend("flexray").workload_params("bbw")
+        packing = pack_signals(bundled_periodic("bbw", 20, 42), params)
+        policy = CoEfficientPolicy(packing,
+                                   BitErrorRateModel(ber_channel_a=1e-7),
+                                   reliability_goal=1 - 1e-4)
+        Cluster(params=params, policy=policy,
+                sources=packing.build_sources(RngStream(1, "plan")))\
+            ._ensure_bound()
+        assert {row["message"]: row["k"] for row in rows} \
+            == policy.plan.budgets
+        assert len(rows) == 36
 
 
 class TestRun:

@@ -18,7 +18,8 @@ from repro.timeline.compiler import (
     CompiledRound,
     compile_round,
 )
-from repro.verify import check_compiled_round, verify_configuration
+from repro.check.model_checker import check_hyperperiod_model
+from repro.verify import check_compiled_round, check_schedule
 
 
 @pytest.fixture
@@ -299,14 +300,21 @@ class TestFrs11xDiagnosticBudgets:
 
 
 class TestVerifyConfigurationIntegration:
+    """The schedule, round and hyperperiod rule groups over one round,
+    as ``verify_experiment`` runs them."""
+
+    @staticmethod
+    def verify(table, compiled, params):
+        report = check_schedule(table, params)
+        report.merge(check_compiled_round(compiled, table=table))
+        report.merge(check_hyperperiod_model(compiled))
+        return report
+
     def test_clean_round_passes(self, compiled, table, small_params):
-        report = verify_configuration(params=small_params, schedule=table,
-                                      compiled=compiled)
-        assert not report.has_errors
+        assert not self.verify(table, compiled, small_params).has_errors
 
     def test_corrupt_round_is_reported(self, compiled, table,
                                        small_params):
         broken = rebuild(compiled, drop=[static_indices(compiled)[0]])
-        report = verify_configuration(params=small_params, schedule=table,
-                                      compiled=broken)
+        report = self.verify(table, broken, small_params)
         assert "FRS110" in report.rule_ids()

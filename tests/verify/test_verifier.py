@@ -9,7 +9,12 @@ from repro.experiments.figures import case_study_params
 from repro.flexray.params import FlexRayParams, paper_dynamic_preset
 from repro.verify import (
     ConfigurationError,
-    verify_configuration,
+    Report,
+    check_deadlines,
+    check_params,
+    check_retransmission_plan,
+    check_slack_table,
+    check_utilization,
     verify_experiment,
 )
 from repro.workloads.acc import acc_signals
@@ -20,8 +25,8 @@ from repro.workloads.synthetic import synthetic_signals
 
 class TestGoldenExperiments:
     """The bundled workloads, paired with their evaluation clusters,
-    must verify clean -- this is the same gate `repro verify-config`
-    runs in CI."""
+    must verify clean -- this is the same gate `repro check` runs in
+    CI."""
 
     def test_bbw_case_study(self):
         report = verify_experiment(
@@ -109,56 +114,41 @@ class TestBrokenExperiments:
 
 
 class TestVerifyConfiguration:
+    """The rule groups verify artifacts a caller already has."""
+
     def test_composite_report_merges_groups(self):
-        report = verify_configuration(
-            params={"gd_cycle_mt": 0},
-            workload=[("late", 20.0, 10.0)],
-            tasks=[(11.0, 10.0)],
-            slack_table=[[-1.0]],
-        )
+        report = Report()
+        report.merge(check_params({"gd_cycle_mt": 0}))
+        report.merge(check_deadlines([("late", 20.0, 10.0)]))
+        report.merge(check_utilization([(11.0, 10.0)]))
+        report.merge(check_slack_table([[-1.0]]))
         assert set(report.rule_ids()) == {
             "FRC009", "ANA205", "ANA203", "ANA201",
         }
-
-    def test_schedule_without_params_instance_raises(self):
-        with pytest.raises(ValueError, match="SegmentGeometry"):
-            verify_configuration(params={"gd_cycle_mt": 5000},
-                                 schedule={})
-
-    def test_plain_plan_needs_context(self):
-        with pytest.raises(ValueError, match="failure_probabilities"):
-            verify_configuration(plan={"a": 1})
 
     def test_retransmission_plan_object_carries_its_goal(self):
         failure = {"a": 1e-4}
         instances = {"a": 100.0}
         plan = plan_retransmissions(failure, instances, rho=0.9999)
         assert plan.feasible
-        report = verify_configuration(
-            plan=plan,
-            failure_probabilities=failure,
-            instances=instances,
-        )
+        report = check_retransmission_plan(
+            failure, instances, plan.budgets,
+            math.exp(plan.goal_log_probability))
         assert len(report) == 0
 
     def test_ana207_infeasible_planner_output(self):
-        failure = {"a": 0.5}
-        instances = {"a": 1000.0}
-        plan = plan_retransmissions(failure, instances,
-                                    rho=1.0 - 1e-12, max_budget=1)
-        assert not plan.feasible
-        report = verify_configuration(
-            plan=plan,
-            failure_probabilities=failure,
-            instances=instances,
+        """The verifier reports the planner's own infeasibility as a
+        warning next to ANA204's proof that the goal is missed."""
+        report = verify_experiment(
+            params=case_study_params("bbw", minislots=50),
+            periodic=bbw_signals(),
+            ber=1e-3,
+            reliability_goal=1.0 - 1e-12,
         )
         assert "ANA207" in report.rule_ids()
         assert "ANA204" in report.rule_ids()
         warning_rules = {d.rule_id for d in report.warnings}
         assert "ANA207" in warning_rules
-
-    def test_empty_call_is_clean(self):
-        assert len(verify_configuration()) == 0
 
 
 class TestConfigurationError:
