@@ -30,8 +30,6 @@ def test_campaign_separation(benchmark):
         ber=1e-7,
         duration_ms=600.0,
         reliability_goal=1 - 1e-4,
-        metrics=["deadline_miss_ratio", "dynamic_latency_ms",
-                 "delivered_fraction"],
     )
 
     def run_both():
@@ -78,7 +76,6 @@ def test_campaign_parallel_speedup(benchmark):
         ber=1e-7,
         duration_ms=250.0,
         reliability_goal=1 - 1e-4,
-        metrics=["deadline_miss_ratio", "delivered_fraction"],
     )
 
     start = time.perf_counter()

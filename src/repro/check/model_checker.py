@@ -46,7 +46,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.faults.analysis import log_message_success_probability
+from repro.core.retransmission import (
+    goal_log_probability,
+    plan_log_probability,
+)
 from repro.protocol.channel import Channel
 from repro.timeline.compiler import (
     CHANNEL_CODES,
@@ -387,9 +390,6 @@ def _check_theorem1(
     if not 0.0 < reliability_goal <= 1.0 or any(
             message not in instances for message in failure_probabilities):
         return
-    gamma = 1.0 - reliability_goal
-    goal_log = math.log1p(-gamma) if gamma < 0.5 else \
-        math.log(reliability_goal)
     # Budget fundability: a retransmission of instance i must land
     # before the next instance releases (constrained deadlines), so at
     # most ``available`` of the k_z planned attempts structurally exist
@@ -402,7 +402,7 @@ def _check_theorem1(
         return
     cycle_ms = compiled.params.cycle_ms
     clipped: List[str] = []
-    effective_log = 0.0
+    fundable: Dict[str, int] = {}
     for message in sorted(failure_probabilities):
         k_z = budgets.get(message, 0)
         period = retransmission_periods_ms.get(message)
@@ -423,9 +423,10 @@ def _check_theorem1(
             k_eff = min(k_z, available)
             if k_eff < k_z:
                 clipped.append(f"{message}: k={k_z} fundable={k_eff}")
-        effective_log += log_message_success_probability(
-            failure_probabilities[message], k_eff, instances[message])
-    if clipped and effective_log < goal_log:
+        fundable[message] = k_eff
+    effective_log = plan_log_probability(failure_probabilities, instances,
+                                         fundable)
+    if clipped and effective_log < goal_log_probability(reliability_goal):
         achieved_gamma = -math.expm1(effective_log)
         budget.add(Diagnostic(
             rule_id="MDL404", severity=Severity.ERROR,
@@ -435,7 +436,7 @@ def _check_theorem1(
                     f"slots plus reserved dynamic capacity per period "
                     f"window) miss the reliability goal: failure "
                     f"probability {achieved_gamma:.6g} > allowed gamma "
-                    f"{gamma:.6g}",
+                    f"{1.0 - reliability_goal:.6g}",
             fix_hint="free static slots, reserve dynamic capacity, or "
                      "re-plan against the structural supply",
         ))

@@ -11,7 +11,8 @@ The subcommands mirror the library's main entry points:
 - ``plan`` -- show the differentiated retransmission plan for a
   workload/goal without running a simulation;
 - ``report`` -- regenerate the whole evaluation as a markdown report;
-- ``breakdown`` -- breakdown-load search per scheduler (extension);
+- ``breakdown`` -- breakdown-load search per scheduler on the
+  dynamic-study set (extension);
 - ``check`` -- the static-analysis gate: ``DET*`` rules and policy
   effect proofs over the source tree, then every bundled workload's
   configuration, schedule, compiled round and Theorem-1 plan through
@@ -35,13 +36,18 @@ Invoke as ``python -m repro <subcommand>``; every subcommand supports
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import figures as figures_module
-from repro.experiments.campaign import CAMPAIGN_METRICS, run_campaign
-from repro.experiments.runner import SCHEDULERS, run_experiment
+from repro.experiments.campaign import run_campaign
+from repro.experiments.runner import (
+    SCHEDULERS,
+    build_experiment_kwargs,
+    run_experiment,
+)
 from repro.core.retransmission import derive_theorem1_plan
 from repro.obs import (
     NULL_OBS,
@@ -56,20 +62,12 @@ from repro.protocol.backend import (
     workload_minislots,
 )
 from repro.sim.engine import EngineMode
-from repro.workloads import bundled_periodic, sae_aperiodic_signals
+from repro.workloads import sae_aperiodic_signals
 
 __all__ = ["main", "build_parser"]
 
 _WORKLOADS = ("bbw", "acc", "synthetic")
 _FIGURES = ("1", "2", "3", "4", "5")
-
-
-def _backend_of(args):
-    return get_backend(getattr(args, "backend", "flexray"))
-
-
-def _params_for(args) -> "SegmentGeometry":
-    return _backend_of(args).workload_params(args.workload, args.minislots)
 
 
 def _emit(rows: List[Dict], as_json: bool) -> None:
@@ -141,17 +139,19 @@ def _open_store(args, obs):
     return ResultStore(path, obs=obs)
 
 
+def _experiment_kwargs(args) -> Dict[str, object]:
+    """The scenario ``run`` and ``campaign`` flags describe."""
+    return build_experiment_kwargs(
+        workload=args.workload, count=args.count, seed=args.seed,
+        aperiodic=args.aperiodic, minislots=args.minislots, ber=args.ber,
+        reliability_goal=args.rho, duration_ms=args.duration_ms,
+        engine_mode=args.engine_mode, backend=args.backend)
+
+
 def _cmd_run(args) -> int:
     obs, events = _make_observability(args)
-    periodic = bundled_periodic(args.workload, args.count, args.seed)
-    aperiodic = sae_aperiodic_signals(count=args.aperiodic) \
-        if args.aperiodic > 0 else None
-    params = _params_for(args)
+    experiment_kwargs = _experiment_kwargs(args)
     store = _open_store(args, obs)
-    experiment_kwargs = dict(
-        params=params, periodic=periodic, aperiodic=aperiodic,
-        ber=args.ber, duration_ms=args.duration_ms,
-        reliability_goal=args.rho, engine_mode=args.engine_mode)
     rows = []
     for scheduler in args.scheduler:
         result = run_experiment(
@@ -178,18 +178,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _campaign_row(campaign) -> Dict[str, object]:
+    return dict(campaign.table_row(), cache_hits=campaign.cache_hits,
+                simulated=campaign.simulations_run,
+                failures=len(campaign.failures))
+
+
 def _cmd_campaign(args) -> int:
     from repro.verify import ConfigurationError
 
     if args.coordinate:
         return _cmd_campaign_coordinated(args)
     obs, events = _make_observability(args)
-    periodic = bundled_periodic(args.workload, args.count, args.seed)
-    aperiodic = sae_aperiodic_signals(count=args.aperiodic) \
-        if args.aperiodic > 0 else None
-    params = _params_for(args)
+    experiment_kwargs = _experiment_kwargs(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
-    store = _open_store(args, obs)
     rows = []
     failed = 0
     for scheduler in args.scheduler:
@@ -197,33 +199,20 @@ def _cmd_campaign(args) -> int:
             campaign = run_campaign(
                 scheduler,
                 seeds=seeds,
-                metrics=args.metric or None,
-                params=params,
-                periodic=periodic,
-                aperiodic=aperiodic,
-                ber=args.ber,
-                duration_ms=args.duration_ms,
-                reliability_goal=args.rho,
                 workers=args.workers,
                 cache_dir=args.cache_dir,
                 validate=args.validate,
                 obs=obs,
-                store=store,
+                store=args.store,
                 store_workload=args.workload,
-                engine_mode=args.engine_mode,
+                **experiment_kwargs,
             )
         except ConfigurationError as error:
             print(f"repro: {scheduler}: configuration failed "
                   f"validation:", file=sys.stderr)
             print(error.report.format(), file=sys.stderr)
-            if store is not None:
-                store.close()
             return 1
-        row = campaign.table_row()
-        row["cache_hits"] = campaign.cache_hits
-        row["simulated"] = campaign.simulations_run
-        row["failures"] = len(campaign.failures)
-        rows.append(row)
+        rows.append(_campaign_row(campaign))
         failed += len(campaign.failures)
         for failure in campaign.failures:
             print(f"repro: {scheduler}: seed {failure.seed} failed "
@@ -232,8 +221,6 @@ def _cmd_campaign(args) -> int:
             print(f"repro: {scheduler}: stored campaign "
                   f"{campaign.store_campaign_id[:12]} in {args.store}",
                   file=sys.stderr)
-    if store is not None:
-        store.close()
     _emit(rows, args.json)
     _finish_observability(args, obs, events, command="campaign",
                           workload=args.workload, seeds=args.seeds,
@@ -253,13 +240,11 @@ def _cmd_campaign_coordinated(args) -> int:
         return 1
     for flag, name in ((args.store, "--store"),
                        (args.cache_dir, "--cache-dir"),
-                       (args.workers, "--workers"),
-                       (args.metric, "--metric")):
+                       (args.workers, "--workers")):
         if flag:
             print(f"repro campaign: {name} is not supported with "
                   f"--coordinate (the directory provides cache and "
-                  f"store; metrics come from the reduced campaign)",
-                  file=sys.stderr)
+                  f"store)", file=sys.stderr)
             return 1
     obs, events = _make_observability(args)
     plan = CampaignPlan(
@@ -286,13 +271,7 @@ def _cmd_campaign_coordinated(args) -> int:
           f"{report.ranges_completed} ranges ({report.seeds_simulated} "
           f"simulated, {report.cache_hits} cache hits, "
           f"{report.takeovers} takeovers)", file=sys.stderr)
-    rows = [report.row()]
-    if campaign is not None:
-        row = campaign.table_row()
-        row["cache_hits"] = campaign.cache_hits
-        row["simulated"] = campaign.simulations_run
-        row["failures"] = len(campaign.failures)
-        rows = [row]
+    rows = [report.row() if campaign is None else _campaign_row(campaign)]
     _emit(rows, args.json)
     _finish_observability(args, obs, events, command="campaign",
                           workload=args.workload, seeds=args.seeds,
@@ -339,9 +318,12 @@ def _cmd_plan(args) -> int:
     from repro.packing.frame_packing import pack_signals
 
     # The packing and geometry `repro run --workload X` binds by default.
-    params = _backend_of(args).workload_params(args.workload)
-    packing = pack_signals(
-        bundled_periodic(args.workload, args.count, args.seed), params)
+    scenario = build_experiment_kwargs(
+        workload=args.workload, count=args.count, seed=args.seed,
+        aperiodic=0, minislots=None, ber=args.ber,
+        reliability_goal=args.rho)
+    params = scenario["params"]
+    packing = pack_signals(scenario["periodic"], params)
     derived = derive_theorem1_plan(packing, params, args.ber, args.rho,
                                    args.time_unit_ms)
     plan = derived.plan
@@ -411,21 +393,22 @@ _VERIFY_WORKLOADS = ("sae", "bbw", "acc", "synthetic")
 def _verify_target(workload: str, args) -> Dict[str, object]:
     """Assemble the ``verify_experiment`` inputs for one bundled workload.
 
-    The cluster comes from the same rule ``run`` and ``campaign`` use
-    (:meth:`~repro.protocol.backend.ProtocolBackend.workload_params`).
+    A periodic workload is the scenario ``run`` and ``campaign`` build
+    (:func:`~repro.experiments.runner.build_experiment_kwargs`).
     """
-    params = _backend_of(args).workload_params(workload, args.minislots)
     if workload == "sae":
         # The SAE set is the paper's aperiodic study: no periodic half.
         count = args.aperiodic if args.aperiodic > 0 else 30
-        return {"params": params, "periodic": None,
+        return {"params": get_backend(args.backend).workload_params(
+                    workload, args.minislots),
+                "periodic": None,
                 "aperiodic": sae_aperiodic_signals(count=count)}
-    return {
-        "params": params,
-        "periodic": bundled_periodic(workload, args.count, args.seed),
-        "aperiodic": sae_aperiodic_signals(count=args.aperiodic)
-        if args.aperiodic > 0 else None,
-    }
+    scenario = build_experiment_kwargs(
+        workload=workload, count=args.count, seed=args.seed,
+        aperiodic=args.aperiodic, minislots=args.minislots, ber=args.ber,
+        reliability_goal=args.rho, backend=args.backend)
+    return {key: scenario[key] for key in ("params", "periodic",
+                                           "aperiodic")}
 
 
 def _cmd_serve(args) -> int:
@@ -485,11 +468,7 @@ def _cmd_loadgen(args) -> int:
 
     spec = LoadgenSpec(
         requests=args.requests, seed=args.seed,
-        channels=tuple(args.channels),
         mean_interarrival_ticks=args.mean_interarrival,
-        execution_min=args.execution_min,
-        execution_max=args.execution_max,
-        deadline_ticks=args.deadline_ticks,
         release_fraction=args.release_fraction)
     try:
         report = asyncio.run(run_loadgen(
@@ -620,24 +599,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="CoEfficient FlexRay scheduling reproduction "
                     "(ICDCS 2014)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: a retired flag must fail to parse rather
+    # than resolve to a live flag it happens to prefix.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
-    def scenario_options(p):
-        p.add_argument("--count", type=int, default=20,
-                       help="synthetic message count (default: 20)")
+    def experiment_options(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--ber", type=float, default=1e-7,
                        help="bit error rate (default: 1e-7)")
         p.add_argument("--rho", type=float, default=1 - 1e-4,
                        help="reliability goal (default: 1-1e-4)")
 
+    def scenario_options(p):
+        p.add_argument("--count", type=int, default=20,
+                       help="synthetic message count (default: 20)")
+        experiment_options(p)
+
+    def json_option(p):
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON instead of a table")
+
     def common(p):
         p.add_argument("--workload", choices=_WORKLOADS,
                        default="synthetic",
                        help="periodic workload (default: synthetic)")
         scenario_options(p)
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of a table")
+        json_option(p)
 
     def observability(p):
         p.add_argument("--profile", action="store_true",
@@ -709,10 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="content-addressed on-disk cache; "
                                       "completed seeds are skipped on "
                                       "re-runs")
-    campaign_parser.add_argument("--metric", nargs="+", default=None,
-                                 choices=list(CAMPAIGN_METRICS),
-                                 help="metrics to summarize "
-                                      "(default: all)")
     campaign_parser.add_argument("--validate", action="store_true",
                                  help="statically verify the "
                                       "configuration before running "
@@ -743,7 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser = sub.add_parser("figures",
                                    help="regenerate a paper figure")
     figure_parser.add_argument("figure", choices=_FIGURES)
-    figure_parser.add_argument("--duration-ms", type=float, default=500.0)
+    figure_parser.add_argument("--duration-ms", type=float, default=500.0,
+                               help="simulated horizon of figures 3-5 "
+                                    "(default: 500; figures 1-2 run to "
+                                    "completion)")
     figure_parser.add_argument("--json", action="store_true")
     observability(figure_parser)
     figure_parser.set_defaults(handler=_cmd_figures)
@@ -770,8 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.set_defaults(handler=_cmd_report)
 
     breakdown_parser = sub.add_parser(
-        "breakdown", help="breakdown-load search per scheduler")
-    common(breakdown_parser)
+        "breakdown",
+        help="breakdown-load search per scheduler on the dynamic-study "
+             "set")
+    experiment_options(breakdown_parser)
+    json_option(breakdown_parser)
     breakdown_parser.add_argument("--scheduler", nargs="+",
                                   choices=SCHEDULERS,
                                   default=["coefficient", "fspec"])
@@ -842,17 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--port", type=int, default=8471)
     loadgen_parser.add_argument("--requests", type=int, default=1000)
     loadgen_parser.add_argument("--seed", type=int, default=7)
-    loadgen_parser.add_argument("--channels", nargs="+",
-                                default=["A", "B"])
     loadgen_parser.add_argument("--mean-interarrival", type=float,
                                 default=8.0,
                                 help="Poisson mean inter-arrival in "
                                      "ticks (default: 8)")
-    loadgen_parser.add_argument("--execution-min", type=int, default=1)
-    loadgen_parser.add_argument("--execution-max", type=int, default=4)
-    loadgen_parser.add_argument("--deadline-ticks", type=int, default=500,
-                                help="relative deadline in ticks "
-                                     "(default: 500 = SAE 50 ms)")
     loadgen_parser.add_argument("--release-fraction", type=float,
                                 default=0.0,
                                 help="fraction of accepted requests "

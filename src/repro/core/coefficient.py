@@ -303,7 +303,8 @@ class CoEfficientPolicy(QueueingPolicyBase):
                      - params.gd_minislot_action_point_offset_mt)
         if usable_mt <= 0:
             return 0
-        bits = int(usable_mt * params.bits_per_macrotick) - 64
+        bits = int(usable_mt * params.bits_per_macrotick) \
+            - params.frame_overhead_bits
         return max(0, bits)
 
     def on_dynamic_hold(self, pending: PendingFrame, channel: Channel) -> None:

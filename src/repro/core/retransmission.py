@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     from repro.protocol.geometry import SegmentGeometry
 
 __all__ = ["RetransmissionPlan", "Theorem1Plan", "derive_theorem1_plan",
+           "goal_log_probability", "plan_log_probability",
            "plan_retransmissions", "uniform_retransmission_plan"]
 
 #: Cap on one message's retransmission budget k_z: the planner never
@@ -77,6 +78,28 @@ class RetransmissionPlan:
         return math.exp(self.achieved_log_probability)
 
 
+def goal_log_probability(rho: float) -> float:
+    """log(rho), computed from gamma = 1 - rho where that is exact."""
+    gamma = 1.0 - rho
+    return math.log1p(-gamma) if gamma < 0.5 else math.log(rho)
+
+
+def plan_log_probability(failure_probabilities: Mapping[str, float],
+                         instances: Mapping[str, float],
+                         budgets: Mapping[str, int]) -> float:
+    """log of Theorem 1's product under ``budgets`` (absent = k 0).
+
+    The one summation the planners' ``feasible`` and ANA204 read: near
+    rho = 1 the last ulps of the sum decide the goal test, so every
+    judge must add in the same (sorted) order.
+    """
+    return sum(
+        log_message_success_probability(failure_probabilities[message],
+                                        budgets.get(message, 0),
+                                        instances[message])
+        for message in sorted(failure_probabilities))
+
+
 def _log_gain(p_z: float, k: int, instances: float) -> float:
     """Marginal log-probability gain of going from k to k+1 retries."""
     return (log_message_success_probability(p_z, k + 1, instances)
@@ -113,15 +136,13 @@ def plan_retransmissions(
     if missing:
         raise ValueError(f"no instance counts for: {sorted(missing)}")
     costs = dict(bandwidth_cost or {})
-
-    gamma = 1.0 - rho
-    goal_log = math.log1p(-gamma) if gamma < 0.5 else math.log(rho)
+    goal_log = goal_log_probability(rho)
 
     budgets: Dict[str, int] = {m: 0 for m in failure_probabilities}
-    current_log = sum(
-        log_message_success_probability(p, 0, instances[m])
-        for m, p in failure_probabilities.items()
-    )
+    # The greedy loop tracks the product incrementally; the plan reports
+    # the recomputed sum, the one ANA204 judges.
+    current_log = plan_log_probability(failure_probabilities, instances,
+                                       budgets)
     total_cost = 0.0
 
     # Max-heap of (gain / cost) candidates; lazily re-pushed after pops
@@ -150,11 +171,13 @@ def plan_retransmissions(
         if next_gain > 0 and budgets[message] < max_budget:
             heapq.heappush(heap, (-next_gain / cost, message))
 
+    achieved_log = plan_log_probability(failure_probabilities, instances,
+                                        budgets)
     return RetransmissionPlan(
         budgets=budgets,
-        achieved_log_probability=current_log,
+        achieved_log_probability=achieved_log,
         goal_log_probability=goal_log,
-        feasible=current_log >= goal_log,
+        feasible=achieved_log >= goal_log,
         total_cost=total_cost,
     )
 
@@ -173,34 +196,20 @@ def uniform_retransmission_plan(
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    gamma = 1.0 - rho
-    goal_log = math.log1p(-gamma) if gamma < 0.5 else math.log(rho)
+    goal_log = goal_log_probability(rho)
 
     for k in range(max_budget + 1):
-        current_log = sum(
-            log_message_success_probability(p, k, instances[m])
-            for m, p in failure_probabilities.items()
-        )
+        budgets = {m: k for m in failure_probabilities}
+        current_log = plan_log_probability(failure_probabilities,
+                                           instances, budgets)
         if current_log >= goal_log:
-            budgets = {m: k for m in failure_probabilities}
-            return RetransmissionPlan(
-                budgets=budgets,
-                achieved_log_probability=current_log,
-                goal_log_probability=goal_log,
-                feasible=True,
-                total_cost=float(k * len(budgets)),
-            )
-    budgets = {m: max_budget for m in failure_probabilities}
-    current_log = sum(
-        log_message_success_probability(p, max_budget, instances[m])
-        for m, p in failure_probabilities.items()
-    )
+            break
     return RetransmissionPlan(
         budgets=budgets,
         achieved_log_probability=current_log,
         goal_log_probability=goal_log,
-        feasible=False,
-        total_cost=float(max_budget * len(budgets)),
+        feasible=current_log >= goal_log,
+        total_cost=float(k * len(budgets)),
     )
 
 
@@ -272,13 +281,13 @@ def derive_theorem1_plan(packing: "PackingResult",
     dynamic: Dict[str, int] = {}
     for message in packing.messages:
         name = message.message_id
-        wire = max(chunk.payload_bits for chunk in message.chunks) \
-            + params.frame_overhead_bits
+        payload = max(chunk.payload_bits for chunk in message.chunks)
+        wire = payload + params.frame_overhead_bits
         failure[name] = frame_failure_probability(ber, wire)
         instances[name] = time_unit_ms / message.period_ms
         cost[name] = wire / message.period_ms
         periods[name] = message.period_ms
-        dynamic[name] = dynamic_retransmission_capacity(params, wire)
+        dynamic[name] = dynamic_retransmission_capacity(params, payload)
     if uniform:
         plan = uniform_retransmission_plan(failure, instances,
                                            reliability_goal)
@@ -292,16 +301,14 @@ def derive_theorem1_plan(packing: "PackingResult",
 
 
 def dynamic_retransmission_capacity(params: "SegmentGeometry",
-                                    wire_bits: int) -> int:
-    """Retransmission frames of ``wire_bits`` one cycle's dynamic
-    segments hold: each channel runs its own minislot timeline.
+                                    payload_bits: int) -> int:
+    """Dynamic-segment retransmissions of a ``payload_bits`` chunk one
+    cycle carries: one per channel, or none if the frame cannot fit.
 
-    Conservative: ``minislots_for_bits`` adds the frame overhead and
-    the idle phase to ``wire_bits``, and the idle phase is added once
-    more per frame.
+    CoEfficient retransmits in the dynamic segment only in its reserved
+    slot ID, the segment's first, which sends at most one frame per
+    channel per cycle and has the whole segment to send it in.
     """
-    if params.g_number_of_minislots <= 0:
+    if params.minislots_for_bits(payload_bits) > params.g_number_of_minislots:
         return 0
-    per_frame = (params.minislots_for_bits(wire_bits)
-                 + params.gd_dynamic_slot_idle_phase_minislots)
-    return (params.g_number_of_minislots // per_frame) * params.channel_count
+    return params.channel_count

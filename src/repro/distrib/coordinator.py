@@ -67,6 +67,13 @@ LEASES_DIRNAME = "leases"
 DONE_DIRNAME = "done"
 RESULTS_DBNAME = "results.db"
 
+#: Seconds between scans while every unfinished range is leased to
+#: someone else, and between a plan-less joiner's looks for plan.json.
+POLL_S = 0.25
+
+#: Seconds a plan-less joiner waits for plan.json.
+PLAN_WAIT_S = 30.0
+
 
 @dataclasses.dataclass
 class WorkerReport:
@@ -107,14 +114,14 @@ def _write_done(directory: str, claim: str, index: int,
 
 
 def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
-               poll_s: float = 0.25, timeout_s: Optional[float] = None,
+               timeout_s: Optional[float] = None,
                obs: ObsLike = NULL_OBS) -> WorkerReport:
     """Claim, run and publish seed ranges until none remain.
 
     Returns when every range of the plan has a done marker.  Raises
     :class:`TimeoutError` when ``timeout_s`` elapses with unfinished
     ranges this worker cannot claim (held by someone else who never
-    finishes).
+    finishes); between scans it sleeps :data:`POLL_S`.
     """
     kwargs = plan.experiment_kwargs()
     cache = CampaignCache(os.path.join(directory, CACHE_DIRNAME), obs=obs)
@@ -180,7 +187,7 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
                     raise TimeoutError(
                         f"worker {worker_id}: {remaining} ranges still "
                         f"unfinished after {timeout_s}s")
-                time.sleep(poll_s)
+                time.sleep(POLL_S)
     finally:
         store.close()
     report.takeovers = leases.takeovers
@@ -188,8 +195,7 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
 
 
 def reduce_campaign(plan: CampaignPlan, directory: str,
-                    obs: ObsLike = NULL_OBS,
-                    record_campaign: bool = True) -> CampaignResult:
+                    obs: ObsLike = NULL_OBS) -> CampaignResult:
     """Deterministic reduce: a warm-cache ``run_campaign`` over DIR.
 
     Every completed seed cache-hits, so this runs zero simulations and
@@ -203,8 +209,7 @@ def reduce_campaign(plan: CampaignPlan, directory: str,
     return run_campaign(
         plan.scheduler, list(plan.seeds), obs=obs,
         cache_dir=os.path.join(directory, CACHE_DIRNAME),
-        store=(os.path.join(directory, RESULTS_DBNAME)
-               if record_campaign else None),
+        store=os.path.join(directory, RESULTS_DBNAME),
         store_workload=plan.workload,
         **kwargs)
 
@@ -213,9 +218,7 @@ def coordinate_campaign(directory: str,
                         plan: Optional[CampaignPlan] = None,
                         join: bool = False,
                         worker_id: Optional[str] = None,
-                        poll_s: float = 0.25,
                         timeout_s: Optional[float] = None,
-                        plan_wait_s: float = 30.0,
                         obs: ObsLike = NULL_OBS,
                         ) -> Tuple[Optional[CampaignResult], WorkerReport]:
     """Run one coordinated-campaign participant to completion.
@@ -229,8 +232,9 @@ def coordinate_campaign(directory: str,
             until no ranges remain, then return *without* reducing
             (the coordinating process reduces).
         worker_id: Stable identity for leases (default: host-pid).
-        poll_s/timeout_s: Scan knobs, see :func:`run_worker`.
-        plan_wait_s: How long a plan-less joiner waits for plan.json.
+        timeout_s: Give up after this long without claimable work, see
+            :func:`run_worker`.  A plan-less joiner waits
+            :data:`PLAN_WAIT_S` for ``plan.json``.
         obs: Observability context (reducer side).
 
     Returns:
@@ -249,19 +253,19 @@ def coordinate_campaign(directory: str,
     elif join:
         waited = 0.0
         while not os.path.exists(CampaignPlan.path_in(directory)):
-            if waited >= plan_wait_s:
+            if waited >= PLAN_WAIT_S:
                 raise FileNotFoundError(
                     f"no {CampaignPlan.path_in(directory)} after "
-                    f"{plan_wait_s}s; is the coordinating process up?")
-            time.sleep(poll_s)
-            waited += poll_s
+                    f"{PLAN_WAIT_S}s; is the coordinating process up?")
+            time.sleep(POLL_S)
+            waited += POLL_S
         plan = CampaignPlan.load(directory)
     else:
         raise ValueError("coordinate_campaign needs a plan unless "
                          "joining an existing campaign")
 
-    report = run_worker(plan, directory, worker_id, poll_s=poll_s,
-                        timeout_s=timeout_s, obs=obs)
+    report = run_worker(plan, directory, worker_id, timeout_s=timeout_s,
+                        obs=obs)
     if join:
         return None, report
     return reduce_campaign(plan, directory, obs=obs), report

@@ -26,42 +26,15 @@ import tempfile
 from typing import Dict, List, Tuple
 
 from repro.experiments.cache import run_key
+from repro.experiments.runner import build_experiment_kwargs
 from repro.sim.engine import EngineMode
 
-__all__ = ["CampaignPlan", "PLAN_FILENAME", "build_experiment_kwargs"]
+__all__ = ["CampaignPlan", "PLAN_FILENAME"]
 
 PLAN_FILENAME = "plan.json"
 
 #: Plan file format version.
 PLAN_VERSION = 1
-
-
-def build_experiment_kwargs(workload: str, count: int, seed: int,
-                            aperiodic: int, minislots: int, ber: float,
-                            reliability_goal: float, duration_ms: float,
-                            engine_mode: str,
-                            backend: str = "flexray") -> Dict[str, object]:
-    """Rebuild ``run_experiment`` kwargs from scalar spec values.
-
-    Mirrors the ``repro campaign`` CLI's construction exactly -- the
-    coordinated equivalence guarantee (reduced result == serial
-    ``run_campaign``) depends on both paths building identical
-    configurations from identical scalars.
-    """
-    from repro.protocol.backend import get_backend
-    from repro.workloads import bundled_periodic, sae_aperiodic_signals
-
-    periodic = bundled_periodic(workload, count, seed)
-    return dict(
-        params=get_backend(backend).workload_params(workload, minislots),
-        periodic=periodic,
-        aperiodic=(sae_aperiodic_signals(count=aperiodic)
-                   if aperiodic > 0 else None),
-        ber=ber,
-        duration_ms=duration_ms,
-        reliability_goal=reliability_goal,
-        engine_mode=engine_mode,
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -195,7 +195,7 @@ _METRIC_EXTRACTORS: Dict[str, Callable[[ExperimentResult], float]] = {
         if r.metrics.produced_instances else float("nan"),
 }
 
-#: Public metric catalogue (the CLI's ``--metric`` choices).
+#: The metrics every campaign summarizes.
 CAMPAIGN_METRICS: Tuple[str, ...] = tuple(_METRIC_EXTRACTORS)
 
 
@@ -346,23 +346,23 @@ def _validate_campaign(obs, **experiment_kwargs) -> None:
 def run_campaign(
     scheduler: str,
     seeds: Sequence[int],
-    metrics: Optional[Sequence[str]] = None,
     obs=NULL_OBS,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     validate: bool = False,
-    store=None,
+    store: Optional[str] = None,
     store_workload: str = "",
     _crash_plan: Optional[Mapping[int, int]] = None,
     **experiment_kwargs,
 ) -> CampaignResult:
     """Run one configuration across many seeds.
 
+    Every metric of :data:`CAMPAIGN_METRICS` is summarized.
+
     Args:
         scheduler: Registry name.
         seeds: Seeds to run (each is one independent sample: workload
             jitter and fault pattern both re-drawn).
-        metrics: Metric names to summarize (default: all known).
         obs: Parent observability context.  Every seed runs in its own
             isolated child context; the per-seed snapshots merge into
             ``obs`` in seed order when the campaign ends (so aggregate
@@ -376,8 +376,8 @@ def run_campaign(
             summaries, counters, and deterministic exports.
         cache_dir: Content-addressed on-disk cache for completed seed
             runs; hits skip the simulation entirely.
-        store: A :class:`repro.results.ResultStore` (or a path to one)
-            the finished campaign is ingested into -- campaign row,
+        store: Path of the :class:`repro.results.ResultStore` the
+            finished campaign is ingested into -- campaign row,
             per-seed runs, trace digests under the campaign's engine
             mode, and per-seed obs snapshots, all in one transaction.
             The assigned content-addressed id lands on
@@ -399,7 +399,7 @@ def run_campaign(
         A :class:`CampaignResult` with per-metric summaries.
 
     Raises:
-        ValueError: No seeds, or an unknown metric name.
+        ValueError: No seeds.
         repro.verify.ConfigurationError: ``validate=True`` and the
             configuration fails a static invariant check.
         RuntimeError: Every seed failed.
@@ -408,10 +408,6 @@ def run_campaign(
         raise ValueError("campaign needs at least one seed")
     if validate:
         _validate_campaign(obs, **experiment_kwargs)
-    names = list(metrics or _METRIC_EXTRACTORS)
-    unknown = set(names) - set(_METRIC_EXTRACTORS)
-    if unknown:
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
 
     collect_obs = obs.enabled
     cache = CampaignCache(cache_dir, obs=obs) if cache_dir else None
@@ -482,9 +478,8 @@ def run_campaign(
                  seeds=len(results))
 
     summaries = {
-        name: _summarize(
-            name, [_METRIC_EXTRACTORS[name](result) for result in results])
-        for name in names
+        name: _summarize(name, [extract(result) for result in results])
+        for name, extract in _METRIC_EXTRACTORS.items()
     }
     campaign = CampaignResult(
         scheduler=scheduler, seeds=list(seeds), results=results,
@@ -495,12 +490,8 @@ def run_campaign(
     if store is not None:
         from repro.results.store import ResultStore
 
-        if isinstance(store, str):
-            with ResultStore(store, obs=obs) as opened:
-                campaign.store_campaign_id = opened.record_campaign(
-                    campaign, experiment_kwargs, workload=store_workload)
-        else:
-            campaign.store_campaign_id = store.record_campaign(
+        with ResultStore(store, obs=obs) as opened:
+            campaign.store_campaign_id = opened.record_campaign(
                 campaign, experiment_kwargs, workload=store_workload)
     return campaign
 

@@ -61,6 +61,9 @@ BER_RELIABILITY_PAIRING: Dict[float, float] = {
 #: Schedulers compared in every figure, CoEfficient first.
 _COMPARED = ("coefficient", "fspec")
 
+#: Experiment seed of every figure run.
+SEED = 42
+
 
 def _goal_for(ber: float) -> float:
     """Reliability goal paired with a BER setting."""
@@ -180,7 +183,6 @@ def fig1_2_running_time(
     instance_limits: Sequence[int] = (10, 20, 40),
     synthetic_counts: Sequence[int] = (20, 40),
     static_slot_options: Sequence[int] = (80, 120),
-    seed: int = 42,
     obs=NULL_OBS,
     engine_mode: str = "vectorized",
 ) -> List[Dict[str, float]]:
@@ -198,7 +200,6 @@ def fig1_2_running_time(
             (part (b)).
         static_slot_options: gNumberOfStaticSlots settings (80 / 120,
             which also shift the aperiodic frame IDs as in the paper).
-        seed: Experiment seed.
         engine_mode: Simulation engine mode (``"vectorized"`` or
             ``"interpreter"``); the figures are identical in both
             modes, only wall-clock time differs (``BENCH_engine.json``).
@@ -225,7 +226,7 @@ def fig1_2_running_time(
                     periodic=_case_study_signals(workload),
                     aperiodic=sae_aperiodic_signals(),
                     ber=ber,
-                    seed=seed,
+                    seed=SEED,
                     duration_ms=None,
                     instance_limit=limit,
                     reliability_goal=rho,
@@ -258,7 +259,7 @@ def fig1_2_running_time(
                     periodic=periodic,
                     aperiodic=sae_aperiodic_signals(),
                     ber=ber,
-                    seed=seed,
+                    seed=SEED,
                     duration_ms=None,
                     instance_limit=20,
                     reliability_goal=rho,
@@ -290,7 +291,6 @@ def fig3_bandwidth_utilization(
     minislot_options: Sequence[int] = (25, 50, 75, 100),
     ber: float = 1e-7,
     duration_ms: float = 500.0,
-    seed: int = 42,
     obs=NULL_OBS,
 ) -> List[Dict[str, float]]:
     """Figure 3: bandwidth utilization vs gNumberOfMinislots.
@@ -309,7 +309,7 @@ def fig3_bandwidth_utilization(
                 periodic=dynamic_study_periodic(),
                 aperiodic=dynamic_study_aperiodic(),
                 ber=ber,
-                seed=seed,
+                seed=SEED,
                 duration_ms=duration_ms,
                 reliability_goal=rho,
                 obs=obs,
@@ -334,7 +334,6 @@ def fig4_transmission_latency(
     minislot_options: Sequence[int] = (50, 100),
     bers: Sequence[float] = (1e-7, 1e-9),
     duration_ms: float = 500.0,
-    seed: int = 42,
     obs=NULL_OBS,
 ) -> List[Dict[str, float]]:
     """Figure 4: average static/dynamic latency, synthetic + case studies.
@@ -356,7 +355,7 @@ def fig4_transmission_latency(
                     periodic=dynamic_study_periodic(),
                     aperiodic=dynamic_study_aperiodic(),
                     ber=ber,
-                    seed=seed,
+                    seed=SEED,
                     duration_ms=duration_ms,
                     reliability_goal=rho,
                     obs=obs,
@@ -380,7 +379,7 @@ def fig4_transmission_latency(
                     periodic=_case_study_signals(workload),
                     aperiodic=sae_aperiodic_signals(),
                     ber=ber,
-                    seed=seed,
+                    seed=SEED,
                     duration_ms=duration_ms,
                     reliability_goal=rho,
                     obs=obs,
@@ -405,7 +404,6 @@ def fig5_deadline_miss_ratio(
     minislot_options: Sequence[int] = (25, 50, 75, 100),
     bers: Sequence[float] = (1e-7, 1e-9),
     duration_ms: float = 500.0,
-    seed: int = 42,
     obs=NULL_OBS,
 ) -> List[Dict[str, float]]:
     """Figure 5: deadline miss ratio vs gNumberOfMinislots.
@@ -425,7 +423,7 @@ def fig5_deadline_miss_ratio(
                     periodic=dynamic_study_periodic(),
                     aperiodic=dynamic_study_aperiodic(),
                     ber=ber,
-                    seed=seed,
+                    seed=SEED,
                     duration_ms=duration_ms,
                     reliability_goal=rho,
                     obs=obs,
@@ -451,7 +449,6 @@ def extension_utilization_sweep(
     minislots: int = 50,
     ber: float = 1e-7,
     duration_ms: float = 500.0,
-    seed: int = 42,
 ) -> List[Dict[str, float]]:
     """Miss ratio vs controlled aperiodic bus utilization (extension).
 
@@ -467,7 +464,6 @@ def extension_utilization_sweep(
         minislots: Dynamic-segment length.
         ber: Bit error rate (paired reliability goal applies).
         duration_ms: Horizon per run.
-        seed: Experiment seed.
     """
     from repro.workloads.uunifast import uunifast_signals
 
@@ -477,7 +473,7 @@ def extension_utilization_sweep(
     rows: List[Dict[str, float]] = []
     for utilization in utilizations:
         aperiodic = uunifast_signals(
-            message_count, utilization, seed=seed + 1,
+            message_count, utilization, seed=SEED + 1,
             periods_ms=(10.0, 20.0, 40.0), aperiodic=True,
             min_size_bits=64, max_size_bits=1800,
         )
@@ -489,7 +485,7 @@ def extension_utilization_sweep(
                 periodic=periodic,
                 aperiodic=aperiodic,
                 ber=ber,
-                seed=seed,
+                seed=SEED,
                 duration_ms=duration_ms,
                 reliability_goal=rho,
             )

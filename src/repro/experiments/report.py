@@ -61,14 +61,12 @@ def render_rows(rows: Sequence[Dict], title: str,
 
 def generate_report(
     duration_ms: float = 500.0,
-    seed: int = 42,
     include_running_time: bool = True,
 ) -> str:
     """Regenerate every evaluation series and render the report.
 
     Args:
         duration_ms: Horizon for the fixed-horizon figures (3-5).
-        seed: Experiment seed.
         include_running_time: Include the (slower) completion-mode
             Figures 1-2.
 
@@ -77,7 +75,7 @@ def generate_report(
     """
     out = io.StringIO()
     out.write("# CoEfficient reproduction report\n\n")
-    out.write(f"(seed {seed}, horizon {duration_ms:g} ms; see "
+    out.write(f"(seed {figures.SEED}, horizon {duration_ms:g} ms; see "
               f"EXPERIMENTS.md for interpretation)\n\n")
 
     out.write(render_rows(figures.table2_bbw_rows(),
@@ -87,34 +85,30 @@ def generate_report(
 
     if include_running_time:
         out.write(render_rows(
-            figures.fig1_2_running_time(ber=1e-7, seed=seed,
-                                        instance_limits=(10,),
-                                        synthetic_counts=(20,),
-                                        static_slot_options=(80, 120)),
+            figures.fig1_2_running_time(
+                ber=1e-7, instance_limits=(10,), synthetic_counts=(20,),
+                static_slot_options=(80, 120)),
             "Figure 1 -- running time, BER = 1e-7",
             _PAPER_NOTES["fig1"],
         ))
         out.write(render_rows(
-            figures.fig1_2_running_time(ber=1e-9, seed=seed,
-                                        instance_limits=(10,),
-                                        synthetic_counts=(20,),
-                                        static_slot_options=(80,)),
+            figures.fig1_2_running_time(
+                ber=1e-9, instance_limits=(10,), synthetic_counts=(20,),
+                static_slot_options=(80,)),
             "Figure 2 -- running time, BER = 1e-9",
             _PAPER_NOTES["fig2"],
         ))
 
     from repro.experiments.plots import ascii_bar_chart, ascii_line_chart
 
-    fig3_rows = figures.fig3_bandwidth_utilization(
-        duration_ms=duration_ms, seed=seed)
+    fig3_rows = figures.fig3_bandwidth_utilization(duration_ms=duration_ms)
     out.write(render_rows(fig3_rows, "Figure 3 -- bandwidth utilization",
                           _PAPER_NOTES["fig3"]))
     out.write("```\n" + ascii_bar_chart(
         fig3_rows, "minislots", "bandwidth_utilization",
         title="useful utilization by minislot count") + "```\n\n")
 
-    fig4_rows = figures.fig4_transmission_latency(
-        duration_ms=duration_ms, seed=seed)
+    fig4_rows = figures.fig4_transmission_latency(duration_ms=duration_ms)
     out.write(render_rows(fig4_rows, "Figure 4 -- transmission latency",
                           _PAPER_NOTES["fig4"]))
     synthetic_relaxed = [
@@ -127,8 +121,7 @@ def generate_report(
             title="dynamic latency vs minislots (synthetic, relaxed goal)")
             + "```\n\n")
 
-    fig5_rows = figures.fig5_deadline_miss_ratio(
-        duration_ms=duration_ms, seed=seed)
+    fig5_rows = figures.fig5_deadline_miss_ratio(duration_ms=duration_ms)
     out.write(render_rows(fig5_rows, "Figure 5 -- deadline miss ratio",
                           _PAPER_NOTES["fig5"]))
     relaxed = [r for r in fig5_rows if r["ber"] >= 1e-8]

@@ -20,6 +20,7 @@ from repro.baselines.static_only import StaticOnlyPolicy
 from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.ber import BitErrorRateModel
 from repro.faults.injector import TransientFaultInjector
+from repro.protocol.backend import get_backend
 from repro.protocol.cluster import Cluster
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
@@ -29,8 +30,10 @@ from repro.packing.frame_packing import PackingResult, pack_signals
 from repro.sim.engine import EngineMode
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.rng import RngStream
+from repro.workloads import bundled_periodic, sae_aperiodic_signals
 
-__all__ = ["SCHEDULERS", "ExperimentResult", "make_policy", "run_experiment"]
+__all__ = ["SCHEDULERS", "ExperimentResult", "build_experiment_kwargs",
+           "make_policy", "run_experiment"]
 
 #: Scheduler registry: name -> constructor signature handled by
 #: :func:`make_policy`.
@@ -118,6 +121,41 @@ def make_policy(
         return DynamicPriorityPolicy(packing, **policy_kwargs)
     raise ValueError(
         f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
+    )
+
+
+def build_experiment_kwargs(
+    workload: str,
+    count: int,
+    seed: int,
+    aperiodic: int,
+    minislots: Optional[int],
+    ber: float,
+    reliability_goal: float,
+    duration_ms: float = 200.0,
+    engine_mode: str = EngineMode.VECTORIZED.value,
+    backend: str = "flexray",
+) -> Dict[str, object]:
+    """The :func:`run_experiment` kwargs of one bundled-workload scenario.
+
+    The one place the CLI's scalars become a configuration: ``repro
+    run``, both ``repro campaign`` paths (the coordinated one through
+    :meth:`repro.distrib.plan.CampaignPlan.experiment_kwargs`), ``repro
+    plan`` and ``repro check`` build here, so a coordinated campaign
+    reduces to exactly the serial one's configuration.  ``count`` and
+    ``seed`` shape the synthetic set, ``aperiodic`` is the SAE message
+    count (0 = none) and ``minislots=None`` takes the workload's
+    default (:func:`repro.protocol.backend.workload_minislots`).
+    """
+    return dict(
+        params=get_backend(backend).workload_params(workload, minislots),
+        periodic=bundled_periodic(workload, count, seed),
+        aperiodic=(sae_aperiodic_signals(count=aperiodic)
+                   if aperiodic > 0 else None),
+        ber=ber,
+        duration_ms=duration_ms,
+        reliability_goal=reliability_goal,
+        engine_mode=engine_mode,
     )
 
 

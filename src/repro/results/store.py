@@ -274,8 +274,7 @@ class ResultStore:
 
     def record_campaign(self, campaign: "CampaignResult",
                         experiment_kwargs: Mapping[str, object],
-                        workload: str = "",
-                        meta: Optional[Mapping[str, object]] = None) -> str:
+                        workload: str = "") -> str:
         """Ingest one completed campaign atomically; returns its id.
 
         Args:
@@ -284,8 +283,6 @@ class ResultStore:
                 to ``run_experiment`` -- they are the configuration half
                 of every run's content key.
             workload: Workload label for faceting (free-form).
-            meta: Extra context folded into the campaign payload (and
-                therefore into its content id).
 
         The campaign row, its per-seed run rows, the campaign->run
         links, each run's trace digest under the campaign's engine
@@ -321,7 +318,6 @@ class ResultStore:
                 }
                 for name, summary in sorted(campaign.summaries.items())
             },
-            "meta": dict(meta or {}),
         }
         campaign_id = content_digest(payload)
         with self.transaction():
@@ -483,11 +479,10 @@ class ResultStore:
         return snapshot_id
 
     def record_obs_snapshot(self, scope: str, scope_id: str,
-                            counters: Mapping[str, int],
-                            seed: Optional[int] = None) -> str:
-        """Persist one deterministic counter snapshot; returns its id."""
+                            counters: Mapping[str, int]) -> str:
+        """Persist one seedless counter snapshot; returns its id."""
         with self.transaction():
-            return self._ingest_snapshot(scope, scope_id, seed, counters)
+            return self._ingest_snapshot(scope, scope_id, None, counters)
 
     # -- read side -----------------------------------------------------
 

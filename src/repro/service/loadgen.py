@@ -1,7 +1,7 @@
 """Deterministic load generator for the admission service.
 
 ``repro loadgen`` produces a seeded Poisson stream of SAE-style
-admission requests (50 ms relative deadlines by default, sizes drawn
+admission requests (50 ms relative deadlines, sizes drawn
 from the SAE Class C range), fires them at a running ``repro serve``
 with bounded concurrency, and reports latency percentiles, throughput
 and the acceptance ratio.
@@ -30,47 +30,47 @@ from repro.sim.rng import RngStream
 __all__ = ["AdmitRequestSpec", "LoadgenReport", "LoadgenSpec",
            "generate_requests", "percentile", "run_loadgen"]
 
+#: Channel labels the stream spreads requests over.
+CHANNELS: Tuple[str, ...] = ("A", "B")
+
+#: Uniform execution demand range of one request, in ticks.
+EXECUTION_MIN = 1
+EXECUTION_MAX = 4
+
+#: Relative hard deadline of every request: 500 ticks = the SAE 50 ms
+#: at 0.1 ms ticks.
+DEADLINE_TICKS = 500
+
 
 @dataclass(frozen=True)
 class LoadgenSpec:
     """Parameters of one deterministic request stream.
 
+    Requests spread over :data:`CHANNELS`, demand
+    :data:`EXECUTION_MIN`..:data:`EXECUTION_MAX` ticks and carry the
+    relative deadline :data:`DEADLINE_TICKS`; the stream starts at
+    logical tick 0.
+
     Attributes:
         requests: Number of admit requests.
         seed: Root seed of every draw.
-        channels: Channel labels to spread requests over.
         mean_interarrival_ticks: Poisson process mean inter-arrival
             time (ticks of *logical* service time).
-        execution_min/execution_max: Uniform execution demand range.
-        deadline_ticks: Relative hard deadline of every request
-            (default 500 ticks = the SAE 50 ms at 0.1 ms ticks).
         release_fraction: Probability an accepted request is followed
             by a release (models retransmissions that turned out to be
             unneeded, reclaiming their slack).
-        start_tick: Logical arrival time of the stream's start.
     """
 
     requests: int
     seed: int = 7
-    channels: Tuple[str, ...] = ("A", "B")
     mean_interarrival_ticks: float = 8.0
-    execution_min: int = 1
-    execution_max: int = 4
-    deadline_ticks: int = 500
     release_fraction: float = 0.0
-    start_tick: int = 0
 
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
-        if not self.channels:
-            raise ValueError("need at least one channel")
         if self.mean_interarrival_ticks <= 0:
             raise ValueError("mean_interarrival_ticks must be positive")
-        if not 1 <= self.execution_min <= self.execution_max:
-            raise ValueError("invalid execution range")
-        if self.deadline_ticks < self.execution_max:
-            raise ValueError("deadline below maximum execution")
         if not 0.0 <= self.release_fraction <= 1.0:
             raise ValueError("release_fraction must be in [0, 1]")
 
@@ -94,12 +94,12 @@ def generate_requests(spec: LoadgenSpec) -> List[AdmitRequestSpec]:
     sizes = rng.split("sizes")
     lanes = rng.split("channels")
     releases = rng.split("releases")
-    clock = float(spec.start_tick)
+    clock = 0.0
     stream: List[AdmitRequestSpec] = []
     for index in range(spec.requests):
         clock += arrivals.exponential(spec.mean_interarrival_ticks)
-        execution = sizes.randint(spec.execution_min, spec.execution_max)
-        channel = str(lanes.choice(list(spec.channels)))
+        execution = sizes.randint(EXECUTION_MIN, EXECUTION_MAX)
+        channel = str(lanes.choice(list(CHANNELS)))
         release_after = (spec.release_fraction > 0.0
                          and releases.bernoulli(spec.release_fraction))
         stream.append(AdmitRequestSpec(
@@ -107,7 +107,7 @@ def generate_requests(spec: LoadgenSpec) -> List[AdmitRequestSpec]:
             channel=channel,
             arrival=int(clock),
             execution=execution,
-            deadline=spec.deadline_ticks,
+            deadline=DEADLINE_TICKS,
             release_after=release_after,
         ))
     return stream

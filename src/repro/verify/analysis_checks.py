@@ -19,8 +19,11 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence, Tuple
 
-from repro.core.retransmission import MAX_RETRANSMISSIONS
-from repro.faults.analysis import log_message_success_probability
+from repro.core.retransmission import (
+    MAX_RETRANSMISSIONS,
+    goal_log_probability,
+    plan_log_probability,
+)
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["check_slack_table", "check_utilization",
@@ -135,8 +138,9 @@ def check_retransmission_plan(
 ) -> Report:
     """``ANA204``/``ANA206``: Theorem-1 feasibility of a plan.
 
-    Recomputes the success-probability product from scratch (log space)
-    and compares against the goal -- the verifier must not trust the
+    Recomputes the success-probability product from scratch (log space,
+    :func:`~repro.core.retransmission.plan_log_probability`) and
+    compares against the goal -- the verifier must not trust the
     planner's own ``feasible`` flag.
 
     Args:
@@ -174,9 +178,7 @@ def check_retransmission_plan(
     if report.has_errors:
         return report
 
-    log_total = 0.0
     for message in sorted(failure_probabilities):
-        p_z = failure_probabilities[message]
         if message not in instances:
             report.add(Diagnostic(
                 rule_id="ANA204", severity=Severity.ERROR,
@@ -185,12 +187,11 @@ def check_retransmission_plan(
                 fix_hint="every planned message needs its rate",
             ))
             return report
-        log_total += log_message_success_probability(
-            p_z, budgets.get(message, 0), instances[message])
 
+    log_total = plan_log_probability(failure_probabilities, instances,
+                                     budgets)
     gamma = 1.0 - rho
-    goal_log = math.log1p(-gamma) if gamma < 0.5 else math.log(rho)
-    if log_total < goal_log:
+    if log_total < goal_log_probability(rho):
         # Report in failure-probability space: at automotive goals both
         # sides are within 1e-9 of 1.0 and would print identically.
         achieved_gamma = -math.expm1(log_total)

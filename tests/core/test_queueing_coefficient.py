@@ -98,6 +98,21 @@ class TestTheorem1AtTheWire:
         assert achieved >= math.log(rho)
 
 
+class TestSoftPoolBound:
+    """The soft pool is offered only payloads that fit the remainder."""
+
+    @pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+    def test_offered_payload_fits_the_minislots(self, backend):
+        params = get_backend(backend).workload_params("synthetic")
+        packing = pack_signals(bundled_periodic("synthetic", 20, 42), params)
+        policy, __ = bound_policy(params, packing)
+        offered = [policy._payload_fitting_minislots(minislots)
+                   for minislots in range(params.g_number_of_minislots + 1)]
+        assert any(offered)
+        for minislots, bits in enumerate(offered):
+            assert params.minislots_for_bits(bits) <= minislots or bits == 0
+
+
 class TestArrivalRouting:
     def test_static_arrival_fills_buffers(self, small_params, tiny_packing):
         policy, cluster = bound_policy(small_params, tiny_packing)

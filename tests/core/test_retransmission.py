@@ -4,10 +4,24 @@
 import pytest
 
 from repro.core.retransmission import (
+    derive_theorem1_plan,
+    dynamic_retransmission_capacity,
+    plan_log_probability,
     plan_retransmissions,
     uniform_retransmission_plan,
 )
 from repro.faults.analysis import set_success_probability
+from repro.packing.frame_packing import pack_signals
+from repro.protocol.backend import get_backend
+from repro.verify.analysis_checks import check_retransmission_plan
+from repro.workloads import bundled_periodic
+
+
+def _derived(backend, workload, rho, uniform=False):
+    params = get_backend(backend).workload_params(workload)
+    packing = pack_signals(bundled_periodic(workload, 20, 42), params)
+    return derive_theorem1_plan(packing, params, 1e-7, rho, 1000.0,
+                                uniform=uniform), params
 
 
 class TestPlanRetransmissions:
@@ -93,6 +107,49 @@ class TestPlanRetransmissions:
     def test_achieved_probability_linear_space(self):
         plan = plan_retransmissions({"a": 0.01}, {"a": 10.0}, rho=0.999)
         assert 0.0 < plan.achieved_probability <= 1.0
+
+
+class TestPlannerAgreesWithAna204:
+    """The planner's ``feasible`` is the verdict ANA204 recomputes.
+
+    On TTEthernet acc at rho = 1.0 the greedy loop's incremental sum
+    rounds to +2.3e-18, above log(1.0) = 0, while the recomputed product
+    misses by 2e-17: the plan must say infeasible, as ANA204 does.
+    """
+
+    @pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+    @pytest.mark.parametrize("workload", ("bbw", "acc", "synthetic"))
+    @pytest.mark.parametrize("rho", (1 - 1e-4, 1 - 1e-9, 1.0))
+    @pytest.mark.parametrize("uniform", (False, True))
+    def test_same_verdict(self, backend, workload, rho, uniform):
+        derived, __ = _derived(backend, workload, rho, uniform)
+        plan = derived.plan
+        report = check_retransmission_plan(
+            derived.failure_probabilities, derived.instances,
+            plan.budgets, rho)
+        assert plan.feasible is not report.has_errors
+        assert plan.achieved_log_probability == plan_log_probability(
+            derived.failure_probabilities, derived.instances, plan.budgets)
+
+
+class TestDynamicRetransmissionCapacity:
+    """The reserved slot carries one frame per channel per cycle."""
+
+    @pytest.mark.parametrize("backend", ("flexray", "ttethernet"))
+    @pytest.mark.parametrize("workload", ("bbw", "acc", "synthetic"))
+    def test_one_frame_per_channel(self, backend, workload):
+        derived, params = _derived(backend, workload, 1 - 1e-4)
+        assert set(derived.dynamic_slots_per_cycle.values()) \
+            == {params.channel_count}
+
+    def test_frame_that_cannot_fit_gets_none(self):
+        params = get_backend("flexray").workload_params("synthetic", 5)
+        fits = max(bits for bits in range(0, 4000, 8)
+                   if params.minislots_for_bits(bits) <= 5)
+        assert dynamic_retransmission_capacity(params, fits) == 2
+        assert dynamic_retransmission_capacity(params, fits + 8) == 0
+        assert dynamic_retransmission_capacity(
+            params.with_minislots(0), 0) == 0
 
 
 class TestUniformPlan:

@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from repro.distrib import coordinator
 from repro.distrib.coordinator import (
     KILL_AFTER_SEEDS_ENV,
     coordinate_campaign,
@@ -222,7 +223,8 @@ class TestErrors:
         with pytest.raises(ValueError, match="needs a plan"):
             coordinate_campaign(str(tmp_path))
 
-    def test_joiner_times_out_without_plan(self, tmp_path):
+    def test_joiner_times_out_without_plan(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator, "PLAN_WAIT_S", 0.3)
+        monkeypatch.setattr(coordinator, "POLL_S", 0.1)
         with pytest.raises(FileNotFoundError, match="plan.json"):
-            coordinate_campaign(str(tmp_path), join=True,
-                                plan_wait_s=0.3, poll_s=0.1)
+            coordinate_campaign(str(tmp_path), join=True)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.campaign import (
     _METRIC_EXTRACTORS,
+    CAMPAIGN_METRICS,
     _summarize,
     _t_critical,
     MetricSummary,
@@ -138,22 +139,13 @@ class TestRunCampaign:
                      for r in campaign.results]
         assert len(set(corrupted)) > 1  # fault patterns really differ
 
-    def test_metric_filter(self, small_params, tiny_workload):
+    def test_every_metric_summarized(self, small_params, tiny_workload):
         campaign = run_campaign(
             "coefficient", seeds=[1, 2],
-            metrics=["deadline_miss_ratio"],
             params=small_params, periodic=tiny_workload.periodic(),
             ber=0.0, duration_ms=10.0,
         )
-        assert list(campaign.summaries) == ["deadline_miss_ratio"]
-
-    def test_unknown_metric_rejected(self, small_params, tiny_workload):
-        with pytest.raises(ValueError):
-            run_campaign("coefficient", seeds=[1],
-                         metrics=["bogus"],
-                         params=small_params,
-                         periodic=tiny_workload.periodic(),
-                         ber=0.0, duration_ms=10.0)
+        assert list(campaign.summaries) == list(CAMPAIGN_METRICS)
 
     def test_empty_seeds_rejected(self, small_params, tiny_workload):
         with pytest.raises(ValueError):

@@ -35,7 +35,6 @@ class TestCorruptionRate:
         campaign = run_campaign(
             "static-only",  # no retransmissions: attempts are iid
             seeds=list(range(8)),
-            metrics=["delivered_fraction"],
             params=paper_dynamic_preset(50),
             periodic=uniform_workload,
             ber=ber,
@@ -62,7 +61,6 @@ class TestCorruptionRate:
         campaign = run_campaign(
             "static-only",
             seeds=list(range(8)),
-            metrics=["delivered_fraction"],
             params=paper_dynamic_preset(50),
             periodic=uniform_workload,
             ber=ber,
@@ -102,7 +100,6 @@ class TestCorruptionRate:
         campaign = run_campaign(
             "coefficient",
             seeds=list(range(6)),
-            metrics=["delivered_fraction"],
             params=paper_dynamic_preset(50),
             periodic=uniform_workload,
             ber=ber,

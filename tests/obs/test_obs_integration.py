@@ -83,7 +83,6 @@ class TestExperimentObservability:
         obs = Observability()
         run_campaign(
             "coefficient", seeds=(1, 2),
-            metrics=("deadline_miss_ratio",),
             params=paper_dynamic_preset(50),
             periodic=synthetic_signals(8, seed=7, max_size_bits=216),
             ber=1e-7,

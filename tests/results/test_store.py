@@ -243,11 +243,11 @@ class TestVerifyReports:
 class TestSnapshotsAndAudits:
     def test_snapshot_round_trips(self, store):
         snapshot_id = store.record_obs_snapshot(
-            "campaign", "abc", {"engine.cycles": 12, "cache.hits": 1},
-            seed=3)
-        rows, total = store.snapshots(scope="campaign")
+            "serve", "abc", {"engine.cycles": 12, "cache.hits": 1})
+        rows, total = store.snapshots(scope="serve")
         assert total == 1
         assert rows[0]["id"] == snapshot_id
+        assert rows[0]["seed"] is None
         assert rows[0]["counters"] == {"cache.hits": 1,
                                        "engine.cycles": 12}
 

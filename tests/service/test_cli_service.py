@@ -46,15 +46,13 @@ class TestParser:
         args = build_parser().parse_args(["loadgen"])
         assert args.requests == 1000
         assert args.seed == 7
-        assert args.channels == ["A", "B"]
         assert args.release_fraction == 0.0
 
     def test_loadgen_overrides(self):
         args = build_parser().parse_args([
-            "loadgen", "--requests", "250", "--channels", "A",
+            "loadgen", "--requests", "250",
             "--release-fraction", "0.3", "--out", "report.json"])
         assert args.requests == 250
-        assert args.channels == ["A"]
         assert args.release_fraction == 0.3
         assert args.out == "report.json"
 

@@ -6,6 +6,10 @@ import pytest
 
 from repro.service.config import load_service_setup
 from repro.service.loadgen import (
+    CHANNELS,
+    DEADLINE_TICKS,
+    EXECUTION_MAX,
+    EXECUTION_MIN,
     LoadgenReport,
     LoadgenSpec,
     generate_requests,
@@ -26,14 +30,13 @@ class TestStreamDeterminism:
         assert generate_requests(base) != generate_requests(other)
 
     def test_stream_shape(self):
-        spec = LoadgenSpec(requests=100, seed=3, channels=("A",),
-                           execution_min=2, execution_max=5,
-                           deadline_ticks=300)
+        spec = LoadgenSpec(requests=100, seed=3)
         stream = generate_requests(spec)
         assert len(stream) == 100
-        assert all(item.channel == "A" for item in stream)
-        assert all(2 <= item.execution <= 5 for item in stream)
-        assert all(item.deadline == 300 for item in stream)
+        assert {item.channel for item in stream} == set(CHANNELS)
+        assert {item.execution for item in stream} \
+            == set(range(EXECUTION_MIN, EXECUTION_MAX + 1))
+        assert all(item.deadline == DEADLINE_TICKS for item in stream)
         arrivals = [item.arrival for item in stream]
         assert arrivals == sorted(arrivals)
         assert len({item.name for item in stream}) == 100
@@ -46,11 +49,7 @@ class TestStreamDeterminism:
         with pytest.raises(ValueError):
             LoadgenSpec(requests=0)
         with pytest.raises(ValueError):
-            LoadgenSpec(requests=1, channels=())
-        with pytest.raises(ValueError):
-            LoadgenSpec(requests=1, execution_min=5, execution_max=2)
-        with pytest.raises(ValueError):
-            LoadgenSpec(requests=1, deadline_ticks=1, execution_max=4)
+            LoadgenSpec(requests=1, mean_interarrival_ticks=0.0)
         with pytest.raises(ValueError):
             LoadgenSpec(requests=1, release_fraction=1.5)
 

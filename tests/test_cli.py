@@ -39,6 +39,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--engine-mode", "stepper"])
 
+    @pytest.mark.parametrize("argv", (
+        ["breakdown", "--workload", "bbw"],
+        ["breakdown", "--count", "8"],
+        ["campaign", "--metric", "deadline_miss_ratio"],
+        ["loadgen", "--channels", "A"],
+        ["loadgen", "--execution-min", "1"],
+        ["loadgen", "--execution-max", "4"],
+        ["loadgen", "--deadline-ticks", "500"],
+    ))
+    def test_deleted_flags_fail_parsing(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "9"])
