@@ -21,9 +21,10 @@ from repro.check.runner import (
     check_round,
     check_sources,
     default_source_roots,
+    portable_report,
     write_counterexample,
 )
 
 __all__ = ["CHECK_RULES", "KNOWN_RULE_IDS", "LintScope", "check_sources",
            "check_round", "default_source_roots", "lint_source",
-           "write_counterexample"]
+           "portable_report", "write_counterexample"]

@@ -7,6 +7,9 @@ The per-workload pass of ``repro check`` is
   per-file determinism rules (``DET1xx``) over every module, then
   build the AST call graph and prove/refute every policy's
   ``decisions_are_outcome_free()`` promise (``EFF3xx``).
+- :func:`portable_report` -- the same findings with the scanned
+  roots' directories stripped from their paths (what ``repro check
+  --store`` records, so one tree gets one report id from any checkout).
 - :func:`check_round` -- model-check a round deserialized from a
   counterexample payload (the ``--round-json`` repro path).
 - :func:`write_counterexample` -- on a structural ``MDL`` violation,
@@ -16,6 +19,8 @@ The per-workload pass of ``repro check`` is
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -38,7 +43,7 @@ from repro.timeline.compiler import CompiledRound
 from repro.verify.diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["check_sources", "check_round", "write_counterexample",
-           "default_source_roots"]
+           "default_source_roots", "portable_report"]
 
 
 def default_source_roots() -> Sequence[Path]:
@@ -68,6 +73,34 @@ def check_sources(
         report.extend(check_file(source))
     report.merge(check_policy_promises(build_project(sources)))
     return report
+
+
+def portable_report(report: Report,
+                    roots: Optional[Sequence[Path]] = None) -> Report:
+    """``report`` with paths relative to the directory holding each root.
+
+    :func:`check_sources` locates findings by absolute path
+    (``<checkout>/src/repro/core/queueing.py:480``); this strips every
+    root's parent directory from locations, messages and hints
+    (``repro/core/queueing.py:480``), so two checkouts of one tree
+    produce equal reports.  ``roots`` must be the ones the report was
+    checked with (default: the ``repro`` package itself).
+    """
+    prefixes = [str(Path(root).resolve().parent) + os.sep
+                for root in roots or default_source_roots()]
+
+    def strip(text: str) -> str:
+        for prefix in prefixes:
+            text = text.replace(prefix, "")
+        return text
+
+    portable = Report()
+    portable.extend(
+        replace(diagnostic, location=strip(diagnostic.location),
+                message=strip(diagnostic.message),
+                fix_hint=strip(diagnostic.fix_hint))
+        for diagnostic in report)
+    return portable
 
 
 def write_counterexample(

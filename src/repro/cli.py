@@ -513,7 +513,8 @@ def _cmd_check(args) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from repro.check import check_round, check_sources, write_counterexample
+    from repro.check import (check_round, check_sources, portable_report,
+                             write_counterexample)
     from repro.verify import compile_experiment, verify_experiment
     from repro.verify.diagnostics import Diagnostic, Report, Severity
 
@@ -521,13 +522,14 @@ def _cmd_check(args) -> int:
     store = _open_store(args, NULL_OBS)
     counterexample_dir = Path(args.counterexample_dir)
 
-    def record(report, target, workload=None):
+    def record(report, target, workload=None, stored=None):
         combined.extend(
             diagnostic if workload is None else replace(
                 diagnostic, location=f"{workload}: {diagnostic.location}")
             for diagnostic in report)
         if store is not None:
-            report_id = store.record_verify_report(report, target=target)
+            report_id = store.record_verify_report(
+                report if stored is None else stored, target=target)
             print(f"repro check: stored report {report_id[:12]} for "
                   f"{target} in {args.store}", file=sys.stderr)
 
@@ -542,7 +544,8 @@ def _cmd_check(args) -> int:
         record(check_round(payload, counterexample_dir=counterexample_dir),
                "check:round-json")
     else:
-        record(check_sources(), "check:sources")
+        sources = check_sources()
+        record(sources, "check:sources", stored=portable_report(sources))
         workloads = () if args.workload == "none" else (
             _VERIFY_WORKLOADS if args.workload == "all"
             else (args.workload,))

@@ -42,6 +42,10 @@ _PENDING, _DELIVERED = 0, 1
 #: Prune the chunk-status map every this many cycles.
 _STATUS_PRUNE_INTERVAL = 64
 
+# A module global loads faster than an enum member looked up through
+# its class; feedback runs compare one per settled attempt.
+_OUTCOME_DELIVERED = TransmissionOutcome.DELIVERED
+
 
 class QueueingPolicyBase(SchedulerPolicy):
     """Common mechanics; see module docstring.
@@ -390,7 +394,7 @@ class QueueingPolicyBase(SchedulerPolicy):
         if self.feedback:
             for pending, __, outcome, end_mt in settled:
                 self._now_mt = end_mt
-                if outcome is TransmissionOutcome.DELIVERED:
+                if outcome is _OUTCOME_DELIVERED:
                     key = (pending.message_id, pending.instance,
                            pending.frame.chunk)
                     deadline = self._chunk_status.get(

@@ -49,7 +49,9 @@ __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
 #: is a tuple of primitives (plus a chunk map) instead of a dataclass.
 #: Version 5: a ``PendingFrame`` the cached policy still queues is a
 #: named tuple, which an entry pickled from the dataclass cannot build.
-CACHE_VERSION = 5
+#: Version 6: the cached CoEfficient policy keeps its soft-aperiodic pool
+#: as per-frame lists (``_soft_pool``) instead of one heap.
+CACHE_VERSION = 6
 
 
 def fingerprint(value: object) -> object:

@@ -34,6 +34,11 @@ from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
 
 __all__ = ["DynamicSegmentEngine", "DynamicSlotResult"]
 
+# Module globals load faster than enum members looked up through their
+# class, and every attempt picks one.
+_CORRUPTED = TransmissionOutcome.CORRUPTED
+_DELIVERED = TransmissionOutcome.DELIVERED
+
 
 @dataclass(frozen=True)
 class DynamicSlotResult:
@@ -144,8 +149,7 @@ class DynamicSegmentEngine:
         duration = frame_duration_mt(pending.payload_bits, self._params)
         end = action_start + duration
         corrupted = self._corrupts(channel, pending.total_bits, action_start)
-        outcome = (TransmissionOutcome.CORRUPTED if corrupted
-                   else TransmissionOutcome.DELIVERED)
+        outcome = _CORRUPTED if corrupted else _DELIVERED
         self._trace.record(FrameRecord(
             message_id=pending.message_id,
             instance=pending.instance,

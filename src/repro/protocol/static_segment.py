@@ -25,6 +25,11 @@ from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
 
 __all__ = ["StaticSegmentEngine"]
 
+# Module globals load faster than enum members looked up through their
+# class, and every attempt picks one.
+_CORRUPTED = TransmissionOutcome.CORRUPTED
+_DELIVERED = TransmissionOutcome.DELIVERED
+
 
 class StaticSegmentEngine:
     """Executes static segments cycle by cycle.
@@ -121,8 +126,7 @@ class StaticSegmentEngine:
             )
 
         corrupted = self._corrupts(channel, pending.total_bits, action_point)
-        outcome = (TransmissionOutcome.CORRUPTED if corrupted
-                   else TransmissionOutcome.DELIVERED)
+        outcome = _CORRUPTED if corrupted else _DELIVERED
         end = action_point + duration
         self._trace.record(FrameRecord(
             message_id=pending.message_id,

@@ -1,8 +1,11 @@
 """CLI surface of `repro check`: formats, exit codes, round replay."""
 
 import json
+from pathlib import Path
 
 from repro import cli
+from repro.check import check_sources, portable_report
+from repro.results import ResultStore
 
 from tests.check.conftest import build_liar_round
 from tests.verify.test_round_checks import rebuild, static_indices
@@ -79,3 +82,50 @@ class TestCheckCli:
     def test_unreadable_round_json_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cli.main(["check", "--round-json", str(missing)]) == 2
+
+
+def _tiny_tree(root):
+    """A two-module ``repro`` tree with one DET101 finding."""
+    package = root / "repro"
+    (package / "core").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "core" / "__init__.py").write_text("")
+    (package / "core" / "clock.py").write_text(
+        "import time\n\n\ndef now():\n    return time.time()\n")
+    return package
+
+
+class TestStoredSourceReport:
+    def test_two_checkouts_get_one_report_id(self, tmp_path):
+        ids, locations = [], []
+        with ResultStore(str(tmp_path / "results.db")) as store:
+            for checkout in ("a", "b"):
+                package = _tiny_tree(tmp_path / checkout)
+                report = check_sources(roots=[package])
+                locations.append([d.location for d in report
+                                  if d.rule_id == "DET101"])
+                ids.append(store.record_verify_report(
+                    portable_report(report, roots=[package]),
+                    target="check:sources"))
+            assert store.verify_reports(target="check:sources")[1] == 1
+            stored = store.verify_report(ids[0])
+        assert locations[0] != locations[1]
+        assert ids[0] == ids[1]
+        assert [d["location"] for d in stored["diagnostics"]
+                if d["rule_id"] == "DET101"] == ["repro/core/clock.py:5:11"]
+
+    def test_cli_stores_relative_and_prints_absolute(self, tmp_path,
+                                                     capsys):
+        db = str(tmp_path / "check.db")
+        assert cli.main(["check", "--workload", "none",
+                         "--store", db]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if "EFF300" in line]
+        with ResultStore(db) as store:
+            (row,), __ = store.verify_reports(target="check:sources")
+            stored = store.verify_report(row["id"])
+        locations = [d["location"] for d in stored["diagnostics"]]
+        assert locations and all(location.startswith("repro/core/")
+                                 for location in locations)
+        assert printed and all(Path(line.split(":")[0]).is_absolute()
+                               for line in printed)

@@ -8,7 +8,9 @@ from repro.core.coefficient import CoEfficientPolicy
 from repro.faults.analysis import log_message_success_probability
 from repro.faults.ber import BitErrorRateModel, frame_failure_probability
 from repro.protocol.backend import get_backend
+from repro.protocol.channel import Channel
 from repro.protocol.cluster import Cluster
+from repro.protocol.frame import Frame, FrameKind, PendingFrame
 from repro.protocol.schedule import ChannelStrategy
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
@@ -214,3 +216,41 @@ class TestSchedulingBehaviour:
                           sources=sources)
         cluster.run_until_complete(max_cycles=500)
         assert policy.pending_work() == 0
+
+
+class TestDynamicHold:
+    def test_held_soft_message_returns_uncounted(self, small_params,
+                                                 tiny_packing):
+        policy, __ = bound_policy(small_params, tiny_packing)
+        frame = Frame(frame_id=policy.retransmission_slot_id + 1,
+                      message_id="a1", payload_bits=64, producer_ecu=2,
+                      kind=FrameKind.DYNAMIC)
+        pending = PendingFrame(frame, 0, 0, 5000, 1, FrameKind.DYNAMIC)
+        policy.on_arrival([pending])
+        served = policy.dynamic_frame_for(
+            Channel.A, policy.retransmission_slot_id + 1, 0,
+            small_params.g_number_of_minislots)
+        assert served is pending
+        assert policy.counters["dynamic_tx"] == 1
+        policy.on_dynamic_hold(served, Channel.A)
+        assert policy.counters["dynamic_tx"] == 0
+        assert policy._dynamic_backlog == 1
+
+    def test_held_retry_returns_to_the_heap_with_its_promise(
+            self, small_params, tiny_packing):
+        """A retry too long for the remaining minislots is held: it goes
+        back to the retransmission heap uncounted, its promise intact."""
+        policy, __ = bound_policy(small_params, tiny_packing)
+        frame = tiny_packing.static_frames()[0]
+        retry = PendingFrame(frame, 0, 0, 5000, 1,
+                             FrameKind.RETRANSMISSION, 1)
+        assert policy.slack_planner.try_promise(retry, 0)
+        policy.push_retransmission(retry)
+        held = policy.dynamic_frame_for(
+            Channel.A, policy.retransmission_slot_id, 0, 1)
+        assert held is retry
+        assert policy.counters["retx_tx"] == 1
+        policy.on_dynamic_hold(held, Channel.A)
+        assert policy.counters["retx_tx"] == 0
+        assert policy.slack_planner.promised == 1
+        assert policy.pop_retransmission(None, 0) is retry

@@ -55,6 +55,11 @@ class TestCapacity:
         with pytest.raises(ValueError, match="horizon"):
             SlackLedger(TaskSet([]))
 
+    def test_empty_task_set_rejects_zero_horizon(self):
+        with pytest.raises(ValueError, match="positive horizon"):
+            SlackLedger(TaskSet([]), horizon=0)
+        assert SlackLedger(TaskSet([]), horizon=1).horizon == 1
+
 
 class TestAdmission:
     def test_admits_within_slack(self):
