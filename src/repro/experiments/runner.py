@@ -201,7 +201,7 @@ def run_experiment(
             cluster and the metric reduction; policy counters and
             slack-planner statistics are merged into its registry when
             the run ends, and the cycle collector's pauses during the
-            run are charged to its ``engine.gc.gen<N>`` timers.
+            run are charged to its ``engine.gc.gen<N>`` profile sections.
         engine_mode: ``"vectorized"`` (default, the cycle-batch engine
             over the compiled round) or ``"interpreter"`` (the pure
             per-slot oracle); the two are trace-equivalent by
@@ -263,8 +263,8 @@ def _charge_gc(obs) -> Iterator[None]:
     """Time every cycle-collector pass in the block, per generation.
 
     The collector pauses whatever allocates when a threshold trips, so
-    no layer timer sees its time; while the block runs, each pass is
-    recorded as one ``engine.gc.gen<N>`` timer observation.
+    no layer section sees its time; while the block runs, each pass is
+    recorded as one call of the ``engine.gc.gen<N>`` profile section.
     """
     started = [0]
 
@@ -272,8 +272,8 @@ def _charge_gc(obs) -> Iterator[None]:
         if phase == "start":
             started[0] = obs.now_ns()
         else:
-            obs.observe_ns(f"engine.gc.gen{info['generation']}",
-                           obs.now_ns() - started[0])
+            obs.profiler.observe_ns(f"engine.gc.gen{info['generation']}",
+                                    obs.now_ns() - started[0])
 
     gc.callbacks.append(hook)
     try:

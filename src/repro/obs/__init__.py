@@ -1,4 +1,4 @@
-"""Observability: counters, gauges, timers, hook events, JSONL export.
+"""Observability: counters, gauges, profiler, hook events, JSONL export.
 
 The subsystem has four layers, assembled by the
 :class:`~repro.obs.observability.Observability` facade:
@@ -35,7 +35,6 @@ from repro.obs.registry import (
     CounterMetric,
     GaugeMetric,
     MetricsRegistry,
-    TimerMetric,
 )
 from repro.obs.snapshot import ObsSnapshot
 
@@ -57,5 +56,4 @@ __all__ = [
     "CounterMetric",
     "GaugeMetric",
     "MetricsRegistry",
-    "TimerMetric",
 ]

@@ -7,10 +7,8 @@ discriminator.  Schema (version 1):
   free-form context fields (command, scheduler, seed ...).
 - ``{"record": "counter", "name": str, "value": int}``
 - ``{"record": "gauge", "name": str, "value": float, "max": float}``
-- ``{"record": "timer", "name": str, "count": int, "total_ns": int,
-  "max_ns": int}`` -- wall clock; excluded from determinism checks.
 - ``{"record": "profile", "section": str, "count": int,
-  "total_ns": int}``
+  "total_ns": int}`` -- wall clock; excluded from determinism checks.
 - ``{"record": "event", "event": str, ...fields}`` -- optional captured
   hook events (bounded; see :func:`attach_event_capture`).
 
@@ -66,11 +64,6 @@ def snapshot_records(obs: Observability,
     for name, gauge in snapshot.get("gauges", {}).items():
         records.append({"record": "gauge", "name": name,
                         "value": gauge["value"], "max": gauge["max"]})
-    for name, timer in snapshot.get("timers", {}).items():
-        records.append({"record": "timer", "name": name,
-                        "count": timer["count"],
-                        "total_ns": timer["total_ns"],
-                        "max_ns": timer["max_ns"]})
     for section, data in snapshot.get("profile", {}).items():
         records.append({"record": "profile", "section": section,
                         "count": data["count"],

@@ -7,8 +7,8 @@ when unused:
 - ``NULL_OBS.enabled`` is ``False`` and every method is a no-op, so a
   guarded call site (``if obs.enabled: ...``) costs one attribute read;
 - an enabled :class:`Observability` records counters/gauges (pure
-  simulation state, deterministic across replays), timers (wall clock,
-  excluded from determinism checks) and emits hook events;
+  simulation state, deterministic across replays), profiler sections
+  (wall clock, excluded from determinism checks) and emits hook events;
 - hook subscribers are observation-only; attaching them must never
   change counters or the simulated event sequence (property-tested).
 """
@@ -44,10 +44,6 @@ class Observability:
     def set_gauge(self, name: str, value: float) -> None:
         """Set a gauge (max is tracked automatically)."""
         self.registry.set_gauge(name, value)
-
-    def observe_ns(self, name: str, elapsed_ns: int) -> None:
-        """Record one wall-clock observation into a timer."""
-        self.registry.observe_ns(name, elapsed_ns)
 
     def merge_counters(self, prefix: str,
                        values: Mapping[str, float]) -> None:
@@ -91,7 +87,7 @@ class Observability:
 
     def deterministic_snapshot(self) -> Dict[str, Dict]:
         """The replay-comparable subset (counters and gauges only)."""
-        return self.registry.deterministic_snapshot()
+        return self.registry.snapshot()
 
 
 class _NullSection:
@@ -125,9 +121,6 @@ class NullObservability:
     def set_gauge(self, name: str, value: float) -> None:
         return None
 
-    def observe_ns(self, name: str, elapsed_ns: int) -> None:
-        return None
-
     def merge_counters(self, prefix: str,
                        values: Mapping[str, float]) -> None:
         return None
@@ -146,7 +139,7 @@ class NullObservability:
         return 0
 
     def snapshot(self) -> Dict[str, Dict]:
-        return {"counters": {}, "gauges": {}, "timers": {}, "profile": {}}
+        return {"counters": {}, "gauges": {}, "profile": {}}
 
     def deterministic_snapshot(self) -> Dict[str, Dict]:
         return {"counters": {}, "gauges": {}}

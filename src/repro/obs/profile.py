@@ -3,7 +3,8 @@
 Answers "where does simulation wall-clock time go?" with named,
 re-entrant-safe accumulating sections.  Timing data is wall clock and
 therefore excluded from deterministic snapshots; it rides in the
-``timers`` section of exports.
+``profile`` section of snapshots and the ``profile`` records of
+exports.  It is the one wall-clock store of :mod:`repro.obs`.
 """
 
 from __future__ import annotations

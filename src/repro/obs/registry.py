@@ -1,12 +1,13 @@
-"""Lightweight metric primitives: counters, gauges, timers, registry.
+"""Lightweight metric primitives: counters, gauges, registry.
 
 Design constraints, in order of importance:
 
 1. **Determinism-safe.**  Counters and gauges are pure functions of the
    simulation's decisions -- never of wall-clock time -- so two replays
    of the same seed produce byte-identical counter snapshots.  Wall
-   clock lives only in :class:`TimerMetric`, which the snapshot keeps in
-   a separate section exactly so determinism checks can ignore it.
+   clock lives only in the profiler (:mod:`repro.obs.profile`), whose
+   sections the snapshot keeps apart so determinism checks can ignore
+   them.
 
 2. **Cheap.**  A counter increment is one dict lookup plus an integer
    add; hot paths that cannot afford even that are guarded by
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-__all__ = ["CounterMetric", "GaugeMetric", "TimerMetric", "MetricsRegistry"]
+__all__ = ["CounterMetric", "GaugeMetric", "MetricsRegistry"]
 
 
 class CounterMetric:
@@ -54,36 +55,6 @@ class GaugeMetric:
             self.maximum = value
 
 
-class TimerMetric:
-    """Accumulated wall-clock time of one named operation.
-
-    Timers are *not* part of the deterministic state: two identical
-    replays will disagree on nanoseconds.  Snapshots therefore carry
-    timers in their own section.
-    """
-
-    __slots__ = ("name", "count", "total_ns", "max_ns")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total_ns = 0
-        self.max_ns = 0
-
-    def observe_ns(self, elapsed_ns: int) -> None:
-        self.count += 1
-        self.total_ns += elapsed_ns
-        if elapsed_ns > self.max_ns:
-            self.max_ns = elapsed_ns
-
-    @property
-    def mean_us(self) -> float:
-        """Mean observation in microseconds (0 when never observed)."""
-        if self.count == 0:
-            return 0.0
-        return self.total_ns / self.count / 1000.0
-
-
 class MetricsRegistry:
     """Create-or-get store of named metrics.
 
@@ -94,7 +65,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, CounterMetric] = {}
         self._gauges: Dict[str, GaugeMetric] = {}
-        self._timers: Dict[str, TimerMetric] = {}
 
     # -- create-or-get -------------------------------------------------
 
@@ -110,12 +80,6 @@ class MetricsRegistry:
             metric = self._gauges[name] = GaugeMetric(name)
         return metric
 
-    def timer(self, name: str) -> TimerMetric:
-        metric = self._timers.get(name)
-        if metric is None:
-            metric = self._timers[name] = TimerMetric(name)
-        return metric
-
     # -- convenience write paths ---------------------------------------
 
     def inc(self, name: str, amount: int = 1) -> None:
@@ -123,9 +87,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
-
-    def observe_ns(self, name: str, elapsed_ns: int) -> None:
-        self.timer(name).observe_ns(elapsed_ns)
 
     def merge_counters(self, prefix: str, values: Mapping[str, float]) -> None:
         """Bulk-import a plain counter dict under ``prefix.``.
@@ -147,9 +108,9 @@ class MetricsRegistry:
         The merge is the moral equivalent of replaying the source
         registry's writes after this registry's own: counters add,
         gauges take the incoming last-written value and the maximum of
-        both maxima, timers accumulate counts/totals and keep the larger
-        peak.  Merging per-seed snapshots in seed order therefore leaves
-        exactly the totals a single shared registry would have seen.
+        both maxima.  Merging per-seed snapshots in seed order therefore
+        leaves exactly the totals a single shared registry would have
+        seen.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
@@ -158,12 +119,6 @@ class MetricsRegistry:
             gauge.value = data["value"]
             if data["max"] > gauge.maximum:
                 gauge.maximum = data["max"]
-        for name, data in snapshot.get("timers", {}).items():
-            timer = self.timer(name)
-            timer.count += data["count"]
-            timer.total_ns += data["total_ns"]
-            if data["max_ns"] > timer.max_ns:
-                timer.max_ns = data["max_ns"]
 
     # -- read paths ----------------------------------------------------
 
@@ -179,24 +134,11 @@ class MetricsRegistry:
                 if name.startswith(prefix)}
 
     def snapshot(self) -> Dict[str, Dict]:
-        """Full, sorted, JSON-ready state.
-
-        ``counters`` and ``gauges`` are deterministic; ``timers`` are
-        wall-clock and must be excluded from replay comparisons.
-        """
+        """Full, sorted, JSON-ready state (deterministic)."""
         return {
             "counters": {name: metric.value
                          for name, metric in sorted(self._counters.items())},
             "gauges": {name: {"value": metric.value,
                               "max": metric.maximum}
                        for name, metric in sorted(self._gauges.items())},
-            "timers": {name: {"count": metric.count,
-                              "total_ns": metric.total_ns,
-                              "max_ns": metric.max_ns}
-                       for name, metric in sorted(self._timers.items())},
         }
-
-    def deterministic_snapshot(self) -> Dict[str, Dict]:
-        """Counters and gauges only -- the replay-comparable subset."""
-        full = self.snapshot()
-        return {"counters": full["counters"], "gauges": full["gauges"]}

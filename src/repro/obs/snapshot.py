@@ -6,7 +6,7 @@ seeds or across successive campaigns), then needs to combine those
 per-seed views back into one aggregate.  :class:`ObsSnapshot` is the
 value type that makes that safe:
 
-- it is a plain-data capture of one context (counters, gauges, timers,
+- it is a plain-data capture of one context (counters, gauges,
   profiler sections, and optionally the hook events the run emitted),
   so it pickles cleanly across ``multiprocessing`` workers and into the
   on-disk campaign cache;
@@ -14,15 +14,14 @@ value type that makes that safe:
   any live registry**; merging per-seed snapshots in seed order yields
   exactly the totals a single shared context would have accumulated
   (counters add, gauges keep the last-written value and the max of
-  maxima, timers/profile accumulate);
+  maxima, profiler sections accumulate);
 - :meth:`ObsSnapshot.apply_to` folds a snapshot into a live
   :class:`~repro.obs.observability.Observability` and replays the
   captured hook events on its bus, so parent-level subscribers (e.g.
   the CLI's JSONL event capture) see the same events a shared context
   would have delivered.
 
-Counters and gauges are deterministic; timers and profiler sections are
-wall clock and excluded from :meth:`ObsSnapshot.deterministic`, the
+Counters and gauges are deterministic; profiler sections are wall clock and excluded from :meth:`ObsSnapshot.deterministic`, the
 subset replay/equivalence checks compare.
 """
 
@@ -43,7 +42,6 @@ class ObsSnapshot:
 
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    timers: Dict[str, Dict[str, int]] = field(default_factory=dict)
     profile: Dict[str, Dict[str, int]] = field(default_factory=dict)
     events: List[Tuple[str, Dict[str, object]]] = field(default_factory=list)
 
@@ -56,8 +54,6 @@ class ObsSnapshot:
             counters=dict(snap.get("counters", {})),
             gauges={name: dict(data)
                     for name, data in snap.get("gauges", {}).items()},
-            timers={name: dict(data)
-                    for name, data in snap.get("timers", {}).items()},
             profile={name: dict(data)
                      for name, data in snap.get("profile", {}).items()},
             events=[(name, dict(fields))
@@ -67,14 +63,13 @@ class ObsSnapshot:
     def merged_with(self, other: "ObsSnapshot") -> "ObsSnapshot":
         """Combine two snapshots; ``other`` is the *later* one.
 
-        Counter/timer/profile totals add; gauges take ``other``'s
+        Counter and profile totals add; gauges take ``other``'s
         last-written value where it wrote one; events concatenate in
         order.  Neither input is mutated.
         """
         merged = ObsSnapshot(
             counters=dict(self.counters),
             gauges={name: dict(data) for name, data in self.gauges.items()},
-            timers={name: dict(data) for name, data in self.timers.items()},
             profile={name: dict(data)
                      for name, data in self.profile.items()},
             events=list(self.events),
@@ -89,16 +84,6 @@ class ObsSnapshot:
                 merged.gauges[name] = {
                     "value": data["value"],
                     "max": max(mine["max"], data["max"]),
-                }
-        for name, data in other.timers.items():
-            mine = merged.timers.get(name)
-            if mine is None:
-                merged.timers[name] = dict(data)
-            else:
-                merged.timers[name] = {
-                    "count": mine["count"] + data["count"],
-                    "total_ns": mine["total_ns"] + data["total_ns"],
-                    "max_ns": max(mine["max_ns"], data["max_ns"]),
                 }
         for name, data in other.profile.items():
             mine = merged.profile.get(name)
@@ -131,11 +116,8 @@ class ObsSnapshot:
         """
         if not obs.enabled:
             return
-        obs.registry.merge_snapshot({
-            "counters": self.counters,
-            "gauges": self.gauges,
-            "timers": self.timers,
-        })
+        obs.registry.merge_snapshot({"counters": self.counters,
+                                     "gauges": self.gauges})
         obs.profiler.merge(self.profile)
         if replay_events:
             for event, fields in self.events:

@@ -40,16 +40,20 @@ engine broke the equivalence contract and must be loud.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import warnings
 from contextlib import contextmanager
+from functools import partialmethod
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -62,7 +66,8 @@ if TYPE_CHECKING:  # runtime imports stay lazy (heavy packages)
     from repro.obs.observability import ObsLike
     from repro.verify.diagnostics import Report
 
-__all__ = ["SCHEMA_VERSION", "RUN_METRIC_COLUMNS", "ResultStore"]
+__all__ = ["SCHEMA_VERSION", "RUN_METRIC_COLUMNS", "LISTINGS", "Listing",
+           "ResultStore"]
 
 #: Bump on any table/column change; old stores are rejected loudly
 #: instead of being half-understood.
@@ -165,6 +170,99 @@ def _placeholders(row: Mapping[str, object]) -> Tuple[str, str, list]:
     return (", ".join(columns),
             ", ".join("?" for _ in columns),
             [row[column] for column in columns])
+
+
+Rows = List[Dict[str, object]]
+
+
+class Listing(NamedTuple):
+    """One paged listing of the store (see :meth:`ResultStore.page`).
+
+    ``select`` and ``order`` make its query.  ``key`` is the clause that
+    binds the route's ``<id>``; an id with no row in table ``parent``
+    has no page.  A listing with ``columns`` takes one of them as its
+    key instead, written into ``select`` and the filters as
+    ``{column}``.  ``filters`` maps each filter a caller may set to its
+    type and its clause with one ``?``; ``finish`` completes the rows
+    of a page in place.
+    """
+
+    select: str
+    order: str
+    filters: Mapping[str, Tuple[type, str]]
+    key: Optional[str] = None
+    parent: Optional[str] = None
+    columns: Tuple[str, ...] = ()
+    finish: Optional[Callable[[sqlite3.Connection, Rows], None]] = None
+
+    def check(self, key: Optional[str]) -> None:
+        """Reject a column key this listing does not have."""
+        if self.columns and key not in self.columns:
+            raise ValueError(f"unknown metric {key!r}; expected one of "
+                             f"{', '.join(self.columns)}")
+
+
+def _decode_counters(_conn: sqlite3.Connection, rows: Rows) -> None:
+    for row in rows:
+        row["counters"] = json.loads(str(row["counters"]))
+
+
+def _attach_digests(conn: sqlite3.Connection, rows: Rows) -> None:
+    """Each run's digest per engine mode, for the whole page at once."""
+    digests: Dict[object, Dict[str, str]] = {row["run_id"]: {}
+                                             for row in rows}
+    for digest in conn.execute(
+            "SELECT run_id, engine_mode, digest FROM trace_digests WHERE "
+            f"run_id IN ({', '.join('?' for _ in rows)}) "  # noqa: S608
+            "ORDER BY engine_mode", list(digests)):
+        digests[digest["run_id"]][digest["engine_mode"]] = digest["digest"]
+    for row in rows:
+        modes = digests[row["run_id"]]
+        row.update(digests=modes, modes=len(modes),
+                   equal=len(set(modes.values())) <= 1)
+
+
+#: Every paged listing, by name.  ``repro web`` serves each at one
+#: route; its filters are the only ones a caller can set.
+LISTINGS: Dict[str, Listing] = {
+    "campaigns": Listing(
+        "SELECT id, scheduler, workload, engine_mode, seeds, failures, "
+        "config_key FROM campaigns",
+        "scheduler, workload, engine_mode, id",
+        {"scheduler": (str, "scheduler = ?"),
+         "workload": (str, "workload = ?")}),
+    "campaign_runs": Listing(
+        "SELECT runs.id, runs.scheduler, runs.seed, runs.cycles, "
+        "runs.produced, runs.delivered, "
+        + ", ".join(f"runs.{column}" for column in RUN_METRIC_COLUMNS)
+        + " FROM campaign_runs JOIN runs ON runs.id = campaign_runs.run_id",
+        "runs.seed, runs.id", {},
+        key="campaign_runs.campaign_id = ?", parent="campaigns"),
+    # One row per run with at least one digest; ``equal`` says whether
+    # every engine mode's digest agrees (the trace-equivalence contract
+    # checked against stored history).
+    "digest_diff": Listing(
+        "SELECT DISTINCT runs.id AS run_id, runs.scheduler, runs.seed "
+        "FROM runs JOIN trace_digests ON trace_digests.run_id = runs.id",
+        "runs.scheduler, runs.seed, runs.id",
+        {"equal": (bool, "runs.id IN (SELECT run_id FROM trace_digests "
+                         "GROUP BY run_id HAVING "
+                         "(COUNT(DISTINCT digest) <= 1) = ?)")},
+        finish=_attach_digests),
+    "metrics": Listing(
+        "SELECT id, scheduler, seed, cycles, {column} AS value FROM runs",
+        "scheduler, seed, id",
+        {"min": (float, "{column} >= ?")},
+        columns=RUN_METRIC_COLUMNS),
+    "verify_reports": Listing(
+        "SELECT id, target, errors, warnings, findings FROM verify_reports",
+        "target, id", {}),
+    "snapshots": Listing(
+        "SELECT id, scope, scope_id, seed, counters FROM obs_snapshots",
+        "scope, scope_id, seed, id",
+        {"scope": (str, "scope = ?")},
+        finish=_decode_counters),
+}
 
 
 class ResultStore:
@@ -495,42 +593,54 @@ class ResultStore:
             for table in _TABLES
         }
 
-    @staticmethod
-    def _facet(clauses: List[str], values: List[object], column: str,
-               value: Optional[object]) -> None:
-        if value is not None:
-            clauses.append(f"{column} = ?")
-            values.append(value)
+    def page(self, listing: str, key: Optional[str] = None,
+             limit: int = 50, offset: int = 0, **filters: object,
+             ) -> Optional[Tuple[Rows, int]]:
+        """One page of a listing of :data:`LISTINGS`: ``(rows, total)``.
 
-    def _paged(self, base: str, order: str, clauses: List[str],
-               values: List[object], limit: int,
-               offset: int) -> Tuple[List[sqlite3.Row], int]:
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        total = self._conn.execute(
-            f"SELECT COUNT(*) AS n FROM ({base}{where})",  # noqa: S608
-            values).fetchone()["n"]
-        rows = self._conn.execute(
-            f"{base}{where} ORDER BY {order} LIMIT ? OFFSET ?",  # noqa: S608
-            [*values, limit, offset]).fetchall()
-        return rows, total
-
-    def campaigns(self, scheduler: Optional[str] = None,
-                  workload: Optional[str] = None,
-                  engine_mode: Optional[str] = None,
-                  limit: int = 50,
-                  offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """Faceted campaign listing; returns ``(rows, total)``."""
+        ``key`` is the route's ``<id>`` or column (see :class:`Listing`);
+        the page is ``None`` when the key names no row of the listing's
+        parent.  A filter set to ``None`` does not filter.
+        """
+        spec = LISTINGS[listing]
+        spec.check(key)
+        select = spec.select.format(column=key)
         clauses: List[str] = []
         values: List[object] = []
-        self._facet(clauses, values, "scheduler", scheduler)
-        self._facet(clauses, values, "workload", workload)
-        self._facet(clauses, values, "engine_mode", engine_mode)
-        rows, total = self._paged(
-            "SELECT id, scheduler, workload, engine_mode, seeds, "
-            "failures, config_key FROM campaigns",
-            "scheduler, workload, engine_mode, id",
-            clauses, values, limit, offset)
-        return [dict(row) for row in rows], total
+        if spec.key is not None:
+            clauses.append(spec.key)
+            values.append(key)
+        for name, value in filters.items():
+            if name not in spec.filters:
+                raise TypeError(f"listing {listing!r} has no filter {name!r}")
+            if value is not None:
+                clauses.append(spec.filters[name][1].format(column=key))
+                values.append(value)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        total = self._conn.execute(
+            f"SELECT COUNT(*) AS n FROM ({select}{where})",  # noqa: S608
+            values).fetchone()["n"]
+        if total == 0 and spec.parent is not None and self._conn.execute(
+                f"SELECT 1 FROM {spec.parent} WHERE id = ?",  # noqa: S608
+                (key,)).fetchone() is None:
+            return None
+        rows = [dict(row) for row in self._conn.execute(
+            f"{select}{where} ORDER BY {spec.order} "  # noqa: S608
+            f"LIMIT ? OFFSET ?", [*values, limit, offset])]
+        if spec.finish is not None:
+            spec.finish(self._conn, rows)
+        return rows, total
+
+    #: The listings ``benchmarks/bench_results.py`` reads by name.
+    campaigns = partialmethod(page, "campaigns")
+    digest_diff = partialmethod(page, "digest_diff")
+
+    def metric_rows(self, metric: str, min_value: Optional[float] = None,
+                    limit: int = 50, offset: int = 0) -> Tuple[Rows, int]:
+        """One metric of :data:`RUN_METRIC_COLUMNS` across stored runs."""
+        rows = self.page("metrics", metric, limit, offset, min=min_value)
+        assert rows is not None
+        return rows
 
     def campaign(self, campaign_id: str) -> Optional[Dict[str, object]]:
         """Full campaign payload plus its run links, or ``None``."""
@@ -539,8 +649,6 @@ class ResultStore:
             (campaign_id,)).fetchone()
         if row is None:
             return None
-        import json
-
         payload: Dict[str, object] = json.loads(row["payload"])
         links = self._conn.execute(
             "SELECT run_id, seed FROM campaign_runs WHERE campaign_id "
@@ -549,33 +657,12 @@ class ResultStore:
         payload["runs"] = [dict(link) for link in links]
         return payload
 
-    def campaign_runs(self, campaign_id: str, limit: int = 50,
-                      offset: int = 0,
-                      seed: Optional[int] = None,
-                      ) -> Tuple[List[Dict[str, object]], int]:
-        """Per-seed run rows of one campaign; ``(rows, total)``."""
-        clauses = ["campaign_runs.campaign_id = ?"]
-        values: List[object] = [campaign_id]
-        if seed is not None:
-            clauses.append("campaign_runs.seed = ?")
-            values.append(seed)
-        rows, total = self._paged(
-            "SELECT runs.id, runs.scheduler, runs.seed, runs.cycles, "
-            "runs.produced, runs.delivered, "
-            + ", ".join(f"runs.{c}" for c in RUN_METRIC_COLUMNS)
-            + " FROM campaign_runs JOIN runs ON runs.id = "
-              "campaign_runs.run_id",
-            "runs.seed, runs.id", clauses, values, limit, offset)
-        return [dict(row) for row in rows], total
-
     def run(self, run_id: str) -> Optional[Dict[str, object]]:
         """Full run payload plus digests and campaign memberships."""
         row = self._conn.execute(
             "SELECT payload FROM runs WHERE id = ?", (run_id,)).fetchone()
         if row is None:
             return None
-        import json
-
         payload: Dict[str, object] = json.loads(row["payload"])
         payload["id"] = run_id
         payload["digests"] = {
@@ -594,121 +681,6 @@ class ResultStore:
         ]
         return payload
 
-    def digests(self, run_id: Optional[str] = None,
-                engine_mode: Optional[str] = None,
-                limit: int = 50,
-                offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """Raw digest rows; ``(rows, total)``."""
-        clauses: List[str] = []
-        values: List[object] = []
-        self._facet(clauses, values, "run_id", run_id)
-        self._facet(clauses, values, "engine_mode", engine_mode)
-        rows, total = self._paged(
-            "SELECT run_id, engine_mode, digest, records, cycles "
-            "FROM trace_digests",
-            "run_id, engine_mode", clauses, values, limit, offset)
-        return [dict(row) for row in rows], total
-
-    def digest_diff(self, scheduler: Optional[str] = None,
-                    seed: Optional[int] = None,
-                    campaign_id: Optional[str] = None,
-                    equal: Optional[bool] = None,
-                    limit: int = 50,
-                    offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """Cross-engine-mode digest comparison per run.
-
-        One row per run that has at least one digest: the digest under
-        every engine mode that produced one, and ``equal`` -- whether
-        they all agree (the trace-equivalence contract, checked against
-        stored history instead of within one process).  Pass ``equal``
-        to keep only agreeing (``True``) or diverging (``False``) runs
-        -- filtered in SQL so totals and pagination stay consistent.
-        """
-        clauses = []
-        values: List[object] = []
-        self._facet(clauses, values, "runs.scheduler", scheduler)
-        self._facet(clauses, values, "runs.seed", seed)
-        if campaign_id is not None:
-            clauses.append(
-                "runs.id IN (SELECT run_id FROM campaign_runs WHERE "
-                "campaign_id = ?)")
-            values.append(campaign_id)
-        if equal is not None:
-            comparison = "<= 1" if equal else "> 1"
-            clauses.append(
-                "runs.id IN (SELECT run_id FROM trace_digests "
-                f"GROUP BY run_id HAVING COUNT(DISTINCT digest) "
-                f"{comparison})")
-        rows, total = self._paged(
-            "SELECT DISTINCT runs.id, runs.scheduler, runs.seed "
-            "FROM runs JOIN trace_digests ON trace_digests.run_id = "
-            "runs.id",
-            "runs.scheduler, runs.seed, runs.id",
-            clauses, values, limit, offset)
-        out = []
-        for row in rows:
-            digests = {
-                digest["engine_mode"]: digest["digest"]
-                for digest in self._conn.execute(
-                    "SELECT engine_mode, digest FROM trace_digests "
-                    "WHERE run_id = ? ORDER BY engine_mode",
-                    (row["id"],))
-            }
-            out.append({
-                "run_id": row["id"],
-                "scheduler": row["scheduler"],
-                "seed": row["seed"],
-                "digests": digests,
-                "modes": len(digests),
-                "equal": len(set(digests.values())) <= 1,
-            })
-        return out, total
-
-    def metric_rows(self, metric: str,
-                    scheduler: Optional[str] = None,
-                    seed: Optional[int] = None,
-                    min_value: Optional[float] = None,
-                    max_value: Optional[float] = None,
-                    limit: int = 50,
-                    offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """One metric across all stored runs, with range filters.
-
-        The paper's miss-ratio/latency tables as a query: ``metric``
-        must be one of :data:`RUN_METRIC_COLUMNS`.
-        """
-        if metric not in RUN_METRIC_COLUMNS:
-            raise ValueError(
-                f"unknown metric {metric!r}; expected one of "
-                f"{RUN_METRIC_COLUMNS}")
-        clauses: List[str] = []
-        values: List[object] = []
-        self._facet(clauses, values, "scheduler", scheduler)
-        self._facet(clauses, values, "seed", seed)
-        if min_value is not None:
-            clauses.append(f"{metric} >= ?")
-            values.append(min_value)
-        if max_value is not None:
-            clauses.append(f"{metric} <= ?")
-            values.append(max_value)
-        rows, total = self._paged(
-            f"SELECT id, scheduler, seed, cycles, {metric} AS value "  # noqa: S608
-            f"FROM runs",
-            "scheduler, seed, id", clauses, values, limit, offset)
-        return [dict(row) for row in rows], total
-
-    def verify_reports(self, target: Optional[str] = None,
-                       limit: int = 50,
-                       offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """Verify-report listing; ``(rows, total)``."""
-        clauses: List[str] = []
-        values: List[object] = []
-        self._facet(clauses, values, "target", target)
-        rows, total = self._paged(
-            "SELECT id, target, errors, warnings, findings FROM "
-            "verify_reports",
-            "target, id", clauses, values, limit, offset)
-        return [dict(row) for row in rows], total
-
     def verify_report(self, report_id: str) -> Optional[Dict[str, object]]:
         """One verify report with its ordered diagnostics."""
         row = self._conn.execute(
@@ -724,26 +696,3 @@ class ResultStore:
                 "ORDER BY ordinal", (report_id,))
         ]
         return out
-
-    def snapshots(self, scope: Optional[str] = None,
-                  scope_id: Optional[str] = None,
-                  limit: int = 50,
-                  offset: int = 0) -> Tuple[List[Dict[str, object]], int]:
-        """Obs counter snapshots; counters come back parsed."""
-        import json
-
-        clauses: List[str] = []
-        values: List[object] = []
-        self._facet(clauses, values, "scope", scope)
-        self._facet(clauses, values, "scope_id", scope_id)
-        rows, total = self._paged(
-            "SELECT id, scope, scope_id, seed, counters FROM "
-            "obs_snapshots",
-            "scope, scope_id, seed, id", clauses, values, limit, offset)
-        out = []
-        for row in rows:
-            entry = dict(row)
-            entry["counters"] = json.loads(entry["counters"])
-            out.append(entry)
-        return out, total
-

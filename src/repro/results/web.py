@@ -31,17 +31,18 @@ and can never corrupt it.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import sys
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.obs import NULL_OBS, ObsLike
 from repro.results.canonical import canonical_json_bytes, content_digest
-from repro.results.store import RUN_METRIC_COLUMNS, ResultStore
+from repro.results.store import LISTINGS, RUN_METRIC_COLUMNS, ResultStore
 
-__all__ = ["MAX_REQUEST_BYTES", "MAX_PAGE_LIMIT", "ResultsWebService",
-           "serve_web"]
+__all__ = ["MAX_REQUEST_BYTES", "MAX_PAGE_LIMIT", "ROUTES",
+           "ResultsWebService", "serve_web"]
 
 #: Longest accepted request head (request line + headers).
 MAX_REQUEST_BYTES = 16384
@@ -50,43 +51,69 @@ MAX_REQUEST_BYTES = 16384
 MAX_PAGE_LIMIT = 500
 
 
+#: Every route, in the order ``/`` lists them, and what answers it: a
+#: listing of :data:`~repro.results.store.LISTINGS` by name (paged, and
+#: filtered by that listing's filters only), or the :class:`ResultStore`
+#: method that looks the ``<id>`` up.
+ROUTES: Tuple[Tuple[str, Union[str, Callable[..., Optional[object]]]],
+              ...] = (
+    ("/campaigns", "campaigns"),
+    ("/campaigns/<id>", ResultStore.campaign),
+    ("/campaigns/<id>/runs", "campaign_runs"),
+    ("/runs/<id>", ResultStore.run),
+    ("/digests/diff", "digest_diff"),
+    ("/metrics/<name>", "metrics"),
+    ("/verify/reports", "verify_reports"),
+    ("/verify/reports/<id>", ResultStore.verify_report),
+    ("/snapshots", "snapshots"),
+)
+
+#: SQLite binds integers as signed 64-bit.
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
 class _BadRequest(ValueError):
     """A malformed query parameter; becomes a canonical 400."""
 
 
-def _int_param(params: Mapping[str, str], name: str,
-               default: Optional[int]) -> Optional[int]:
+def _value(params: Mapping[str, str], name: str, kind: type,
+           default: object) -> object:
     raw = params.get(name)
     if raw is None:
         return default
+    if kind is str:
+        return raw
+    if kind is bool:
+        return raw not in ("0", "false", "no")
     try:
-        return int(raw)
+        value = kind(raw)
     except ValueError:
-        raise _BadRequest(f"query parameter {name}={raw!r} is not an "
-                          f"integer") from None
-
-
-def _float_param(params: Mapping[str, str],
-                 name: str) -> Optional[float]:
-    raw = params.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise _BadRequest(f"query parameter {name}={raw!r} is not "
+                          f"{noun}") from None
+    if kind is int and value not in _INT64:
+        raise _BadRequest(f"query parameter {name}={raw!r} is outside "
+                          f"the signed 64-bit range")
+    if kind is float and not math.isfinite(value):
         raise _BadRequest(f"query parameter {name}={raw!r} is not a "
-                          f"number") from None
+                          f"finite number")
+    return value
 
 
-def _page_params(params: Mapping[str, str]) -> Tuple[int, int]:
-    limit = _int_param(params, "limit", 50)
-    offset = _int_param(params, "offset", 0)
-    assert limit is not None and offset is not None
+def _parse(params: Mapping[str, str],
+           filters: Mapping[str, Tuple[type, str]],
+           ) -> Tuple[int, int, Dict[str, object]]:
+    """The one query-parameter parser: ``(limit, offset, filters)``."""
+    limit = _value(params, "limit", int, 50)
+    offset = _value(params, "offset", int, 0)
+    assert isinstance(limit, int) and isinstance(offset, int)
     if limit < 1 or offset < 0:
         raise _BadRequest(
             f"limit must be >= 1 and offset >= 0, got limit={limit} "
             f"offset={offset}")
-    return min(limit, MAX_PAGE_LIMIT), offset
+    return (min(limit, MAX_PAGE_LIMIT), offset,
+            {name: _value(params, name, kind, None)
+             for name, (kind, _clause) in filters.items()})
 
 
 def _envelope(rows: List[Dict[str, object]], total: int, limit: int,
@@ -261,125 +288,38 @@ class ResultsWebService:
         """Resolve one GET to a JSON-able body, or ``None`` for 404."""
         segments = [segment for segment in path.split("/") if segment]
         if not segments:
-            return self._index()
-        head, rest = segments[0], segments[1:]
-        handlers: Dict[str, Callable[..., Optional[object]]] = {
-            "campaigns": self._campaigns,
-            "runs": self._runs,
-            "digests": self._digests,
-            "metrics": self._metrics,
-            "verify": self._verify,
-            "snapshots": self._snapshots,
-        }
-        handler = handlers.get(head)
-        if handler is None:
-            return None
-        return handler(rest, params)
-
-    def _index(self) -> Dict[str, object]:
-        return {
-            "store": self.store.path,
-            "tables": self.store.counts(),
-            "endpoints": [
-                "/campaigns", "/campaigns/<id>", "/campaigns/<id>/runs",
-                "/runs/<id>", "/digests", "/digests/diff",
-                "/metrics/<name>", "/verify/reports",
-                "/verify/reports/<id>", "/snapshots",
-            ],
-            "metrics": list(RUN_METRIC_COLUMNS),
-        }
-
-    def _campaigns(self, rest: List[str],
-                   params: Mapping[str, str]) -> Optional[object]:
-        if not rest:
-            limit, offset = _page_params(params)
-            rows, total = self.store.campaigns(
-                scheduler=params.get("scheduler"),
-                workload=params.get("workload"),
-                engine_mode=params.get("engine_mode"),
-                limit=limit, offset=offset)
-            return _envelope(rows, total, limit, offset)
-        if len(rest) == 1:
-            return self.store.campaign(rest[0])
-        if len(rest) == 2 and rest[1] == "runs":
-            limit, offset = _page_params(params)
-            rows, total = self.store.campaign_runs(
-                rest[0], limit=limit, offset=offset,
-                seed=_int_param(params, "seed", None))
-            if total == 0 and self.store.campaign(rest[0]) is None:
-                return None
-            return _envelope(rows, total, limit, offset)
+            return {"store": self.store.path,
+                    "tables": self.store.counts(),
+                    "endpoints": [pattern for pattern, _ in ROUTES],
+                    "metrics": list(RUN_METRIC_COLUMNS)}
+        for pattern, target in ROUTES:
+            parts = pattern.split("/")[1:]
+            if len(parts) != len(segments) or any(
+                    part != segment and not part.startswith("<")
+                    for part, segment in zip(parts, segments)):
+                continue
+            key = next((segment for part, segment in zip(parts, segments)
+                        if part.startswith("<")), None)
+            if not isinstance(target, str):
+                return target(self.store, key)
+            return self._listing(target, key, params)
         return None
 
-    def _runs(self, rest: List[str],
-              params: Mapping[str, str]) -> Optional[object]:
-        if len(rest) != 1:
-            return None
-        return self.store.run(rest[0])
-
-    def _digests(self, rest: List[str],
+    def _listing(self, name: str, key: Optional[str],
                  params: Mapping[str, str]) -> Optional[object]:
-        limit, offset = _page_params(params)
-        if not rest:
-            rows, total = self.store.digests(
-                run_id=params.get("run_id"),
-                engine_mode=params.get("engine_mode"),
-                limit=limit, offset=offset)
-            return _envelope(rows, total, limit, offset)
-        if rest == ["diff"]:
-            equal = params.get("equal")
-            rows, total = self.store.digest_diff(
-                scheduler=params.get("scheduler"),
-                seed=_int_param(params, "seed", None),
-                campaign_id=params.get("campaign"),
-                equal=(None if equal is None
-                       else equal not in ("0", "false", "no")),
-                limit=limit, offset=offset)
-            return _envelope(rows, total, limit, offset)
-        return None
-
-    def _metrics(self, rest: List[str],
-                 params: Mapping[str, str]) -> Optional[object]:
-        if len(rest) != 1:
+        listing = LISTINGS[name]
+        try:
+            listing.check(key)
+        except ValueError as error:
+            raise _BadRequest(str(error)) from None
+        limit, offset, filters = _parse(params, listing.filters)
+        page = self.store.page(name, key, limit, offset, **filters)
+        if page is None:
             return None
-        if rest[0] not in RUN_METRIC_COLUMNS:
-            raise _BadRequest(
-                f"unknown metric {rest[0]!r}; expected one of "
-                f"{', '.join(RUN_METRIC_COLUMNS)}")
-        limit, offset = _page_params(params)
-        rows, total = self.store.metric_rows(
-            rest[0],
-            scheduler=params.get("scheduler"),
-            seed=_int_param(params, "seed", None),
-            min_value=_float_param(params, "min"),
-            max_value=_float_param(params, "max"),
-            limit=limit, offset=offset)
-        body = _envelope(rows, total, limit, offset)
-        body["metric"] = rest[0]
+        body = _envelope(*page, limit, offset)
+        if listing.columns:
+            body["metric"] = key
         return body
-
-    def _verify(self, rest: List[str],
-                params: Mapping[str, str]) -> Optional[object]:
-        if not rest or rest[0] != "reports":
-            return None
-        if len(rest) == 1:
-            limit, offset = _page_params(params)
-            rows, total = self.store.verify_reports(
-                target=params.get("target"), limit=limit, offset=offset)
-            return _envelope(rows, total, limit, offset)
-        if len(rest) == 2:
-            return self.store.verify_report(rest[1])
-        return None
-
-    def _snapshots(self, rest: List[str],
-                   params: Mapping[str, str]) -> Optional[object]:
-        if rest:
-            return None
-        limit, offset = _page_params(params)
-        rows, total = self.store.snapshots(
-            scope=params.get("scope"), scope_id=params.get("scope_id"),
-            limit=limit, offset=offset)
-        return _envelope(rows, total, limit, offset)
 
 
 async def serve_web(store_path: str, host: str = "127.0.0.1",

@@ -107,7 +107,8 @@ class TestStoredSourceReport:
                 ids.append(store.record_verify_report(
                     portable_report(report, roots=[package]),
                     target="check:sources"))
-            assert store.verify_reports(target="check:sources")[1] == 1
+            (row,), __ = store.page("verify_reports")
+            assert row["target"] == "check:sources"
             stored = store.verify_report(ids[0])
         assert locations[0] != locations[1]
         assert ids[0] == ids[1]
@@ -122,8 +123,9 @@ class TestStoredSourceReport:
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if "EFF300" in line]
         with ResultStore(db) as store:
-            (row,), __ = store.verify_reports(target="check:sources")
+            (row,), __ = store.page("verify_reports")
             stored = store.verify_report(row["id"])
+        assert row["target"] == "check:sources"
         locations = [d["location"] for d in stored["diagnostics"]]
         assert locations and all(location.startswith("repro/core/")
                                  for location in locations)

@@ -54,7 +54,7 @@ def _campaign(small_params, workload, obs=None, **overrides):
 
 
 def _deterministic_records(obs, events):
-    """The JSONL export minus wall-clock records (timers, profile)."""
+    """The JSONL export minus wall-clock records (profile sections)."""
     return [record for record in snapshot_records(obs, events=events)
             if record["record"] in ("counter", "gauge", "event")]
 
@@ -81,7 +81,8 @@ class TestParallelEquivalence:
             == [r.cycles_run for r in parallel.results]
 
         # Aggregated observability: counters, gauges, and the replayed
-        # hook events all match; only wall-clock timers may differ.
+        # hook events all match; only wall-clock profile sections may
+        # differ.
         assert (obs_serial.deterministic_snapshot()
                 == obs_parallel.deterministic_snapshot())
         assert _deterministic_records(obs_serial, events_serial) \

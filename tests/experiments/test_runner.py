@@ -144,11 +144,11 @@ class TestGcTimers:
                        duration_ms=10.0, obs=obs)
         assert len(passes) == 3
         assert gc.callbacks == callbacks, "the hook outlived the run"
-        timers = obs.snapshot()["timers"]
+        sections = obs.snapshot()["profile"]
         for generation in (0, 1, 2):
-            timer = timers[f"engine.gc.gen{generation}"]
-            assert timer["count"] >= 1
-            assert timer["total_ns"] > 0
+            section = sections[f"engine.gc.gen{generation}"]
+            assert section["count"] >= 1
+            assert section["total_ns"] > 0
 
     def test_disabled_obs_registers_no_hook(self, monkeypatch, small_params,
                                             tiny_periodic_signals):

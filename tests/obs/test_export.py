@@ -19,8 +19,8 @@ from repro.obs import (
 @pytest.fixture
 def populated_obs():
     """One name per record kind, each from the docs/observability.md
-    catalogue; the timer is a real collector pass charged by the
-    runner's GC hook."""
+    catalogue; one profile section is a real collector pass charged by
+    the runner's GC hook."""
     obs = Observability()
     obs.inc("engine.cycles", 12)
     obs.set_gauge("engine.trace_records", 3)
@@ -44,8 +44,7 @@ class TestSnapshotRecords:
         populated_obs.emit("slack.promise", granted=True)
         records = snapshot_records(populated_obs, events=events)
         kinds = {r["record"] for r in records}
-        assert kinds == {"meta", "counter", "gauge", "timer",
-                         "profile", "event"}
+        assert kinds == {"meta", "counter", "gauge", "profile", "event"}
 
     def test_counters_sorted_by_name(self, populated_obs):
         populated_obs.inc("a.first")
@@ -66,12 +65,11 @@ class TestWriteAndRead:
         assert counters["engine.cycles"] == 12
         gauges = {r["name"]: r for r in records if r["record"] == "gauge"}
         assert gauges["engine.trace_records"]["value"] == 3
-        timers = {r["name"]: r for r in records if r["record"] == "timer"}
-        assert set(timers) == {"engine.gc.gen0"}
-        assert timers["engine.gc.gen0"]["count"] == 1
-        assert timers["engine.gc.gen0"]["total_ns"] > 0
-        profiles = {r["section"] for r in records if r["record"] == "profile"}
-        assert profiles == {"experiment.run"}
+        profiles = {r["section"]: r
+                    for r in records if r["record"] == "profile"}
+        assert set(profiles) == {"engine.gc.gen0", "experiment.run"}
+        assert profiles["engine.gc.gen0"]["count"] == 1
+        assert profiles["engine.gc.gen0"]["total_ns"] > 0
 
     def test_one_json_object_per_line(self, populated_obs, tmp_path):
         path = tmp_path / "metrics.jsonl"

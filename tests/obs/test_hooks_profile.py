@@ -104,12 +104,12 @@ class TestFacade:
         obs = Observability()
         obs.inc("c", 2)
         obs.set_gauge("g", 7)
-        obs.observe_ns("t", 50)
+        obs.profiler.observe_ns("t", 50)
         snap = obs.snapshot()
         assert snap["counters"]["c"] == 2
         assert snap["gauges"]["g"]["value"] == 7
-        assert snap["timers"]["t"]["count"] == 1
-        assert "profile" in snap
+        assert snap["profile"]["t"] == {"count": 1, "total_ns": 50}
+        assert set(snap) == {"counters", "gauges", "profile"}
 
     def test_facade_emit_reaches_subscribers(self):
         obs = Observability()
@@ -126,14 +126,13 @@ class TestFacade:
         assert NULL_OBS.enabled is False
         NULL_OBS.inc("c")
         NULL_OBS.set_gauge("g", 1)
-        NULL_OBS.observe_ns("t", 1)
         NULL_OBS.merge_counters("p", {"x": 1})
         NULL_OBS.emit("e", x=1)
         with NULL_OBS.section("s"):
             pass
         assert NULL_OBS.now_ns() == 0
         assert NULL_OBS.snapshot() == {
-            "counters": {}, "gauges": {}, "timers": {}, "profile": {},
+            "counters": {}, "gauges": {}, "profile": {},
         }
         assert NULL_OBS.deterministic_snapshot() == {
             "counters": {}, "gauges": {},

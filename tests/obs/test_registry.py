@@ -1,12 +1,9 @@
 """Unit tests for the metric primitives and the registry."""
 
-import pytest
-
 from repro.obs import (
     CounterMetric,
     GaugeMetric,
     MetricsRegistry,
-    TimerMetric,
 )
 
 
@@ -25,25 +22,12 @@ class TestPrimitives:
         assert gauge.value == 1.0
         assert gauge.maximum == 3.0
 
-    def test_timer_accumulates_and_tracks_max(self):
-        timer = TimerMetric("t")
-        timer.observe_ns(100)
-        timer.observe_ns(300)
-        assert timer.count == 2
-        assert timer.total_ns == 400
-        assert timer.max_ns == 300
-        assert timer.mean_us == pytest.approx(0.2)
-
-    def test_timer_mean_of_untouched_timer(self):
-        assert TimerMetric("t").mean_us == 0.0
-
 
 class TestRegistry:
     def test_create_or_get_returns_same_metric(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("a") is registry.gauge("a")
-        assert registry.timer("a") is registry.timer("a")
 
     def test_counter_value_of_untouched_counter(self):
         assert MetricsRegistry().counter_value("nope") == 0
@@ -85,15 +69,13 @@ class TestRegistry:
         registry.inc("z.last")
         registry.inc("a.first")
         registry.set_gauge("depth", 4)
-        registry.observe_ns("walltime", 10)
         snap = registry.snapshot()
         assert list(snap["counters"]) == ["a.first", "z.last"]
         assert snap["gauges"]["depth"] == {"value": 4, "max": 4}
-        assert snap["timers"]["walltime"]["count"] == 1
 
-    def test_deterministic_snapshot_excludes_timers(self):
+    def test_snapshot_holds_no_wall_clock(self):
+        # Wall clock lives only in the profiler; the registry is the
+        # replay-comparable state.
         registry = MetricsRegistry()
         registry.inc("c")
-        registry.observe_ns("t", 123)
-        snap = registry.deterministic_snapshot()
-        assert set(snap) == {"counters", "gauges"}
+        assert set(registry.snapshot()) == {"counters", "gauges"}

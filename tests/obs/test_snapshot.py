@@ -4,7 +4,7 @@ The invariant the campaign layer leans on: running N sub-tasks each in
 an isolated child context and merging their snapshots in order must
 leave exactly the state a single shared context would have accumulated
 -- counters add, gauges keep the last-written value and the running
-max, timers/profile accumulate, and captured hook events replay on the
+max, profiler sections accumulate, and captured hook events replay on the
 parent bus in order.
 """
 
@@ -23,7 +23,7 @@ def _ops_first(obs):
     obs.inc("work.items", 3)
     obs.set_gauge("work.depth", 5.0)
     obs.set_gauge("work.depth", 2.0)
-    obs.observe_ns("work.op", 100)
+    obs.profiler.observe_ns("work.op", 100)
     obs.emit("work.done", part=1)
     with obs.section("work.phase"):
         pass
@@ -33,7 +33,7 @@ def _ops_second(obs):
     obs.inc("work.items", 4)
     obs.inc("work.extra")
     obs.set_gauge("work.depth", 4.0)
-    obs.observe_ns("work.op", 250)
+    obs.profiler.observe_ns("work.op", 250)
     obs.emit("work.done", part=2)
     with obs.section("work.phase"):
         pass
@@ -55,11 +55,9 @@ class TestCaptureAndMerge:
             "counters": shared.deterministic_snapshot()["counters"],
             "gauges": shared.deterministic_snapshot()["gauges"],
         }
-        # Timers accumulate too (values, not wall-clock identity).
-        timer = merged.timers["work.op"]
-        assert timer["count"] == 2
-        assert timer["total_ns"] == 350
-        assert timer["max_ns"] == 250
+        # Profile sections accumulate too (values, not wall-clock
+        # identity).
+        assert merged.profile["work.op"] == {"count": 2, "total_ns": 350}
         assert merged.profile["work.phase"]["count"] == 2
 
     def test_gauge_last_write_wins_and_max_survives(self):

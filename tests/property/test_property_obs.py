@@ -93,8 +93,9 @@ def test_two_observed_runs_agree_on_deterministic_snapshot(seed, ber, mode):
     run_a = _run(seed, ber, mode, obs_a)
     run_b = _run(seed, ber, mode, obs_b)
     assert run_a == run_b
-    # Counters and gauges are replay-comparable; wall-clock timers are
-    # deliberately excluded from this snapshot.
+    # Counters and gauges are replay-comparable; wall-clock profile
+    # sections (the collector's passes among them) are deliberately
+    # excluded from this snapshot.
     snap_a = obs_a.deterministic_snapshot()
     assert snap_a == obs_b.deterministic_snapshot()
     assert set(snap_a) == {"counters", "gauges"}

@@ -73,7 +73,7 @@ class TestIdempotentIngest:
                                              tiny_campaign,
                                              experiment_kwargs):
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         expected = {run_key("coefficient", seed, experiment_kwargs)
                     for seed in tiny_campaign.completed_seeds}
         assert {row["id"] for row in rows} == expected
@@ -94,7 +94,7 @@ class TestCampaignRoundTrip:
     def test_run_detail_carries_metrics_and_digest(self, populated,
                                                    tiny_campaign):
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         detail = store.run(rows[0]["id"])
         result = tiny_campaign.results[0]
         assert detail["cycles"] == result.cycles_run
@@ -165,7 +165,7 @@ class TestDigests:
     def test_conflicting_digest_warns_and_keeps_first(
             self, populated, tiny_campaign, experiment_kwargs):
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         run_id = rows[0]["id"]
         original = store.run(run_id)["digests"]["vectorized"]["digest"]
         with pytest.warns(RuntimeWarning, match="digest conflict"):
@@ -177,7 +177,7 @@ class TestDigests:
     def test_same_digest_reingest_is_silent(
             self, populated, tiny_campaign, experiment_kwargs):
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         entry = store.run(rows[0]["id"])["digests"]["vectorized"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -189,7 +189,7 @@ class TestDigests:
     def test_diff_flags_disagreement(self, populated, tiny_campaign,
                                      experiment_kwargs):
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         run_id = rows[0]["id"]
         store.record_campaign(
             _swapped(tiny_campaign),
@@ -206,7 +206,7 @@ class TestDigests:
         # No ingest path writes that mode any more, so the old row is
         # planted directly.
         store, campaign_id = populated
-        rows, _ = store.campaign_runs(campaign_id)
+        rows, _ = store.page("campaign_runs", campaign_id)
         run_id = rows[0]["id"]
         entry = store.run(run_id)["digests"]["vectorized"]
         with store.transaction():
@@ -236,15 +236,16 @@ class TestVerifyReports:
         assert [d["rule_id"] for d in stored["diagnostics"]] \
             == ["FRC001", "ANA002"]
         assert stored["diagnostics"][0]["hint"] == "lengthen it"
-        rows, total = store.verify_reports(target="bbw")
+        rows, total = store.page("verify_reports")
         assert total == 1 and rows[0]["findings"] == 2
+        assert rows[0]["target"] == "bbw"
 
 
 class TestSnapshotsAndAudits:
     def test_snapshot_round_trips(self, store):
         snapshot_id = store.record_obs_snapshot(
             "serve", "abc", {"engine.cycles": 12, "cache.hits": 1})
-        rows, total = store.snapshots(scope="serve")
+        rows, total = store.page("snapshots", scope="serve")
         assert total == 1
         assert rows[0]["id"] == snapshot_id
         assert rows[0]["seed"] is None
@@ -267,7 +268,7 @@ class TestSnapshotsAndAudits:
             return service
 
         service = asyncio.run(serve())
-        rows, total = store.snapshots(scope="serve")
+        rows, total = store.page("snapshots", scope="serve")
         assert total == 1
         assert rows[0]["scope_id"] == "bbw"
         assert rows[0]["counters"] == service.counters
@@ -277,19 +278,20 @@ class TestSnapshotsAndAudits:
 class TestQueries:
     def test_pagination_envelope(self, populated):
         store, campaign_id = populated
-        page1, total = store.campaign_runs(campaign_id, limit=1, offset=0)
-        page2, _ = store.campaign_runs(campaign_id, limit=1, offset=1)
+        page1, total = store.page("campaign_runs", campaign_id, limit=1)
+        page2, _ = store.page("campaign_runs", campaign_id, limit=1,
+                              offset=1)
         assert total == 2
         assert len(page1) == len(page2) == 1
         assert page1[0]["id"] != page2[0]["id"]
         # Deterministic order: same query, same pages.
-        again, _ = store.campaign_runs(campaign_id, limit=1, offset=0)
+        again, _ = store.page("campaign_runs", campaign_id, limit=1)
         assert again == page1
 
     def test_metric_rows_filter(self, populated):
         store, _ = populated
         rows, total = store.metric_rows("deadline_miss_ratio",
-                                        max_value=1.0)
+                                        min_value=0.0)
         assert total == 2
         none, total_none = store.metric_rows("deadline_miss_ratio",
                                              min_value=2.0)
@@ -307,6 +309,30 @@ class TestQueries:
         assert total == 1
         _, none = store.campaigns(scheduler="fspec")
         assert none == 0
+
+    def test_unknown_parent_has_no_page(self, populated):
+        store, _ = populated
+        assert store.page("campaign_runs", "nope") is None
+
+    def test_unlisted_filter_rejected(self, populated):
+        store, _ = populated
+        with pytest.raises(TypeError, match="no filter 'engine_mode'"):
+            store.campaigns(engine_mode="vectorized")
+
+    def test_digest_diff_reads_a_page_in_three_statements(
+            self, populated, tiny_campaign_interpreter, interpreter_kwargs):
+        store, _ = populated
+        store.record_campaign(tiny_campaign_interpreter, interpreter_kwargs)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        try:
+            rows, total = store.digest_diff(limit=500)
+        finally:
+            store._conn.set_trace_callback(None)
+        # The count, the page and one digest query for the whole page.
+        assert len(statements) == 3
+        assert total == len(rows) == 2
+        assert all(row["modes"] == 2 and row["equal"] for row in rows)
 
 
 class TestStoreLifecycle:

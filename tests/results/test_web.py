@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.results import ResultStore, ResultsWebService, content_digest
-from repro.results.web import MAX_PAGE_LIMIT
+from repro.results.web import MAX_PAGE_LIMIT, ROUTES
 
 
 class _Response:
@@ -101,24 +101,27 @@ class TestRoutes:
         response = get("/")
         assert response.status == 200
         assert response.json["tables"]["campaigns"] == 2
+        assert response.json["endpoints"] == [p for p, _ in ROUTES]
         assert "/digests/diff" in response.json["endpoints"]
 
     def test_campaign_list_envelope_and_filters(self, get):
         body = get("/campaigns").json
         assert body["total"] == 2 and body["count"] == 2
         assert body["next_offset"] is None
-        vectorized = get("/campaigns?engine_mode=vectorized").json
-        assert vectorized["total"] == 1
-        assert vectorized["rows"][0]["engine_mode"] == "vectorized"
+        both = get("/campaigns?scheduler=coefficient&workload=tiny").json
+        assert both["total"] == 2
+        assert {row["engine_mode"] for row in both["rows"]} \
+            == {"interpreter", "vectorized"}
         assert get("/campaigns?scheduler=fspec").json["total"] == 0
+        assert get("/campaigns?workload=other").json["total"] == 0
 
     def test_campaign_detail_and_runs(self, get, web):
         campaign_id = web["campaign_id"]
         detail = get(f"/campaigns/{campaign_id}").json
         assert detail["workload"] == "tiny"
-        runs = get(f"/campaigns/{campaign_id}/runs?seed=1").json
-        assert runs["total"] == 1
-        assert runs["rows"][0]["seed"] == 1
+        runs = get(f"/campaigns/{campaign_id}/runs?limit=1&offset=1").json
+        assert runs["total"] == 2 and runs["count"] == 1
+        assert runs["rows"][0]["seed"] == 2
 
     def test_run_detail_has_both_engine_digests(self, get, web):
         campaign_id = web["campaign_id"]
@@ -134,13 +137,15 @@ class TestRoutes:
         assert get("/digests/diff?equal=false").json["total"] == 0
 
     def test_metric_table_with_range_filter(self, get):
-        body = get("/metrics/deadline_miss_ratio?max=1.0").json
-        assert body["total"] == 2
+        body = get("/metrics/deadline_miss_ratio?min=0").json
+        assert body["total"] == 2 and body["metric"] == "deadline_miss_ratio"
         assert all("value" in row for row in body["rows"])
+        assert get("/metrics/deadline_miss_ratio?min=2").json["total"] == 0
 
     def test_verify_report_round_trip(self, get, web):
-        listing = get("/verify/reports?target=tiny").json
+        listing = get("/verify/reports").json
         assert listing["total"] == 1
+        assert listing["rows"][0]["target"] == "tiny"
         detail = get(f"/verify/reports/{web['report_id']}").json
         assert detail["diagnostics"][0]["rule_id"] == "ANA002"
 
@@ -177,6 +182,10 @@ class TestErrors:
 
     def test_unknown_id_is_404(self, get):
         assert get("/runs/ffff").status == 404
+        assert get("/campaigns/ffff/runs").status == 404
+
+    def test_raw_digest_listing_is_gone(self, get):
+        assert get("/digests").status == 404
 
     def test_bad_query_value_is_400(self, get):
         response = get("/campaigns?limit=banana")
@@ -190,6 +199,23 @@ class TestErrors:
 
     def test_unknown_metric_is_400(self, get):
         assert get("/metrics/bogus").status == 400
+
+    def test_offset_beyond_sqlite_integers_is_400(self, get):
+        # SQLite binds signed 64-bit integers; a larger offset must be
+        # refused, not crash the handler, and the server must live on.
+        response = get("/campaigns?offset=100000000000000000000")
+        assert response.status == 400
+        assert "offset" in response.json["error"]
+        assert get(f"/campaigns?offset={2 ** 63}").status == 400
+        assert get(f"/campaigns?offset={2 ** 63 - 1}").json["count"] == 0
+        assert get("/campaigns").status == 200
+
+    def test_non_finite_metric_bound_is_400(self, get):
+        # sqlite3 binds NaN as NULL, which would silently drop every row.
+        for raw in ("nan", "inf", "-inf"):
+            response = get(f"/metrics/deadline_miss_ratio?min={raw}")
+            assert response.status == 400, raw
+            assert "min" in response.json["error"]
 
     def test_post_is_405(self, web):
         async def post():
