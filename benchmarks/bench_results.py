@@ -32,7 +32,8 @@ import time
 from typing import Dict, List
 
 from repro.experiments.campaign import CampaignResult, MetricSummary
-from repro.results import ResultStore, ResultsWebService
+from repro.results.store import ResultStore
+from repro.results.web import ResultsWebService
 
 METRIC_NAMES = ("running_time_ms", "bandwidth_utilization", "efficiency",
                 "static_latency_ms", "dynamic_latency_ms",

@@ -10,7 +10,7 @@ both improve (weakly) as the dynamic segment grows.
 
 from benchmarks.conftest import pairs_by, print_counters, print_rows
 from repro.experiments.figures import fig5_deadline_miss_ratio
-from repro.obs import Observability
+from repro.obs.observability import Observability
 
 _COLUMNS = ("minislots", "ber", "scheduler", "deadline_miss_ratio",
             "produced")

@@ -23,7 +23,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import paper_dynamic_preset
-from repro.obs import NULL_OBS, NullObservability, Observability
+from repro.obs.observability import NULL_OBS, NullObservability, Observability
 from repro.sim.rng import RngStream
 
 from benchmarks.bench_engine import scenarios as engine_scenarios

@@ -17,7 +17,8 @@ from repro.faults.injector import BurstFaultInjector
 from repro.protocol.cluster import Cluster
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
-from repro.workloads import acc_signals, sae_aperiodic_signals
+from repro.workloads.acc import acc_signals
+from repro.workloads.sae import sae_aperiodic_signals
 
 
 def run_ber_sweep(params, signals) -> None:

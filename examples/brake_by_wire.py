@@ -15,7 +15,8 @@ Run:
 
 from repro.experiments.figures import case_study_params
 from repro.experiments.runner import SCHEDULERS, run_experiment
-from repro.workloads import bbw_signals, sae_aperiodic_signals
+from repro.workloads.bbw import bbw_signals
+from repro.workloads.sae import sae_aperiodic_signals
 
 
 def main() -> None:

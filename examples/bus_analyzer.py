@@ -24,7 +24,8 @@ from repro.flexray.params import paper_dynamic_preset
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace_io import export_csv, per_message_statistics
-from repro.workloads import sae_aperiodic_signals, synthetic_signals
+from repro.workloads.sae import sae_aperiodic_signals
+from repro.workloads.synthetic import synthetic_signals
 
 
 def build_cluster(params, packing, corrupts=None):

@@ -20,7 +20,7 @@ from repro.core.mode_change import ModeChangeController
 from repro.experiments.figures import case_study_params
 from repro.faults.ber import BitErrorRateModel
 from repro.protocol.signal import Signal
-from repro.workloads import acc_signals
+from repro.workloads.acc import acc_signals
 
 
 def diagnostic_stream(index: int) -> Signal:

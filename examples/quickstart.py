@@ -10,8 +10,10 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import paper_dynamic_preset, run_experiment
-from repro.workloads import sae_aperiodic_signals, synthetic_signals
+from repro.experiments.runner import run_experiment
+from repro.flexray.params import paper_dynamic_preset
+from repro.workloads.sae import sae_aperiodic_signals
+from repro.workloads.synthetic import synthetic_signals
 
 
 def main() -> None:

@@ -10,14 +10,13 @@ Run:
     python examples/reliability_tuning.py
 """
 
-from repro import reliability_goal_for
 from repro.core.retransmission import (
     plan_retransmissions,
     uniform_retransmission_plan,
 )
 from repro.faults.ber import BitErrorRateModel
-from repro.faults.iec61508 import SafetyIntegrityLevel
-from repro.workloads import bbw_signals
+from repro.faults.iec61508 import SafetyIntegrityLevel, reliability_goal_for
+from repro.workloads.bbw import bbw_signals
 
 
 def main() -> None:

@@ -9,9 +9,3 @@
 - :class:`~repro.baselines.dynamic_priority.DynamicPriorityPolicy` --
   the dynamic-segment-only priority scheduling line ([16]-[18]).
 """
-
-from repro.baselines.dynamic_priority import DynamicPriorityPolicy
-from repro.baselines.fspec import FspecPolicy
-from repro.baselines.static_only import StaticOnlyPolicy
-
-__all__ = ["DynamicPriorityPolicy", "FspecPolicy", "StaticOnlyPolicy"]

@@ -14,17 +14,3 @@ and Theorem-1 invariants over the full hyperperiod by interval
 arithmetic on the flat arrays (``MDL4xx``), and violations shrink to
 one-command counterexamples (:mod:`repro.check.counterexample`).
 """
-
-from repro.check.determinism import LintScope, lint_source
-from repro.check.rules import CHECK_RULES, KNOWN_RULE_IDS
-from repro.check.runner import (
-    check_round,
-    check_sources,
-    default_source_roots,
-    portable_report,
-    write_counterexample,
-)
-
-__all__ = ["CHECK_RULES", "KNOWN_RULE_IDS", "LintScope", "check_sources",
-           "check_round", "default_source_roots", "lint_source",
-           "portable_report", "write_counterexample"]

@@ -49,20 +49,16 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.core.retransmission import derive_theorem1_plan
-from repro.obs import (
-    NULL_OBS,
-    Observability,
-    attach_event_capture,
-    format_profile,
-    write_metrics_jsonl,
-)
+from repro.obs.export import attach_event_capture, write_metrics_jsonl
+from repro.obs.observability import NULL_OBS, Observability
+from repro.obs.profile import format_profile
 from repro.protocol.backend import (
     available_backends,
     get_backend,
     workload_minislots,
 )
 from repro.sim.engine import EngineMode
-from repro.workloads import sae_aperiodic_signals
+from repro.workloads.sae import sae_aperiodic_signals
 
 __all__ = ["main", "build_parser"]
 
@@ -134,7 +130,7 @@ def _open_store(args, obs):
     path = getattr(args, "store", None)
     if not path:
         return None
-    from repro.results import ResultStore
+    from repro.results.store import ResultStore
 
     return ResultStore(path, obs=obs)
 
@@ -185,7 +181,7 @@ def _campaign_row(campaign) -> Dict[str, object]:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.verify import ConfigurationError
+    from repro.verify.verifier import ConfigurationError
 
     if args.coordinate:
         return _cmd_campaign_coordinated(args)
@@ -232,7 +228,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_campaign_coordinated(args) -> int:
     from repro.distrib.coordinator import coordinate_campaign
     from repro.distrib.plan import CampaignPlan
-    from repro.verify import ConfigurationError
+    from repro.verify.verifier import ConfigurationError
 
     if len(args.scheduler) != 1:
         print("repro campaign: --coordinate takes exactly one "
@@ -414,8 +410,9 @@ def _verify_target(workload: str, args) -> Dict[str, object]:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.service import AdmissionService, load_service_setup
-    from repro.verify import ConfigurationError
+    from repro.service.config import load_service_setup
+    from repro.service.server import AdmissionService
+    from repro.verify.verifier import ConfigurationError
 
     obs, events = _make_observability(args)
     try:
@@ -495,7 +492,7 @@ def _cmd_loadgen(args) -> int:
 def _cmd_web(args) -> int:
     import asyncio
 
-    from repro.results import serve_web
+    from repro.results.web import serve_web
 
     obs, events = _make_observability(args)
     try:
@@ -513,9 +510,13 @@ def _cmd_check(args) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from repro.check import (check_round, check_sources, portable_report,
-                             write_counterexample)
-    from repro.verify import compile_experiment, verify_experiment
+    from repro.check.runner import (
+        check_round,
+        check_sources,
+        portable_report,
+        write_counterexample,
+    )
+    from repro.verify.verifier import compile_experiment, verify_experiment
     from repro.verify.diagnostics import Diagnostic, Report, Severity
 
     combined = Report()

@@ -18,33 +18,3 @@ The pieces map one-to-one onto Section III of the paper:
   cooperative dual-channel scheduling of static, retransmitted and
   dynamic segments.
 """
-
-from repro.core.acceptance import AcceptanceTest
-from repro.core.coefficient import CoEfficientPolicy
-from repro.core.mode_change import AdmissionDecision, ModeChangeController
-from repro.core.queueing import QueueingPolicyBase
-from repro.core.retransmission import (
-    RetransmissionPlan,
-    plan_retransmissions,
-    uniform_retransmission_plan,
-)
-from repro.core.selective_slack import SelectiveSlackPlanner, max_level_slack
-from repro.core.slack_stealing import SlackStealer
-from repro.core.tasks import AperiodicTask, PeriodicTask, TaskSet
-
-__all__ = [
-    "AcceptanceTest",
-    "AdmissionDecision",
-    "AperiodicTask",
-    "CoEfficientPolicy",
-    "ModeChangeController",
-    "PeriodicTask",
-    "QueueingPolicyBase",
-    "RetransmissionPlan",
-    "SelectiveSlackPlanner",
-    "SlackStealer",
-    "TaskSet",
-    "max_level_slack",
-    "plan_retransmissions",
-    "uniform_retransmission_plan",
-]

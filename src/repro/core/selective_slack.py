@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from repro.core.slack_stealing import SlackStealer
 from repro.protocol.frame import PendingFrame
 from repro.protocol.geometry import SegmentGeometry
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.timeline.compiler import CompiledRound
 
 __all__ = ["max_level_slack", "SelectiveSlackPlanner"]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tasks import AperiodicTask, PeriodicTask, TaskSet
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 
 __all__ = ["CapacityProfile", "SlackStealer", "ScheduleOutcome",
            "CompletedJob"]

@@ -52,7 +52,7 @@ from repro.experiments.campaign import (
     _SeedTask,
     run_campaign,
 )
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 
 __all__ = ["KILL_AFTER_SEEDS_ENV", "WorkerReport", "coordinate_campaign",
            "reduce_campaign", "run_worker"]
@@ -134,7 +134,7 @@ def run_worker(plan: CampaignPlan, directory: str, worker_id: str,
     deadline = (time.monotonic() + timeout_s
                 if timeout_s is not None else None)
 
-    from repro.results import ResultStore
+    from repro.results.store import ResultStore
 
     store = ResultStore(os.path.join(directory, RESULTS_DBNAME), obs=obs)
     leases = LeaseDirectory(os.path.join(directory, LEASES_DIRNAME),

@@ -10,36 +10,3 @@
 - :mod:`repro.experiments.cache` -- the content-addressed on-disk cache
   completed campaign seed runs persist in.
 """
-
-from repro.experiments.cache import CampaignCache
-from repro.experiments.campaign import (
-    CAMPAIGN_METRICS,
-    CampaignFailure,
-    CampaignResult,
-    MetricSummary,
-    compare_campaigns,
-    run_campaign,
-)
-from repro.experiments.plots import ascii_bar_chart, ascii_line_chart
-from repro.experiments.runner import (
-    SCHEDULERS,
-    ExperimentResult,
-    make_policy,
-    run_experiment,
-)
-
-__all__ = [
-    "CAMPAIGN_METRICS",
-    "CampaignCache",
-    "CampaignFailure",
-    "CampaignResult",
-    "MetricSummary",
-    "SCHEDULERS",
-    "ExperimentResult",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "compare_campaigns",
-    "make_policy",
-    "run_campaign",
-    "run_experiment",
-]

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.protocol.signal import SignalSet
-from repro.obs import NULL_OBS, ObsLike, ObsSnapshot
+from repro.obs.observability import NULL_OBS, ObsLike
+from repro.obs.snapshot import ObsSnapshot
 
 __all__ = ["CACHE_VERSION", "CacheEntry", "CampaignCache",
            "cache_key", "config_key", "fingerprint", "run_key"]

@@ -14,7 +14,7 @@ with its own workload jitter and fault pattern.  ``run_campaign(...,
 workers=N)`` fans them out over a spawn-safe ``multiprocessing`` pool;
 every seed runs in its **own fresh observability context** (no shared
 registry to race on or leak across seeds) and the parent merges the
-per-seed results and :class:`~repro.obs.ObsSnapshot`\\ s back together
+per-seed results and :class:`~repro.obs.snapshot.ObsSnapshot`\\ s back together
 **in seed order**, so summaries, counters, and deterministic JSONL
 exports are identical to a serial run over the same seeds regardless of
 worker count or completion order.  Timers and profiler sections are
@@ -50,8 +50,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.obs import NULL_OBS, Observability, ObsSnapshot, \
-    attach_event_capture
+from repro.obs.export import attach_event_capture
+from repro.obs.observability import NULL_OBS, Observability
+from repro.obs.snapshot import ObsSnapshot
 
 __all__ = ["CAMPAIGN_METRICS", "MetricSummary", "CampaignFailure",
            "CampaignResult", "run_campaign", "compare_campaigns"]
@@ -326,7 +327,7 @@ def _validate_campaign(obs, **experiment_kwargs) -> None:
     thousand-seed campaign fails in milliseconds instead of after the
     first full simulation (or worse, after all of them).
     """
-    from repro.verify import ConfigurationError, verify_experiment
+    from repro.verify.verifier import ConfigurationError, verify_experiment
 
     if "params" not in experiment_kwargs:
         raise ValueError(
@@ -376,7 +377,7 @@ def run_campaign(
             summaries, counters, and deterministic exports.
         cache_dir: Content-addressed on-disk cache for completed seed
             runs; hits skip the simulation entirely.
-        store: Path of the :class:`repro.results.ResultStore` the
+        store: Path of the :class:`repro.results.store.ResultStore` the
             finished campaign is ingested into -- campaign row,
             per-seed runs, trace digests under the campaign's engine
             mode, and per-seed obs snapshots, all in one transaction.
@@ -387,8 +388,8 @@ def run_campaign(
         validate: Run the simulation-free invariant checks of
             :mod:`repro.verify` over the configuration *before* any
             seed executes; ERROR findings raise
-            :class:`repro.verify.ConfigurationError` (carrying the full
-            report) instead of burning seeds on a broken setup.
+            :class:`repro.verify.verifier.ConfigurationError` (carrying
+            the full report) instead of burning seeds on a broken setup.
         _crash_plan: Test-only fault injection: ``{seed: n}`` makes the
             first ``n`` attempts of that seed raise.
         **experiment_kwargs: Forwarded to
@@ -400,7 +401,7 @@ def run_campaign(
 
     Raises:
         ValueError: No seeds.
-        repro.verify.ConfigurationError: ``validate=True`` and the
+        repro.verify.verifier.ConfigurationError: ``validate=True`` and the
             configuration fails a static invariant check.
         RuntimeError: Every seed failed.
     """

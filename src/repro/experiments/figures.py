@@ -31,7 +31,7 @@ from typing import Dict, List, Sequence
 from repro.experiments.runner import run_experiment
 from repro.protocol.backend import get_backend
 from repro.protocol.geometry import SegmentGeometry
-from repro.obs import NULL_OBS
+from repro.obs.observability import NULL_OBS
 from repro.protocol.signal import SignalSet
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals

@@ -25,12 +25,13 @@ from repro.protocol.cluster import Cluster
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.signal import SignalSet
-from repro.obs import NULL_OBS
+from repro.obs.observability import NULL_OBS
 from repro.packing.frame_packing import PackingResult, pack_signals
 from repro.sim.engine import EngineMode
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.rng import RngStream
-from repro.workloads import bundled_periodic, sae_aperiodic_signals
+from repro.workloads.bundled import bundled_periodic
+from repro.workloads.sae import sae_aperiodic_signals
 
 __all__ = ["SCHEDULERS", "ExperimentResult", "build_experiment_kwargs",
            "make_policy", "run_experiment"]

@@ -13,24 +13,3 @@ Error Rate, following Section III-E of the paper:
 - :mod:`repro.faults.analysis` -- Theorem 1 (probability that all message
   deadlines are met given retransmission counts) and its inverse.
 """
-
-from repro.faults.analysis import (
-    message_success_probability,
-    set_success_probability,
-    verify_reliability_goal,
-)
-from repro.faults.ber import BitErrorRateModel, frame_failure_probability
-from repro.faults.iec61508 import SafetyIntegrityLevel, reliability_goal_for
-from repro.faults.injector import BurstFaultInjector, TransientFaultInjector
-
-__all__ = [
-    "BitErrorRateModel",
-    "BurstFaultInjector",
-    "SafetyIntegrityLevel",
-    "TransientFaultInjector",
-    "frame_failure_probability",
-    "message_success_probability",
-    "reliability_goal_for",
-    "set_success_probability",
-    "verify_reliability_goal",
-]

@@ -11,23 +11,3 @@ FlexRay's parameter defaults and frame-overhead model
 The model follows the FlexRay 2.1 protocol description summarized in
 Section II of the paper.  All timing arithmetic is in integer macroticks.
 """
-
-from repro.flexray.params import (
-    FRAME_HEADER_BITS,
-    FRAME_OVERHEAD_BITS,
-    FRAME_TRAILER_BITS,
-    MAX_PAYLOAD_BITS,
-    FlexRayParams,
-    paper_dynamic_preset,
-    paper_static_preset,
-)
-
-__all__ = [
-    "FRAME_HEADER_BITS",
-    "FRAME_OVERHEAD_BITS",
-    "FRAME_TRAILER_BITS",
-    "MAX_PAYLOAD_BITS",
-    "FlexRayParams",
-    "paper_dynamic_preset",
-    "paper_static_preset",
-]

@@ -12,17 +12,3 @@ of the paper's related work [9], [31]):
   owning its own slot, because the TDMA static segment sends at cycle
   granularity.
 """
-
-from repro.packing.frame_packing import (
-    PackedMessage,
-    PackingResult,
-    derive_params_for,
-    pack_signals,
-)
-
-__all__ = [
-    "PackedMessage",
-    "PackingResult",
-    "derive_params_for",
-    "pack_signals",
-]

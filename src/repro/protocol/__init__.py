@@ -9,23 +9,3 @@ cluster driver.  Everything here speaks only the contracts in
 time-triggered Ethernet) plug in through
 :mod:`~repro.protocol.backend`.
 """
-
-from repro.protocol.backend import (
-    ProtocolBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.protocol.contracts import FaultOracle, GeometryContract, TraceIdentity
-from repro.protocol.geometry import SegmentGeometry
-
-__all__ = [
-    "FaultOracle",
-    "GeometryContract",
-    "ProtocolBackend",
-    "SegmentGeometry",
-    "TraceIdentity",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]

@@ -27,7 +27,6 @@ __all__ = [
     "ProtocolBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "workload_minislots",
 ]
 
@@ -156,19 +155,6 @@ _INSTANCES: Dict[str, ProtocolBackend] = {}
 def available_backends() -> Tuple[str, ...]:
     """Registered backend names, sorted."""
     return tuple(sorted(_BACKEND_PATHS))
-
-
-def register_backend(name: str, path: str) -> None:
-    """Register (or re-point) a backend under ``name``.
-
-    Args:
-        name: Registry key (the geometry's ``protocol`` tag).
-        path: ``"module.path:ClassName"`` of the ProtocolBackend subclass.
-    """
-    if ":" not in path:
-        raise ValueError(f"backend path must be 'module:Class', got {path!r}")
-    _BACKEND_PATHS[name] = path
-    _INSTANCES.pop(name, None)
 
 
 def get_backend(name: "str | ProtocolBackend") -> ProtocolBackend:

@@ -30,7 +30,7 @@ from repro.protocol.dynamic_segment import DynamicSegmentEngine
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.sim.engine import EngineMode
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.trace import TraceRecorder

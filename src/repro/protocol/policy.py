@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.protocol.channel import Channel
 from repro.protocol.frame import PendingFrame
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.sim.trace import TransmissionOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

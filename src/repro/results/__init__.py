@@ -5,31 +5,11 @@ Three layers, bottom up:
 - :mod:`repro.results.canonical` -- the one byte serialization every
   persisted artifact and every HTTP response uses (content addressing,
   byte-stable ETags, loud failures instead of silent ``str()``);
-- :mod:`repro.results.store` -- :class:`ResultStore`, the WAL-mode
-  SQLite database campaigns, runs, trace digests, verify reports and
-  obs snapshots (the admission service's drain counters among them)
-  are ingested into atomically and idempotently;
+- :mod:`repro.results.store` --
+  :class:`~repro.results.store.ResultStore`, the WAL-mode SQLite
+  database campaigns, runs, trace digests, verify reports and obs
+  snapshots (the admission service's drain counters among them) are
+  ingested into atomically and idempotently;
 - :mod:`repro.results.web` -- ``repro web``, the read-only paginated
   HTTP explorer over a store.
 """
-
-from repro.results.canonical import (
-    CanonicalEncodeError,
-    canonical_json_bytes,
-    content_digest,
-    normalize_value,
-)
-from repro.results.store import RUN_METRIC_COLUMNS, SCHEMA_VERSION, ResultStore
-from repro.results.web import ResultsWebService, serve_web
-
-__all__ = [
-    "CanonicalEncodeError",
-    "RUN_METRIC_COLUMNS",
-    "ResultStore",
-    "ResultsWebService",
-    "SCHEMA_VERSION",
-    "canonical_json_bytes",
-    "content_digest",
-    "normalize_value",
-    "serve_web",
-]

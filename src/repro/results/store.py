@@ -531,7 +531,10 @@ class ResultStore:
         self._count("results.digests_recorded")
 
     def record_verify_report(self, report: "Report", target: str) -> str:
-        """Persist one :class:`repro.verify.Report`; returns its id."""
+        """Persist one :class:`repro.verify.diagnostics.Report`.
+
+        Returns its id.
+        """
         payload = {
             "target": target,
             "diagnostics": [diagnostic.to_row() for diagnostic in report],

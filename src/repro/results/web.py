@@ -35,9 +35,9 @@ import math
 import signal
 import sys
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, unquote
 
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.results.canonical import canonical_json_bytes, content_digest
 from repro.results.store import LISTINGS, RUN_METRIC_COLUMNS, ResultStore
 
@@ -223,9 +223,9 @@ class ResultsWebService:
                              {"error": f"method {method} not allowed",
                               "path": target}, headers, keep_alive)
             return keep_alive
-        split = urlsplit(target)
-        path = unquote(split.path)
-        params = dict(parse_qsl(split.query, keep_blank_values=True))
+        raw_path, _, query = target.partition("?")
+        path = unquote(raw_path)
+        params = dict(parse_qsl(query, keep_blank_values=True))
         try:
             body = self._route(path, params)
         except _BadRequest as error:
@@ -286,7 +286,11 @@ class ResultsWebService:
     def _route(self, path: str,
                params: Mapping[str, str]) -> Optional[object]:
         """Resolve one GET to a JSON-able body, or ``None`` for 404."""
-        segments = [segment for segment in path.split("/") if segment]
+        head, *segments = path.split("/")
+        if segments[-1:] == [""]:
+            segments.pop()  # "/" itself, or one trailing slash
+        if head or "" in segments:  # not "/"-rooted, or "//" inside
+            return None
         if not segments:
             return {"store": self.store.path,
                     "tables": self.store.counts(),

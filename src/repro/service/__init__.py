@@ -25,59 +25,3 @@ service instead of an offline library call:
 Everything is stdlib + the repro core; see ``docs/service.md`` for the
 protocol reference.
 """
-
-from repro.service.client import ServiceClient
-from repro.service.config import (
-    SERVICE_WORKLOADS,
-    ServiceSetup,
-    build_channel_task_sets,
-    load_service_setup,
-    signal_to_task,
-)
-from repro.service.ledger import (
-    AdmitOutcome,
-    LedgerStats,
-    ReconcileResult,
-    SlackLedger,
-)
-from repro.service.loadgen import (
-    AdmitRequestSpec,
-    LoadgenReport,
-    LoadgenSpec,
-    generate_requests,
-    percentile,
-    run_loadgen,
-)
-from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    ProtocolError,
-    Request,
-    encode_response,
-    parse_request,
-)
-from repro.service.server import AdmissionService
-
-__all__ = [
-    "SERVICE_WORKLOADS",
-    "ServiceSetup",
-    "build_channel_task_sets",
-    "load_service_setup",
-    "signal_to_task",
-    "AdmitOutcome",
-    "LedgerStats",
-    "ReconcileResult",
-    "SlackLedger",
-    "MAX_LINE_BYTES",
-    "ProtocolError",
-    "Request",
-    "encode_response",
-    "parse_request",
-    "AdmissionService",
-    "ServiceClient",
-    "AdmitRequestSpec",
-    "LoadgenReport",
-    "LoadgenSpec",
-    "generate_requests",
-    "percentile",
-    "run_loadgen",
-]

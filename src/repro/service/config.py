@@ -30,12 +30,12 @@ from repro.core.tasks import PeriodicTask, TaskSet
 from repro.protocol.backend import get_backend
 from repro.protocol.signal import Signal, SignalSet
 from repro.timeline.compiler import CompiledRound
-from repro.verify import (
+from repro.verify.verifier import (
     ConfigurationError,
     compile_experiment,
     verify_experiment,
 )
-from repro.workloads import bundled_periodic
+from repro.workloads.bundled import bundled_periodic
 from repro.workloads.sae import sae_aperiodic_signals
 
 __all__ = ["SERVICE_WORKLOADS", "ServiceSetup", "build_channel_task_sets",
@@ -216,14 +216,15 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
             sets from the resulting compiled round
             (:func:`round_task_sets`), so the service accounts against
             the *placed* schedule rather than an idealized partition.
-        backend: Protocol backend name (``repro.protocol.get_backend``);
-            selects the geometry the workload is packed against.
+        backend: Protocol backend name
+            (``repro.protocol.backend.get_backend``); selects the
+            geometry the workload is packed against.
 
     Returns:
         A :class:`ServiceSetup` ready to hand to the server.
 
     Raises:
-        ConfigurationError: The :func:`repro.verify.verify_experiment`
+        ConfigurationError: The :func:`repro.verify.verifier.verify_experiment`
             gate found errors.
     """
     if mapping not in ("signals", "round"):

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.slack_stealing import CapacityProfile, SlackStealer
 from repro.core.tasks import TaskSet
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 
 __all__ = ["AdmitOutcome", "LedgerStats", "ReconcileResult", "SlackLedger"]
 

@@ -41,7 +41,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.retransmission import plan_retransmissions
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.service.config import ServiceSetup
 from repro.service.ledger import SlackLedger
 from repro.service.protocol import (
@@ -92,7 +92,7 @@ class AdmissionService:
             to response; exceeded -> ``overload`` reply.
         reconcile_every: Run the incremental-vs-recomputed slack
             reconciliation every N batches (0 disables).
-        store: A :class:`repro.results.ResultStore` the final counters
+        store: A :class:`repro.results.store.ResultStore` the final counters
             are recorded into at drain, as one ``obs_snapshots`` row of
             scope ``serve`` (optional; ``repro web`` serves it under
             ``/snapshots?scope=serve``).

@@ -16,29 +16,3 @@ time-triggered).  There is no general event list: message arrivals come
 from per-source release streams merged by
 :class:`~repro.protocol.arrivals.ArrivalMultiplexer`.
 """
-
-from repro.sim.metrics import LatencyStats, MetricsCollector, SimulationMetrics
-from repro.sim.rng import RngStream
-from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
-from repro.sim.trace_io import (
-    MessageStatistics,
-    export_csv,
-    export_jsonl,
-    import_csv,
-    per_message_statistics,
-)
-
-__all__ = [
-    "FrameRecord",
-    "LatencyStats",
-    "MessageStatistics",
-    "MetricsCollector",
-    "RngStream",
-    "SimulationMetrics",
-    "TraceRecorder",
-    "TransmissionOutcome",
-    "export_csv",
-    "export_jsonl",
-    "import_csv",
-    "per_message_statistics",
-]

@@ -24,7 +24,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs import NULL_OBS
+from repro.obs.observability import NULL_OBS
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["LatencyStats", "SimulationMetrics", "MetricsCollector"]

@@ -15,27 +15,3 @@ slots one at a time and falls back to the per-slot event interpreter
 when aperiodic work (retransmissions, slack stealing, dynamic backlog)
 might change the outcome.
 """
-
-from repro.timeline.compiler import (
-    SEGMENT_DYNAMIC,
-    SEGMENT_NIT,
-    SEGMENT_STATIC,
-    SEGMENT_SYMBOL,
-    CompiledRound,
-    StaticStep,
-    compile_round,
-)
-from repro.timeline.stepper import TimelineStepper
-from repro.timeline.vectorized import VectorizedStepper
-
-__all__ = [
-    "CompiledRound",
-    "StaticStep",
-    "TimelineStepper",
-    "VectorizedStepper",
-    "compile_round",
-    "SEGMENT_STATIC",
-    "SEGMENT_DYNAMIC",
-    "SEGMENT_SYMBOL",
-    "SEGMENT_NIT",
-]

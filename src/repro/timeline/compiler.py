@@ -36,7 +36,7 @@ from repro.protocol.channel import Channel
 from repro.protocol.frame import Frame
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.schedule import ScheduleTable
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 
 __all__ = ["CompiledRound", "StaticStep", "RoundEntry", "compile_round",
            "SEGMENT_STATIC", "SEGMENT_DYNAMIC", "SEGMENT_SYMBOL",

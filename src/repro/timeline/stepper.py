@@ -50,7 +50,7 @@ from repro.protocol.dynamic_segment import DynamicSegmentEngine
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.timeline.compiler import CompiledRound, StaticStep
 
 __all__ = ["TimelineStepper"]

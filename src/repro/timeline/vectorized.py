@@ -101,7 +101,7 @@ from repro.protocol.frame import PendingFrame, frame_duration_mt
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
-from repro.obs import NULL_OBS, ObsLike
+from repro.obs.observability import NULL_OBS, ObsLike
 from repro.sim.trace import TraceRecorder, TransmissionOutcome
 from repro.timeline.compiler import CompiledRound
 from repro.timeline.stepper import TimelineStepper

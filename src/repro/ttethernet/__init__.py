@@ -6,29 +6,3 @@ jitter-constrained TT-window placement per Minaeva et al.,
 arXiv:1711.00398 (:mod:`~repro.ttethernet.schedule`), registered as
 ``"ttethernet"`` in :mod:`repro.protocol.backend`.
 """
-
-from repro.ttethernet.backend import TTEthernetBackend
-from repro.ttethernet.params import (
-    ETHERNET_MAX_PAYLOAD_BITS,
-    ETHERNET_OVERHEAD_BITS,
-    TTEthernetParams,
-    integration_dynamic_preset,
-    integration_static_preset,
-)
-from repro.ttethernet.schedule import (
-    assign_release_phases,
-    build_tt_schedule,
-    window_lags,
-)
-
-__all__ = [
-    "ETHERNET_MAX_PAYLOAD_BITS",
-    "ETHERNET_OVERHEAD_BITS",
-    "TTEthernetBackend",
-    "TTEthernetParams",
-    "assign_release_phases",
-    "build_tt_schedule",
-    "integration_dynamic_preset",
-    "integration_static_preset",
-    "window_lags",
-]

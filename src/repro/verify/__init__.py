@@ -9,11 +9,11 @@ records (stable rule id, severity, location, fix hint).
 
 Entry points:
 
-- :func:`verify_experiment` -- build-and-check everything one
-  experiment configuration implies (the per-workload pass of
-  ``repro check`` and the ``run_campaign(validate=True)`` gate);
+- :func:`~repro.verify.verifier.verify_experiment` -- build-and-check
+  everything one experiment configuration implies (the per-workload
+  pass of ``repro check`` and the ``run_campaign(validate=True)`` gate);
 - the ``check_*`` rule groups -- check the artifacts you already have;
-- :data:`VERIFY_RULES` -- the rule catalogue behind
+- :data:`~repro.verify.rules.VERIFY_RULES` -- the rule catalogue behind
   ``docs/static_analysis.md``.
 
 The sibling :mod:`repro.check` package checks the repo's *source code*
@@ -21,39 +21,3 @@ The sibling :mod:`repro.check` package checks the repo's *source code*
 model-checks compiled rounds over the hyperperiod (``MDL*``), with the
 same diagnostic shape.
 """
-
-from repro.verify.analysis_checks import (
-    check_deadlines,
-    check_retransmission_plan,
-    check_slack_table,
-    check_utilization,
-)
-from repro.verify.config_checks import as_raw_config, check_params
-from repro.verify.diagnostics import Diagnostic, Report, Severity
-from repro.verify.round_checks import check_compiled_round
-from repro.verify.rules import VERIFY_RULES, Rule
-from repro.verify.schedule_checks import check_schedule
-from repro.verify.verifier import (
-    ConfigurationError,
-    compile_experiment,
-    verify_experiment,
-)
-
-__all__ = [
-    "Severity",
-    "Diagnostic",
-    "Report",
-    "Rule",
-    "VERIFY_RULES",
-    "as_raw_config",
-    "check_params",
-    "check_schedule",
-    "check_compiled_round",
-    "check_slack_table",
-    "check_utilization",
-    "check_retransmission_plan",
-    "check_deadlines",
-    "compile_experiment",
-    "verify_experiment",
-    "ConfigurationError",
-]

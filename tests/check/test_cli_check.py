@@ -4,8 +4,8 @@ import json
 from pathlib import Path
 
 from repro import cli
-from repro.check import check_sources, portable_report
-from repro.results import ResultStore
+from repro.check.runner import check_sources, portable_report
+from repro.results.store import ResultStore
 
 from tests.check.conftest import build_liar_round
 from tests.verify.test_round_checks import rebuild, static_indices

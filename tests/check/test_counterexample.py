@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.check import check_round
 from repro.check.counterexample import (
     PAYLOAD_FORMAT,
     encode_payload,
@@ -14,7 +13,7 @@ from repro.check.counterexample import (
     shrink_round,
 )
 from repro.check.model_checker import check_hyperperiod_model
-from repro.check.runner import write_counterexample
+from repro.check.runner import check_round, write_counterexample
 
 from tests.check.conftest import build_liar_round, build_tiny_round
 

@@ -8,7 +8,7 @@ from repro.protocol.channel import Channel
 from repro.protocol.schedule import build_dual_schedule
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import compile_round
-from repro.verify import verify_experiment
+from repro.verify.verifier import verify_experiment
 
 from tests.check.conftest import build_liar_round, build_tiny_round
 

@@ -1,6 +1,6 @@
 """EFF3xx: every shipped policy proved, deliberate liars refuted."""
 
-from repro.check import check_sources
+from repro.check.runner import check_sources
 
 SHIPPED_POLICIES = (
     "QueueingPolicyBase",

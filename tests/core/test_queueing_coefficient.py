@@ -15,7 +15,7 @@ from repro.protocol.schedule import ChannelStrategy
 from repro.packing.frame_packing import pack_signals
 from repro.sim.rng import RngStream
 from repro.sim.trace import TransmissionOutcome
-from repro.workloads import bundled_periodic
+from repro.workloads.bundled import bundled_periodic
 
 
 def bound_policy(params, packing, **kwargs):

@@ -14,7 +14,7 @@ from repro.faults.analysis import set_success_probability
 from repro.packing.frame_packing import pack_signals
 from repro.protocol.backend import get_backend
 from repro.verify.analysis_checks import check_retransmission_plan
-from repro.workloads import bundled_periodic
+from repro.workloads.bundled import bundled_periodic
 
 
 def _derived(backend, workload, rho, uniform=False):

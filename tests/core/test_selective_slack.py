@@ -9,7 +9,7 @@ from repro.core.slack_stealing import SlackStealer
 from repro.core.tasks import PeriodicTask, TaskSet
 from repro.protocol.channel import Channel
 from repro.protocol.schedule import ScheduleTable, SlotAssignment
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.timeline.compiler import compile_round
 
 from tests.flexray.test_frame import make_frame, make_pending

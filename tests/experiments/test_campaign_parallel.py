@@ -19,11 +19,8 @@ import pytest
 
 from repro.experiments.cache import CampaignCache, cache_key
 from repro.experiments.campaign import run_campaign
-from repro.obs import (
-    Observability,
-    attach_event_capture,
-    snapshot_records,
-)
+from repro.obs.export import attach_event_capture, snapshot_records
+from repro.obs.observability import Observability
 
 _SEEDS = [1, 2, 3, 4]
 

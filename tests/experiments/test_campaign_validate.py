@@ -3,8 +3,8 @@
 import pytest
 
 from repro.experiments.campaign import run_campaign
-from repro.obs import Observability
-from repro.verify import ConfigurationError
+from repro.obs.observability import Observability
+from repro.verify.verifier import ConfigurationError
 
 
 def _kwargs(small_params, tiny_workload, **overrides):

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.runner import SCHEDULERS, make_policy, run_experiment
 from repro.faults.ber import BitErrorRateModel
-from repro.obs import NULL_OBS, Observability
+from repro.obs.observability import NULL_OBS, Observability
 from repro.packing.frame_packing import pack_signals
 
 

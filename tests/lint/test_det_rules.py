@@ -2,7 +2,7 @@
 
 from textwrap import dedent
 
-from repro.check import LintScope, lint_source
+from repro.check.determinism import LintScope, lint_source
 
 RESTRICTED = LintScope(restricted=True, ordered_output=True)
 RELAXED = LintScope(restricted=False, ordered_output=False)

@@ -2,14 +2,11 @@
 
 from pathlib import Path
 
-from repro.check import (
-    CHECK_RULES,
-    KNOWN_RULE_IDS,
-    check_sources,
-)
+from repro.check.rules import CHECK_RULES, KNOWN_RULE_IDS
+from repro.check.runner import check_sources
 from repro.check.determinism import check_file, scope_for_path
 from repro.check.frontend import read_sources
-from repro.verify import VERIFY_RULES
+from repro.verify.rules import VERIFY_RULES
 
 REPO = Path(__file__).resolve().parents[2]
 DET_RULES = {rule_id: rule for rule_id, rule in CHECK_RULES.items()

@@ -6,14 +6,14 @@ import json
 import pytest
 
 from repro.experiments.runner import _charge_gc
-from repro.obs import (
+from repro.obs.export import (
     SCHEMA_VERSION,
-    Observability,
     attach_event_capture,
     read_metrics_jsonl,
     snapshot_records,
     write_metrics_jsonl,
 )
+from repro.obs.observability import Observability
 
 
 @pytest.fixture

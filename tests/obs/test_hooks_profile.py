@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.obs import (
-    NULL_OBS,
-    HookBus,
-    HookRecorder,
-    NullObservability,
-    Observability,
-    Profiler,
-    format_profile,
-)
+from repro.obs.hooks import HookBus, HookRecorder
+from repro.obs.observability import NULL_OBS, NullObservability, Observability
+from repro.obs.profile import Profiler, format_profile
 
 
 class TestHookBus:

@@ -12,7 +12,9 @@ from repro import cli
 from repro.experiments.campaign import run_campaign
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import paper_dynamic_preset
-from repro.obs import HookRecorder, Observability, read_metrics_jsonl
+from repro.obs.export import read_metrics_jsonl
+from repro.obs.hooks import HookRecorder
+from repro.obs.observability import Observability
 from repro.workloads.sae import sae_aperiodic_signals
 from repro.workloads.synthetic import synthetic_signals
 
@@ -71,7 +73,7 @@ class TestExperimentObservability:
                 == obs_b.deterministic_snapshot())
 
     def test_observed_run_matches_unobserved_metrics(self):
-        from repro.obs import NULL_OBS
+        from repro.obs.observability import NULL_OBS
 
         bare = _run(NULL_OBS)
         observed = _run(Observability())

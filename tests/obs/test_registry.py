@@ -1,10 +1,6 @@
 """Unit tests for the metric primitives and the registry."""
 
-from repro.obs import (
-    CounterMetric,
-    GaugeMetric,
-    MetricsRegistry,
-)
+from repro.obs.registry import CounterMetric, GaugeMetric, MetricsRegistry
 
 
 class TestPrimitives:

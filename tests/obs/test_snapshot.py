@@ -10,13 +10,10 @@ parent bus in order.
 
 import pickle
 
-from repro.obs import (
-    HookRecorder,
-    NULL_OBS,
-    Observability,
-    ObsSnapshot,
-    attach_event_capture,
-)
+from repro.obs.export import attach_event_capture
+from repro.obs.hooks import HookRecorder
+from repro.obs.observability import NULL_OBS, Observability
+from repro.obs.snapshot import ObsSnapshot
 
 
 def _ops_first(obs):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import FlexRayParams
-from repro.obs import NULL_OBS, HookRecorder, Observability
+from repro.obs.hooks import HookRecorder
+from repro.obs.observability import NULL_OBS, Observability
 from repro.protocol.signal import Signal, SignalSet
 from repro.sim.engine import EngineMode
 from repro.sim.trace import trace_digest

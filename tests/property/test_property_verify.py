@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.retransmission import MAX_RETRANSMISSIONS
-from repro.verify import check_retransmission_plan
+from repro.verify.analysis_checks import check_retransmission_plan
 
 MESSAGES = [f"m{i}" for i in range(8)]
 

@@ -8,7 +8,6 @@ from repro.protocol.backend import (
     ProtocolBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.protocol.contracts import GeometryContract, TraceIdentity
 from repro.protocol.geometry import SegmentGeometry
@@ -40,18 +39,6 @@ class TestRegistry:
     def test_passthrough_of_backend_instances(self):
         backend = get_backend("ttethernet")
         assert get_backend(backend) is backend
-
-    def test_register_rejects_malformed_paths(self):
-        with pytest.raises(ValueError, match="module:Class"):
-            register_backend("bad", "repro.flexray.backend.FlexRayBackend")
-
-    def test_register_repoints_and_drops_the_cached_instance(self):
-        original = get_backend("flexray")
-        register_backend("flexray", "repro.flexray.backend:FlexRayBackend")
-        try:
-            assert get_backend("flexray") is not original
-        finally:
-            pass  # re-registration restored the same class
 
 
 class TestBackendContract:

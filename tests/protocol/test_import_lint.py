@@ -78,3 +78,42 @@ class TestBackendImportIsolation:
         bad.write_text("from repro.flexray.params import FlexRayParams\n"
                        "import repro.ttethernet.schedule\n")
         assert len(backend_imports_in(bad)) == 2
+
+
+def package_body_in(path):
+    """Line numbers of statements in a package ``__init__.py`` beyond
+    its docstring (and, in the root package, ``__version__``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    extra = []
+    for index, node in enumerate(tree.body):
+        if index == 0 and isinstance(node, ast.Expr) and \
+                isinstance(node.value, ast.Constant):
+            continue
+        if path.parent == SRC_ROOT and isinstance(node, ast.Assign) and \
+                [ast.unparse(t) for t in node.targets] == ["__version__"]:
+            continue
+        extra.append(node.lineno)
+    return extra
+
+
+class TestNoReExports:
+    """A name is imported from the module that defines it: no package
+    ``__init__.py`` imports, lists ``__all__`` or defines anything."""
+
+    def test_package_inits_hold_only_their_docstring(self):
+        inits = sorted(SRC_ROOT.rglob("__init__.py"))
+        assert len(inits) > 1
+        violations = {
+            str(path.relative_to(SRC_ROOT.parent)): lines
+            for path in inits if (lines := package_body_in(path))
+        }
+        assert not violations, (
+            "package __init__.py files keep only their docstring; "
+            f"import names from their defining module: {violations}"
+        )
+
+    def test_the_detector_itself_works(self, tmp_path):
+        shim = tmp_path / "__init__.py"
+        shim.write_text('"""Doc."""\n\nfrom repro.obs.observability '
+                        'import NULL_OBS\n\n__all__ = ["NULL_OBS"]\n')
+        assert package_body_in(shim) == [3, 5]

@@ -14,8 +14,9 @@ import textwrap
 
 import pytest
 
-from repro.obs import Observability, read_metrics_jsonl, write_metrics_jsonl
-from repro.results import ResultStore
+from repro.obs.export import read_metrics_jsonl, write_metrics_jsonl
+from repro.obs.observability import Observability
+from repro.results.store import ResultStore
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -34,7 +35,7 @@ class TestStoreCrashSafety:
         # tables, then SIGKILLs itself before COMMIT ever runs.
         child = _run_child(f"""
             import os, signal
-            from repro.results import ResultStore
+            from repro.results.store import ResultStore
 
             store = ResultStore({str(db)!r})
             store._conn.execute("BEGIN IMMEDIATE")
@@ -71,7 +72,7 @@ class TestStoreCrashSafety:
             before = store.counts()
         child = _run_child(f"""
             import os, signal
-            from repro.results import ResultStore
+            from repro.results.store import ResultStore
 
             store = ResultStore({str(db)!r})
             store._conn.execute("BEGIN IMMEDIATE")
@@ -100,7 +101,7 @@ class TestConcurrentWriters:
         code = f"""
             from repro.experiments.campaign import (CampaignResult,
                                                     MetricSummary)
-            from repro.results import ResultStore
+            from repro.results.store import ResultStore
 
             summaries = {{"efficiency": MetricSummary(
                 name="efficiency", samples=4, mean=0.5, stdev=0.1,
@@ -143,7 +144,8 @@ class TestMetricsWriteCrashSafety:
         # temp file fully written, os.replace about to run.
         child = _run_child(f"""
             import os, signal
-            from repro.obs import Observability, write_metrics_jsonl
+            from repro.obs.export import write_metrics_jsonl
+            from repro.obs.observability import Observability
 
             real_replace = os.replace
             def die(src, dst):
@@ -168,7 +170,8 @@ class TestMetricsWriteCrashSafety:
         # the first line, then die.
         child = _run_child(f"""
             import os, signal
-            from repro.obs import Observability, write_metrics_jsonl
+            from repro.obs.export import write_metrics_jsonl
+            from repro.obs.observability import Observability
 
             class Tripwire:
                 def __init__(self, handle):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.cache import run_key
 from repro.experiments.campaign import CampaignResult, MetricSummary
-from repro.obs import Observability
-from repro.results import RUN_METRIC_COLUMNS, ResultStore
+from repro.obs.observability import Observability
+from repro.results.store import RUN_METRIC_COLUMNS, ResultStore
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
 from repro.service.server import AdmissionService

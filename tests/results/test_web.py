@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro.obs import Observability
-from repro.results import ResultStore, ResultsWebService, content_digest
-from repro.results.web import MAX_PAGE_LIMIT, ROUTES
+from repro.obs.observability import Observability
+from repro.results.canonical import content_digest
+from repro.results.store import ResultStore
+from repro.results.web import MAX_PAGE_LIMIT, ROUTES, ResultsWebService
 
 
 class _Response:
@@ -183,6 +184,13 @@ class TestErrors:
     def test_unknown_id_is_404(self, get):
         assert get("/runs/ffff").status == 404
         assert get("/campaigns/ffff/runs").status == 404
+
+    def test_double_slash_target_is_canonical_404(self, get):
+        # Not read as a network location ("//campaigns" + path "/").
+        response = get("//campaigns/")
+        assert response.status == 404
+        assert response.json == {"error": "not found",
+                                 "path": "//campaigns/"}
 
     def test_raw_digest_listing_is_gone(self, get):
         assert get("/digests").status == 404

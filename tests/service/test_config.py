@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import is_schedulable
+from repro.analysis.response_time import is_schedulable
 from repro.protocol.signal import Signal
 from repro.service.config import (
     SERVICE_WORKLOADS,
@@ -10,7 +10,7 @@ from repro.service.config import (
     load_service_setup,
     signal_to_task,
 )
-from repro.verify import ConfigurationError
+from repro.verify.verifier import ConfigurationError
 from repro.workloads.bbw import bbw_signals
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.tasks import PeriodicTask, TaskSet
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.service.ledger import AdmitOutcome, SlackLedger
 
 

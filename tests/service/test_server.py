@@ -13,7 +13,7 @@ import pytest
 from repro.core.acceptance import AcceptanceTest
 from repro.core.retransmission import MAX_RETRANSMISSIONS
 from repro.core.tasks import AperiodicTask
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
 from repro.service.loadgen import LoadgenSpec, generate_requests

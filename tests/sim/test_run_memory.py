@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.figures import case_study_params
 from repro.experiments.runner import SCHEDULERS, run_experiment
-from repro.obs import NULL_OBS, Observability
+from repro.obs.observability import NULL_OBS, Observability
 from repro.sim.engine import EngineMode
 from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals

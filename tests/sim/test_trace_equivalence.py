@@ -1,11 +1,11 @@
 """Differential engine tests: vectorized versus interpreter, byte for byte.
 
-The default engine (:class:`repro.timeline.VectorizedStepper`) claims
+The default engine (:class:`repro.timeline.vectorized.VectorizedStepper`) claims
 *trace equivalence* with the per-slot interpreter: same
 configuration, same seed, same policy -> the exact same sequence of
 :class:`~repro.sim.trace.FrameRecord` entries, every field identical, in
 the same order.  Every scenario also runs on the engine's delegated
-:class:`~repro.timeline.TimelineStepper` path (see
+:class:`~repro.timeline.stepper.TimelineStepper` path (see
 ``tests/sim/engine_paths.py``).  These tests prove the claim on seeded
 workloads that together cover every behavioural regime the engine has:
 

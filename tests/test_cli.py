@@ -11,7 +11,7 @@ from repro.packing.frame_packing import pack_signals
 from repro.protocol.backend import get_backend
 from repro.protocol.cluster import Cluster
 from repro.sim.rng import RngStream
-from repro.workloads import bundled_periodic
+from repro.workloads.bundled import bundled_periodic
 
 
 class TestParser:

@@ -1,7 +1,7 @@
 """``docs/static_analysis.md`` documents exactly the catalogued rules.
 
 Each rule table row (``| `ID` | severity | meaning |``) must name a rule
-of :data:`repro.verify.VERIFY_RULES` or :data:`repro.check.CHECK_RULES`
+of :data:`repro.verify.rules.VERIFY_RULES` or :data:`repro.check.rules.CHECK_RULES`
 with the catalogue's severity, and every catalogued rule must have
 exactly one row.
 """
@@ -10,8 +10,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from repro.check import CHECK_RULES
-from repro.verify import VERIFY_RULES
+from repro.check.rules import CHECK_RULES
+from repro.verify.rules import VERIFY_RULES
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "static_analysis.md"
 _ROW = re.compile(r"^\| `([A-Z]+\d+)` \| (\w+) \|", re.M)

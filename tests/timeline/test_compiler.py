@@ -19,7 +19,7 @@ from repro.protocol.schedule import (
     SlotAssignment,
     build_dual_schedule,
 )
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.packing.frame_packing import pack_signals
 from repro.timeline.compiler import (
     SEGMENT_DYNAMIC,
@@ -28,7 +28,7 @@ from repro.timeline.compiler import (
     CompiledRound,
     compile_round,
 )
-from repro.verify import check_compiled_round
+from repro.verify.round_checks import check_compiled_round
 
 
 @pytest.fixture

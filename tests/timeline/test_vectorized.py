@@ -24,7 +24,7 @@ from repro.packing.frame_packing import pack_signals
 from repro.protocol.cluster import Cluster
 from repro.protocol.frame import FrameKind
 from repro.protocol.signal import Signal, SignalSet
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.sim.rng import RngStream
 from repro.sim.trace import TraceRecorder, canonical_trace_bytes, trace_digest
 from repro.workloads.bbw import bbw_signals

@@ -3,7 +3,7 @@
 import math
 
 from repro.faults.analysis import log_message_success_probability
-from repro.verify import (
+from repro.verify.analysis_checks import (
     check_deadlines,
     check_retransmission_plan,
     check_slack_table,

@@ -10,7 +10,7 @@ from repro.flexray.params import (
     paper_dynamic_preset,
     paper_static_preset,
 )
-from repro.verify import as_raw_config, check_params
+from repro.verify.config_checks import as_raw_config, check_params
 
 
 def raw(**overrides):

@@ -19,7 +19,8 @@ from repro.timeline.compiler import (
     compile_round,
 )
 from repro.check.model_checker import check_hyperperiod_model
-from repro.verify import check_compiled_round, check_schedule
+from repro.verify.round_checks import check_compiled_round
+from repro.verify.schedule_checks import check_schedule
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from repro.protocol.schedule import (
     build_dual_schedule,
 )
 from repro.packing.frame_packing import pack_signals
-from repro.verify import check_schedule
+from repro.verify.schedule_checks import check_schedule
 from repro.workloads.synthetic import synthetic_signals
 
 PARAMS = FlexRayParams()

@@ -7,16 +7,15 @@ import pytest
 from repro.core.retransmission import plan_retransmissions
 from repro.experiments.figures import case_study_params
 from repro.flexray.params import FlexRayParams, paper_dynamic_preset
-from repro.verify import (
-    ConfigurationError,
-    Report,
+from repro.verify.analysis_checks import (
     check_deadlines,
-    check_params,
     check_retransmission_plan,
     check_slack_table,
     check_utilization,
-    verify_experiment,
 )
+from repro.verify.config_checks import check_params
+from repro.verify.diagnostics import Report
+from repro.verify.verifier import ConfigurationError, verify_experiment
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals
