@@ -11,8 +11,11 @@ Execution model
 
 Seeds are embarrassingly parallel: each one is an independent sample
 with its own workload jitter and fault pattern.  ``run_campaign(...,
-workers=N)`` fans them out over a spawn-safe ``multiprocessing`` pool;
-every seed runs in its **own fresh observability context** (no shared
+workers=N)`` fans them out over this process's one spawn worker pool
+(a ``concurrent.futures.ProcessPoolExecutor``): the first parallel
+campaign starts it, later campaigns with the same ``workers`` reuse its
+warm workers, and the interpreter's exit handler shuts it down.  Every
+seed runs in its **own fresh observability context** (no shared
 registry to race on or leak across seeds) and the parent merges the
 per-seed results and :class:`~repro.obs.snapshot.ObsSnapshot`\\ s back together
 **in seed order**, so summaries, counters, and deterministic JSONL
@@ -20,9 +23,10 @@ exports are identical to a serial run over the same seeds regardless of
 worker count or completion order.  Timers and profiler sections are
 wall clock and therefore excluded from that guarantee.
 
-A seed whose worker raises is retried once (:data:`SEED_ATTEMPTS`); a
-seed that fails again is surfaced in :attr:`CampaignResult.failures` instead of
-killing the campaign, and summaries cover the seeds that completed.
+A seed whose run raises, or whose worker process dies, is retried once
+(:data:`SEED_ATTEMPTS`); a seed that fails again is surfaced in
+:attr:`CampaignResult.failures` instead of killing the campaign, and
+summaries cover the seeds that completed.
 
 With ``cache_dir=`` set, completed seed runs persist in a
 content-addressed on-disk cache (see :mod:`repro.experiments.cache`)
@@ -41,18 +45,23 @@ direction for a confidence interval.
 
 from __future__ import annotations
 
+import atexit
 import math
-import multiprocessing
 import statistics
+import threading
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.obs.export import attach_event_capture
 from repro.obs.observability import NULL_OBS, Observability
 from repro.obs.snapshot import ObsSnapshot
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = ["CAMPAIGN_METRICS", "MetricSummary", "CampaignFailure",
            "CampaignResult", "run_campaign", "compare_campaigns"]
@@ -249,17 +258,15 @@ def _execute_seed(task: _SeedTask) \
 
 
 def _campaign_worker(task: _SeedTask):
-    """Pool entry point: exceptions travel home as formatted strings.
+    """Worker entry point: exceptions travel home as formatted strings.
 
-    Catching here keeps the pool healthy (an excepted seed never tears
-    down its worker's queue) and keeps the parent's retry logic
-    identical between serial and parallel execution.
+    Catching here keeps the parent's retry logic identical between
+    serial and parallel execution.
     """
     try:
-        result, snapshot = _execute_seed(task)
-        return task.index, "ok", (result, snapshot)
+        return "ok", _execute_seed(task)
     except Exception:
-        return task.index, "error", traceback.format_exc()
+        return "error", traceback.format_exc()
 
 
 def _run_serial(tasks: Sequence[_SeedTask], max_attempts: int,
@@ -281,30 +288,98 @@ def _run_serial(tasks: Sequence[_SeedTask], max_attempts: int,
                 break
 
 
+#: This process's spawn worker pool and its worker count, or ``None``
+#: before the first parallel campaign (see :func:`_worker_pool`).
+_pool: Optional[Tuple[int, ProcessPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide spawn pool of ``workers`` workers.
+
+    Reused by every parallel campaign with the same ``workers``, so
+    only the first pays worker start-up (interpreter, numpy and
+    ``repro`` imports); a different count replaces it.  Workers start
+    on demand, and ``concurrent.futures``' exit handler joins them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")))
+        return _pool[1]
+
+
+def _drop_pool(pool: Optional[ProcessPoolExecutor] = None) -> None:
+    """Shut the process-wide pool down, if it is still ``pool`` when given."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (pool is None or pool is _pool[1]):
+            _pool[1].shutdown()
+            _pool = None
+
+
+# By the time ``atexit`` runs, ``concurrent.futures`` has already joined
+# the workers; dropping the pool here only lets it be collected before
+# module teardown, where its weakref callback would raise into stderr.
+atexit.register(_drop_pool)
+
+
 def _run_parallel(tasks: Sequence[_SeedTask], workers: int,
                   max_attempts: int, outcomes: Dict[int, tuple]) -> None:
-    """Fan tasks over a spawn pool; retries resubmit in waves.
+    """Fan tasks over the shared spawn pool; retries resubmit in waves.
 
     Spawn (rather than fork) keeps workers import-clean on every
-    platform and guarantees no state -- RNG, registries, caches --
-    leaks from the parent into a seed run.
+    platform and guarantees no parent state -- RNG, registries, caches
+    -- reaches a seed run; a worker keeps its module state across seeds
+    and campaigns, as the serial path's one process does.  A dead
+    worker breaks the pool, which is dropped; :func:`run_campaign`
+    says how its seeds are charged.  Seeds a broken pool never
+    accepted are resent uncharged.
     """
-    context = multiprocessing.get_context("spawn")
+    from concurrent.futures.process import BrokenProcessPool
+
     pending = list(tasks)
-    with context.Pool(processes=min(workers, len(tasks))) as pool:
-        while pending:
-            handles = [(task, pool.apply_async(_campaign_worker, (task,)))
-                       for task in pending]
-            pending = []
-            for task, handle in handles:
-                index, status, payload = handle.get()
+    while pending:
+        pool = _worker_pool(workers)
+        submitted: List[Tuple[_SeedTask, Future]] = []
+        broken = False
+        try:
+            for task in pending:
+                submitted.append((task, pool.submit(_campaign_worker,
+                                                    task)))
+        except BrokenProcessPool:
+            broken = True
+        pending = pending[len(submitted):]
+        try:
+            for task, future in submitted:
+                try:
+                    status, payload = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    status, payload = "error", traceback.format_exc()
                 if status == "ok":
                     result, snapshot = payload
-                    outcomes[index] = ("ok", result, snapshot)
+                    outcomes[task.index] = ("ok", result, snapshot)
                 elif task.attempt + 1 < max_attempts:
                     pending.append(replace(task, attempt=task.attempt + 1))
                 else:
-                    outcomes[index] = ("failed", payload, task.attempt + 1)
+                    outcomes[task.index] = ("failed", payload,
+                                            task.attempt + 1)
+        finally:
+            # Only reached with work left if something raised: keep the
+            # shared pool from running seeds nobody waits for.
+            for _task, future in submitted:
+                future.cancel()
+        if broken:
+            _drop_pool(pool)
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +435,15 @@ def run_campaign(
 
     Every metric of :data:`CAMPAIGN_METRICS` is summarized.
 
+    Each seed gets :data:`SEED_ATTEMPTS` attempts.  An attempt fails
+    when its run raises or, with ``workers``, when a worker process
+    dies while the seed is pending on the pool: a death fails every
+    seed the pool has not yet returned, and each of them is charged
+    one attempt and resubmitted to a fresh pool.  A seed whose worker
+    dies on every attempt (or that is lost with one) ends in
+    :attr:`CampaignResult.failures` with ``attempts ==
+    SEED_ATTEMPTS``; no death can block the campaign.
+
     Args:
         scheduler: Registry name.
         seeds: Seeds to run (each is one independent sample: workload
@@ -371,8 +455,11 @@ def run_campaign(
             while per-seed attribution stays exact via
             :attr:`CampaignResult.obs_snapshots`).  ``campaign.runs``
             records the sample count.
-        workers: Fan seeds over this many spawn-safe worker processes;
-            ``None``/``0``/``1`` runs serially.  Results are merged in
+        workers: Fan seeds over this many spawned worker processes;
+            ``None``/``0``/``1`` runs serially.  The workers belong to
+            one pool per process: the first parallel campaign starts
+            them, later campaigns with the same count reuse them, and
+            they exit with the interpreter.  Results are merged in
             seed order either way, so the two modes produce identical
             summaries, counters, and deterministic exports.
         cache_dir: Content-addressed on-disk cache for completed seed
@@ -391,7 +478,8 @@ def run_campaign(
             :class:`repro.verify.verifier.ConfigurationError` (carrying
             the full report) instead of burning seeds on a broken setup.
         _crash_plan: Test-only fault injection: ``{seed: n}`` makes the
-            first ``n`` attempts of that seed raise.
+            first ``n`` attempts of that seed raise (each attempt
+            compares ``attempt < n``).
         **experiment_kwargs: Forwarded to
             :func:`repro.experiments.runner.run_experiment` (everything
             except ``scheduler`` and ``seed``).

@@ -20,8 +20,9 @@ The response contract every endpoint honours:
   (rows in this page), ``total`` (rows matching the filter),
   ``limit``, ``offset`` and ``next_offset`` (``null`` on the last
   page);
-- errors are canonical JSON too (``{"error": ..., "path": ...}``)
-  with 400/404/405 status codes.
+- errors are canonical JSON too (``{"error": ..., "path": ...}``,
+  the path as sent) with 400/404/405 status codes; a query parameter
+  the route does not take is a 400 that names it.
 
 The server opens the store read-only: it can watch a database that a
 campaign is still writing into (WAL readers never block the writer)
@@ -100,10 +101,20 @@ def _value(params: Mapping[str, str], name: str, kind: type,
     return value
 
 
+def _known(params: Mapping[str, str], names: Tuple[str, ...]) -> None:
+    """Reject the first query parameter that is not in ``names``."""
+    for name in params:
+        if name not in names:
+            raise _BadRequest(
+                f"unknown query parameter {name!r}; this route takes "
+                f"{', '.join(names) or 'none'}")
+
+
 def _parse(params: Mapping[str, str],
            filters: Mapping[str, Tuple[type, str]],
            ) -> Tuple[int, int, Dict[str, object]]:
     """The one query-parameter parser: ``(limit, offset, filters)``."""
+    _known(params, ("limit", "offset", *filters))
     limit = _value(params, "limit", int, 50)
     offset = _value(params, "offset", int, 0)
     assert isinstance(limit, int) and isinstance(offset, int)
@@ -223,8 +234,7 @@ class ResultsWebService:
                              {"error": f"method {method} not allowed",
                               "path": target}, headers, keep_alive)
             return keep_alive
-        raw_path, _, query = target.partition("?")
-        path = unquote(raw_path)
+        path, _, query = target.partition("?")
         params = dict(parse_qsl(query, keep_blank_values=True))
         try:
             body = self._route(path, params)
@@ -285,13 +295,20 @@ class ResultsWebService:
 
     def _route(self, path: str,
                params: Mapping[str, str]) -> Optional[object]:
-        """Resolve one GET to a JSON-able body, or ``None`` for 404."""
+        """Resolve one GET to a JSON-able body, or ``None`` for 404.
+
+        ``path`` is the target's path as sent: it is split at ``/``
+        first and each segment percent-decoded after, so an encoded
+        ``%2F`` stays inside its segment.
+        """
         head, *segments = path.split("/")
         if segments[-1:] == [""]:
             segments.pop()  # "/" itself, or one trailing slash
         if head or "" in segments:  # not "/"-rooted, or "//" inside
             return None
+        segments = [unquote(segment) for segment in segments]
         if not segments:
+            _known(params, ())
             return {"store": self.store.path,
                     "tables": self.store.counts(),
                     "endpoints": [pattern for pattern, _ in ROUTES],
@@ -305,6 +322,7 @@ class ResultsWebService:
             key = next((segment for part, segment in zip(parts, segments)
                         if part.startswith("<")), None)
             if not isinstance(target, str):
+                _known(params, ())
                 return target(self.store, key)
             return self._listing(target, key, params)
         return None

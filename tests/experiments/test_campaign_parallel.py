@@ -8,21 +8,35 @@ campaign; and a warm content-addressed cache serves every seed without
 simulating anything.
 
 The parallel tests spawn real worker processes, so they use the tiny
-fixture workload and short horizons to keep wall-clock sane.
+fixture workload and short horizons to keep wall-clock sane.  The
+worker pool is shared by every parallel campaign of a process, so these
+tests also pin what that sharing must not change: a campaign's results
+do not depend on the campaigns that ran before it on the same workers,
+a dead worker costs its seeds one attempt instead of blocking the
+campaign, and no worker outlives its process.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
+import threading
+import time
 from typing import NamedTuple
 
 import pytest
 
+from repro.experiments import campaign as campaign_module
 from repro.experiments.cache import CampaignCache, cache_key
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import SEED_ATTEMPTS, run_campaign
 from repro.obs.export import attach_event_capture, snapshot_records
 from repro.obs.observability import Observability
 
 _SEEDS = [1, 2, 3, 4]
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -34,6 +48,48 @@ class _Reshaped:
 
 class _ReshapedTuple(NamedTuple):
     value: int
+
+
+class _WorkerDeath:
+    """A ``_crash_plan`` entry that kills the worker process running it.
+
+    ``run_campaign`` injects a crash when ``attempt < entry``; Python
+    answers that comparison through this object's ``__gt__``, which
+    ends the process with ``os._exit`` on the first ``attempts``
+    attempts: a real worker death, not an exception.  ``delay_s`` lets
+    the other seeds finish first.  Outside a worker process (the test
+    process itself, a serial run) it never fires.
+    """
+
+    def __init__(self, attempts: int, delay_s: float = 0.0) -> None:
+        self.attempts = attempts
+        self.delay_s = delay_s
+
+    def __gt__(self, attempt: int) -> bool:
+        if (attempt < self.attempts
+                and multiprocessing.parent_process() is not None):
+            time.sleep(self.delay_s)
+            os._exit(1)
+        return False
+
+
+def _within(seconds, call):
+    """``call()``, failing the test if it is still blocked after ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # re-raised in the test thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"campaign still blocked after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def _campaign(small_params, workload, obs=None, **overrides):
@@ -143,6 +199,102 @@ class TestWorkerCrashes:
                          periodic=tiny_workload.periodic(),
                          ber=0.0, duration_ms=10.0,
                          _crash_plan={5: 2})
+
+
+class TestWorkerDeath:
+    def test_one_worker_death_is_retried_and_matches_serial(
+            self, small_params, tiny_workload):
+        obs_serial, obs_parallel = Observability(), Observability()
+        serial = _campaign(small_params, tiny_workload, obs=obs_serial)
+        parallel = _within(90, lambda: _campaign(
+            small_params, tiny_workload, obs=obs_parallel, workers=2,
+            _crash_plan={2: _WorkerDeath(1)}))
+        assert parallel.failures == []
+        assert parallel.summaries == serial.summaries
+        assert [r.metrics for r in parallel.results] \
+            == [r.metrics for r in serial.results]
+        assert (obs_parallel.deterministic_snapshot()
+                == obs_serial.deterministic_snapshot())
+
+    def test_seed_whose_worker_always_dies_is_surfaced(
+            self, small_params, tiny_workload):
+        serial = _campaign(small_params, tiny_workload)
+        campaign = _within(120, lambda: _campaign(
+            small_params, tiny_workload, workers=2,
+            _crash_plan={4: _WorkerDeath(SEED_ATTEMPTS, delay_s=1.0)}))
+        assert [f.seed for f in campaign.failures] == [4]
+        assert campaign.failures[0].attempts == SEED_ATTEMPTS
+        assert "BrokenProcessPool" in campaign.failures[0].error
+        assert campaign.completed_seeds == [1, 2, 3]
+        assert [r.metrics for r in campaign.results] \
+            == [r.metrics for r in serial.results[:3]]
+
+
+class TestSharedPool:
+    def test_campaigns_on_reused_workers_match_serial(self, small_params,
+                                                      tiny_workload):
+        def campaign_a(obs, **kwargs):
+            return _campaign(small_params, tiny_workload, obs=obs, **kwargs)
+
+        def campaign_b(obs, **kwargs):
+            return run_campaign(
+                "fspec", seeds=[7, 8, 9], params=small_params,
+                periodic=tiny_workload.periodic(), ber=1e-3,
+                duration_ms=30.0, obs=obs, **kwargs)
+
+        def observed(make, **kwargs):
+            obs = Observability()
+            events = attach_event_capture(obs)
+            campaign = make(obs, **kwargs)
+            return (campaign, obs.deterministic_snapshot(),
+                    _deterministic_records(obs, events))
+
+        serial_a = observed(campaign_a)
+        serial_b = observed(campaign_b)
+        runs, pools = [], []
+        for make in (campaign_a, campaign_b, campaign_a):
+            runs.append(observed(make, workers=2))
+            pools.append(campaign_module._pool)
+        assert pools[0] is pools[1] is pools[2]
+        for campaign, counters, records in (runs[0], runs[2]):
+            assert campaign.summaries == serial_a[0].summaries
+            assert counters == serial_a[1]
+            assert records == serial_a[2]
+        assert runs[1][0].summaries == serial_b[0].summaries
+        assert runs[1][1] == serial_b[1]
+
+    def test_a_new_worker_count_rebuilds_the_pool(self, small_params,
+                                                  tiny_workload):
+        _campaign(small_params, tiny_workload, workers=2)
+        first = campaign_module._pool
+        old_workers = {child.pid for child in multiprocessing.active_children()}
+        _campaign(small_params, tiny_workload, workers=2)
+        assert campaign_module._pool is first
+        _campaign(small_params, tiny_workload, workers=3)
+        assert campaign_module._pool is not first
+        assert campaign_module._pool[0] == 3
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert old_workers and not old_workers & live
+
+    def test_no_worker_outlives_its_process(self):
+        script = textwrap.dedent("""
+            import multiprocessing
+            from repro import cli
+            assert cli.main(["campaign", "--workload", "synthetic",
+                             "--count", "6", "--seeds", "3",
+                             "--duration-ms", "30", "--aperiodic", "0",
+                             "--workers", "2", "--json"]) == 0
+            print(*[child.pid for child in multiprocessing.active_children()])
+            """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=_SRC), timeout=120)
+        assert done.returncode == 0, done.stderr
+        workers = [int(pid) for pid in done.stdout.splitlines()[-1].split()]
+        assert workers  # the pool was still up when the script ended
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestSeedCache:

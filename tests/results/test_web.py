@@ -192,6 +192,29 @@ class TestErrors:
         assert response.json == {"error": "not found",
                                  "path": "//campaigns/"}
 
+    def test_path_is_split_before_it_is_decoded(self, get):
+        # An encoded "/" stays inside its segment: it neither adds a
+        # trailing slash nor splits a segment in two.
+        for target in ("/campaigns%2F", "/a%2Fb", "/campaigns%2Fx"):
+            response = get(target)
+            assert response.status == 404, target
+            assert response.json == {"error": "not found", "path": target}
+
+    def test_segments_are_decoded(self, get):
+        assert get("/campaign%73").body == get("/campaigns").body
+
+    def test_unknown_query_parameter_is_400(self, get, web):
+        for target in ("/?bogus=1", "/campaigns?bogus=1",
+                       f"/campaigns/{web['campaign_id']}?bogus=1",
+                       "/metrics/deadline_miss_ratio?bogus=1"):
+            response = get(target)
+            assert response.status == 400, target
+            assert "'bogus'" in response.json["error"], target
+        response = get("/campaigns?scheduler=coefficient&zz=1&yy=2")
+        assert response.status == 400
+        assert "'zz'" in response.json["error"]
+        assert response.json["path"] == "/campaigns"
+
     def test_raw_digest_listing_is_gone(self, get):
         assert get("/digests").status == 404
 
